@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "adaptive/policy.h"
-#include "storage/index.h"
 
 namespace ajr {
 namespace bench {
@@ -41,13 +40,6 @@ HarnessFlags HarnessFlags::Parse(int argc, char** argv) {
         std::exit(2);
       }
       flags.policy = *parsed;
-    } else if (const char* v = value("--index=")) {
-      auto parsed = ParseIndexBackend(v);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "unknown index backend: %s (btree|art)\n", v);
-        std::exit(2);
-      }
-      flags.index_backend = *parsed;
     } else if (std::strcmp(arg, "--stats=minimal") == 0) {
       flags.stats_tier = StatsTier::kMinimal;
     } else if (std::strcmp(arg, "--stats=base") == 0) {
@@ -106,7 +98,6 @@ QueryRun Workbench::Run(const JoinQuery& query, const AdaptiveOptions& options) 
   run.name = query.name;
   AdaptiveOptions effective = options;
   effective.policy = flags_.policy;
-  effective.index_backend = flags_.index_backend;
   auto plan = planner_->Plan(query);
   if (!plan.ok()) {
     std::fprintf(stderr, "planning %s failed: %s\n", query.name.c_str(),
@@ -132,10 +123,8 @@ std::pair<QueryRun, QueryRun> Workbench::RunPair(const JoinQuery& query,
   b.name = query.name;
   AdaptiveOptions effective_a = options_a;
   effective_a.policy = flags_.policy;
-  effective_a.index_backend = flags_.index_backend;
   AdaptiveOptions effective_b = options_b;
   effective_b.policy = flags_.policy;
-  effective_b.index_backend = flags_.index_backend;
   auto plan = planner_->Plan(query);
   if (!plan.ok()) {
     std::fprintf(stderr, "planning %s failed: %s\n", query.name.c_str(),
@@ -268,11 +257,9 @@ void JsonReport::Finish() {
   std::fprintf(f, "  \"owners\": %zu,\n  \"per_template\": %zu,\n  \"reps\": %zu,\n",
                flags_.owners, flags_.per_template, flags_.reps);
   std::fprintf(f,
-               "  \"seed\": %llu,\n  \"dop\": %zu,\n  \"policy\": \"%s\",\n"
-               "  \"backend\": \"%s\",\n",
+               "  \"seed\": %llu,\n  \"dop\": %zu,\n  \"policy\": \"%s\",\n",
                static_cast<unsigned long long>(flags_.seed), flags_.dop,
-               PolicyKindName(flags_.policy),
-               IndexBackendName(flags_.index_backend));
+               PolicyKindName(flags_.policy));
   std::fprintf(f, "  \"runs\": [");
   for (size_t i = 0; i < runs_.size(); ++i) {
     std::fprintf(f, "%s\n    %s", i == 0 ? "" : ",", runs_[i].c_str());

@@ -50,11 +50,6 @@ struct HarnessFlags {
   /// Workbench::Run/RunPair and stamped into the JSON results, so baselines
   /// taken under different policies never compare silently.
   PolicyKind policy = PolicyKind::kRank;
-  /// --index=btree|art: the point-probe index backend (storage/index.h).
-  /// Applied by Workbench::Run/RunPair and stamped into the JSON results
-  /// as "backend", so baselines taken against different index structures
-  /// never compare silently (scripts/bench_delta.py warns on mismatch).
-  IndexBackend index_backend = IndexBackend::kBTree;
 
   static HarnessFlags Parse(int argc, char** argv);
 };

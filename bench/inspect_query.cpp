@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     auto bound = BindPredicate(p.query.local_predicates[t], entry.schema());
     size_t actual = 0;
     for (Rid r = 0; r < entry.table().num_rows(); ++r) {
-      if ((*bound)->Eval(entry.table().Get(r))) ++actual;
+      if ((*bound)->Eval(entry.table().View(r))) ++actual;
     }
     const DrivingAccess& acc = p.access[t].driving;
     std::printf("%-6s %10zu %12.1f %12zu %12.4f  %s\n",

@@ -33,7 +33,7 @@ double ActualSelectivity(const TableEntry& entry, const ExprPtr& predicate) {
   if (!bound.ok()) return 0;
   size_t hits = 0;
   for (Rid r = 0; r < entry.table().num_rows(); ++r) {
-    if ((*bound)->Eval(entry.table().Get(r))) ++hits;
+    if ((*bound)->Eval(entry.table().View(r))) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(entry.table().num_rows());
 }

@@ -1,7 +1,6 @@
 // Engine server demo: the concurrent query runtime end to end.
 //
 //   $ ./build/examples/engine_server [--dop=N] [--policy=rank|regret|static]
-//                                    [--index=btree|art]
 //                                    [--share=off|scan|cache|both]
 //
 // Builds a small DMV database, starts a QueryEngine with four workers, and
@@ -25,7 +24,6 @@
 #include <thread>
 
 #include "adaptive/policy.h"
-#include "storage/index.h"
 #include "common/metrics.h"
 #include "runtime/query_engine.h"
 #include "workload/dmv.h"
@@ -35,8 +33,7 @@ using namespace ajr;
 
 namespace {
 
-Status Run(size_t dop, PolicyKind policy, IndexBackend backend,
-           bool share_scan, bool share_cache) {
+Status Run(size_t dop, PolicyKind policy, bool share_scan, bool share_cache) {
   // 1. Build phase: load the catalog before serving (the engine's
   //    thread-safety contract: no catalog writes while queries run).
   std::printf("loading DMV data set...\n");
@@ -59,9 +56,8 @@ Status Run(size_t dop, PolicyKind policy, IndexBackend backend,
                            : share_cache             ? "cache"
                                                      : "off";
   std::printf("serving a burst of 10 template queries on %zu workers"
-              " (intra-query dop=%zu, policy=%s, index=%s, share=%s)...\n",
-              engine.num_workers(), dop, PolicyKindName(policy),
-              IndexBackendName(backend), share_name);
+              " (intra-query dop=%zu, policy=%s, share=%s)...\n",
+              engine.num_workers(), dop, PolicyKindName(policy), share_name);
   std::vector<QueryHandle> burst;
   for (int template_id = 1; template_id <= kNumFourTableTemplates; ++template_id) {
     for (size_t variant = 0; variant < 2; ++variant) {
@@ -73,7 +69,6 @@ Status Run(size_t dop, PolicyKind policy, IndexBackend backend,
       QuerySpec spec;
       spec.query = std::move(q);
       spec.adaptive.policy = policy;
-      spec.adaptive.index_backend = backend;
       spec.dop = dop;
       spec.share_scan = share_scan;
       spec.share_cache = share_cache;
@@ -94,7 +89,6 @@ Status Run(size_t dop, PolicyKind policy, IndexBackend backend,
   QuerySpec cancel_spec;
   cancel_spec.query = std::move(cancel_me);
   cancel_spec.adaptive.policy = policy;
-  cancel_spec.adaptive.index_backend = backend;
   AJR_ASSIGN_OR_RETURN(QueryHandle cancelled, engine.Submit(std::move(cancel_spec)));
   cancelled.Cancel();
   std::printf("cancelled query  -> %s\n",
@@ -106,7 +100,6 @@ Status Run(size_t dop, PolicyKind policy, IndexBackend backend,
   QuerySpec deadline_spec;
   deadline_spec.query = std::move(slow);
   deadline_spec.adaptive.policy = policy;
-  deadline_spec.adaptive.index_backend = backend;
   deadline_spec.timeout = std::chrono::milliseconds(0);
   AJR_ASSIGN_OR_RETURN(QueryHandle timed_out, engine.Submit(std::move(deadline_spec)));
   std::printf("deadline query   -> %s\n",
@@ -115,24 +108,12 @@ Status Run(size_t dop, PolicyKind policy, IndexBackend backend,
   engine.Shutdown();
   std::printf("\nmetrics snapshot:\n%s", metrics.Snapshot().c_str());
 
-  // 6. Probe-path effectiveness: the exec.probe_* counters the executors
-  //    flushed above, folded into the two numbers an operator would watch —
-  //    memoization hit rate and root-to-leaf descents avoided per batch key.
   auto counter = [&metrics](const char* name) -> uint64_t {
     const Counter* c = metrics.FindCounter(name);
     return c != nullptr ? c->value() : 0;
   };
-  uint64_t hits = counter("exec.probe_cache_hits");
-  uint64_t misses = counter("exec.probe_cache_misses");
-  uint64_t keys = counter("exec.probe_batch_keys");
-  uint64_t saved = counter("exec.probe_descents_saved");
-  std::printf("\nprobe path [%s]: %llu batch keys, cache hit rate %.1f%%, "
-              "%.1f%% of descents avoided\n",
-              IndexBackendName(backend), (unsigned long long)keys,
-              hits + misses > 0 ? 100.0 * hits / (hits + misses) : 0.0,
-              keys > 0 ? 100.0 * saved / keys : 0.0);
 
-  // 7. Parallel effectiveness: how much intra-query parallelism the fleet
+  // 6. Parallel effectiveness: how much intra-query parallelism the fleet
   //    actually achieved. parallel_workers counts workers that processed
   //    at least one morsel, so workers-per-query below the configured dop
   //    means the pool was busy (the lease degrades instead of blocking) or
@@ -158,7 +139,7 @@ Status Run(size_t dop, PolicyKind policy, IndexBackend backend,
                 "split each driving scan across the worker pool\n", dop);
   }
 
-  // 8. Sharing effectiveness: how much of the burst's physical work the
+  // 7. Sharing effectiveness: how much of the burst's physical work the
   //    cross-query surfaces absorbed. Scan passes per query < 1.0 means
   //    concurrent (or repeated) queries rode passes someone else produced;
   //    the shared-cache hit rate is probes answered without any descent.
@@ -198,7 +179,6 @@ Status Run(size_t dop, PolicyKind policy, IndexBackend backend,
 int main(int argc, char** argv) {
   size_t dop = 1;
   PolicyKind policy = PolicyKind::kRank;
-  IndexBackend backend = IndexBackend::kBTree;
   bool share_scan = false, share_cache = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--dop=", 6) == 0) {
@@ -212,14 +192,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       policy = *parsed;
-    } else if (std::strncmp(argv[i], "--index=", 8) == 0) {
-      auto parsed = ParseIndexBackend(argv[i] + 8);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "unknown index backend: %s (btree|art)\n",
-                     argv[i] + 8);
-        return 2;
-      }
-      backend = *parsed;
     } else if (std::strncmp(argv[i], "--share=", 8) == 0) {
       const char* mode = argv[i] + 8;
       if (std::strcmp(mode, "off") == 0) {
@@ -240,13 +212,13 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "unknown flag: %s (usage: %s [--dop=N]"
-                   " [--policy=rank|regret|static] [--index=btree|art]"
+                   " [--policy=rank|regret|static]"
                    " [--share=off|scan|cache|both])\n",
                    argv[i], argv[0]);
       return 2;
     }
   }
-  Status status = Run(dop, policy, backend, share_scan, share_cache);
+  Status status = Run(dop, policy, share_scan, share_cache);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Records the benchmark baselines as BENCH_<name>.json: the row-format
-# microbenchmark, the Fig 7 adaptive-vs-static scatter, the concurrent-
-# runtime throughput harness, the index-probe (batched descent /
-# memoization) microbenchmark, the wide-join repair curve (n=6..20), and
+# Records the benchmark baselines as BENCH_<name>.json: the Fig 7
+# adaptive-vs-static scatter, the concurrent-runtime throughput harness,
+# the parallel-scaling harness, the wide-join repair curve (n=6..20), and
 # the shared-traffic harness (cross-query scan/cache sharing off vs on).
 #
 #   scripts/bench_baseline.sh            # writes bench/baselines/BENCH_*.json
@@ -23,15 +22,6 @@ BUILD="${AJR_BUILD_DIR:-${ROOT}/build}"
 OUT="${1:-${ROOT}/bench/baselines}"
 mkdir -p "${OUT}"
 
-echo "== baseline: row_format =="
-"${BUILD}/bench/row_format" --rows=100000 --iters=5 \
-  --json="${OUT}/BENCH_row_format.json"
-
-echo
-echo "== baseline: index_probe =="
-"${BUILD}/bench/index_probe" --json="${OUT}/BENCH_index_probe.json"
-
-echo
 echo "== baseline: fig7_scatter (reduced scale) =="
 "${BUILD}/bench/fig7_scatter" --owners=20000 --per-template=10 --reps=3 \
   --json="${OUT}/BENCH_fig7_scatter.json"

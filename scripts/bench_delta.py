@@ -14,11 +14,12 @@ shared-runner wall clocks are noisy — the exit code is for humans running
 the comparison on quiet hardware, and for the job-summary table this
 script appends to $GITHUB_STEP_SUMMARY when that variable is set.
 
-Harness provenance (git_sha, build_type, dop, policy, backend) is stamped
-into each file by bench/harness_util; comparing across different build
-types, dops, adaptation policies, or index backends is reported as a
-warning because such deltas
-measure the configuration, not the code. When either side of a comparison
+Harness provenance (git_sha, build_type, dop, policy) is stamped into each
+file by bench/harness_util; comparing across different build types, dops,
+or adaptation policies is reported as a warning because such deltas
+measure the configuration, not the code. Older files may still carry a
+`backend` key from when a second index structure existed; it is ignored.
+When either side of a comparison
 carries the `speedups_not_meaningful` marker (bench/parallel_scaling and
 bench/shared_traffic set it on hardware_concurrency=1 machines, mirroring
 their WARNING lines), all dop>1 metrics and all speedup ratios are
@@ -70,7 +71,7 @@ def load(path):
     with open(path) as f:
         doc = json.load(f)
     meta = {k: doc.get(k)
-            for k in ("git_sha", "build_type", "dop", "policy", "backend")}
+            for k in ("git_sha", "build_type", "dop", "policy")}
     return {m["name"]: m["value"] for m in doc.get("metrics", [])}, meta
 
 
@@ -126,7 +127,7 @@ def main():
             continue
         fresh, fmeta = load(os.path.join(fresh_dir, name))
         base, bmeta = load(base_path)
-        for key in ("build_type", "dop", "policy", "backend"):
+        for key in ("build_type", "dop", "policy"):
             if bmeta.get(key) is not None and fmeta.get(key) is not None \
                     and bmeta[key] != fmeta[key]:
                 print(f"  WARNING: {key} differs "

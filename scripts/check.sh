@@ -6,9 +6,8 @@
 #
 #   scripts/check.sh            # full: tier-1 ctest + TSan stress + ASan fuzz
 #   scripts/check.sh --smoke    # quick sanity on already-built binaries:
-#                               # row-format checksum/speedup, stress suite,
-#                               # fixed-seed fuzz smoke; no reconfigure, no
-#                               # sanitizer rebuild
+#                               # stress suite and fixed-seed fuzz smoke; no
+#                               # reconfigure, no sanitizer rebuild
 #
 # The smoke mode is also registered as a CTest test (label `smoke`):
 #   ctest -L smoke
@@ -32,13 +31,8 @@ done
 
 if [[ "$smoke" == 1 ]]; then
   # Runs built binaries directly (no ctest recursion, no rebuild): the
-  # row-format bench self-checks that typed pages and Value rows produce
-  # identical scan results, the stress suite shakes the runtime, and the
-  # fuzz smoke suite replays the fixed-seed differential band and the
-  # injected-bug oracle self-tests.
-  echo "== smoke: row-format representation check =="
-  "${BUILD}/bench/row_format" --rows=20000 --iters=3
-  echo
+  # stress suite shakes the runtime, and the fuzz smoke suite replays the
+  # fixed-seed differential band and the injected-bug oracle self-tests.
   echo "== smoke: runtime stress suite (unsanitized) =="
   "${BUILD}/tests/engine_stress_test" --gtest_brief=1
   echo
@@ -65,15 +59,13 @@ cmake --build "${BUILD_TSAN}" -j "${JOBS}" --target engine_stress_test \
 ctest --test-dir "${BUILD_TSAN}" -L stress --output-on-failure
 
 echo
-echo "== fuzz + ART properties under AddressSanitizer (${BUILD_ASAN}) =="
+echo "== fuzz under AddressSanitizer (${BUILD_ASAN}) =="
 cmake -B "${BUILD_ASAN}" -S "${ROOT}" -DAJR_SANITIZE=address >/dev/null
 cmake --build "${BUILD_ASAN}" -j "${JOBS}" --target fuzz_smoke_test \
-  fuzz_differential art_index_test
-"${BUILD_ASAN}/tests/art_index_test" --gtest_brief=1
+  fuzz_differential
 "${BUILD_ASAN}/tests/fuzz_smoke_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/fuzz_differential" --count 100 --jobs "${JOBS}"
 "${BUILD_ASAN}/tests/fuzz_differential" --count 40 --wide --jobs "${JOBS}"
-"${BUILD_ASAN}/tests/fuzz_differential" --count 60 --index art --jobs "${JOBS}"
 "${BUILD_ASAN}/tests/fuzz_differential" --count 60 --share --jobs "${JOBS}"
 
 echo

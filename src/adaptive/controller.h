@@ -16,7 +16,7 @@
 
 #include "adaptive/monitor.h"
 #include "optimize/cost_model.h"
-#include "storage/index.h"
+#include "storage/bplus_tree.h"
 
 namespace ajr {
 
@@ -67,27 +67,11 @@ struct AdaptiveOptions {
   /// costs far more (relatively) than on the paper's I/O-bound system, and
   /// back-off restores the paper's sub-1% overhead regime (Sec 5.4).
   bool check_backoff = true;
-  /// Max probe keys gathered per inner leg before descending the index
-  /// (sorted, hint-resumed descent amortizes root-to-leaf walks). Batches
-  /// never span driving rows and are discarded at every reorder, so
-  /// depleted-state semantics are untouched; work-unit accounting is
-  /// replayed per logical probe and stays bit-identical to per-row
-  /// execution. 1 disables batching.
-  size_t probe_batch_size = 64;
-  /// Capacity of the per-leg probe-memoization LRU (hot join keys replay
-  /// their matched-RID list and exact work units instead of re-descending).
-  /// Bypassed while a leg's positional predicate is active. 0 disables the
-  /// cache.
-  size_t probe_cache_entries = 128;
   /// Which decision policy the executor instantiates (adaptive/policy.h).
   /// kStatic forces both reorder capabilities off regardless of the
   /// reorder_* flags above; kRank and kRegret honor them.
   PolicyKind policy = PolicyKind::kRank;
-  /// Which physical index structure serves point probes (storage/index.h).
-  /// Legs that need range scans or positional predicates — driving scans,
-  /// remaining-cardinality statistics, post-reorder resume — transparently
-  /// stay on the B+-tree; work units and adaptation traces are
-  /// bit-identical across backends by the Index charge contract.
+  /// Unused by the engine (the B+-tree is the only index); perfbench reads it.
   IndexBackend index_backend = IndexBackend::kBTree;
   static constexpr uint64_t kMaxBackoff = 16;
 };

@@ -98,10 +98,6 @@ Status Catalog::BuildIndex(const std::string& table_name, const std::string& col
   info->tree = std::make_unique<BPlusTree>(
       key_type, fanout, key_type == DataType::kString ? &table.pool() : nullptr);
   AJR_RETURN_IF_ERROR(info->tree->BulkLoadEncoded(std::move(entries)));
-  // The ART twin is read-only over the loaded tree; building it here keeps
-  // the build-then-serve lifecycle (no runtime mutation, so concurrent
-  // readers stay race-free on either backend).
-  info->art = ArtIndex::BuildFromTree(*info->tree);
   entry->indexes_.push_back(std::move(info));
   return Status::OK();
 }

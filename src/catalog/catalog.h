@@ -23,31 +23,21 @@
 
 #include "catalog/column_stats.h"
 #include "common/status.h"
-#include "storage/art_index.h"
 #include "storage/bplus_tree.h"
 #include "storage/heap_table.h"
 
 namespace ajr {
 
-/// A secondary index registered in the catalog. Both physical backends are
-/// built over the same entries: the B+-tree is authoritative (ranges,
-/// positional predicates, driving scans) and the ART serves point probes
-/// when a query selects IndexBackend::kArt.
+/// A secondary index registered in the catalog: one B+-tree serving driving
+/// scans, point probes, and positional predicates.
 struct IndexInfo {
   std::string name;
   std::string column;      ///< indexed column name
   size_t column_idx = 0;   ///< resolved position in the table schema
   std::unique_ptr<BPlusTree> tree;
-  std::unique_ptr<ArtIndex> art;  ///< point-probe twin of `tree`
 
-  /// The Index serving point probes under `backend`, falling back to the
-  /// B+-tree when the requested backend is unavailable. Legs needing
-  /// ranges or positional predicates must use `tree` regardless (check
-  /// SupportsRangeScan / SupportsPositional).
-  const Index* ProbeIndex(IndexBackend backend) const {
-    if (backend == IndexBackend::kArt && art != nullptr) return art.get();
-    return tree.get();
-  }
+  /// Always `tree`; perfbench still reaches the probe index through it.
+  const Index* ProbeIndex(IndexBackend) const { return tree.get(); }
 };
 
 /// A table plus its indexes and statistics.

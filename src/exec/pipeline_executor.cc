@@ -9,7 +9,6 @@
 #include "common/string_util.h"
 #include "exec/exec_observer.h"
 #include "exec/fault_injection.h"
-#include "exec/probe_cache.h"
 #include "storage/key_codec.h"
 
 namespace ajr {
@@ -19,16 +18,6 @@ namespace {
 // Sample floor for monitored selectivities in inner-reorder decisions (see
 // BuildRuntimeCostInputs doc comment).
 constexpr uint64_t kInnerMinSamples = 2;
-
-// Three-way compare of two probe keys of one index's key type, in index
-// order (numeric order-encodings compare as integers, strings as bytes).
-int CompareKeys(const IndexKey& a, const IndexKey& b) {
-  if (a.type != DataType::kString) {
-    return a.enc < b.enc ? -1 : (a.enc > b.enc ? 1 : 0);
-  }
-  int c = a.str.compare(b.str);
-  return c < 0 ? -1 : (c > 0 ? 1 : 0);
-}
 
 }  // namespace
 
@@ -112,10 +101,6 @@ void PipelineExecutor::RefreshPositions(size_t from) {
     leg.loaded = false;
     leg.matches.clear();
     leg.match_pos = 0;
-    // Any reorder at or above this position invalidates read-ahead: the
-    // prefilled keys were gathered for the old pipeline shape.
-    leg.batch_len = 0;
-    leg.batch_pos = 0;
     leg.applicable_edges.clear();
     for (const auto& e : plan_->query.edges) {
       if (e.Touches(t) && (mask & (uint64_t{1} << e.Other(t))) != 0) {
@@ -205,19 +190,14 @@ void PipelineExecutor::ProbeLeg(size_t level) {
   const IndexInfo* probe_index =
       leg.probe_edge == SIZE_MAX ? nullptr
                                  : plan_->access[t].probe_index_by_edge[leg.probe_edge];
-  // Batched fast path: only for indexed legs whose sole applicable edge is
-  // the probe edge. There the per-row path's residual-edge loop is empty
-  // (the probe edge is known to match), so a probe's entire outcome —
-  // matches, fetched count, work units — is a pure function of the probe
-  // key and can be resolved ahead of time and replayed. Multi-edge,
-  // unindexed, and cartesian legs keep the per-row path below.
-  if (probe_index != nullptr &&
-      (options_.probe_batch_size > 1 || options_.probe_cache_entries > 0) &&
-      leg.applicable_edges.size() == 1 &&
-      leg.applicable_edges[0] == leg.probe_edge) {
-    ProbeLegBatched(level, probe_index);
-    return;
-  }
+  // The shared cache serves indexed legs whose sole applicable edge is the
+  // probe edge and whose positional predicate is not live. There the
+  // residual-edge loop below is empty (the probe edge is known to match),
+  // so a probe's entire outcome — matches, fetched count, work units — is a
+  // pure function of (leg signature, key) and can be replayed.
+  const bool shared = shared_cache_ != nullptr && probe_index != nullptr &&
+                      !leg.prefix.has_value() && leg.applicable_edges.size() == 1 &&
+                      leg.applicable_edges[0] == leg.probe_edge;
   const uint64_t work_before = wc_.total();
   const JoinQuery& q = plan_->query;
   const double table_card = static_cast<double>(leg.entry->table().num_rows());
@@ -257,19 +237,23 @@ void PipelineExecutor::ProbeLeg(size_t level) {
     // string keys borrow bytes from the other table's pool (stable storage).
     IndexKey key = EncodeKeyFromCell(current_rows_[other],
                                      legs_[other].edge_col[leg.probe_edge]);
-    // Point probes go through the selected backend (B+-tree or ART); the
-    // Index charge contract keeps work units identical either way. The
-    // positional-predicate filter runs below on fetched rows, so live
-    // prefixes need no index-side positional support.
-    const Index* pidx = probe_index->ProbeIndex(options_.index_backend);
-    leg.probe_scratch.clear();
-    pidx->Probe(key, &wc_, &leg.probe_scratch);
-    for (Rid rid : leg.probe_scratch) {
+    const BPlusTree* tree = probe_index->tree.get();
+    if (shared && ReplaySharedProbe(level, tree, key)) return;
+    probe_rids_.clear();
+    tree->Probe(key, &wc_, &probe_rids_);
+    for (Rid rid : probe_rids_) {
       RowView row = leg.entry->table().Fetch(rid, &wc_);
       fetched += 1;
       consider(rid, row, /*probe_edge_known_to_match=*/true);
     }
     edge_monitors_[leg.probe_edge].Record(table_card, fetched);
+    if (shared) {
+      bool conflict = false;
+      shared_cache_->Insert(leg.shared_sig, key, leg.matches,
+                            static_cast<uint64_t>(fetched), wc_.total() - work_before,
+                            &conflict);
+      if (conflict) stats_.probe_cache_shared_conflicts += 1;
+    }
   } else if (leg.probe_edge != SIZE_MAX) {
     // No index on the join column: filtered full scan (never hit by the DMV
     // workload, kept for generality).
@@ -304,196 +288,44 @@ void PipelineExecutor::ProbeLeg(size_t level) {
   }
 }
 
-void PipelineExecutor::ProbeLegBatched(size_t level, const IndexInfo* probe_index) {
-  size_t t = order_[level];
+bool PipelineExecutor::ReplaySharedProbe(size_t level, const BPlusTree* tree,
+                                         const IndexKey& key) {
+  const size_t t = order_[level];
   LegRt& leg = legs_[t];
-  const JoinEdge& edge = plan_->query.edges[leg.probe_edge];
-  const size_t other = edge.Other(t);
-  if (leg.batch_pos >= leg.batch_len) FillProbeBatch(level, probe_index, other);
-  BatchedProbe& bp = leg.batch[leg.batch_pos++];
-  // Batches are discarded at every reorder and never span driving rows, so
-  // the prefilled key must have been read from the row that is current at
-  // this table now — anything else is an executor bug, not a soft miss.
-  AJR_CHECK(bp.key_src_rid == current_rids_[other]);
-
-  // Replay the probe's accounting exactly as the per-row path would charge
-  // it at this moment. With a single applicable edge the per-row path's
-  // after-edges count equals its fetched count, and no residual edge
-  // monitor is touched, so the monitors, the observer, and the work total
-  // below reproduce it bit for bit — the adaptive controller and the
-  // differential oracle cannot tell the paths apart.
-  wc_.Add(bp.work_units);
-  const double fetched = static_cast<double>(bp.fetched);
-  const double out = static_cast<double>(bp.matches.size());
-  edge_monitors_[leg.probe_edge].Record(
-      static_cast<double>(leg.entry->table().num_rows()), fetched);
-  leg.inner_monitor.RecordIncomingRow(fetched, out,
-                                      static_cast<double>(bp.work_units));
-  if (observer_ != nullptr) {
-    observer_->OnProbe(t, level, bp.fetched, bp.fetched,
-                       static_cast<uint64_t>(bp.matches.size()));
-  }
-  // Swap, not move: the batch entry inherits the cleared match buffer and
-  // keeps its capacity for the next fill.
-  leg.matches.swap(bp.matches);
-}
-
-void PipelineExecutor::FillProbeBatch(size_t level, const IndexInfo* probe_index,
-                                      size_t other) {
-  size_t t = order_[level];
-  LegRt& leg = legs_[t];
-  leg.batch_len = 0;
-  leg.batch_pos = 0;
-  const size_t other_col = legs_[other].edge_col[leg.probe_edge];
-  const size_t cap = std::max<size_t>(1, options_.probe_batch_size);
-  auto add_key = [&leg](IndexKey key, Rid src_rid) {
-    if (leg.batch_len == leg.batch.size()) leg.batch.emplace_back();
-    BatchedProbe& bp = leg.batch[leg.batch_len++];
-    bp.key = key;
-    bp.key_src_rid = src_rid;
-    bp.matches.clear();
-    bp.fetched = 0;
-    bp.work_units = 0;
-  };
-
-  // Key 0 is the incoming row being probed right now. Further keys come
-  // from the parent leg's still-pending matches: those are exactly the
-  // rows this leg will be probed with next, unless a reorder discards the
-  // batch first. The driving leg (a level-1 probe's parent) has no match
-  // buffer to read ahead from, and a key source above the parent keeps the
-  // key constant for the parent's whole segment, so both cases get a batch
-  // of one (memoization still applies).
-  add_key(EncodeKeyFromCell(current_rows_[other], other_col), current_rids_[other]);
-  if (level >= 2 && other == order_[level - 1]) {
-    const LegRt& parent = legs_[other];
-    for (size_t i = parent.match_pos;
-         i < parent.matches.size() && leg.batch_len < cap; ++i) {
-      Rid prid = parent.matches[i];
-      // View, not Fetch: the executor's own advance views match rows
-      // without charging, so reading ahead must not charge either.
-      RowView row = parent.entry->table().View(prid);
-      add_key(EncodeKeyFromCell(row, other_col), prid);
-    }
-  }
-  stats_.probe_batches += 1;
-  stats_.probe_batch_keys += leg.batch_len;
-
-  // (Re)target the per-leg probe machinery at the current probe index
-  // through the selected backend.
-  const Index* pidx = probe_index->ProbeIndex(options_.index_backend);
-  if (leg.probe_target != pidx) {
-    leg.probe_target = pidx;
-    leg.probe_state = pidx->NewProbeState();
-  }
-  const bool cache_on = options_.probe_cache_entries > 0;
-  if (cache_on && leg.cache == nullptr) {
-    leg.cache = std::make_unique<ProbeCache>(options_.probe_cache_entries);
-  }
-  if (cache_on && leg.cache_edge != leg.probe_edge) {
-    leg.cache->Clear();
-    leg.cache_edge = leg.probe_edge;
-  }
-  // Bypass (neither read nor write) while the positional predicate is
-  // live: its filter depends on the demotion point, not just the key.
-  const bool cache_usable = cache_on && !leg.prefix.has_value();
-  // The cross-query shared cache follows the same bypass rule. Its leg
-  // signature pins the probe index, the leg's local predicate, and the
-  // local cache epoch — a demotion bumps the epoch and so retires only
-  // this leg's shared entries; other legs' stripes survive untouched.
-  const bool shared_usable = shared_cache_ != nullptr && cache_usable;
-  if (shared_usable && (leg.shared_sig_index != pidx ||
-                        leg.shared_sig_epoch != leg.cache_epoch)) {
+  // The signature pins the probe index, the leg's local predicate, and its
+  // demotion epoch: a demotion retires only this leg's shared entries.
+  if (leg.shared_sig_index != tree || leg.shared_sig_epoch != leg.demotion_epoch) {
     const ExprPtr& pred = plan_->query.local_predicates[t];
     leg.shared_sig = SharedProbeCache::LegSignature(
-        pidx, pred != nullptr ? pred->ToString() : std::string(),
-        leg.cache_epoch);
-    leg.shared_sig_index = pidx;
-    leg.shared_sig_epoch = leg.cache_epoch;
+        tree, pred != nullptr ? pred->ToString() : std::string(), leg.demotion_epoch);
+    leg.shared_sig_index = tree;
+    leg.shared_sig_epoch = leg.demotion_epoch;
   }
-
-  // Resolve in ascending key order so the hinted descent resumes from the
-  // previous leaf instead of re-walking from the root. Accounting is
-  // replayed in logical order at drain time, and each probe's work goes to
-  // its own local counter here, so the physical order is invisible to
-  // monitors, stats, and the oracle.
-  leg.batch_by_key.resize(leg.batch_len);
-  for (uint32_t i = 0; i < leg.batch_len; ++i) leg.batch_by_key[i] = i;
-  std::stable_sort(leg.batch_by_key.begin(), leg.batch_by_key.end(),
-                   [&leg](uint32_t a, uint32_t b) {
-                     return CompareKeys(leg.batch[a].key, leg.batch[b].key) < 0;
-                   });
-
-  SharedProbeCache::Result shared_res;  // reused across probes (capacity)
-  for (uint32_t i : leg.batch_by_key) {
-    BatchedProbe& bp = leg.batch[i];
-    if (cache_usable) {
-      const ProbeCache::Result* hit = leg.cache->Lookup(bp.key, leg.cache_epoch);
-      if (hit != nullptr) {
-        bp.matches = hit->matches;
-        bp.fetched = hit->fetched;
-        bp.work_units = hit->work_units;
-        stats_.probe_cache_hits += 1;
-        stats_.probe_descents_saved += 1;
-        continue;
-      }
-      stats_.probe_cache_misses += 1;
-    }
-    if (shared_usable) {
-      // Local miss: consult the fleet-wide cache. A hit replays the exact
-      // (matches, fetched, work_units) triple a fresh probe would produce —
-      // ProbeHinted charges as-if-fresh canonical work, so the triple is a
-      // pure function of (leg signature, key) and replaying it leaves every
-      // monitor, decision, and work total bit-identical.
-      bool conflict = false;
-      if (shared_cache_->Lookup(leg.shared_sig, bp.key, &shared_res,
-                                &conflict)) {
-        bp.matches.swap(shared_res.matches);
-        bp.fetched = shared_res.fetched;
-        bp.work_units = shared_res.work_units;
-        stats_.probe_cache_shared_hits += 1;
-        stats_.probe_descents_saved += 1;
-        if (conflict) stats_.probe_cache_shared_conflicts += 1;
-        leg.cache->Insert(bp.key, leg.cache_epoch, bp.matches, bp.fetched,
-                          bp.work_units);
-        continue;
-      }
-      if (conflict) stats_.probe_cache_shared_conflicts += 1;
-      stats_.probe_cache_shared_misses += 1;
-    }
-    WorkCounter lwc;
-    leg.probe_scratch.clear();
-    if (pidx->ProbeHinted(bp.key, leg.probe_state.get(), &lwc,
-                          &leg.probe_scratch)) {
-      stats_.probe_descents_saved += 1;
-    }
-    for (Rid rid : leg.probe_scratch) {
-      RowView row = leg.entry->table().Fetch(rid, &lwc);
-      bp.fetched += 1;
-      // The sole applicable edge is the probe edge (known to match), so
-      // the per-row path's residual-edge loop is empty here.
-      if (!leg.local_bound->EvalCounted(row, &lwc)) continue;
-      if (leg.prefix.has_value() &&
-          !(faults_ != nullptr && faults_->disable_positional_predicates)) {
-        ChargeWork(&lwc, WorkCounter::kPredicateEval);
-        bool after = leg.prefix_col == SIZE_MAX
-                         ? leg.prefix->StrictlyBeforeRid(rid)
-                         : leg.prefix->StrictlyBefore(row, leg.prefix_col, rid);
-        if (!after) continue;
-      }
-      bp.matches.push_back(rid);
-    }
-    bp.work_units = lwc.total();
-    if (cache_usable) {
-      leg.cache->Insert(bp.key, leg.cache_epoch, bp.matches, bp.fetched,
-                        bp.work_units);
-    }
-    if (shared_usable) {
-      bool conflict = false;
-      shared_cache_->Insert(leg.shared_sig, bp.key, bp.matches, bp.fetched,
-                            bp.work_units, &conflict);
-      if (conflict) stats_.probe_cache_shared_conflicts += 1;
-    }
+  bool conflict = false;
+  const bool hit = shared_cache_->Lookup(leg.shared_sig, key, &shared_hit_, &conflict);
+  if (conflict) stats_.probe_cache_shared_conflicts += 1;
+  if (!hit) {
+    stats_.probe_cache_shared_misses += 1;
+    return false;
   }
+  stats_.probe_cache_shared_hits += 1;
+  // Replay the probe's accounting exactly as ProbeLeg charged it when the
+  // entry was recorded. With a single applicable edge the after-edges count
+  // equals the fetched count and no residual edge monitor is touched, so
+  // the work total, the monitors, and the observer see the same numbers —
+  // the adaptive controller and the differential oracle cannot tell a
+  // replay from a probe.
+  const uint64_t fetched = shared_hit_.fetched;
+  const uint64_t out = shared_hit_.matches.size();
+  wc_.Add(shared_hit_.work_units);
+  edge_monitors_[leg.probe_edge].Record(
+      static_cast<double>(leg.entry->table().num_rows()), static_cast<double>(fetched));
+  leg.inner_monitor.RecordIncomingRow(static_cast<double>(fetched),
+                                      static_cast<double>(out),
+                                      static_cast<double>(shared_hit_.work_units));
+  if (observer_ != nullptr) observer_->OnProbe(t, level, fetched, fetched, out);
+  leg.matches.swap(shared_hit_.matches);
+  return true;
 }
 
 void PipelineExecutor::DrivingCheck() {
@@ -598,10 +430,10 @@ void PipelineExecutor::DrivingCheck() {
           ? std::min(1.0, old_leg.cached_remaining_entries / old_leg.total_raw_entries)
           : 1.0;
   // The fresh positional predicate changes this leg's probe results from
-  // now on: move to a new cache epoch so no earlier memoized entry can be
-  // replayed (the executor also bypasses the cache while a prefix is live —
-  // the epoch makes staleness impossible rather than merely avoided).
-  ++old_leg.cache_epoch;
+  // now on: move to a new epoch so no earlier shared-cache entry can be
+  // replayed (ProbeLeg also bypasses the cache while a prefix is live — the
+  // epoch makes staleness impossible rather than merely avoided).
+  ++old_leg.demotion_epoch;
 
   // Promote the new driving leg; a previously demoted leg resumes its
   // original cursor (which already sits past its prefix).
@@ -785,11 +617,6 @@ StatusOr<ExecStats> PipelineExecutor::Execute(const RowSink& sink) {
         static_cast<uint64_t>(ps.cumulative_regret * 1000.0 + 0.5);
   }
   if (metrics_ != nullptr) {
-    metrics_->GetCounter("exec.probe_cache_hits")->Add(stats_.probe_cache_hits);
-    metrics_->GetCounter("exec.probe_cache_misses")->Add(stats_.probe_cache_misses);
-    metrics_->GetCounter("exec.probe_batches")->Add(stats_.probe_batches);
-    metrics_->GetCounter("exec.probe_batch_keys")->Add(stats_.probe_batch_keys);
-    metrics_->GetCounter("exec.probe_descents_saved")->Add(stats_.probe_descents_saved);
     if (shared_cache_ != nullptr) {
       metrics_->GetCounter("exec.probe_cache_shared_hits")
           ->Add(stats_.probe_cache_shared_hits);

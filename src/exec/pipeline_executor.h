@@ -27,7 +27,6 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/work_counter.h"
-#include "exec/probe_cache.h"
 #include "exec/probe_cache_shared.h"
 #include "expr/evaluator.h"
 #include "optimize/planner.h"
@@ -50,10 +49,8 @@ struct ExecStats {
   uint64_t inner_reorders = 0;
   uint64_t driving_checks = 0;
   uint64_t driving_switches = 0;
-  /// Batched-probe observability (never feeds adaptation decisions):
-  /// memoization hits/misses, batches filled, keys gathered into batches,
-  /// and physical root-to-leaf descents avoided (hint resumes + cache
-  /// hits). All zero when batching and memoization are disabled.
+  /// Always 0 (there is no probe batching or per-leg memo); perfbench reads
+  /// these five.
   uint64_t probe_cache_hits = 0;
   uint64_t probe_cache_misses = 0;
   uint64_t probe_batches = 0;
@@ -141,7 +138,7 @@ class PipelineExecutor {
   void set_fault_injection(const FaultInjection* faults) { faults_ = faults; }
 
   /// Installs an engine-wide metrics registry: at the end of Execute() the
-  /// run's probe-batch/cache counters are added to the `exec.probe_*`
+  /// run's shared-cache and policy counters are added to the `exec.*`
   /// counters (one Add per counter per query — nothing on the probe hot
   /// path). `metrics` must outlive Execute(); may be null (default). Call
   /// before Execute().
@@ -158,11 +155,11 @@ class PipelineExecutor {
   AdaptationPolicy* policy() const { return policy_.get(); }
 
   /// Installs a cross-query shared probe cache (exec/probe_cache_shared.h):
-  /// FillProbeBatch consults it after a local-cache miss and publishes
-  /// physically resolved probes into it, so hot probe results are computed
-  /// once per fleet instead of once per query/worker. Replayed outcomes
-  /// charge the same as-if-fresh work units as a physical probe, so stats,
-  /// monitors, and decisions are unchanged. `cache` must outlive the run;
+  /// ProbeLeg consults it before each eligible index probe and publishes
+  /// every physical probe's outcome into it, so hot probe results are
+  /// computed once per fleet instead of once per query/worker. A replayed
+  /// outcome charges exactly the work units the physical probe charged, so
+  /// stats, monitors, and decisions are unchanged. `cache` must outlive the run;
   /// may be null (default = no sharing). Call before Execute().
   void set_shared_cache(SharedProbeCache* cache) { shared_cache_ = cache; }
 
@@ -178,17 +175,6 @@ class PipelineExecutor {
 
  private:
   friend class AdaptiveCoordinator;
-
-  /// One prefilled probe: the key to look up, the RID of the row the key
-  /// was read from (drain-time sanity check), and — once resolved — the
-  /// probe's replayable outcome (see ProbeLegBatched).
-  struct BatchedProbe {
-    IndexKey key;  ///< string bytes borrow the source table's pool (stable)
-    Rid key_src_rid = 0;
-    std::vector<Rid> matches;
-    uint64_t fetched = 0;
-    uint64_t work_units = 0;
-  };
 
   /// Per-leg runtime state.
   struct LegRt {
@@ -221,6 +207,10 @@ class PipelineExecutor {
     /// Latest coordinator demotion sequence number applied to this leg
     /// (worker mode only; see ParallelDemotion::seq).
     uint64_t demote_seq_seen = 0;
+    /// Bumped at every demotion of this leg: part of its shared-cache
+    /// signature, so probe outcomes recorded before the new positional
+    /// predicate can never be replayed after it.
+    uint32_t demotion_epoch = 0;
 
     // Monitors.
     LegMonitor inner_monitor;
@@ -236,37 +226,12 @@ class PipelineExecutor {
     /// Inner-check interval schedule (grows under back-off).
     CheckBackoff check_backoff;
 
-    // Batched-probe state (single-edge indexed legs; see ProbeLegBatched).
-    /// Prefilled probes for this leg's upcoming incoming rows; discarded at
-    /// every reorder touching this position, so a batch never outlives the
-    /// pipeline shape it was built for. Only [0, batch_len) is live —
-    /// entries beyond keep their buffers for reuse, so steady-state refills
-    /// allocate nothing.
-    std::vector<BatchedProbe> batch;
-    size_t batch_len = 0;
-    size_t batch_pos = 0;
-    /// Scratch for the fill-time key sort (reused across fills).
-    std::vector<uint32_t> batch_by_key;
-    /// Point-probe backend serving this leg (selected via
-    /// AdaptiveOptions::index_backend through IndexInfo::ProbeIndex) plus
-    /// its descent memory; both rebuilt when the target index changes.
-    const Index* probe_target = nullptr;
-    std::unique_ptr<Index::ProbeState> probe_state;
-    /// RID scratch for interface probes (reused, no steady-state allocs).
-    std::vector<Rid> probe_scratch;
-    /// Memoized probe results for hot keys; lazily built, epoch-tagged so a
-    /// demotion's positional predicate retires every earlier entry.
-    std::unique_ptr<ProbeCache> cache;
-    uint32_t cache_epoch = 0;
-    /// Edge the cache's entries were probed through (SIZE_MAX = none yet);
-    /// a different edge means a different index, so the cache is cleared.
-    size_t cache_edge = SIZE_MAX;
     /// Shared-cache leg signature: probe-index identity + local-predicate
-    /// fingerprint + cache epoch, so entries from a different predicate or a
-    /// pre-demotion epoch can never be replayed. Recomputed whenever the
-    /// probe target or the epoch it was built for changes.
+    /// fingerprint + demotion epoch, so entries from a different predicate
+    /// or a pre-demotion epoch can never be replayed. Recomputed whenever
+    /// the probe index or the epoch it was built for changes.
     uint64_t shared_sig = 0;
-    const Index* shared_sig_index = nullptr;
+    const BPlusTree* shared_sig_index = nullptr;
     uint32_t shared_sig_epoch = 0;
   };
 
@@ -284,14 +249,13 @@ class PipelineExecutor {
   /// Exact remaining scan entries for a leg that has (or had) a cursor.
   double RemainingEntries(size_t t) const;
   bool NextDrivingRow();
+  /// Loads the leg at `level`'s matches for the current incoming row: one
+  /// index probe (or a replay of it from the shared cache), then residual
+  /// join predicates, the local predicate, and any positional predicate.
   void ProbeLeg(size_t level);
-  /// Batched fast path of ProbeLeg for single-edge indexed legs: drains one
-  /// prefilled BatchedProbe, replaying its exact per-row accounting.
-  void ProbeLegBatched(size_t level, const IndexInfo* probe_index);
-  /// Gathers up to probe_batch_size pending probe keys for the leg at
-  /// `level` and resolves them physically (cache, then sorted hinted
-  /// descent), charging work to per-probe local counters for later replay.
-  void FillProbeBatch(size_t level, const IndexInfo* probe_index, size_t other);
+  /// Replays a shared-cache hit for the leg at `level` probing `tree` with
+  /// `key`; false on a miss.
+  bool ReplaySharedProbe(size_t level, const BPlusTree* tree, const IndexKey& key);
   void DrivingCheck();
   void InnerCheck(size_t level);
   void Emit(const RowSink& sink);
@@ -331,6 +295,10 @@ class PipelineExecutor {
   const FaultInjection* faults_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
   SharedProbeCache* shared_cache_ = nullptr;
+  /// Scratch buffers for ProbeLeg (reused, so steady-state probes allocate
+  /// nothing): the probed RIDs and a shared-cache hit's copied outcome.
+  std::vector<Rid> probe_rids_;
+  SharedProbeCache::Result shared_hit_;
   uint64_t cancel_polls_ = 0;
   bool executed_ = false;
   /// Worker mode: the coordinator epoch this worker last adopted.

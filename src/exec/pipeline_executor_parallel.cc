@@ -3,7 +3,7 @@
 // ExecuteWorker is Execute() with the driving scan replaced by the shared
 // morsel dispenser and the decision procedures replaced by adoption of the
 // AdaptiveCoordinator's published decisions. Everything below the driving
-// leg — probing, batching, memoization, monitors, observer hooks, work
+// leg — probing, shared-cache replay, monitors, observer hooks, work
 // accounting — is the serial code path, untouched: a worker is a complete
 // serial pipeline over a subset of the driving rows.
 
@@ -20,11 +20,6 @@ void ExecStats::MergeFrom(const ExecStats& worker) {
   rows_out += worker.rows_out;
   work_units += worker.work_units;
   driving_rows_produced += worker.driving_rows_produced;
-  probe_cache_hits += worker.probe_cache_hits;
-  probe_cache_misses += worker.probe_cache_misses;
-  probe_batches += worker.probe_batches;
-  probe_batch_keys += worker.probe_batch_keys;
-  probe_descents_saved += worker.probe_descents_saved;
   probe_cache_shared_hits += worker.probe_cache_shared_hits;
   probe_cache_shared_misses += worker.probe_cache_shared_misses;
   probe_cache_shared_conflicts += worker.probe_cache_shared_conflicts;
@@ -46,8 +41,8 @@ void PipelineExecutor::AdoptParallelSync(const ParallelWorkerSync& sync) {
     leg.cached_remaining_entries = dem.remaining_entries;
     leg.cached_remaining_fraction = dem.remaining_fraction;
     // The new positional predicate changes this leg's probe results: retire
-    // every earlier memoized entry (same rule as the serial demotion).
-    ++leg.cache_epoch;
+    // its earlier shared-cache entries (same rule as the serial demotion).
+    ++leg.demotion_epoch;
     leg.demote_seq_seen = dem.seq;
     demoted_any = true;
     demoted_table = t;

@@ -19,7 +19,7 @@ size_t PowerOfTwoAtLeast(size_t n) {
   return p;
 }
 
-/// splitmix64 finalizer (same mix as exec/probe_cache.cc).
+/// splitmix64 finalizer.
 uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -146,7 +146,7 @@ void SharedProbeCache::Insert(uint64_t sig, const IndexKey& key,
                               const std::vector<Rid>& matches, uint64_t fetched,
                               uint64_t work_units, bool* conflict) {
   if (stripe_capacity_ == 0) return;
-  if (matches.size() > ProbeCache::kMaxMatchesPerEntry) return;
+  if (matches.size() > kMaxMatchesPerEntry) return;
   const uint64_t h = HashKey(sig, key);
   Stripe& st = StripeFor(h);
   std::unique_lock<std::mutex> lock = LockStripe(st, conflict);

@@ -1,20 +1,21 @@
 // SharedProbeCache: a lock-striped, cross-query probe-result cache.
 //
-// The per-leg ProbeCache memoizes probe outcomes within one executor; hot
-// keys probed by every worker of a parallel query — and by every query of
-// a concurrent burst over the same tables — are still resolved physically
-// once per executor. This cache pools those outcomes process-wide: entries
-// are keyed by a 64-bit leg signature (probe index identity, local
+// Hot keys probed by every worker of a parallel query — and by every query
+// of a concurrent burst over the same tables — would otherwise be resolved
+// physically once per probe. This cache pools probe outcomes process-wide:
+// entries are keyed by a 64-bit leg signature (probe index identity, local
 // predicate fingerprint, and the leg's demotion epoch — see LegSignature)
 // plus the probe key, so a replayed triple is exactly what a fresh probe
-// of that leg would compute. The replay keeps work-unit accounting
-// bit-identical to the unshared path (the ProbeHinted as-if-fresh charge
-// contract makes a probe's outcome a pure function of (leg, key)), which
-// the differential oracle's --share axis enforces.
+// of that leg would compute. Tables and indexes are immutable while queries
+// run, so a probe's outcome is a pure function of (leg, key); replaying it
+// keeps work-unit accounting bit-identical to the unshared path, which the
+// differential oracle's --share axis enforces. PipelineExecutor::ProbeLeg
+// is the only client.
 //
-// Layout: K independent stripes, each a small open-addressed LRU map in
-// the style of exec/probe_cache.h (flat slots, intrusive recency list,
-// backward-shift deletion, in-place victim recycling). A key's stripe is
+// Layout: K independent stripes, each a small open-addressed LRU map (flat
+// slots, an intrusive recency list with slot numbers as links,
+// backward-shift deletion, and in-place victim recycling, so steady-state
+// operation allocates nothing). A key's stripe is
 // derived from its hash, so dop workers and concurrent queries probing
 // different keys take different stripe locks and never serialize; hammering
 // one hot key contends on exactly one stripe. Lock acquisition is
@@ -22,11 +23,10 @@
 // exec.probe_cache_shared_stripe_conflicts counter).
 //
 // Epochs: a demotion changes a leg's probe results, so the executor folds
-// its cache epoch into the leg signature. Bumping the epoch retires only
+// its demotion epoch into the leg signature. Bumping the epoch retires only
 // that leg's entries (they become unreachable and age out of their stripes'
 // LRU lists); hot entries of every other leg — even ones hashing into the
-// same stripe — stay live. This is the striped refinement of the per-leg
-// ProbeCache's whole-cache epoch bump.
+// same stripe — stay live.
 //
 // Thread safety: fully thread-safe; every public method locks only the one
 // stripe the key maps to. Results are copied out under the stripe lock —
@@ -41,7 +41,6 @@
 #include <string_view>
 #include <vector>
 
-#include "exec/probe_cache.h"
 #include "storage/heap_table.h"
 #include "storage/key_codec.h"
 
@@ -49,8 +48,18 @@ namespace ajr {
 
 class SharedProbeCache {
  public:
-  /// Replayable probe outcome — same triple as ProbeCache::Result.
-  using Result = ProbeCache::Result;
+  /// One probe's replayable outcome: everything the executor needs to
+  /// account for the probe as if it had run — matched RIDs (post local
+  /// predicate), rows fetched from the heap, and total work units charged.
+  struct Result {
+    std::vector<Rid> matches;
+    uint64_t fetched = 0;
+    uint64_t work_units = 0;
+  };
+
+  /// Cap on cached matches per entry: one mega-key must not pin unbounded
+  /// memory (see Insert).
+  static constexpr size_t kMaxMatchesPerEntry = 4096;
 
   /// `entries_per_stripe` slots in each of `stripes` stripes (stripes is
   /// rounded up to a power of two). `entries_per_stripe` == 0 disables the
@@ -59,8 +68,8 @@ class SharedProbeCache {
                             size_t stripes = 16);
 
   /// Identity of one probe leg's result space: the probe index object (the
-  /// catalog owns one Index per backend per indexed column, so the pointer
-  /// is a process-wide identity), the leg's local-predicate fingerprint
+  /// catalog owns one B+-tree per indexed column, so the pointer is a
+  /// process-wide identity), the leg's local-predicate fingerprint
   /// (two queries filtering the same table differently must never share
   /// outcomes), and the leg's demotion epoch (see file comment).
   static uint64_t LegSignature(const void* probe_index,
@@ -75,7 +84,7 @@ class SharedProbeCache {
 
   /// Memoizes a probe outcome for (sig, key), evicting the stripe's least
   /// recently used entry when full. Oversized match lists (more than
-  /// ProbeCache::kMaxMatchesPerEntry) are not cached. `*conflict` as above.
+  /// kMaxMatchesPerEntry) are not cached. `*conflict` as above.
   void Insert(uint64_t sig, const IndexKey& key,
               const std::vector<Rid>& matches, uint64_t fetched,
               uint64_t work_units, bool* conflict);
@@ -102,9 +111,8 @@ class SharedProbeCache {
     uint32_t lru_next = kNil;
   };
 
-  /// One independent open-addressed LRU map (see exec/probe_cache.cc for
-  /// the layout rationale; this is the same structure with (sig, key)
-  /// identity and a mutex).
+  /// One independent open-addressed LRU map with (sig, key) identity and a
+  /// mutex.
   struct Stripe {
     std::mutex mu;
     size_t mask = 0;

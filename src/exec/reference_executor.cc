@@ -16,14 +16,37 @@ bool RowLess(const Row& a, const Row& b) {
   return a.size() < b.size();
 }
 
+/// splitmix64 finalizer.
+uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 }  // namespace
 
 void SortRows(std::vector<Row>* rows) {
   std::sort(rows->begin(), rows->end(), RowLess);
 }
 
+void RowMultisetDigest::Add(const Row& row) {
+  uint64_t h = 0;
+  for (const Value& v : row) h = Mix64(h ^ static_cast<uint64_t>(v.Hash()));
+  sum += Mix64(h);
+  ++rows;
+}
+
 StatusOr<std::vector<Row>> ExecuteReference(const Catalog& catalog,
                                             const JoinQuery& query) {
+  std::vector<Row> out;
+  AJR_RETURN_IF_ERROR(
+      ExecuteReference(catalog, query, [&out](const Row& row) { out.push_back(row); }));
+  return out;
+}
+
+Status ExecuteReference(const Catalog& catalog, const JoinQuery& query,
+                        const std::function<void(const Row&)>& sink) {
   AJR_RETURN_IF_ERROR(query.Validate());
   const size_t n = query.tables.size();
   std::vector<const TableEntry*> entries(n);
@@ -59,8 +82,8 @@ StatusOr<std::vector<Row>> ExecuteReference(const Catalog& catalog,
     }
   }
 
-  std::vector<Row> out;
   std::vector<RowView> current(n);
+  Row row;
   // Depth-first enumeration in query-table order; each level checks the
   // join edges to already-bound tables.
   struct Enumerator {
@@ -69,17 +92,17 @@ StatusOr<std::vector<Row>> ExecuteReference(const Catalog& catalog,
     const std::vector<std::vector<Rid>>& candidates;
     const std::vector<std::vector<size_t>>& edge_col;
     const std::vector<std::pair<size_t, size_t>>& output_cols;
+    const std::function<void(const Row&)>& sink;
     std::vector<RowView>& current;
-    std::vector<Row>& out;
+    Row& out;
 
     void Recurse(size_t t) {
       if (t == query.tables.size()) {
-        Row row;
-        row.reserve(output_cols.size());
+        out.clear();
         for (const auto& [ot, col] : output_cols) {
-          row.push_back(current[ot].GetValue(col));
+          out.push_back(current[ot].GetValue(col));
         }
-        out.push_back(std::move(row));
+        sink(out);
         return;
       }
       for (Rid rid : candidates[t]) {
@@ -98,9 +121,9 @@ StatusOr<std::vector<Row>> ExecuteReference(const Catalog& catalog,
         Recurse(t + 1);
       }
     }
-  } enumerator{query, entries, candidates, edge_col, output_cols, current, out};
+  } enumerator{query, entries, candidates, edge_col, output_cols, sink, current, row};
   enumerator.Recurse(0);
-  return out;
+  return Status::OK();
 }
 
 }  // namespace ajr

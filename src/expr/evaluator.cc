@@ -112,97 +112,7 @@ bool BoundPredicate::EvalLeaf(const Instr& ins, const RowView& row) const {
   CheckFailed("EvalLeaf on non-leaf instruction", __FILE__, __LINE__);
 }
 
-bool BoundPredicate::EvalLeaf(const Instr& ins, const Row& row) const {
-  switch (ins.op) {
-    case Op::kConstBool:
-      return ins.imm.b;
-    case Op::kCmpI64:
-      return CmpHolds(ThreeWay(row[ins.slot].AsInt64(), ins.imm.i64), ins.cmp);
-    case Op::kCmpF64:
-      return CmpHolds(ThreeWay(row[ins.slot].AsDouble(), ins.imm.f64), ins.cmp);
-    case Op::kCmpBool:
-      return CmpHolds((row[ins.slot].AsBool() ? 1 : 0) - (ins.imm.b ? 1 : 0), ins.cmp);
-    case Op::kCmpNum:
-      return CmpHolds(ThreeWay(row[ins.slot].AsNumeric(), ins.imm.f64), ins.cmp);
-    case Op::kCmpStrId:
-    case Op::kCmpStr:
-      return CmpHolds(
-          SignOf(row[ins.slot].AsString().compare(str_imms_[ins.aux])), ins.cmp);
-    case Op::kCmpColI64:
-      return CmpHolds(ThreeWay(row[ins.slot].AsInt64(), row[ins.slot2].AsInt64()),
-                      ins.cmp);
-    case Op::kCmpColF64:
-      return CmpHolds(ThreeWay(row[ins.slot].AsDouble(), row[ins.slot2].AsDouble()),
-                      ins.cmp);
-    case Op::kCmpColBool:
-      return CmpHolds(
-          (row[ins.slot].AsBool() ? 1 : 0) - (row[ins.slot2].AsBool() ? 1 : 0),
-          ins.cmp);
-    case Op::kCmpColNum:
-      return CmpHolds(ThreeWay(row[ins.slot].AsNumeric(), row[ins.slot2].AsNumeric()),
-                      ins.cmp);
-    case Op::kCmpColStr:
-      return CmpHolds(
-          SignOf(row[ins.slot].AsString().compare(row[ins.slot2].AsString())),
-          ins.cmp);
-    case Op::kInI64: {
-      const auto& set = i64_sets_[ins.aux];
-      return std::binary_search(set.begin(), set.end(), row[ins.slot].AsInt64());
-    }
-    case Op::kInF64: {
-      const auto& set = f64_sets_[ins.aux];
-      return std::binary_search(set.begin(), set.end(), row[ins.slot].AsNumeric());
-    }
-    case Op::kInStr: {
-      const StrSet& set = str_sets_[ins.aux];
-      return std::binary_search(set.strs.begin(), set.strs.end(),
-                                row[ins.slot].AsString());
-    }
-    case Op::kInBool: {
-      int bit = row[ins.slot].AsBool() ? 2 : 1;
-      return (ins.imm.i64 & bit) != 0;
-    }
-    case Op::kAnd2:
-    case Op::kOr2:
-    case Op::kNot:
-      break;
-  }
-  CheckFailed("EvalLeaf on non-leaf instruction", __FILE__, __LINE__);
-}
-
 bool BoundPredicate::Eval(const RowView& row) const {
-  if (flat_) {
-    for (const Instr& ins : program_) {
-      if (!EvalLeaf(ins, row)) return false;
-    }
-    return true;
-  }
-  bool stack[kMaxStack];
-  size_t sp = 0;
-  for (const Instr& ins : program_) {
-    switch (ins.op) {
-      case Op::kAnd2: {
-        bool b = stack[--sp];
-        stack[sp - 1] = stack[sp - 1] && b;
-        break;
-      }
-      case Op::kOr2: {
-        bool b = stack[--sp];
-        stack[sp - 1] = stack[sp - 1] || b;
-        break;
-      }
-      case Op::kNot:
-        stack[sp - 1] = !stack[sp - 1];
-        break;
-      default:
-        stack[sp++] = EvalLeaf(ins, row);
-        break;
-    }
-  }
-  return sp == 0 || stack[sp - 1];
-}
-
-bool BoundPredicate::Eval(const Row& row) const {
   if (flat_) {
     for (const Instr& ins : program_) {
       if (!EvalLeaf(ins, row)) return false;
@@ -406,7 +316,6 @@ class PredicateCompiler {
             if (!id.has_value()) return EmitConstBool(op == CompareOp::kNe);
             ins.op = Op::kCmpStrId;
             ins.imm.sid = *id;
-            ins.aux = AddStrImm(v.AsString());
             break;
           }
           ins.op = Op::kCmpStr;

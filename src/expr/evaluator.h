@@ -8,9 +8,9 @@
 // loop; general boolean structure runs as a small postfix program over a
 // fixed bool stack.
 //
-// Programs evaluate RowViews natively (the executor hot path) and also
-// accept legacy Value rows (tests, tools, loose rows). String constants are
-// resolved against the bound table's StringPool when one is supplied, so an
+// Programs evaluate RowViews (zero-copy views into a table's typed pages);
+// loose Value rows are evaluated by viewing their table row instead (see
+// HeapTable::View). String constants are resolved against the bound table's StringPool when one is supplied, so an
 // equality against an interned string is a single id compare.
 //
 // Evaluation optionally charges work units so the adaptive layer can
@@ -35,19 +35,11 @@ namespace ajr {
 /// A predicate compiled against a fixed schema; evaluates rows to bool.
 class BoundPredicate {
  public:
-  /// Evaluates the predicate on a typed row view (hot path).
+  /// Evaluates the predicate on a typed row view.
   bool Eval(const RowView& row) const;
-
-  /// Evaluates the predicate on a legacy Value row (which must match the
-  /// bound schema).
-  bool Eval(const Row& row) const;
 
   /// Eval plus work accounting (one kPredicateEval unit per call).
   bool EvalCounted(const RowView& row, WorkCounter* wc) const {
-    ChargeWork(wc, WorkCounter::kPredicateEval);
-    return Eval(row);
-  }
-  bool EvalCounted(const Row& row, WorkCounter* wc) const {
     ChargeWork(wc, WorkCounter::kPredicateEval);
     return Eval(row);
   }
@@ -70,7 +62,7 @@ class BoundPredicate {
     kCmpF64,      // row[slot] <cmp> imm.f64
     kCmpBool,     // row[slot] <cmp> imm.b
     kCmpNum,      // numeric row[slot] <cmp> imm.f64 (cross-type constant)
-    kCmpStrId,    // row[slot] ==/!= imm.sid (pool-resolved; aux -> str imm)
+    kCmpStrId,    // row[slot] ==/!= imm.sid (pool-resolved)
     kCmpStr,      // row[slot] <cmp> str_imms_[aux] (byte compare)
     kCmpColI64,   // row[slot] <cmp> row[slot2]
     kCmpColF64,
@@ -102,8 +94,8 @@ class BoundPredicate {
     Imm imm;
   };
 
-  /// IN-set over strings: sorted bytes always (legacy rows); sorted pool
-  /// ids when the predicate was bound with a pool (RowView fast path).
+  /// IN-set over strings: sorted bytes always; sorted pool ids as well
+  /// when the predicate was bound with a pool (one id search per row).
   struct StrSet {
     std::vector<std::string> strs;  ///< sorted
     std::vector<uint32_t> ids;      ///< sorted; only if ids_resolved
@@ -111,7 +103,6 @@ class BoundPredicate {
   };
 
   bool EvalLeaf(const Instr& ins, const RowView& row) const;
-  bool EvalLeaf(const Instr& ins, const Row& row) const;
 
   std::vector<Instr> program_;
   bool flat_ = true;  ///< program is a conjunction of leaves (early-out loop)

@@ -142,13 +142,6 @@ StatusOr<ExecStats> ParallelPipelineExecutor::Execute(const RowSink& sink) {
   merged.scan_morsels_consumed = driver.scan_morsels_consumed();
 
   if (metrics_ != nullptr) {
-    metrics_->GetCounter("exec.probe_cache_hits")->Add(merged.probe_cache_hits);
-    metrics_->GetCounter("exec.probe_cache_misses")
-        ->Add(merged.probe_cache_misses);
-    metrics_->GetCounter("exec.probe_batches")->Add(merged.probe_batches);
-    metrics_->GetCounter("exec.probe_batch_keys")->Add(merged.probe_batch_keys);
-    metrics_->GetCounter("exec.probe_descents_saved")
-        ->Add(merged.probe_descents_saved);
     metrics_->GetCounter("exec.policy_decisions")->Add(merged.policy_decisions);
     metrics_->GetCounter("exec.policy_reorders")->Add(merged.policy_reorders);
     metrics_->GetCounter("exec.policy_switches")->Add(merged.policy_switches);

@@ -23,13 +23,6 @@ struct BPlusTree::LeafNode final : Node {
   size_t TotalEntries() const override { return entries.size(); }
   std::vector<EncodedEntry> entries;
   LeafNode* next = nullptr;
-  // Lower separator bound of this leaf: the smallest entry the internal
-  // levels can route here (has_low == false for the leftmost leaf, whose
-  // bound is -inf). Lets a hinted seek decide whether a fresh root descent
-  // would have reached this leaf directly or hopped from its predecessor —
-  // the one bit needed to charge hinted probes exactly like fresh ones.
-  EncodedEntry low{0, 0};
-  bool has_low = false;
 };
 
 struct BPlusTree::InternalNode final : Node {
@@ -158,8 +151,6 @@ void BPlusTree::Insert(const Value& key, Rid rid) {
         right->next = leaf->next;
         leaf->next = right.get();
         EncodedEntry sep = right->entries.front();
-        right->low = sep;
-        right->has_low = true;
         return SplitResult{sep, std::move(right)};
       }
       auto* inner = static_cast<InternalNode*>(node);
@@ -251,10 +242,6 @@ Status BPlusTree::BulkLoadEncoded(std::vector<EncodedEntry> sorted_entries) {
     auto leaf = std::make_unique<LeafNode>();
     size_t end = std::min(i + per_leaf, sorted_entries.size());
     leaf->entries.assign(sorted_entries.begin() + i, sorted_entries.begin() + end);
-    if (i > 0) {
-      leaf->low = leaf->entries.front();
-      leaf->has_low = true;
-    }
     if (prev != nullptr) prev->next = leaf.get();
     prev = leaf.get();
     level_firsts.push_back(leaf->entries.front());
@@ -294,19 +281,6 @@ Status BPlusTree::BulkLoadEncoded(std::vector<EncodedEntry> sorted_entries) {
   return Status::OK();
 }
 
-std::vector<size_t> BPlusTree::LeafSizes() const {
-  std::vector<size_t> sizes;
-  const Node* node = root_.get();
-  while (!node->is_leaf) {
-    node = static_cast<const InternalNode*>(node)->children.front().get();
-  }
-  for (const auto* leaf = static_cast<const LeafNode*>(node); leaf != nullptr;
-       leaf = leaf->next) {
-    if (!leaf->entries.empty()) sizes.push_back(leaf->entries.size());
-  }
-  return sizes;
-}
-
 void BPlusTree::Probe(const IndexKey& key, WorkCounter* wc,
                       std::vector<Rid>* out) const {
   AJR_CHECK(key.type == key_type_);
@@ -317,32 +291,6 @@ void BPlusTree::Probe(const IndexKey& key, WorkCounter* wc,
     out->push_back(it.rid());
     it.Next(wc);
   }
-}
-
-namespace {
-/// Descent memory for the B+-tree's ProbeHinted: a SeekHint leaf.
-class BtreeProbeState final : public Index::ProbeState {
- public:
-  void Reset() override { hint.Reset(); }
-  BPlusTree::SeekHint hint;
-};
-}  // namespace
-
-std::unique_ptr<Index::ProbeState> BPlusTree::NewProbeState() const {
-  return std::make_unique<BtreeProbeState>();
-}
-
-bool BPlusTree::ProbeHinted(const IndexKey& key, ProbeState* state,
-                            WorkCounter* wc, std::vector<Rid>* out) const {
-  AJR_CHECK(key.type == key_type_);
-  auto* st = static_cast<BtreeProbeState*>(state);
-  bool used_hint = false;
-  Iterator it = SeekEntryHinted(key, /*rid=*/0, &st->hint, wc, &used_hint);
-  while (it.Valid() && ProbeEquals(key, it.key_slot())) {
-    out->push_back(it.rid());
-    it.Next(wc);
-  }
-  return used_hint;
 }
 
 uint64_t BPlusTree::Iterator::key_slot() const {
@@ -423,84 +371,6 @@ BPlusTree::Iterator BPlusTree::SeekEntry(const IndexKey& key, Rid rid,
   return it;
 }
 
-BPlusTree::Iterator BPlusTree::SeekEntryHinted(const IndexKey& key, Rid rid,
-                                               SeekHint* hint, WorkCounter* wc,
-                                               bool* used_hint) const {
-  if (used_hint != nullptr) *used_hint = false;
-  // How far past the hint leaf the target may sit before resuming costs
-  // more than it saves; beyond it, descend fresh.
-  constexpr size_t kMaxHintHops = 4;
-
-  auto* leaf = static_cast<const LeafNode*>(hint->leaf_);
-  if (leaf == nullptr || leaf->entries.empty() ||
-      (leaf->has_low && CompareToProbe(leaf->low, key, rid) > 0)) {
-    // No hint, or the target lies before the hint leaf's key range.
-    Iterator it = SeekEntry(key, rid, wc);
-    hint->leaf_ = it.leaf_;
-    return it;
-  }
-  // Walk the leaf chain while the target is past the current leaf.
-  size_t hops = 0;
-  while (leaf != nullptr && CompareToProbe(leaf->entries.back(), key, rid) < 0) {
-    if (++hops > kMaxHintHops) {
-      Iterator it = SeekEntry(key, rid, wc);
-      hint->leaf_ = it.leaf_;
-      return it;
-    }
-#if defined(__GNUC__) || defined(__clang__)
-    if (leaf->next != nullptr) __builtin_prefetch(leaf->next->entries.data());
-#endif
-    leaf = leaf->next;
-  }
-  Iterator it;
-  it.tree_ = this;
-  uint64_t as_if = height_ * WorkCounter::kIndexNodeVisit;
-  if (leaf == nullptr) {
-    // Past the last entry: a fresh descent would have reached the last leaf
-    // and hopped off its end (one extra node visit).
-    as_if += WorkCounter::kIndexNodeVisit;
-  } else {
-    // First entry >= (key, rid); it exists because the hop loop stopped with
-    // the leaf's last entry >= the target.
-    size_t lo = 0, hi = leaf->entries.size();
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      if (CompareToProbe(leaf->entries[mid], key, rid) < 0) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    it.leaf_ = const_cast<LeafNode*>(leaf);
-    it.slot_ = lo;
-    // A fresh descent routes the target into the predecessor leaf exactly
-    // when the target is below this leaf's lower separator bound; it then
-    // hops here, charging one extra node visit.
-    if (lo == 0 && leaf->has_low && CompareToProbe(leaf->low, key, rid) > 0) {
-      as_if += WorkCounter::kIndexNodeVisit;
-    }
-  }
-  ChargeWork(wc, as_if);
-  hint->leaf_ = it.leaf_;
-  if (used_hint != nullptr) *used_hint = true;
-  return it;
-}
-
-BPlusTree::Iterator BPlusTree::SeekHinted(const IndexKey& key, bool inclusive,
-                                          SeekHint* hint, WorkCounter* wc,
-                                          bool* used_hint) const {
-  AJR_CHECK(key.type == key_type_);
-  return SeekEntryHinted(key, inclusive ? 0 : UINT64_MAX, hint, wc, used_hint);
-}
-
-BPlusTree::Iterator BPlusTree::SeekAfterHinted(const IndexKey& key, Rid rid,
-                                               SeekHint* hint, WorkCounter* wc,
-                                               bool* used_hint) const {
-  AJR_CHECK(key.type == key_type_);
-  if (rid == UINT64_MAX) return SeekHinted(key, /*inclusive=*/false, hint, wc, used_hint);
-  return SeekEntryHinted(key, rid + 1, hint, wc, used_hint);
-}
-
 BPlusTree::Iterator BPlusTree::Seek(const IndexKey& key, bool inclusive,
                                     WorkCounter* wc) const {
   AJR_CHECK(key.type == key_type_);
@@ -578,15 +448,6 @@ Status BPlusTree::CheckInvariants() const {
         if (expected_depth == 0) expected_depth = depth;
         if (depth != expected_depth) return Status::Internal("leaves at unequal depth");
         if (first_leaf == nullptr) first_leaf = leaf;
-        // The cached lower separator bound must mirror the separator chain:
-        // absent on the leftmost leaf, equal to the routing bound elsewhere
-        // (hinted seeks charge fresh-descent costs from it).
-        if (leaf->has_low != (lo != nullptr)) {
-          return Status::Internal("leaf low-bound presence out of sync");
-        }
-        if (lo != nullptr && tree->CompareEntries(leaf->low, *lo) != 0) {
-          return Status::Internal("leaf low-bound differs from separator");
-        }
         for (size_t i = 0; i < leaf->entries.size(); ++i) {
           if (i > 0 && tree->CompareEntries(leaf->entries[i], leaf->entries[i - 1]) < 0) {
             return Status::Internal("leaf entries out of order");

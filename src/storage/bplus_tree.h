@@ -34,7 +34,6 @@
 #include "common/status.h"
 #include "common/work_counter.h"
 #include "storage/heap_table.h"
-#include "storage/index.h"
 #include "storage/key_codec.h"
 #include "types/string_pool.h"
 #include "types/value.h"
@@ -56,9 +55,11 @@ struct IndexEntry {
   bool operator==(const IndexEntry& o) const { return Compare(o) == 0; }
 };
 
+/// The only index structure; perfbench still selects it through this enum.
+enum class IndexBackend { kBTree };
+
 /// B+-tree index with leaf chaining. Keys are uint64 slots of one DataType.
-/// The full-capability Index backend: ranges, positional resume, probes.
-class BPlusTree final : public Index {
+class BPlusTree {
  public:
   /// One entry in stored form: encoded key slot + RID.
   struct EncodedEntry {
@@ -72,36 +73,28 @@ class BPlusTree final : public Index {
   /// own a private pool otherwise (standalone trees interning on Insert).
   explicit BPlusTree(DataType key_type, size_t fanout = 64,
                      const StringPool* pool = nullptr);
-  ~BPlusTree() override;
+  ~BPlusTree();
 
   BPlusTree(const BPlusTree&) = delete;
   BPlusTree& operator=(const BPlusTree&) = delete;
   BPlusTree(BPlusTree&&) noexcept;
   BPlusTree& operator=(BPlusTree&&) noexcept;
 
-  DataType key_type() const override { return key_type_; }
-  size_t size() const override { return size_; }
+  DataType key_type() const { return key_type_; }
+  size_t size() const { return size_; }
   /// Tree height in levels (1 = just a leaf).
-  size_t height() const override { return height_; }
+  size_t height() const { return height_; }
 
-  // ---- Index interface (storage/index.h) ----
-  IndexBackend backend() const override { return IndexBackend::kBTree; }
-  bool SupportsRangeScan() const override { return true; }
-  bool SupportsPositional() const override { return true; }
-  void Probe(const IndexKey& key, WorkCounter* wc,
-             std::vector<Rid>* out) const override;
-  std::unique_ptr<ProbeState> NewProbeState() const override;
-  bool ProbeHinted(const IndexKey& key, ProbeState* state, WorkCounter* wc,
-                   std::vector<Rid>* out) const override;
+  /// Point probe: appends all RIDs whose key equals `key` to `out` in
+  /// ascending RID order and charges one root-to-leaf descent plus one
+  /// entry scan per match to `wc` (null = no charging). String keys borrow
+  /// the caller's bytes for the duration of the call.
+  void Probe(const IndexKey& key, WorkCounter* wc, std::vector<Rid>* out) const;
 
   /// The pool string key slots resolve through (null for non-string trees).
   /// Shared-pool trees point at the table pool; standalone string trees
   /// return their private pool.
   const StringPool* pool() const { return pool_; }
-
-  /// Physical leaf sizes in chain order — the canonical shape the ART twin
-  /// replays for work-unit parity (empty for an empty tree).
-  std::vector<size_t> LeafSizes() const;
 
   /// Inserts one entry. Duplicate keys allowed; duplicate (key, rid) pairs
   /// are legal but the workload never produces them. String keys intern
@@ -137,23 +130,6 @@ class BPlusTree final : public Index {
   /// Materializes a stored key slot as an owned Value.
   Value DecodeKey(uint64_t stored) const;
 
-  /// Descent memory for batched probes: remembers the leaf a previous
-  /// Seek landed on so a later Seek for a nearby, not-smaller key can
-  /// resume from that leaf (a few leaf-chain hops) instead of descending
-  /// from the root. Opaque to callers; updated by every SeekHinted /
-  /// SeekAfterHinted call. Like an Iterator, a hint is invalidated by any
-  /// tree mutation (Insert / BulkLoad) — discard it before mutating.
-  class SeekHint {
-   public:
-    SeekHint() = default;
-    /// Forgets the remembered leaf; the next hinted seek descends fresh.
-    void Reset() { leaf_ = nullptr; }
-
-   private:
-    friend class BPlusTree;
-    void* leaf_ = nullptr;  // LeafNode*
-  };
-
   /// Forward iterator over leaf entries. Obtained from the Seek* methods;
   /// walking past the last entry makes it invalid.
   class Iterator {
@@ -188,23 +164,6 @@ class BPlusTree final : public Index {
   /// First entry strictly after (key, rid) — used to resume a saved cursor.
   Iterator SeekAfter(const IndexKey& key, Rid rid, WorkCounter* wc) const;
   Iterator SeekAfter(const Value& key, Rid rid, WorkCounter* wc) const;
-
-  /// Hint-resuming Seek: returns the same iterator position and charges the
-  /// same work units as Seek(key, inclusive, wc) — the charge is always the
-  /// as-if cost of a fresh root-to-leaf descent, so work-unit accounting is
-  /// independent of the physical path taken — but when `hint` already sits
-  /// at or shortly before the target leaf the physical walk is a handful of
-  /// leaf-chain hops (with the next leaf software-prefetched) instead of a
-  /// full descent. Keys below the hint or far past it fall back to a fresh
-  /// descent, so arbitrary key sequences are safe; sorted batches are what
-  /// make the hint pay off. `*used_hint` (optional) reports whether the
-  /// root descent was skipped.
-  Iterator SeekHinted(const IndexKey& key, bool inclusive, SeekHint* hint,
-                      WorkCounter* wc, bool* used_hint = nullptr) const;
-
-  /// Hinted SeekAfter with the same contract as SeekHinted vs Seek.
-  Iterator SeekAfterHinted(const IndexKey& key, Rid rid, SeekHint* hint,
-                           WorkCounter* wc, bool* used_hint = nullptr) const;
 
   /// Number of entries with key strictly less than `key`. O(height) via
   /// per-child subtree counts (the "key range cardinality" statistic
@@ -245,8 +204,6 @@ class BPlusTree final : public Index {
   uint64_t EncodeForStore(const Value& key);
 
   Iterator SeekEntry(const IndexKey& key, Rid rid, WorkCounter* wc) const;
-  Iterator SeekEntryHinted(const IndexKey& key, Rid rid, SeekHint* hint,
-                           WorkCounter* wc, bool* used_hint) const;
   size_t CountBefore(const IndexKey& key, Rid rid) const;
 
   DataType key_type_;
@@ -257,5 +214,8 @@ class BPlusTree final : public Index {
   const StringPool* pool_ = nullptr;        ///< id resolver (string trees)
   std::unique_ptr<StringPool> owned_pool_;  ///< backing for standalone trees
 };
+
+/// The point-probe index type; perfbench still names it `Index`.
+using Index = BPlusTree;
 
 }  // namespace ajr

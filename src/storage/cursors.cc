@@ -146,21 +146,6 @@ bool IndexProbe::Next(WorkCounter* wc, Rid* rid) {
   return true;
 }
 
-bool HintedIndexProbe::Seek(const IndexKey& key, WorkCounter* wc) {
-  key_ = key;
-  bool used_hint = false;
-  iter_ = tree_->SeekHinted(key_, /*inclusive=*/true, &hint_, wc, &used_hint);
-  return used_hint;
-}
-
-bool HintedIndexProbe::Next(WorkCounter* wc, Rid* rid) {
-  if (!iter_.Valid()) return false;
-  if (!tree_->ProbeEquals(key_, iter_.key_slot())) return false;
-  *rid = iter_.rid();
-  iter_.Next(wc);
-  return true;
-}
-
 size_t CountRangeEntries(const BPlusTree& tree, const KeyRange& range) {
   size_t hi = range.hi.has_value()
                   ? (range.hi_inclusive ? tree.CountKeyLessEqual(*range.hi)

@@ -150,32 +150,4 @@ class IndexProbe {
   std::string owned_str_;  ///< backing for Value-form string seeks
 };
 
-/// IndexProbe variant for batched probing: carries a BPlusTree::SeekHint
-/// across Seeks so sorted probe batches resume descent from the previous
-/// leaf instead of paying a fresh root-to-leaf walk per key. Work-unit
-/// charges are identical to IndexProbe (SeekHinted's as-if contract), so
-/// the two are interchangeable for accounting.
-class HintedIndexProbe {
- public:
-  explicit HintedIndexProbe(const BPlusTree* tree) : tree_(tree) {}
-
-  /// Starts a probe for `key`; returns true when the root descent was
-  /// skipped (hint reuse). Same lifetime rule as IndexProbe::Seek.
-  bool Seek(const IndexKey& key, WorkCounter* wc);
-
-  /// Yields the next RID whose entry key equals the probed key.
-  bool Next(WorkCounter* wc, Rid* rid);
-
-  /// Forgets the remembered leaf (e.g. before the tree mutates).
-  void ResetHint() { hint_.Reset(); }
-
-  const BPlusTree* tree() const { return tree_; }
-
- private:
-  const BPlusTree* tree_;
-  BPlusTree::SeekHint hint_;
-  BPlusTree::Iterator iter_;
-  IndexKey key_;
-};
-
 }  // namespace ajr

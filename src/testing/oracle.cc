@@ -48,10 +48,9 @@ std::string OrderToString(const std::vector<size_t>& order) {
 }
 
 // First logical-work field where `b` diverges from `a`, or nullopt when
-// the two runs did the same work. Probe-strategy stats (probe_cache_*,
-// probe_batches, probe_batch_keys, probe_descents_saved) and wall time are
-// deliberately excluded: they describe HOW the work ran, not what work the
-// controller saw.
+// the two runs did the same work. Sharing stats (probe_cache_shared_*,
+// shared_scan_*) and wall time are deliberately excluded: they describe HOW
+// the work ran, not what work the controller saw.
 std::optional<std::string> WorkStatsDiff(const ExecStats& a, const ExecStats& b) {
   auto diff_u64 = [](const char* field, uint64_t x, uint64_t y)
       -> std::optional<std::string> {
@@ -142,68 +141,22 @@ std::vector<DifferentialConfig> DefaultConfigs() {
   // initial order runs unchanged.
   AdaptiveOptions off;
   off.policy = PolicyKind::kStatic;
-  // Probe-strategy variants: per-row (batching and memoization off), batch
-  // descent only, memoization only, and both (the AdaptiveOptions default).
-  // All four of a class must produce bit-identical logical work.
-  auto probes = [](AdaptiveOptions base, size_t batch, size_t cache) {
-    base.probe_batch_size = batch;
-    base.probe_cache_entries = cache;
-    return base;
-  };
   AdaptiveOptions aggressive = AggressiveAdaptiveOptions();
-  // Regret-bounded exploration: the policy's decisions depend only on
-  // depleted-state snapshots (rows/work totals are replayed bit-identically
-  // by every probe strategy), so regret configs can share a work_class like
-  // the rank configs do.
   AdaptiveOptions regret;
   regret.policy = PolicyKind::kRegret;
   AdaptiveOptions regret_aggressive = AggressiveAdaptiveOptions();
   regret_aggressive.policy = PolicyKind::kRegret;
-  const size_t kBatch = AdaptiveOptions{}.probe_batch_size;
-  const size_t kCache = AdaptiveOptions{}.probe_cache_entries;
-  // Index-backend variants: the ART charges the canonical B+-tree cost for
-  // every probe, so an art config can share a work_class with its btree
-  // twin — the strongest form of the parity claim (work units, decision
-  // counts, event log, final order all bit-identical across backends).
-  auto art = [](AdaptiveOptions base) {
-    base.index_backend = IndexBackend::kArt;
-    return base;
-  };
   return {
-      {"static", off, StatsTier::kBase, "static"},
-      {"static/per-row", probes(off, 1, 0), StatsTier::kBase, "static"},
-      {"paper-default", AdaptiveOptions{}, StatsTier::kMinimal, "paper"},
-      {"paper-default/per-row", probes(AdaptiveOptions{}, 1, 0),
-       StatsTier::kMinimal, "paper"},
+      {"static", off, StatsTier::kBase, ""},
+      {"paper-default", AdaptiveOptions{}, StatsTier::kMinimal, ""},
       {"aggressive-minimal", aggressive, StatsTier::kMinimal, ""},
-      // The aggressive class demotes and re-promotes on nearly every check,
-      // so the memoized variants repeatedly hit warm cache entries across
-      // demotion epochs — the hardest case for replayed accounting.
-      {"aggressive-base", aggressive, StatsTier::kBase, "aggressive"},
-      {"aggressive-base/per-row", probes(aggressive, 1, 0), StatsTier::kBase,
-       "aggressive"},
-      {"aggressive-base/batch-only", probes(aggressive, kBatch, 0),
-       StatsTier::kBase, "aggressive"},
-      {"aggressive-base/memo-only", probes(aggressive, 1, kCache),
-       StatsTier::kBase, "aggressive"},
+      // The aggressive configs demote and re-promote on nearly every check:
+      // the hardest case for positional predicates and cursor resumption.
+      {"aggressive-base", aggressive, StatsTier::kBase, ""},
       // Regret-bounded policy axis: results must still match the reference
-      // under UCB-driven switching, and the policy must be deterministic
-      // across probe strategies (shared work_class).
-      {"regret-base", regret, StatsTier::kBase, "regret"},
-      {"regret-base/per-row", probes(regret, 1, 0), StatsTier::kBase,
-       "regret"},
+      // under UCB-driven switching.
+      {"regret-base", regret, StatsTier::kBase, ""},
       {"regret-aggressive", regret_aggressive, StatsTier::kBase, ""},
-      // ART backend twins of the btree configs above, in the same work
-      // classes. The per-row variants bypass batching and memoization, so
-      // every probe is a fresh ART descent charged as-if B+-tree; the
-      // batched variants route through ProbeHinted + ProbeCache on top.
-      {"static/art", art(off), StatsTier::kBase, "static"},
-      {"paper-default/art", art(AdaptiveOptions{}), StatsTier::kMinimal,
-       "paper"},
-      {"paper-default/art-per-row", art(probes(AdaptiveOptions{}, 1, 0)),
-       StatsTier::kMinimal, "paper"},
-      {"aggressive-base/art", art(aggressive), StatsTier::kBase, "aggressive"},
-      {"regret-base/art", art(regret), StatsTier::kBase, "regret"},
       // Morsel-parallel axis: the same invariants must hold per worker
       // pipeline, and the merged result multiset must still equal the
       // reference, for every dop. Tiny morsels force frequent dispenser
@@ -213,33 +166,7 @@ std::vector<DifferentialConfig> DefaultConfigs() {
       {"paper-default/dop2", AdaptiveOptions{}, StatsTier::kMinimal, "", 2, 5},
       {"aggressive-base/dop4", aggressive, StatsTier::kBase, "", 4, 3},
       {"regret-base/dop2", regret, StatsTier::kBase, "", 2, 5},
-      // Morsel-parallel ART: per-worker invariants and the merged result
-      // multiset under the radix backend at dop 2 and 4.
-      {"paper-default/art-dop2", art(AdaptiveOptions{}), StatsTier::kMinimal,
-       "", 2, 5},
-      {"aggressive-base/art-dop4", art(aggressive), StatsTier::kBase, "", 4, 3},
   };
-}
-
-std::vector<DifferentialConfig> ConfigsForBackend(IndexBackend backend) {
-  std::vector<DifferentialConfig> all = DefaultConfigs();
-  // Every work_class containing a config on `backend` joins the subset
-  // whole, so the run is a true cross-backend accounting differential
-  // (the other backend's twins serve as the in-class reference).
-  std::unordered_set<std::string> classes;
-  for (const DifferentialConfig& config : all) {
-    if (config.adaptive.index_backend == backend && !config.work_class.empty()) {
-      classes.insert(config.work_class);
-    }
-  }
-  std::vector<DifferentialConfig> out;
-  for (DifferentialConfig& config : all) {
-    if (config.adaptive.index_backend == backend ||
-        (!config.work_class.empty() && classes.count(config.work_class) > 0)) {
-      out.push_back(std::move(config));
-    }
-  }
-  return out;
 }
 
 std::vector<DifferentialConfig> ConfigsForShare() {
@@ -404,6 +331,23 @@ StatusOr<std::optional<FailureReport>> RunDifferential(
   // plus its stats, compared against every later member.
   std::vector<std::pair<std::string, ExecStats>> class_stats;
   std::vector<std::string> class_names;
+  // Detail of a divergence from the config's work_class reference, or
+  // nullopt (also when the config opens its class or has none).
+  auto work_class_diff = [&](const DifferentialConfig& config,
+                             const ExecStats& stats) -> std::optional<std::string> {
+    if (config.work_class.empty()) return std::nullopt;
+    size_t cls = 0;
+    while (cls < class_names.size() && class_names[cls] != config.work_class) ++cls;
+    if (cls == class_names.size()) {
+      class_names.push_back(config.work_class);
+      class_stats.emplace_back(config.name, stats);
+      return std::nullopt;
+    }
+    std::optional<std::string> diff = WorkStatsDiff(class_stats[cls].second, stats);
+    if (!diff.has_value()) return std::nullopt;
+    return StrCat("logical work differs from config \"", class_stats[cls].first,
+                  "\" (work_class \"", config.work_class, "\"): ", *diff);
+  };
   for (const DifferentialConfig& config : configs) {
     FailureReport failure;
     failure.seed = spec.seed;
@@ -515,20 +459,10 @@ StatusOr<std::optional<FailureReport>> RunDifferential(
       }
       // Forced-parallel single-worker runs are deterministic, so they may
       // join a work_class (real dop > 1 configs stay classless).
-      if (config.dop <= 1 && !config.work_class.empty()) {
-        size_t cls = 0;
-        while (cls < class_names.size() && class_names[cls] != config.work_class) {
-          ++cls;
-        }
-        if (cls == class_names.size()) {
-          class_names.push_back(config.work_class);
-          class_stats.emplace_back(config.name, *cold_stats);
-        } else if (std::optional<std::string> diff =
-                       WorkStatsDiff(class_stats[cls].second, *cold_stats)) {
+      if (config.dop <= 1) {
+        if (std::optional<std::string> diff = work_class_diff(config, *cold_stats)) {
           failure.kind = "work-divergence";
-          failure.detail = StrCat("logical work differs from config \"",
-                                  class_stats[cls].first, "\" (work_class \"",
-                                  config.work_class, "\"): ", *diff);
+          failure.detail = std::move(*diff);
           return std::optional<FailureReport>(std::move(failure));
         }
       }
@@ -547,22 +481,10 @@ StatusOr<std::optional<FailureReport>> RunDifferential(
       failure.detail = StrCat("executor: ", stats.status().ToString());
       return std::optional<FailureReport>(std::move(failure));
     }
-    if (!config.work_class.empty()) {
-      size_t cls = 0;
-      while (cls < class_names.size() && class_names[cls] != config.work_class) {
-        ++cls;
-      }
-      if (cls == class_names.size()) {
-        class_names.push_back(config.work_class);
-        class_stats.emplace_back(config.name, *stats);
-      } else if (std::optional<std::string> diff =
-                     WorkStatsDiff(class_stats[cls].second, *stats)) {
-        failure.kind = "work-divergence";
-        failure.detail = StrCat("logical work differs from config \"",
-                                class_stats[cls].first, "\" (work_class \"",
-                                config.work_class, "\"): ", *diff);
-        return std::optional<FailureReport>(std::move(failure));
-      }
+    if (std::optional<std::string> diff = work_class_diff(config, *stats)) {
+      failure.kind = "work-divergence";
+      failure.detail = std::move(*diff);
+      return std::optional<FailureReport>(std::move(failure));
     }
     if (options.check_invariants) {
       checker.FinalCheck(*stats);

@@ -50,9 +50,8 @@ struct DifferentialConfig {
   AdaptiveOptions adaptive;
   StatsTier stats_tier = StatsTier::kBase;
   /// Configurations sharing a non-empty work_class claim to perform the
-  /// same LOGICAL work — batching, hinted descent, and memoization are
-  /// pure execution strategies, so every stat the adaptive controller can
-  /// see (work units, row counts, checks, reorders, the event log, the
+  /// same LOGICAL work — scan and probe-cache sharing are pure execution
+  /// strategies, so every stat the adaptive controller can see (work units, row counts, checks, reorders, the event log, the
   /// final order) must be bit-identical across the class. RunDifferential
   /// enforces this and reports divergence as kind "work-divergence".
   /// Configs in one class must share a stats_tier (different tiers plan
@@ -82,11 +81,8 @@ struct DifferentialConfig {
 
 /// The default configuration spread: static plan, paper defaults, and an
 /// aggressive config that maximizes moments-of-symmetry churn (check every
-/// row, zero thresholds, window of 4) under both statistics tiers. The
-/// static, paper-default, and aggressive-base configs additionally run
-/// batched-probe variants (batch on/off x memoization on/off) in a shared
-/// work_class; the aggressive class demotes and re-promotes constantly, so
-/// its memoized variants exercise warm-cache epochs across demotion.
+/// row, zero thresholds, window of 4) under both statistics tiers, the
+/// regret policy, and morsel-parallel twins at dop 2 and 4.
 std::vector<DifferentialConfig> DefaultConfigs();
 
 /// The subset of DefaultConfigs() whose AdaptiveOptions select `kind` —
@@ -96,16 +92,9 @@ std::vector<DifferentialConfig> DefaultConfigs();
 /// subsets asserts all policies agree on the result multiset.
 std::vector<DifferentialConfig> ConfigsForPolicy(PolicyKind kind);
 
-/// The index-backend axis: every DefaultConfigs() entry selecting `backend`
-/// plus all configs sharing a work_class with one of them, so the subset is
-/// a self-contained cross-backend differential — identical result multisets
-/// against the reference AND bit-identical work/stat accounting between the
-/// backends within each class (fuzz_differential --index=<name>).
-std::vector<DifferentialConfig> ConfigsForBackend(IndexBackend backend);
-
 /// The cross-query sharing axis (fuzz_differential --share): the four
 /// Share modes at forced-parallel dop 1 in one work_class — shared scans
-/// replay per-morsel work and the shared cache replays as-if-fresh probe
+/// replay per-morsel work and the shared cache replays recorded probe
 /// triples, so work units, decision traces, events, and results must be
 /// bit-identical to sharing-off — plus a dop-2 share-both config (classless:
 /// morsel interleaving is timing-dependent). Every sharing config is

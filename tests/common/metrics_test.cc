@@ -158,9 +158,9 @@ TEST(MetricsRegistryTest, GlobalIsASingleton) {
 }
 
 TEST(MetricsRegistryTest, ExecutorExportsProbeCounters) {
-  // An executor handed a registry must flush its batched-probe stats into
-  // the exec.probe_* counters; without set_metrics it must not touch the
-  // global registry.
+  // An executor handed a registry and a shared probe cache must flush its
+  // shared-cache stats into the exec.probe_cache_shared_* counters; without
+  // set_metrics it must not touch the global registry.
   Catalog catalog;
   DmvConfig config;
   config.num_owners = 500;
@@ -170,36 +170,39 @@ TEST(MetricsRegistryTest, ExecutorExportsProbeCounters) {
   ASSERT_TRUE(plan.ok()) << plan.status();
 
   MetricsRegistry reg;
+  SharedProbeCache cache;
   PipelineExecutor exec(plan->get());
   exec.set_metrics(&reg);
+  exec.set_shared_cache(&cache);
   auto stats = exec.Execute(nullptr);
   ASSERT_TRUE(stats.ok()) << stats.status();
 
   for (const char* name :
-       {"exec.probe_cache_hits", "exec.probe_cache_misses", "exec.probe_batches",
-        "exec.probe_batch_keys", "exec.probe_descents_saved"}) {
+       {"exec.probe_cache_shared_hits", "exec.probe_cache_shared_misses",
+        "exec.probe_cache_shared_stripe_conflicts"}) {
     ASSERT_NE(reg.FindCounter(name), nullptr) << name;
   }
-  EXPECT_EQ(reg.FindCounter("exec.probe_batches")->value(), stats->probe_batches);
-  EXPECT_EQ(reg.FindCounter("exec.probe_batch_keys")->value(),
-            stats->probe_batch_keys);
-  EXPECT_EQ(reg.FindCounter("exec.probe_cache_hits")->value(),
-            stats->probe_cache_hits);
-  EXPECT_EQ(reg.FindCounter("exec.probe_cache_misses")->value(),
-            stats->probe_cache_misses);
-  EXPECT_EQ(reg.FindCounter("exec.probe_descents_saved")->value(),
-            stats->probe_descents_saved);
-  EXPECT_GT(stats->probe_batches, 0u);
+  EXPECT_EQ(reg.FindCounter("exec.probe_cache_shared_hits")->value(),
+            stats->probe_cache_shared_hits);
+  EXPECT_EQ(reg.FindCounter("exec.probe_cache_shared_misses")->value(),
+            stats->probe_cache_shared_misses);
+  EXPECT_EQ(reg.FindCounter("exec.probe_cache_shared_stripe_conflicts")->value(),
+            stats->probe_cache_shared_conflicts);
+  EXPECT_GT(stats->probe_cache_shared_misses, 0u);
+  // The batching and memo counters are gone for good.
+  EXPECT_EQ(reg.FindCounter("exec.probe_batches"), nullptr);
+  EXPECT_EQ(reg.FindCounter("exec.probe_cache_hits"), nullptr);
 
   // A second executor accumulates into the same counters.
   auto plan2 = planner.Plan(DmvQueryGenerator::Example2());
   ASSERT_TRUE(plan2.ok());
   PipelineExecutor exec2(plan2->get());
   exec2.set_metrics(&reg);
+  exec2.set_shared_cache(&cache);
   auto stats2 = exec2.Execute(nullptr);
   ASSERT_TRUE(stats2.ok());
-  EXPECT_EQ(reg.FindCounter("exec.probe_batches")->value(),
-            stats->probe_batches + stats2->probe_batches);
+  EXPECT_EQ(reg.FindCounter("exec.probe_cache_shared_misses")->value(),
+            stats->probe_cache_shared_misses + stats2->probe_cache_shared_misses);
 }
 
 TEST(MetricsRegistryTest, ExecutorExportsPolicyCounters) {

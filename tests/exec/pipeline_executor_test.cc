@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/exec_observer.h"
 #include "exec/reference_executor.h"
+#include "storage/key_codec.h"
 #include "workload/dmv.h"
 #include "workload/templates.h"
 
@@ -26,10 +28,14 @@ class PipelineExecutorTest : public ::testing::Test {
   }
 
   static std::vector<Row> RunPipeline(const JoinQuery& q, AdaptiveOptions options,
-                                      ExecStats* stats_out = nullptr) {
+                                      ExecStats* stats_out = nullptr,
+                                      SharedProbeCache* cache = nullptr,
+                                      ExecObserver* observer = nullptr) {
     auto plan = planner_->Plan(q);
     EXPECT_TRUE(plan.ok()) << plan.status();
     PipelineExecutor exec(plan->get(), options);
+    exec.set_shared_cache(cache);
+    exec.set_observer(observer);
     std::vector<Row> rows;
     auto stats = exec.Execute([&rows](const Row& r) { rows.push_back(r); });
     EXPECT_TRUE(stats.ok()) << stats.status();
@@ -247,22 +253,16 @@ TEST_P(WindowSweep, CorrectUnderAnyWindowSize) {
 INSTANTIATE_TEST_SUITE_P(Windows, WindowSweep,
                          ::testing::Values(1u, 2u, 10u, 100u, 1000u));
 
-// ---- Batched probes & memoization ------------------------------------------
+// ---- Shared probe cache -----------------------------------------------------
 //
-// Batching, hinted descent, and the probe cache are execution strategies:
-// every stat the adaptive controller can observe must be bit-identical to
-// per-row execution, under every adaptation mode.
+// ProbeLeg consults a SharedProbeCache before each eligible index probe and
+// replays hits. Replay is an execution strategy: every stat the adaptive
+// controller can observe must be bit-identical to an unshared run.
 
 namespace {
 
-AdaptiveOptions WithProbes(AdaptiveOptions o, size_t batch, size_t cache) {
-  o.probe_batch_size = batch;
-  o.probe_cache_entries = cache;
-  return o;
-}
-
 void ExpectSameLogicalWork(const ExecStats& a, const ExecStats& b,
-                           const char* what) {
+                           const std::string& what) {
   EXPECT_EQ(a.work_units, b.work_units) << what;
   EXPECT_EQ(a.rows_out, b.rows_out) << what;
   EXPECT_EQ(a.driving_rows_produced, b.driving_rows_produced) << what;
@@ -274,59 +274,101 @@ void ExpectSameLogicalWork(const ExecStats& a, const ExecStats& b,
   EXPECT_EQ(a.events, b.events) << what;
 }
 
+/// Counts index probes (one OnProbe per incoming row of an inner leg).
+class ProbeCounter : public ExecObserver {
+ public:
+  void OnProbe(size_t, size_t, uint64_t, uint64_t, uint64_t) override { ++probes; }
+  uint64_t probes = 0;
+};
+
 }  // namespace
 
-TEST_F(PipelineExecutorTest, BatchedProbesMatchPerRowExecution) {
+TEST_F(PipelineExecutorTest, SharedCacheWarmRunReplaysWithIdenticalWork) {
   DmvQueryGenerator gen(catalog_);
   for (int tmpl : {1, 2, 3, 4, 5}) {
     auto q = gen.Generate(tmpl, 0);
     ASSERT_TRUE(q.ok());
-    for (AdaptiveOptions base : {Static(), AdaptiveOptions{}, Aggressive()}) {
-      ExecStats per_row, batched, memoized;
-      auto rows_per_row = RunPipeline(*q, WithProbes(base, 1, 0), &per_row);
-      auto rows_batched = RunPipeline(*q, WithProbes(base, 64, 0), &batched);
-      auto rows_memoized = RunPipeline(*q, WithProbes(base, 64, 128), &memoized);
-      EXPECT_EQ(rows_batched, rows_per_row) << q->name;
-      EXPECT_EQ(rows_memoized, rows_per_row) << q->name;
-      ExpectSameLogicalWork(per_row, batched, q->name.c_str());
-      ExpectSameLogicalWork(per_row, memoized, q->name.c_str());
-      // Per-row execution must not report batch activity.
-      EXPECT_EQ(per_row.probe_batches, 0u);
-      EXPECT_EQ(per_row.probe_cache_hits + per_row.probe_cache_misses, 0u);
+    ExecStats unshared, cold, warm;
+    auto rows_unshared = RunPipeline(*q, AdaptiveOptions{}, &unshared);
+    SharedProbeCache cache;
+    auto rows_cold = RunPipeline(*q, AdaptiveOptions{}, &cold, &cache);
+    auto rows_warm = RunPipeline(*q, AdaptiveOptions{}, &warm, &cache);
+    EXPECT_EQ(rows_cold, rows_unshared) << q->name;
+    EXPECT_EQ(rows_warm, rows_unshared) << q->name;
+    ExpectSameLogicalWork(unshared, cold, q->name + " cold");
+    ExpectSameLogicalWork(unshared, warm, q->name + " warm");
+    EXPECT_EQ(unshared.probe_cache_shared_hits + unshared.probe_cache_shared_misses, 0u);
+    EXPECT_GT(cold.probe_cache_shared_misses, 0u) << q->name;
+    EXPECT_GT(warm.probe_cache_shared_hits, 0u) << q->name;
+  }
+}
+
+TEST_F(PipelineExecutorTest, SharedCacheServesEveryEligibleProbe) {
+  // A static Fig 7 run has no positional predicates and (acyclic query)
+  // exactly one applicable edge per inner leg, so every probe is one cache
+  // lookup — including repeats of a key the leg just probed. The cold run
+  // resolves each as a hit or a miss, and a warm run against a cache large
+  // enough to hold them all replays every probe.
+  DmvQueryGenerator gen(catalog_);
+  for (int tmpl : {1, 2, 3, 4, 5}) {
+    for (size_t variant = 0; variant < 6; ++variant) {
+      auto q = gen.Generate(tmpl, variant);
+      ASSERT_TRUE(q.ok());
+      SharedProbeCache cache(/*entries_per_stripe=*/4096, /*stripes=*/16);
+      ExecStats cold, warm;
+      ProbeCounter cold_probes, warm_probes;
+      RunPipeline(*q, Static(), &cold, &cache, &cold_probes);
+      RunPipeline(*q, Static(), &warm, &cache, &warm_probes);
+      ASSERT_GT(cold_probes.probes, 0u) << q->name;
+      EXPECT_EQ(cold.probe_cache_shared_hits + cold.probe_cache_shared_misses,
+                cold_probes.probes)
+          << q->name;
+      EXPECT_EQ(warm.probe_cache_shared_hits, warm_probes.probes) << q->name;
+      EXPECT_EQ(warm.probe_cache_shared_misses, 0u) << q->name;
     }
   }
 }
 
-TEST_F(PipelineExecutorTest, BatchedProbeStatsArePopulated) {
-  JoinQuery q = DmvQueryGenerator::Example1();
-  ExecStats stats;
-  RunPipeline(q, WithProbes(Aggressive(), 64, 128), &stats);
-  EXPECT_GT(stats.probe_batches, 0u);
-  EXPECT_GE(stats.probe_batch_keys, stats.probe_batches);
-  // Every cache-eligible probe resolves as a hit or a miss; the DMV join
-  // keys repeat (many cars per owner), so both sides must show up.
-  EXPECT_GT(stats.probe_cache_misses, 0u);
-  EXPECT_GT(stats.probe_cache_hits, 0u);
-  EXPECT_GE(stats.probe_descents_saved, stats.probe_cache_hits);
-}
-
-TEST_F(PipelineExecutorTest, WarmCacheAcrossDemotionMatchesPerRow) {
-  // Aggressive driving switches demote and re-promote legs while their
-  // caches are warm; the epoch tag plus the positional-predicate bypass
-  // must keep results and accounting identical to per-row execution.
+TEST_F(PipelineExecutorTest, DemotedLegNeverReplaysEntriesFromBeforeItsSwitch) {
+  // The initial driving leg is never probed before its first demotion, so
+  // any entry under its epoch-0 signature was recorded elsewhere — here it
+  // is poisoned (no matches, no work). The driving switch bumps that leg's
+  // epoch (and makes its positional predicate live), so the poison must
+  // never be replayed: rows and work stay identical to an unshared run.
   DmvQueryGenerator gen(catalog_);
+  size_t switched = 0;
   for (int tmpl : {2, 4}) {
     for (size_t variant = 0; variant < 3; ++variant) {
       auto q = gen.Generate(tmpl, variant);
       ASSERT_TRUE(q.ok());
-      ExecStats per_row, memoized;
-      auto rows_per_row = RunPipeline(*q, WithProbes(Aggressive(), 1, 0), &per_row);
-      auto rows_memoized = RunPipeline(*q, WithProbes(Aggressive(), 64, 64),
-                                       &memoized);
-      EXPECT_EQ(rows_memoized, rows_per_row) << q->name;
-      ExpectSameLogicalWork(per_row, memoized, q->name.c_str());
+      auto plan = planner_->Plan(*q);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      const size_t d = (*plan)->initial_order[0];
+      const HeapTable& table = (*plan)->entries[d]->table();
+      const ExprPtr& pred = q->local_predicates[d];
+      SharedProbeCache cache(/*entries_per_stripe=*/4096, /*stripes=*/16);
+      for (const JoinEdge& e : q->edges) {
+        if (!e.Touches(d)) continue;
+        const IndexInfo* info = (*plan)->access[d].probe_index_by_edge[e.edge_id];
+        if (info == nullptr) continue;
+        const uint64_t sig = SharedProbeCache::LegSignature(
+            info->tree.get(), pred != nullptr ? pred->ToString() : std::string(), 0);
+        bool conflict = false;
+        for (Rid rid = 0; rid < table.num_rows(); ++rid) {
+          cache.Insert(sig, EncodeKeyFromCell(table.View(rid), info->column_idx), {},
+                       0, 0, &conflict);
+        }
+      }
+      ExecStats unshared, shared;
+      auto rows_unshared = RunPipeline(*q, Aggressive(), &unshared);
+      auto rows_shared = RunPipeline(*q, Aggressive(), &shared, &cache);
+      if (unshared.driving_switches == 0) continue;
+      ++switched;
+      EXPECT_EQ(rows_shared, rows_unshared) << q->name;
+      ExpectSameLogicalWork(unshared, shared, q->name);
     }
   }
+  EXPECT_GT(switched, 0u) << "no query switched its driving leg";
 }
 
 }  // namespace

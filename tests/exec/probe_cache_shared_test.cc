@@ -51,10 +51,9 @@ TEST(SharedProbeCacheTest, LegSignatureSeparatesLegs) {
 }
 
 TEST(SharedProbeCacheTest, HotKeysSurviveUnrelatedLegDemotion) {
-  // Regression: the per-leg ProbeCache's epoch bump retires the WHOLE
-  // cache on any demotion. With the epoch folded into the leg signature,
-  // demoting leg B must leave leg A's hot entries live — even when they
-  // hash into the same stripe (stripes=1 forces that worst case).
+  // With the demotion epoch folded into the leg signature, demoting leg B
+  // retires only leg B's entries: leg A's hot entries stay live — even when
+  // they hash into the same stripe (stripes=1 forces that worst case).
   SharedProbeCache cache(/*entries_per_stripe=*/8, /*stripes=*/1);
   const uint64_t leg_a = SharedProbeCache::LegSignature(&kIndexA, "", 0);
   uint64_t leg_b = SharedProbeCache::LegSignature(&kIndexB, "", 0);

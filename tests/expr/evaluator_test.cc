@@ -14,12 +14,18 @@ class EvaluatorTest : public ::testing::Test {
                   {"year", DataType::kInt64},
                   {"price", DataType::kDouble},
                   {"sold", DataType::kBool}}};
-  Row row_ = {Value(7), Value("Mazda"), Value(1999), Value(12000.5), Value(true)};
+  HeapTable table_{"t", schema_};
+
+  void SetUp() override {
+    ASSERT_TRUE(
+        table_.Append({Value(7), Value("Mazda"), Value(1999), Value(12000.5), Value(true)})
+            .ok());
+  }
 
   bool Eval(const ExprPtr& e) {
     auto bound = BindPredicate(e, schema_);
     EXPECT_TRUE(bound.ok()) << bound.status();
-    return (*bound)->Eval(row_);
+    return (*bound)->Eval(table_.View(0));
   }
 };
 
@@ -50,10 +56,13 @@ TEST_F(EvaluatorTest, ConstColIsNormalized) {
 
 TEST_F(EvaluatorTest, ColColComparison) {
   Schema s({{"a", DataType::kInt64}, {"b", DataType::kInt64}});
+  HeapTable t("ab", s);
+  ASSERT_TRUE(t.Append({Value(1), Value(2)}).ok());
+  ASSERT_TRUE(t.Append({Value(2), Value(2)}).ok());
   auto bound = BindPredicate(Cmp(CompareOp::kLt, Col("a"), Col("b")), s);
   ASSERT_TRUE(bound.ok());
-  EXPECT_TRUE((*bound)->Eval({Value(1), Value(2)}));
-  EXPECT_FALSE((*bound)->Eval({Value(2), Value(2)}));
+  EXPECT_TRUE((*bound)->Eval(t.View(0)));
+  EXPECT_FALSE((*bound)->Eval(t.View(1)));
 }
 
 TEST_F(EvaluatorTest, AndOrNot) {
@@ -95,51 +104,45 @@ TEST_F(EvaluatorTest, InPredicateEdgeCases) {
   EXPECT_FALSE(BindPredicate(In("year", {Value("x")}), schema_).ok());
 }
 
-TEST_F(EvaluatorTest, RowViewAndRowEvalAgree) {
-  // The same program must give identical answers on the typed-page view and
-  // the legacy Value row, for every leaf kind.
-  HeapTable t("t", schema_);
-  ASSERT_TRUE(t.Append(row_).ok());
-  RowView view = t.View(0);
-  const std::vector<ExprPtr> exprs = [] {
-    std::vector<ExprPtr> v;
-    v.push_back(ColCmp("make", CompareOp::kEq, Value("Mazda")));
-    v.push_back(ColCmp("make", CompareOp::kEq, Value("BMW")));
-    v.push_back(ColCmp("make", CompareOp::kLt, Value("Nissan")));
-    v.push_back(ColCmp("year", CompareOp::kGt, Value(1998)));
-    v.push_back(ColCmp("year", CompareOp::kLt, Value(1998.5)));
-    v.push_back(ColCmp("price", CompareOp::kGe, Value(12000.5)));
-    v.push_back(ColCmp("sold", CompareOp::kEq, Value(true)));
-    v.push_back(In("make", {Value("BMW"), Value("Mazda")}));
-    v.push_back(In("year", {Value(1999), Value(7)}));
-    v.push_back(Or({ColCmp("make", CompareOp::kEq, Value("BMW")),
-                    Not(ColCmp("year", CompareOp::kLe, Value(1990)))}));
+TEST_F(EvaluatorTest, PooledAndPlainBindingsAgree) {
+  // Binding with the table's pool (interned-id compares) must give the same
+  // answers as binding without one (byte compares), for every leaf kind.
+  RowView view = table_.View(0);
+  const std::vector<std::pair<ExprPtr, bool>> cases = [] {
+    std::vector<std::pair<ExprPtr, bool>> v;
+    v.emplace_back(ColCmp("make", CompareOp::kEq, Value("Mazda")), true);
+    v.emplace_back(ColCmp("make", CompareOp::kEq, Value("BMW")), false);
+    v.emplace_back(ColCmp("make", CompareOp::kLt, Value("Nissan")), true);
+    v.emplace_back(ColCmp("year", CompareOp::kGt, Value(1998)), true);
+    v.emplace_back(ColCmp("year", CompareOp::kLt, Value(1998.5)), false);
+    v.emplace_back(ColCmp("price", CompareOp::kGe, Value(12000.5)), true);
+    v.emplace_back(ColCmp("sold", CompareOp::kEq, Value(true)), true);
+    v.emplace_back(In("make", {Value("BMW"), Value("Mazda")}), true);
+    v.emplace_back(In("year", {Value(1999), Value(7)}), true);
+    v.emplace_back(Or({ColCmp("make", CompareOp::kEq, Value("BMW")),
+                       Not(ColCmp("year", CompareOp::kLe, Value(1990)))}),
+                   true);
     return v;
   }();
-  for (const ExprPtr& e : exprs) {
-    // Bound without a pool and with the table's pool: all four paths agree.
+  for (const auto& [e, expect] : cases) {
     auto plain = BindPredicate(e, schema_);
-    auto pooled = BindPredicate(e, schema_, &t.pool());
+    auto pooled = BindPredicate(e, schema_, &table_.pool());
     ASSERT_TRUE(plain.ok() && pooled.ok());
-    bool expect = (*plain)->Eval(row_);
-    EXPECT_EQ((*plain)->Eval(view), expect);
-    EXPECT_EQ((*pooled)->Eval(view), expect);
-    EXPECT_EQ((*pooled)->Eval(row_), expect);
+    EXPECT_EQ((*plain)->Eval(view), expect) << e->ToString();
+    EXPECT_EQ((*pooled)->Eval(view), expect) << e->ToString();
   }
 }
 
 TEST_F(EvaluatorTest, PooledStringConstantFoldsWhenAbsent) {
-  HeapTable t("t", schema_);
-  ASSERT_TRUE(t.Append(row_).ok());
   // "Yugo" was never interned: equality folds to constant false / not-equal
   // to constant true, and both still evaluate correctly.
   auto eq = BindPredicate(ColCmp("make", CompareOp::kEq, Value("Yugo")), schema_,
-                          &t.pool());
+                          &table_.pool());
   auto ne = BindPredicate(ColCmp("make", CompareOp::kNe, Value("Yugo")), schema_,
-                          &t.pool());
+                          &table_.pool());
   ASSERT_TRUE(eq.ok() && ne.ok());
-  EXPECT_FALSE((*eq)->Eval(t.View(0)));
-  EXPECT_TRUE((*ne)->Eval(t.View(0)));
+  EXPECT_FALSE((*eq)->Eval(table_.View(0)));
+  EXPECT_TRUE((*ne)->Eval(table_.View(0)));
 }
 
 TEST_F(EvaluatorTest, FlatConjunctionAndPostfixIntrospection) {
@@ -174,11 +177,11 @@ TEST_F(EvaluatorTest, EvalCountedChargesWork) {
   WorkCounter wc;
   auto bound = BindPredicate(ColCmp("year", CompareOp::kGt, Value(0)), schema_);
   ASSERT_TRUE(bound.ok());
-  (*bound)->EvalCounted(row_, &wc);
-  (*bound)->EvalCounted(row_, &wc);
+  (*bound)->EvalCounted(table_.View(0), &wc);
+  (*bound)->EvalCounted(table_.View(0), &wc);
   EXPECT_EQ(wc.total(), 2 * WorkCounter::kPredicateEval);
   // Null counter is a no-op.
-  EXPECT_TRUE((*bound)->EvalCounted(row_, nullptr));
+  EXPECT_TRUE((*bound)->EvalCounted(table_.View(0), nullptr));
 }
 
 }  // namespace

@@ -10,9 +10,8 @@
 // Usage:
 //   fuzz_differential [--seed N] [--count N] [--duration SECONDS]
 //                     [--jobs N] [--inject none|nopos|dup]
-//                     [--policy rank|regret|static] [--index btree|art]
-//                     [--share] [--wide] [--expect-failure] [--no-shrink]
-//                     [--start-seed N]
+//                     [--policy rank|regret|static] [--share] [--wide]
+//                     [--expect-failure] [--no-shrink] [--start-seed N]
 //
 //   --seed N          run exactly seed N (replay mode)
 //   --wide            generate with GeneratorOptions::WideProfile (6-20
@@ -25,16 +24,10 @@
 //   --inject dup      emit every output row twice
 //   --policy P        restrict the config spread to one AdaptationPolicy
 //                     (default: the full spread across all policies)
-//   --index B         run the index-backend axis: configs selecting backend
-//                     B plus their work_class twins on the other backend,
-//                     so result multisets AND work/stat accounting are
-//                     compared across btree/art on every seed (mutually
-//                     exclusive with --policy)
 //   --share           run the cross-query sharing axis: shared-scan /
 //                     shared-probe-cache modes in one work_class against
 //                     sharing-off, each warm-re-run against its retained
-//                     registry/cache (mutually exclusive with the other
-//                     axes)
+//                     registry/cache (mutually exclusive with --policy)
 //   --expect-failure  exit 0 only if a failure IS found (oracle self-test)
 //   --no-shrink       print the raw failing spec without minimizing
 //
@@ -77,7 +70,6 @@ struct Flags {
   unsigned jobs = 1;
   std::string inject = "none";
   std::optional<ajr::PolicyKind> policy;
-  std::optional<ajr::IndexBackend> index;
   bool share = false;
   bool wide = false;
   bool expect_failure = false;
@@ -130,13 +122,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->policy = ajr::ParsePolicyKind(v);
       if (!flags->policy.has_value()) {
         std::fprintf(stderr, "--policy must be rank|regret|static, got %s\n", v);
-        return false;
-      }
-    } else if (matches(arg, "--index")) {
-      if ((v = value_of(&i, "--index", arg)) == nullptr) return false;
-      flags->index = ajr::ParseIndexBackend(v);
-      if (!flags->index.has_value()) {
-        std::fprintf(stderr, "--index must be btree|art, got %s\n", v);
         return false;
       }
     } else if (std::strcmp(arg, "--share") == 0) {
@@ -204,19 +189,12 @@ int main(int argc, char** argv) {
   faults.double_emit = flags.inject == "dup";
   DifferentialOptions options;
   if (flags.inject != "none") options.faults = &faults;
-  if (static_cast<int>(flags.policy.has_value()) +
-          static_cast<int>(flags.index.has_value()) +
-          static_cast<int>(flags.share) >
-      1) {
-    std::fprintf(stderr,
-                 "--policy, --index, and --share are mutually exclusive axes\n");
+  if (flags.policy.has_value() && flags.share) {
+    std::fprintf(stderr, "--policy and --share are mutually exclusive axes\n");
     return 2;
   }
   if (flags.policy.has_value()) {
     options.configs = ajr::testing::ConfigsForPolicy(*flags.policy);
-  }
-  if (flags.index.has_value()) {
-    options.configs = ajr::testing::ConfigsForBackend(*flags.index);
   }
   if (flags.share) {
     options.configs = ajr::testing::ConfigsForShare();
@@ -252,12 +230,11 @@ int main(int argc, char** argv) {
           .count();
   std::printf(
       "fuzz_differential: %llu cases in %.1fs (%.0f cases/s), inject=%s, "
-      "policy=%s, index=%s, share=%s, profile=%s\n",
+      "policy=%s, share=%s, profile=%s\n",
       static_cast<unsigned long long>(shared.cases_run.load()), elapsed,
       shared.cases_run.load() / (elapsed > 0 ? elapsed : 1),
       flags.inject.c_str(),
       flags.policy.has_value() ? ajr::PolicyKindName(*flags.policy) : "all",
-      flags.index.has_value() ? ajr::IndexBackendName(*flags.index) : "all",
       flags.share ? "on" : "off", flags.wide ? "wide" : "default");
 
   if (!shared.harness_error.empty()) {
@@ -291,8 +268,6 @@ int main(int argc, char** argv) {
   std::string axis;
   if (flags.policy.has_value()) {
     axis = std::string(" --policy ") + ajr::PolicyKindName(*flags.policy);
-  } else if (flags.index.has_value()) {
-    axis = std::string(" --index ") + ajr::IndexBackendName(*flags.index);
   } else if (flags.share) {
     axis = " --share";
   }

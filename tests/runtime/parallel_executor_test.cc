@@ -173,48 +173,6 @@ TEST_F(ParallelExecutorTest, ParallelRowMultisetMatchesReference) {
   }
 }
 
-// The ART probe backend under morsel parallelism: every template at
-// dop 2 and 4 must reproduce the reference multiset, and the serial path
-// must stay bit-identical to the B+-tree backend in every stat the
-// adaptive controller can see (the canonical work-charging contract).
-// Runs under TSan with the stress label: concurrent workers probe the
-// same read-only ArtIndex.
-TEST_F(ParallelExecutorTest, ArtBackendParallelMatchesReference) {
-  DmvQueryGenerator gen(catalog_);
-  for (int t = 1; t <= kNumFourTableTemplates; ++t) {
-    auto q = gen.Generate(t, 2);
-    ASSERT_TRUE(q.ok()) << q.status();
-    auto plan = Plan(*q);
-    ASSERT_TRUE(plan.ok()) << plan.status();
-    std::vector<Row> expected = Reference(*q);
-
-    AdaptiveOptions art = Strict();
-    art.index_backend = IndexBackend::kArt;
-
-    // Serial: ART vs B+-tree must agree bit-for-bit on rows AND stats.
-    std::vector<Row> btree_rows, art_rows;
-    ExecStats bt = RunSerial(plan->get(), Strict(), &btree_rows);
-    ExecStats ar = RunSerial(plan->get(), art, &art_rows);
-    EXPECT_EQ(art_rows, btree_rows) << "T" << t;
-    EXPECT_EQ(ar.work_units, bt.work_units) << "T" << t;
-    EXPECT_EQ(ar.inner_reorders, bt.inner_reorders);
-    EXPECT_EQ(ar.driving_switches, bt.driving_switches);
-    EXPECT_EQ(ar.final_order, bt.final_order);
-    EXPECT_EQ(ar.events, bt.events) << "T" << t;
-
-    for (size_t dop : {size_t{2}, size_t{4}}) {
-      ParallelExecOptions parallel;
-      parallel.dop = dop;
-      parallel.morsel_size = 5;
-      std::vector<Row> rows;
-      ExecStats stats = RunParallel(plan->get(), art, parallel, &rows);
-      SortRows(&rows);
-      EXPECT_EQ(rows, expected) << "T" << t << " dop=" << dop;
-      EXPECT_EQ(stats.rows_out, expected.size());
-    }
-  }
-}
-
 // Six-table plans cross more inner levels and reorder more; same contract.
 TEST_F(ParallelExecutorTest, SixTableParallelMatchesReference) {
   DmvQueryGenerator gen(catalog_);

@@ -1,9 +1,15 @@
 #include "bench/harness_util.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "adaptive/policy.h"
 
@@ -91,7 +97,54 @@ double Median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
+/// CPUs this process may run on (its affinity mask where available).
+size_t AllowedCpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<size_t>(std::max(1, CPU_COUNT(&set)));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+volatile uint64_t g_spin_sink = 0;
+
+/// Wall seconds of `iters` rounds of a dependent integer recurrence.
+double Spin(uint64_t iters) {
+  const auto t0 = std::chrono::steady_clock::now();
+  uint64_t x = iters;
+  for (uint64_t i = 0; i < iters; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    x ^= x >> 29;
+  }
+  g_spin_sink = x;
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
 }  // namespace
+
+double MeasureEffectiveCores() {
+  static const double cores = [] {
+    const size_t n = AllowedCpus();
+    uint64_t iters = 1 << 20;
+    while (Spin(iters) < 0.02) iters *= 2;  // ~20-40 ms per spin
+    std::vector<double> ratios;
+    for (int rep = 0; rep < 3; ++rep) {
+      const double one = Spin(iters);
+      const auto t0 = std::chrono::steady_clock::now();
+      std::vector<std::thread> threads;
+      for (size_t i = 0; i < n; ++i) threads.emplace_back([iters] { Spin(iters); });
+      for (std::thread& t : threads) t.join();
+      const double all =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+      ratios.push_back(static_cast<double>(n) * one / all);
+    }
+    return Median(ratios);
+  }();
+  return cores;
+}
 
 QueryRun Workbench::Run(const JoinQuery& query, const AdaptiveOptions& options) const {
   QueryRun run;
@@ -260,6 +313,8 @@ void JsonReport::Finish() {
                "  \"seed\": %llu,\n  \"dop\": %zu,\n  \"policy\": \"%s\",\n",
                static_cast<unsigned long long>(flags_.seed), flags_.dop,
                PolicyKindName(flags_.policy));
+  std::fprintf(f, "  \"effective_cores\": %s,\n",
+               JsonNumber(MeasureEffectiveCores()).c_str());
   std::fprintf(f, "  \"runs\": [");
   for (size_t i = 0; i < runs_.size(); ++i) {
     std::fprintf(f, "%s\n    %s", i == 0 ? "" : ",", runs_[i].c_str());

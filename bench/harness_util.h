@@ -101,9 +101,23 @@ class Workbench {
   DmvCardinalities cards_;
 };
 
+/// Parallel capacity this process actually gets, measured once and cached:
+/// a calibrated spin loop timed on one thread, then on one thread per CPU
+/// the process may run on; n x (one-thread time) / (n-thread wall time),
+/// median of three. About n with n free cores, about 1 when the CPUs are
+/// shared or throttled — which hardware_concurrency() cannot see. The
+/// first call spins for roughly half a second.
+double MeasureEffectiveCores();
+
+/// Below this many effective cores, wall-clock speedups of parallel or
+/// shared runs measure the scheduler, not the engine: such runs stamp
+/// `speedups_not_meaningful`.
+constexpr double kMinMeaningfulCores = 1.5;
+
 /// Machine-readable results next to the printed tables: when --json[=PATH]
 /// was given, every recorded run (wall time, work units, rows, order
-/// switches) and aggregate metric lands in one JSON file. Disabled-state
+/// switches) and aggregate metric lands in one JSON file, stamped with the
+/// run's provenance and MeasureEffectiveCores(). Disabled-state
 /// calls are no-ops, so harnesses record unconditionally.
 class JsonReport {
  public:

@@ -13,7 +13,8 @@
 //     doubles as a determinism tripwire for the figure reproductions.
 //
 // Speedup is only meaningful on a machine with real cores: the report
-// includes hardware_concurrency so a dop=8 run on a 1-core container
+// includes the measured effective core count (bench/harness_util's
+// MeasureEffectiveCores) so a dop=8 run on a host that delivers one core
 // reads as what it is. Work units are deterministic either way — the
 // merged work of the fleet equals serial work plus the (counted) scan
 // the dispenser performs, so "work_units_dopN_vs_serial" near 1.0 shows
@@ -131,6 +132,8 @@ int main(int argc, char** argv) {
   }
 
   const size_t reps = std::max<size_t>(flags.common.reps, 1);
+  const double cores = MeasureEffectiveCores();
+  const bool speedups_not_meaningful = cores < kMinMeaningfulCores;
   JsonReport report("parallel_scaling", flags.common);
   report.AddMetric("hardware_concurrency",
                    static_cast<double>(std::thread::hardware_concurrency()));
@@ -144,9 +147,9 @@ int main(int argc, char** argv) {
     std::snprintf(morsel_desc, sizeof(morsel_desc), "%zu", flags.morsel_size);
   }
   std::printf("\nIntra-query scaling (%zu queries, %zu reps, morsel=%s, "
-              "hardware_concurrency=%u)\n",
+              "hardware_concurrency=%u, effective cores=%.2f)\n",
               queries.size(), reps, morsel_desc,
-              std::thread::hardware_concurrency());
+              std::thread::hardware_concurrency(), cores);
   std::printf("  %-6s %10s %10s %9s %12s %9s\n", "dop", "wall_s", "qps",
               "speedup", "work_units", "switches");
 
@@ -232,15 +235,14 @@ int main(int argc, char** argv) {
   report.AddMetric("dop1_work_unit_identity", dop1_wu_identical ? 1.0 : 0.0);
   // Machine-readable twin of the WARNING below: bench_delta.py skips dop>1
   // wall-time comparisons when either side carries this marker.
-  report.AddMetric("speedups_not_meaningful",
-                   std::thread::hardware_concurrency() <= 1 ? 1.0 : 0.0);
+  report.AddMetric("speedups_not_meaningful", speedups_not_meaningful ? 1.0 : 0.0);
   if (!dop1_wu_identical) exit_code = 1;
 
   std::printf("\n  dop=1 work units %s the serial executor's (%llu)\n",
               dop1_wu_identical ? "match" : "DO NOT match",
               static_cast<unsigned long long>(serial_wu));
-  if (std::thread::hardware_concurrency() <= 1) {
-    std::printf("WARNING: hardware_concurrency=1, speedups not meaningful\n");
+  if (speedups_not_meaningful) {
+    std::printf("WARNING: %.2f effective cores, speedups not meaningful\n", cores);
     std::printf("  work-unit parity is the meaningful check on this machine\n");
   }
   return exit_code;

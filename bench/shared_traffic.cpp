@@ -1,12 +1,12 @@
 // Shared-traffic harness: closed-loop concurrent identical queries with
-// cross-query sharing off vs on (not a paper figure — the engine's
-// SharedScanRegistry + SharedProbeCache under the traffic shape they exist
-// for: many clients refreshing the same dashboard query at once).
+// cross-query scan sharing off vs on (not a paper figure — the engine's
+// SharedScanRegistry under the traffic shape it exists for: many clients
+// refreshing the same dashboard query at once).
 //
 // M client threads each submit the same DMV template query `per-client`
 // times back to back (closed loop) through one QueryEngine. The OFF pass
-// runs every query isolated; the SHARED pass attaches every query to the
-// engine's scan registry and striped probe cache. Both passes run the same
+// runs every query isolated; the SHARED pass attaches every query's driving
+// scans to the engine's scan registry. Both passes run the same
 // total query count on the same pool, interleaved across `--reps` rounds
 // (fresh engine per round: the sharing benefit measured is strictly
 // intra-round). Reported:
@@ -15,13 +15,13 @@
 //     acceptance target >= 1.5x at M=8 on multi-core hardware;
 //   * scan passes per query = shared-scan morsels physically produced /
 //     morsels consumed (< 1.0 means queries rode passes others paid for);
-//   * shared-cache hit rate and stripe-conflict count;
 //   * row-count verification of every query against the serial oracle.
 //
-// On a single-core machine the ratio is stamped `speedups_not_meaningful`
-// (same marker as bench/parallel_scaling; scripts/bench_delta.py then
-// skips the gated comparison) — sharing still saves work there, but the
-// wall-clock ratio measures the scheduler, not the feature.
+// On a host that measures under 1.5 effective cores (MeasureEffectiveCores)
+// the ratio is stamped `speedups_not_meaningful` (same marker as
+// bench/parallel_scaling; scripts/bench_delta.py then skips the gated
+// comparison) — sharing still saves work there, but the wall-clock ratio
+// measures the scheduler, not the feature.
 //
 // Flags: --workers=N --concurrent=M --per-client=N plus the common set
 //        (--owners, --reps, --dop, --seed, --json[=PATH], ...).
@@ -79,20 +79,11 @@ struct ModeResult {
   uint64_t passes_saved = 0;
   uint64_t morsels_produced = 0;
   uint64_t morsels_consumed = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t stripe_conflicts = 0;
 
   double passes_per_query() const {
     return morsels_consumed > 0 ? static_cast<double>(morsels_produced) /
                                       static_cast<double>(morsels_consumed)
                                 : 1.0;
-  }
-  double hit_rate() const {
-    const uint64_t total = cache_hits + cache_misses;
-    return total > 0 ? static_cast<double>(cache_hits) /
-                           static_cast<double>(total)
-                     : 0.0;
   }
 };
 
@@ -156,7 +147,6 @@ int main(int argc, char** argv) {
           spec.adaptive = adaptive;
           spec.dop = flags.common.dop;
           spec.share_scan = share;
-          spec.share_cache = share;
           auto handle = engine.Submit(std::move(spec));
           if (!handle.ok()) {
             client_errors[c] = true;
@@ -192,9 +182,6 @@ int main(int argc, char** argv) {
     mode->passes_saved += counter("exec.shared_scan_passes_saved");
     mode->morsels_produced += counter("exec.shared_scan_morsels_produced");
     mode->morsels_consumed += counter("exec.shared_scan_morsels_consumed");
-    mode->cache_hits += counter("exec.probe_cache_shared_hits");
-    mode->cache_misses += counter("exec.probe_cache_shared_misses");
-    mode->stripe_conflicts += counter("exec.probe_cache_shared_stripe_conflicts");
     return true;
   };
 
@@ -213,49 +200,42 @@ int main(int argc, char** argv) {
   const double off_qps = total_queries / off.total_s;
   const double shared_qps = total_queries / shared.total_s;
   const double ratio = shared_qps / off_qps;
-  const bool single_core = std::thread::hardware_concurrency() <= 1;
+  const double cores = MeasureEffectiveCores();
+  const bool speedups_not_meaningful = cores < kMinMeaningfulCores;
 
   std::printf("\n== Shared traffic: %zu concurrent identical queries ==\n",
               flags.concurrent);
-  std::printf("%-12s %10s %10s %16s %12s\n", "mode", "QPS", "ratio",
-              "passes/query", "hit rate");
-  std::printf("%-12s %10.1f %10s %16.2f %12s\n", "share-off", off_qps, "1.00x",
-              1.0, "-");
-  std::printf("%-12s %10.1f %9.2fx %16.2f %11.1f%%\n", "share-both",
-              shared_qps, ratio, shared.passes_per_query(),
-              100.0 * shared.hit_rate());
+  std::printf("%-12s %10s %10s %16s\n", "mode", "QPS", "ratio", "passes/query");
+  std::printf("%-12s %10.1f %10s %16.2f\n", "share-off", off_qps, "1.00x", 1.0);
+  std::printf("%-12s %10.1f %9.2fx %16.2f\n", "share-scan", shared_qps, ratio,
+              shared.passes_per_query());
   std::printf("\n  scan attaches     : %llu (%llu full passes saved)\n",
               (unsigned long long)shared.attaches,
               (unsigned long long)shared.passes_saved);
-  std::printf("  stripe conflicts  : %llu\n",
-              (unsigned long long)shared.stripe_conflicts);
   std::printf("  row counts        : %s\n",
               off.mismatches + shared.mismatches == 0
                   ? "all equal to the serial oracle"
                   : "MISMATCH");
   std::printf("  shared speedup    : %.2fx  (target >= 1.50x)  [%s]\n", ratio,
-              single_core          ? "not meaningful on 1 core"
-              : ratio >= 1.5       ? "ok"
-                                   : "below target");
-  if (single_core) {
-    std::printf("WARNING: hardware_concurrency=1, speedups not meaningful\n");
+              speedups_not_meaningful ? "not meaningful on this host"
+              : ratio >= 1.5          ? "ok"
+                                      : "below target");
+  if (speedups_not_meaningful) {
+    std::printf("WARNING: %.2f effective cores, speedups not meaningful\n", cores);
   }
 
   JsonReport report("shared_traffic", flags.common);
   report.AddMetric("workers", static_cast<double>(flags.workers));
   report.AddMetric("concurrent_clients", static_cast<double>(flags.concurrent));
   report.AddMetric("qps_share_off", off_qps);
-  report.AddMetric("qps_share_both", shared_qps);
+  report.AddMetric("qps_share_scan", shared_qps);
   report.AddMetric("shared_speedup", ratio);
   report.AddMetric("passes_per_query", shared.passes_per_query());
-  report.AddMetric("shared_cache_hit_rate", shared.hit_rate());
   report.AddMetric("shared_scan_attaches", static_cast<double>(shared.attaches));
   report.AddMetric("shared_scan_passes_saved",
                    static_cast<double>(shared.passes_saved));
-  report.AddMetric("stripe_conflicts",
-                   static_cast<double>(shared.stripe_conflicts));
   report.AddMetric("row_mismatches",
                    static_cast<double>(off.mismatches + shared.mismatches));
-  report.AddMetric("speedups_not_meaningful", single_core ? 1.0 : 0.0);
+  report.AddMetric("speedups_not_meaningful", speedups_not_meaningful ? 1.0 : 0.0);
   return off.mismatches + shared.mismatches == 0 ? 0 : 1;
 }

@@ -1,18 +1,16 @@
 // Engine server demo: the concurrent query runtime end to end.
 //
 //   $ ./build/examples/engine_server [--dop=N] [--policy=rank|regret|static]
-//                                    [--share=off|scan|cache|both]
+//                                    [--share=off|scan]
 //
 // Builds a small DMV database, starts a QueryEngine with four workers, and
 // plays a short serving scenario: a burst of template queries answered
 // concurrently, one query cancelled mid-flight, one submitted with a
 // deadline it cannot meet. With --dop=N each query additionally runs
 // morsel-parallel: N worker pipelines split the driving scan and share
-// run-time reoptimization through a common coordinator. With --share the
-// burst's queries attach to the engine's cross-query sharing surfaces:
-// `scan` rides one physical driving-scan pass per table across concurrent
-// queries (runtime/shared_scan.h), `cache` pools probe results in the
-// striped SharedProbeCache, `both` enables the two together. Finishes with
+// run-time reoptimization through a common coordinator. With --share=scan
+// the burst's queries ride one physical driving-scan pass per table across
+// concurrent queries (runtime/shared_scan.h). Finishes with
 // the engine's metrics snapshot — the process-wide view of everything that
 // just happened, including how often the adaptive executor reordered
 // joins across the workload and how effective parallelism and sharing were.
@@ -33,7 +31,7 @@ using namespace ajr;
 
 namespace {
 
-Status Run(size_t dop, PolicyKind policy, bool share_scan, bool share_cache) {
+Status Run(size_t dop, PolicyKind policy, bool share_scan) {
   // 1. Build phase: load the catalog before serving (the engine's
   //    thread-safety contract: no catalog writes while queries run).
   std::printf("loading DMV data set...\n");
@@ -51,10 +49,7 @@ Status Run(size_t dop, PolicyKind policy, bool share_scan, bool share_cache) {
   DmvQueryGenerator gen(&catalog);
 
   // 3. A burst of concurrent queries: two instances of each template.
-  const char* share_name = share_scan && share_cache ? "both"
-                           : share_scan              ? "scan"
-                           : share_cache             ? "cache"
-                                                     : "off";
+  const char* share_name = share_scan ? "scan" : "off";
   std::printf("serving a burst of 10 template queries on %zu workers"
               " (intra-query dop=%zu, policy=%s, share=%s)...\n",
               engine.num_workers(), dop, PolicyKindName(policy), share_name);
@@ -62,16 +57,15 @@ Status Run(size_t dop, PolicyKind policy, bool share_scan, bool share_cache) {
   for (int template_id = 1; template_id <= kNumFourTableTemplates; ++template_id) {
     for (size_t variant = 0; variant < 2; ++variant) {
       // With sharing on, the two instances of a template are identical —
-      // concurrent identical queries are the traffic shape scan/cache
-      // sharing exists for (a dashboard refreshed by many clients).
-      const size_t v = share_scan || share_cache ? 0 : variant;
+      // concurrent identical queries are the traffic shape scan sharing
+      // exists for (a dashboard refreshed by many clients).
+      const size_t v = share_scan ? 0 : variant;
       AJR_ASSIGN_OR_RETURN(JoinQuery q, gen.Generate(template_id, v));
       QuerySpec spec;
       spec.query = std::move(q);
       spec.adaptive.policy = policy;
       spec.dop = dop;
       spec.share_scan = share_scan;
-      spec.share_cache = share_cache;
       AJR_ASSIGN_OR_RETURN(QueryHandle h, engine.Submit(std::move(spec)));
       burst.push_back(std::move(h));
     }
@@ -139,37 +133,24 @@ Status Run(size_t dop, PolicyKind policy, bool share_scan, bool share_cache) {
                 "split each driving scan across the worker pool\n", dop);
   }
 
-  // 7. Sharing effectiveness: how much of the burst's physical work the
-  //    cross-query surfaces absorbed. Scan passes per query < 1.0 means
-  //    concurrent (or repeated) queries rode passes someone else produced;
-  //    the shared-cache hit rate is probes answered without any descent.
-  if (share_scan || share_cache) {
+  // 7. Sharing effectiveness: how much of the burst's driving-scan work the
+  //    shared passes absorbed. Scan passes per query < 1.0 means concurrent
+  //    (or repeated) queries rode passes someone else produced.
+  if (share_scan) {
     uint64_t attaches = counter("exec.shared_scan_attaches");
     uint64_t passes_saved = counter("exec.shared_scan_passes_saved");
     uint64_t produced = counter("exec.shared_scan_morsels_produced");
     uint64_t consumed = counter("exec.shared_scan_morsels_consumed");
-    uint64_t shits = counter("exec.probe_cache_shared_hits");
-    uint64_t smisses = counter("exec.probe_cache_shared_misses");
-    uint64_t sconf = counter("exec.probe_cache_shared_stripe_conflicts");
     std::printf("sharing [%s]: %llu scan attaches, %llu full passes saved, "
-                "%.2f scan passes/query",
+                "%.2f scan passes/query\n",
                 share_name, (unsigned long long)attaches,
                 (unsigned long long)passes_saved,
                 consumed > 0 ? static_cast<double>(produced) /
                                    static_cast<double>(consumed)
                              : 0.0);
-    if (share_cache) {
-      std::printf(", shared-cache hit rate %.1f%% (%llu stripe conflicts)",
-                  shits + smisses > 0
-                      ? 100.0 * static_cast<double>(shits) /
-                            static_cast<double>(shits + smisses)
-                      : 0.0,
-                  (unsigned long long)sconf);
-    }
-    std::printf("\n");
   } else {
-    std::printf("sharing: off; rerun with --share=both to pool driving-scan "
-                "passes and probe results across the burst\n");
+    std::printf("sharing: off; rerun with --share=scan to pool driving-scan "
+                "passes across the burst\n");
   }
   return Status::OK();
 }
@@ -179,7 +160,7 @@ Status Run(size_t dop, PolicyKind policy, bool share_scan, bool share_cache) {
 int main(int argc, char** argv) {
   size_t dop = 1;
   PolicyKind policy = PolicyKind::kRank;
-  bool share_scan = false, share_cache = false;
+  bool share_scan = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--dop=", 6) == 0) {
       dop = static_cast<size_t>(std::strtoull(argv[i] + 6, nullptr, 10));
@@ -194,31 +175,22 @@ int main(int argc, char** argv) {
       policy = *parsed;
     } else if (std::strncmp(argv[i], "--share=", 8) == 0) {
       const char* mode = argv[i] + 8;
-      if (std::strcmp(mode, "off") == 0) {
-        share_scan = share_cache = false;
-      } else if (std::strcmp(mode, "scan") == 0) {
-        share_scan = true;
-        share_cache = false;
-      } else if (std::strcmp(mode, "cache") == 0) {
-        share_scan = false;
-        share_cache = true;
-      } else if (std::strcmp(mode, "both") == 0) {
-        share_scan = share_cache = true;
+      if (std::strcmp(mode, "off") == 0 || std::strcmp(mode, "scan") == 0) {
+        share_scan = mode[0] == 's';
       } else {
-        std::fprintf(stderr, "unknown share mode: %s (off|scan|cache|both)\n",
-                     mode);
+        std::fprintf(stderr, "unknown share mode: %s (off|scan)\n", mode);
         return 2;
       }
     } else {
       std::fprintf(stderr,
                    "unknown flag: %s (usage: %s [--dop=N]"
                    " [--policy=rank|regret|static]"
-                   " [--share=off|scan|cache|both])\n",
+                   " [--share=off|scan])\n",
                    argv[i], argv[0]);
       return 2;
     }
   }
-  Status status = Run(dop, policy, share_scan, share_cache);
+  Status status = Run(dop, policy, share_scan);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;

@@ -2,7 +2,7 @@
 # Records the benchmark baselines as BENCH_<name>.json: the Fig 7
 # adaptive-vs-static scatter, the concurrent-runtime throughput harness,
 # the parallel-scaling harness, the wide-join repair curve (n=6..20), and
-# the shared-traffic harness (cross-query scan/cache sharing off vs on).
+# the shared-traffic harness (cross-query scan sharing off vs on).
 #
 #   scripts/bench_baseline.sh            # writes bench/baselines/BENCH_*.json
 #   scripts/bench_baseline.sh /tmp/perf  # writes elsewhere (e.g. for a CI

@@ -4,7 +4,7 @@
     scripts/bench_delta.py <fresh_dir> [<baseline_dir>] [--threshold=PCT]
 
 Every metric is classified by its name into higher-is-better (qps,
-speedup, throughput, hit rates), lower-is-better (latencies, wall times,
+speedup, throughput), lower-is-better (latencies, wall times,
 work units, mismatch counts), or informational (configuration echoes like
 `workers` or `hardware_concurrency`, which never gate). A move beyond the
 threshold (default 15%) in the BAD direction is a regression; the exit
@@ -14,16 +14,18 @@ shared-runner wall clocks are noisy — the exit code is for humans running
 the comparison on quiet hardware, and for the job-summary table this
 script appends to $GITHUB_STEP_SUMMARY when that variable is set.
 
-Harness provenance (git_sha, build_type, dop, policy) is stamped into each
-file by bench/harness_util; comparing across different build types, dops,
-or adaptation policies is reported as a warning because such deltas
-measure the configuration, not the code. Older files may still carry a
-`backend` key from when a second index structure existed; it is ignored.
-When either side of a comparison
-carries the `speedups_not_meaningful` marker (bench/parallel_scaling and
-bench/shared_traffic set it on hardware_concurrency=1 machines, mirroring
-their WARNING lines), all dop>1 metrics and all speedup ratios are
-skipped: single-core "speedups" are scheduler noise. Work-shape metrics
+Harness provenance (git_sha, build_type, dop, policy, effective_cores) is
+stamped into each file by bench/harness_util; comparing across different
+build types, dops, or adaptation policies is reported as a warning because
+such deltas measure the configuration, not the code. `effective_cores` is
+the spin-calibrated count of cores the run actually got (not
+hardware_concurrency); it is printed next to each comparison. Older files
+may still carry a `backend` key from when a second index structure
+existed; it is ignored. When either side of a comparison carries the
+`speedups_not_meaningful` marker (bench/parallel_scaling and
+bench/shared_traffic set it when the host measures under 1.5 effective
+cores, mirroring their WARNING lines), all dop>1 metrics and all speedup
+ratios are skipped: such "speedups" are scheduler noise. Work-shape metrics
 like `passes_per_query` (scan passes physically produced per consuming
 query — lower is better) stay gated even then, because they count work,
 not wall time.
@@ -36,14 +38,13 @@ import sys
 
 DEFAULT_THRESHOLD = 15.0
 
-HIGHER_BETTER = ("qps", "speedup", "throughput", "hit_rate", "per_second",
-                 "identity")
+HIGHER_BETTER = ("qps", "speedup", "throughput", "per_second", "identity")
 LOWER_BETTER = ("_ms", "_us", "wall", "latency", "seconds", "work_units",
                 "mismatch", "_ns", "passes_per_query")
 # Configuration echoes and activity counters: reported, never gated.
 INFORMATIONAL = ("workers", "hardware_concurrency", "morsel", "queries",
                  "order_switches", "reorders", "switches", "folds", "dop",
-                 "rows", "probes", "batches", "descents")
+                 "rows", "probes")
 
 
 def classify(name):
@@ -71,7 +72,8 @@ def load(path):
     with open(path) as f:
         doc = json.load(f)
     meta = {k: doc.get(k)
-            for k in ("git_sha", "build_type", "dop", "policy")}
+            for k in ("git_sha", "build_type", "dop", "policy",
+                      "effective_cores")}
     return {m["name"]: m["value"] for m in doc.get("metrics", [])}, meta
 
 
@@ -133,17 +135,19 @@ def main():
                 print(f"  WARNING: {key} differs "
                       f"(baseline={bmeta[key]}, fresh={fmeta[key]}); "
                       "deltas measure the configuration, not the code")
+        print(f"  effective cores: baseline={bmeta.get('effective_cores')}, "
+              f"fresh={fmeta.get('effective_cores')}")
         single_core = fresh.get("speedups_not_meaningful") == 1 or \
             base.get("speedups_not_meaningful") == 1
         if single_core:
             print("  NOTE: speedups_not_meaningful marker set "
-                  "(hardware_concurrency=1 on at least one side); "
+                  "(under 1.5 effective cores on at least one side); "
                   "skipping dop>1 and speedup comparisons")
         for metric in sorted(set(fresh) | set(base)):
             if single_core and ((dop_of(metric) or 1) > 1 or
                                 ("speedup" in metric.lower() and
                                  "not_meaningful" not in metric.lower())):
-                print(f"  {metric:44s} skipped (single-core run)")
+                print(f"  {metric:44s} skipped (speedups not meaningful)")
                 continue
             if metric not in fresh or metric not in base:
                 side = "baseline" if metric not in fresh else "fresh run"

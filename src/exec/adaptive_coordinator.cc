@@ -63,24 +63,15 @@ bool AdaptiveCoordinator::RegisterWorker(ParallelWorkerSync* sync) {
 }
 
 AdaptiveCoordinator::Acquire AdaptiveCoordinator::AcquireMorsel(
-    ParallelMorsel* morsel, size_t worker) {
+    ParallelMorsel* morsel) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     if (state_ == State::kAbort) return Acquire::kAborted;
     if (state_ == State::kDone) return Acquire::kFinished;
     if (state_ == State::kRunning) {
-      if (source_->Fill(morsel, worker)) return Acquire::kMorsel;
+      if (source_->Fill(morsel)) return Acquire::kMorsel;
       // The promoted scan ran dry with no switch pending: drain to finish.
       state_ = State::kDrainingEnd;
-    }
-    // A pending switch drains the source's read-ahead first: every morsel
-    // produced before the decision must be processed before the install, or
-    // the high-water demotion would exclude entries no worker ever saw.
-    // Workers park only once nothing already-produced remains, so by the
-    // time the barrier completes the ready queue is empty.
-    if (state_ == State::kDrainingSwitch &&
-        source_->FillFromReady(morsel, worker)) {
-      return Acquire::kMorsel;
     }
     // Draining (switch pending or scan exhausted): adjustable barrier over
     // every registered worker. The last arrival acts; workers registering

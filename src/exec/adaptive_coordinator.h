@@ -4,7 +4,7 @@
 // In parallel mode the driving leg's scan is split into fixed-size morsels
 // handed out from a shared dispenser (the DrivingSource), and `dop` worker-
 // local pipeline clones run concurrently. Each worker keeps its own inner
-// cursors, probe caches, and sliding-window monitors; every check-frequency
+// legs and sliding-window monitors; every check-frequency
 // morsels it folds its monitor *deltas* into the coordinator, which merges
 // them and runs the paper's decision procedures (CheckInnerReorder /
 // CheckDrivingSwitch) over the merged statistics — the same Eq 1/3/4
@@ -76,21 +76,9 @@ class DrivingSource {
   /// sits past every dispensed entry).
   virtual Status Promote(size_t table) = 0;
 
-  /// Fills `morsel` with the next batch of entries from the promoted scan
-  /// for `worker` (sources with morsel affinity prefer the worker's last
-  /// stripe). False when the scan is exhausted (morsels are never empty).
-  virtual bool Fill(ParallelMorsel* morsel, size_t worker) = 0;
-
-  /// Hands out an already-produced morsel without producing new ones —
-  /// used while a driving switch drains, so read-ahead morsels dispensed
-  /// before the decision are still processed before the switch installs
-  /// (the high-water mark covers them). Default: no read-ahead, nothing to
-  /// hand out.
-  virtual bool FillFromReady(ParallelMorsel* morsel, size_t worker) {
-    (void)morsel;
-    (void)worker;
-    return false;
-  }
+  /// Fills `morsel` with the next batch of entries from the promoted scan.
+  /// False when the scan is exhausted (morsels are never empty).
+  virtual bool Fill(ParallelMorsel* morsel) = 0;
 
   /// False when the promoted scan cannot be demoted with a positional
   /// predicate — e.g. a shared-scan attachment that joined mid-pass, whose
@@ -177,13 +165,11 @@ class AdaptiveCoordinator {
     kAborted,   ///< another worker aborted; stop with abort_status()
   };
 
-  /// Hands out the next morsel for `worker`, parking at the drain barrier
-  /// when a driving switch is pending (the last arrival installs it) or the
-  /// scan is exhausted (the last arrival finishes the run). During a switch
-  /// drain, already-produced read-ahead morsels are still handed out before
-  /// any worker parks. Blocks only while other workers finish their
-  /// in-flight morsels.
-  Acquire AcquireMorsel(ParallelMorsel* morsel, size_t worker);
+  /// Hands out the next morsel, parking at the drain barrier when a driving
+  /// switch is pending (the last arrival installs it) or the scan is
+  /// exhausted (the last arrival finishes the run). Blocks only while other
+  /// workers finish their in-flight morsels.
+  Acquire AcquireMorsel(ParallelMorsel* morsel);
 
   /// The published decision epoch; workers compare against their adopted
   /// epoch between driving rows. Lock-free.

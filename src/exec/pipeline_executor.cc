@@ -190,14 +190,6 @@ void PipelineExecutor::ProbeLeg(size_t level) {
   const IndexInfo* probe_index =
       leg.probe_edge == SIZE_MAX ? nullptr
                                  : plan_->access[t].probe_index_by_edge[leg.probe_edge];
-  // The shared cache serves indexed legs whose sole applicable edge is the
-  // probe edge and whose positional predicate is not live. There the
-  // residual-edge loop below is empty (the probe edge is known to match),
-  // so a probe's entire outcome — matches, fetched count, work units — is a
-  // pure function of (leg signature, key) and can be replayed.
-  const bool shared = shared_cache_ != nullptr && probe_index != nullptr &&
-                      !leg.prefix.has_value() && leg.applicable_edges.size() == 1 &&
-                      leg.applicable_edges[0] == leg.probe_edge;
   const uint64_t work_before = wc_.total();
   const JoinQuery& q = plan_->query;
   const double table_card = static_cast<double>(leg.entry->table().num_rows());
@@ -237,23 +229,14 @@ void PipelineExecutor::ProbeLeg(size_t level) {
     // string keys borrow bytes from the other table's pool (stable storage).
     IndexKey key = EncodeKeyFromCell(current_rows_[other],
                                      legs_[other].edge_col[leg.probe_edge]);
-    const BPlusTree* tree = probe_index->tree.get();
-    if (shared && ReplaySharedProbe(level, tree, key)) return;
     probe_rids_.clear();
-    tree->Probe(key, &wc_, &probe_rids_);
+    probe_index->tree->Probe(key, &wc_, &probe_rids_);
     for (Rid rid : probe_rids_) {
       RowView row = leg.entry->table().Fetch(rid, &wc_);
       fetched += 1;
       consider(rid, row, /*probe_edge_known_to_match=*/true);
     }
     edge_monitors_[leg.probe_edge].Record(table_card, fetched);
-    if (shared) {
-      bool conflict = false;
-      shared_cache_->Insert(leg.shared_sig, key, leg.matches,
-                            static_cast<uint64_t>(fetched), wc_.total() - work_before,
-                            &conflict);
-      if (conflict) stats_.probe_cache_shared_conflicts += 1;
-    }
   } else if (leg.probe_edge != SIZE_MAX) {
     // No index on the join column: filtered full scan (never hit by the DMV
     // workload, kept for generality).
@@ -286,46 +269,6 @@ void PipelineExecutor::ProbeLeg(size_t level) {
                        static_cast<uint64_t>(after_edges),
                        static_cast<uint64_t>(out));
   }
-}
-
-bool PipelineExecutor::ReplaySharedProbe(size_t level, const BPlusTree* tree,
-                                         const IndexKey& key) {
-  const size_t t = order_[level];
-  LegRt& leg = legs_[t];
-  // The signature pins the probe index, the leg's local predicate, and its
-  // demotion epoch: a demotion retires only this leg's shared entries.
-  if (leg.shared_sig_index != tree || leg.shared_sig_epoch != leg.demotion_epoch) {
-    const ExprPtr& pred = plan_->query.local_predicates[t];
-    leg.shared_sig = SharedProbeCache::LegSignature(
-        tree, pred != nullptr ? pred->ToString() : std::string(), leg.demotion_epoch);
-    leg.shared_sig_index = tree;
-    leg.shared_sig_epoch = leg.demotion_epoch;
-  }
-  bool conflict = false;
-  const bool hit = shared_cache_->Lookup(leg.shared_sig, key, &shared_hit_, &conflict);
-  if (conflict) stats_.probe_cache_shared_conflicts += 1;
-  if (!hit) {
-    stats_.probe_cache_shared_misses += 1;
-    return false;
-  }
-  stats_.probe_cache_shared_hits += 1;
-  // Replay the probe's accounting exactly as ProbeLeg charged it when the
-  // entry was recorded. With a single applicable edge the after-edges count
-  // equals the fetched count and no residual edge monitor is touched, so
-  // the work total, the monitors, and the observer see the same numbers —
-  // the adaptive controller and the differential oracle cannot tell a
-  // replay from a probe.
-  const uint64_t fetched = shared_hit_.fetched;
-  const uint64_t out = shared_hit_.matches.size();
-  wc_.Add(shared_hit_.work_units);
-  edge_monitors_[leg.probe_edge].Record(
-      static_cast<double>(leg.entry->table().num_rows()), static_cast<double>(fetched));
-  leg.inner_monitor.RecordIncomingRow(static_cast<double>(fetched),
-                                      static_cast<double>(out),
-                                      static_cast<double>(shared_hit_.work_units));
-  if (observer_ != nullptr) observer_->OnProbe(t, level, fetched, fetched, out);
-  leg.matches.swap(shared_hit_.matches);
-  return true;
 }
 
 void PipelineExecutor::DrivingCheck() {
@@ -429,11 +372,6 @@ void PipelineExecutor::DrivingCheck() {
       old_leg.total_raw_entries > 0
           ? std::min(1.0, old_leg.cached_remaining_entries / old_leg.total_raw_entries)
           : 1.0;
-  // The fresh positional predicate changes this leg's probe results from
-  // now on: move to a new epoch so no earlier shared-cache entry can be
-  // replayed (ProbeLeg also bypasses the cache while a prefix is live — the
-  // epoch makes staleness impossible rather than merely avoided).
-  ++old_leg.demotion_epoch;
 
   // Promote the new driving leg; a previously demoted leg resumes its
   // original cursor (which already sits past its prefix).
@@ -617,14 +555,6 @@ StatusOr<ExecStats> PipelineExecutor::Execute(const RowSink& sink) {
         static_cast<uint64_t>(ps.cumulative_regret * 1000.0 + 0.5);
   }
   if (metrics_ != nullptr) {
-    if (shared_cache_ != nullptr) {
-      metrics_->GetCounter("exec.probe_cache_shared_hits")
-          ->Add(stats_.probe_cache_shared_hits);
-      metrics_->GetCounter("exec.probe_cache_shared_misses")
-          ->Add(stats_.probe_cache_shared_misses);
-      metrics_->GetCounter("exec.probe_cache_shared_stripe_conflicts")
-          ->Add(stats_.probe_cache_shared_conflicts);
-    }
     metrics_->GetCounter("exec.policy_decisions")->Add(stats_.policy_decisions);
     metrics_->GetCounter("exec.policy_reorders")->Add(stats_.policy_reorders);
     metrics_->GetCounter("exec.policy_switches")->Add(stats_.policy_switches);

@@ -27,7 +27,6 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/work_counter.h"
-#include "exec/probe_cache_shared.h"
 #include "expr/evaluator.h"
 #include "optimize/planner.h"
 #include "storage/cursors.h"
@@ -56,13 +55,9 @@ struct ExecStats {
   uint64_t probe_batches = 0;
   uint64_t probe_batch_keys = 0;
   uint64_t probe_descents_saved = 0;
-  /// Cross-query sharing observability (exec/probe_cache_shared.h,
-  /// runtime/shared_scan.h; all zero when sharing is off). Shared-cache
-  /// counters accumulate per worker; shared-scan counters are read off the
-  /// morsel dispenser by the orchestrator after the run.
-  uint64_t probe_cache_shared_hits = 0;
-  uint64_t probe_cache_shared_misses = 0;
-  uint64_t probe_cache_shared_conflicts = 0;
+  /// Shared-scan observability (runtime/shared_scan.h; all zero when scan
+  /// sharing is off), read off the morsel dispenser by the orchestrator
+  /// after the run.
   uint64_t shared_scan_attaches = 0;
   uint64_t shared_scan_passes_saved = 0;
   uint64_t scan_morsels_produced = 0;
@@ -138,9 +133,8 @@ class PipelineExecutor {
   void set_fault_injection(const FaultInjection* faults) { faults_ = faults; }
 
   /// Installs an engine-wide metrics registry: at the end of Execute() the
-  /// run's shared-cache and policy counters are added to the `exec.*`
-  /// counters (one Add per counter per query — nothing on the probe hot
-  /// path). `metrics` must outlive Execute(); may be null (default). Call
+  /// run's policy counters are added to the `exec.*` counters (one Add per
+  /// counter per query — nothing on the probe hot path). `metrics` must outlive Execute(); may be null (default). Call
   /// before Execute().
   void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
@@ -154,15 +148,6 @@ class PipelineExecutor {
   /// The policy driving this run (null until Execute() unless injected).
   AdaptationPolicy* policy() const { return policy_.get(); }
 
-  /// Installs a cross-query shared probe cache (exec/probe_cache_shared.h):
-  /// ProbeLeg consults it before each eligible index probe and publishes
-  /// every physical probe's outcome into it, so hot probe results are
-  /// computed once per fleet instead of once per query/worker. A replayed
-  /// outcome charges exactly the work units the physical probe charged, so
-  /// stats, monitors, and decisions are unchanged. `cache` must outlive the run;
-  /// may be null (default = no sharing). Call before Execute().
-  void set_shared_cache(SharedProbeCache* cache) { shared_cache_ = cache; }
-
   /// Morsel-parallel worker mode (see exec/adaptive_coordinator.h): driving
   /// rows come from the coordinator's shared morsel source instead of a
   /// private cursor, reorder decisions come from the coordinator's merged
@@ -171,7 +156,7 @@ class PipelineExecutor {
   /// Single-use, like Execute(). Called by ParallelPipelineExecutor
   /// (runtime/parallel_executor.h), not by user code.
   StatusOr<ExecStats> ExecuteWorker(AdaptiveCoordinator* coordinator,
-                                    const RowSink& sink, size_t worker_id = 0);
+                                    const RowSink& sink);
 
  private:
   friend class AdaptiveCoordinator;
@@ -207,10 +192,6 @@ class PipelineExecutor {
     /// Latest coordinator demotion sequence number applied to this leg
     /// (worker mode only; see ParallelDemotion::seq).
     uint64_t demote_seq_seen = 0;
-    /// Bumped at every demotion of this leg: part of its shared-cache
-    /// signature, so probe outcomes recorded before the new positional
-    /// predicate can never be replayed after it.
-    uint32_t demotion_epoch = 0;
 
     // Monitors.
     LegMonitor inner_monitor;
@@ -225,14 +206,6 @@ class PipelineExecutor {
     uint64_t incoming_since_check = 0;
     /// Inner-check interval schedule (grows under back-off).
     CheckBackoff check_backoff;
-
-    /// Shared-cache leg signature: probe-index identity + local-predicate
-    /// fingerprint + demotion epoch, so entries from a different predicate
-    /// or a pre-demotion epoch can never be replayed. Recomputed whenever
-    /// the probe index or the epoch it was built for changes.
-    uint64_t shared_sig = 0;
-    const BPlusTree* shared_sig_index = nullptr;
-    uint32_t shared_sig_epoch = 0;
   };
 
   Status InitLegs();
@@ -250,12 +223,9 @@ class PipelineExecutor {
   double RemainingEntries(size_t t) const;
   bool NextDrivingRow();
   /// Loads the leg at `level`'s matches for the current incoming row: one
-  /// index probe (or a replay of it from the shared cache), then residual
-  /// join predicates, the local predicate, and any positional predicate.
+  /// index probe, then residual join predicates, the local predicate, and
+  /// any positional predicate.
   void ProbeLeg(size_t level);
-  /// Replays a shared-cache hit for the leg at `level` probing `tree` with
-  /// `key`; false on a miss.
-  bool ReplaySharedProbe(size_t level, const BPlusTree* tree, const IndexKey& key);
   void DrivingCheck();
   void InnerCheck(size_t level);
   void Emit(const RowSink& sink);
@@ -294,11 +264,9 @@ class PipelineExecutor {
   ExecObserver* observer_ = nullptr;
   const FaultInjection* faults_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
-  SharedProbeCache* shared_cache_ = nullptr;
-  /// Scratch buffers for ProbeLeg (reused, so steady-state probes allocate
-  /// nothing): the probed RIDs and a shared-cache hit's copied outcome.
+  /// Scratch buffer for ProbeLeg's probed RIDs (reused, so steady-state
+  /// probes allocate nothing).
   std::vector<Rid> probe_rids_;
-  SharedProbeCache::Result shared_hit_;
   uint64_t cancel_polls_ = 0;
   bool executed_ = false;
   /// Worker mode: the coordinator epoch this worker last adopted.

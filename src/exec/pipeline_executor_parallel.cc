@@ -3,9 +3,9 @@
 // ExecuteWorker is Execute() with the driving scan replaced by the shared
 // morsel dispenser and the decision procedures replaced by adoption of the
 // AdaptiveCoordinator's published decisions. Everything below the driving
-// leg — probing, shared-cache replay, monitors, observer hooks, work
-// accounting — is the serial code path, untouched: a worker is a complete
-// serial pipeline over a subset of the driving rows.
+// leg — probing, monitors, observer hooks, work accounting — is the serial
+// code path, untouched: a worker is a complete serial pipeline over a
+// subset of the driving rows.
 
 #include <cassert>
 #include <chrono>
@@ -20,9 +20,6 @@ void ExecStats::MergeFrom(const ExecStats& worker) {
   rows_out += worker.rows_out;
   work_units += worker.work_units;
   driving_rows_produced += worker.driving_rows_produced;
-  probe_cache_shared_hits += worker.probe_cache_shared_hits;
-  probe_cache_shared_misses += worker.probe_cache_shared_misses;
-  probe_cache_shared_conflicts += worker.probe_cache_shared_conflicts;
   morsels += worker.morsels;
   monitor_folds += worker.monitor_folds;
 }
@@ -40,9 +37,6 @@ void PipelineExecutor::AdoptParallelSync(const ParallelWorkerSync& sync) {
     leg.prefix_col = dem.prefix_col;
     leg.cached_remaining_entries = dem.remaining_entries;
     leg.cached_remaining_fraction = dem.remaining_fraction;
-    // The new positional predicate changes this leg's probe results: retire
-    // its earlier shared-cache entries (same rule as the serial demotion).
-    ++leg.demotion_epoch;
     leg.demote_seq_seen = dem.seq;
     demoted_any = true;
     demoted_table = t;
@@ -92,7 +86,7 @@ void PipelineExecutor::FoldMonitors(AdaptiveCoordinator* coordinator) {
 }
 
 StatusOr<ExecStats> PipelineExecutor::ExecuteWorker(
-    AdaptiveCoordinator* coordinator, const RowSink& sink, size_t worker_id) {
+    AdaptiveCoordinator* coordinator, const RowSink& sink) {
   if (executed_) {
     return Status::Internal(
         "PipelineExecutor is single-use: ExecuteWorker() was already called");
@@ -123,7 +117,7 @@ StatusOr<ExecStats> PipelineExecutor::ExecuteWorker(
   size_t morsels_since_fold = 0;
   bool finished = false;
   while (!finished) {
-    switch (coordinator->AcquireMorsel(&morsel, worker_id)) {
+    switch (coordinator->AcquireMorsel(&morsel)) {
       case AdaptiveCoordinator::Acquire::kAborted:
         return coordinator->abort_status();
       case AdaptiveCoordinator::Acquire::kFinished:

@@ -8,13 +8,11 @@
 namespace ajr {
 
 MorselDriver::MorselDriver(const PipelinePlan* plan, size_t morsel_size,
-                           bool record_positions, SharedScanRegistry* registry,
-                           size_t produce_ahead)
+                           bool record_positions, SharedScanRegistry* registry)
     : plan_(plan),
       morsel_size_(std::max<size_t>(1, morsel_size)),
       record_positions_(record_positions),
       registry_(registry),
-      produce_ahead_(std::max<size_t>(1, produce_ahead)),
       legs_(plan->query.tables.size()) {}
 
 std::string MorselDriver::ScanSignature(size_t table) const {
@@ -69,80 +67,30 @@ Status MorselDriver::Promote(size_t table) {
   // kept cursor).
   current_ = table;
   dispensed_this_promotion_ = 0;
-  exhausted_ = false;
   return Status::OK();
 }
 
-bool MorselDriver::ProduceOne() {
+bool MorselDriver::Fill(ParallelMorsel* morsel) {
   assert(current_ != SIZE_MAX && "Fill before first Promote");
-  if (exhausted_) return false;
   LegScan& leg = legs_[current_];
-  ReadyMorsel rm;
-  rm.seq = next_seq_;
-  ParallelMorsel& m = rm.morsel;
+  morsel->rids.clear();
+  morsel->positions.clear();
   if (leg.shared != nullptr) {
-    if (!leg.shared->Next(&m, &wc_)) {
-      exhausted_ = true;
-      return false;
-    }
+    if (!leg.shared->Next(morsel, &wc_)) return false;
   } else {
     Rid rid;
-    while (m.rids.size() < morsel_size_ && leg.cursor->Next(&wc_, &rid)) {
-      m.rids.push_back(rid);
+    while (morsel->rids.size() < morsel_size_ && leg.cursor->Next(&wc_, &rid)) {
+      morsel->rids.push_back(rid);
       if (record_positions_) {
-        m.positions.push_back(leg.cursor->CurrentPosition());
+        morsel->positions.push_back(leg.cursor->CurrentPosition());
       }
     }
-    if (m.rids.empty()) {
-      exhausted_ = true;
-      return false;
-    }
+    if (morsel->rids.empty()) return false;
     ++morsels_produced_;
   }
-  ++next_seq_;
   ++morsels_consumed_;
-  leg.dispensed += static_cast<double>(m.rids.size());
-  dispensed_this_promotion_ += m.rids.size();
-  ready_.push_back(std::move(rm));
-  return true;
-}
-
-void MorselDriver::TakeReady(ParallelMorsel* out, size_t worker) {
-  assert(!ready_.empty());
-  if (worker >= last_stripe_.size()) {
-    last_stripe_.resize(worker + 1, UINT64_MAX);
-  }
-  size_t pick = 0;
-  bool matched = false;
-  if (last_stripe_[worker] != UINT64_MAX) {
-    for (size_t i = 0; i < ready_.size(); ++i) {
-      if (ready_[i].seq / kStripeLen == last_stripe_[worker]) {
-        pick = i;
-        matched = true;
-        break;
-      }
-    }
-  }
-  if (matched) ++affinity_hits_;
-  ReadyMorsel& rm = ready_[pick];
-  last_stripe_[worker] = rm.seq / kStripeLen;
-  out->rids.swap(rm.morsel.rids);
-  out->positions.swap(rm.morsel.positions);
-  ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(pick));
-}
-
-bool MorselDriver::Fill(ParallelMorsel* morsel, size_t worker) {
-  while (ready_.size() < produce_ahead_) {
-    if (!ProduceOne()) break;
-  }
-  if (ready_.empty()) return false;
-  TakeReady(morsel, worker);
-  return true;
-}
-
-bool MorselDriver::FillFromReady(ParallelMorsel* morsel, size_t worker) {
-  if (ready_.empty()) return false;
-  TakeReady(morsel, worker);
+  leg.dispensed += static_cast<double>(morsel->rids.size());
+  dispensed_this_promotion_ += morsel->rids.size();
   return true;
 }
 

@@ -17,20 +17,11 @@
 // coordinator keeps the driving leg (a positional predicate needs a scan
 // prefix).
 //
-// Morsel affinity: produced morsels carry a sequence number and enter a
-// small ready queue (up to `produce_ahead` deep); a worker prefers a ready
-// morsel from the stripe (seq / kStripeLen) it last claimed and steals the
-// oldest otherwise — consecutive morsels cover adjacent key/RID ranges, so
-// stripe affinity keeps a worker's probe hints and caches warm. With
-// produce_ahead == 1 the queue holds at most the single just-produced
-// morsel and dispensing order is exactly the pre-affinity behavior.
-//
 // Thread safety: none of its own — every method is called under the
 // AdaptiveCoordinator's mutex (the DrivingSource contract).
 
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -48,18 +39,12 @@ class MorselDriver final : public DrivingSource {
   /// `plan` must outlive the driver. `record_positions` makes Fill() record
   /// each entry's scan position alongside its RID (observer-instrumented
   /// runs only — it materializes one ScanPosition per entry). `registry`
-  /// (may be null) enables cross-query scan sharing; `produce_ahead` is the
-  /// ready-queue depth morsel affinity chooses from (1 = no read-ahead).
+  /// (may be null) enables cross-query scan sharing.
   MorselDriver(const PipelinePlan* plan, size_t morsel_size,
-               bool record_positions, SharedScanRegistry* registry = nullptr,
-               size_t produce_ahead = 1);
-
-  /// Consecutive morsel sequence numbers per affinity stripe.
-  static constexpr uint64_t kStripeLen = 4;
+               bool record_positions, SharedScanRegistry* registry = nullptr);
 
   Status Promote(size_t table) override;
-  bool Fill(ParallelMorsel* morsel, size_t worker) override;
-  bool FillFromReady(ParallelMorsel* morsel, size_t worker) override;
+  bool Fill(ParallelMorsel* morsel) override;
   bool demotion_safe() const override;
   std::optional<ScanPosition> high_water() const override;
   double total_entries(size_t table) const override;
@@ -68,8 +53,8 @@ class MorselDriver final : public DrivingSource {
   size_t prefix_col(size_t table) const override;
   uint64_t scan_work_units() const override { return wc_.total(); }
 
-  // Sharing / affinity observability (read by the orchestrator after the
-  // run; all zero without a registry).
+  // Sharing observability (read by the orchestrator after the run; all
+  // zero without a registry).
   /// Legs that attached to an existing registry pass.
   uint64_t shared_scan_attaches() const;
   /// Attachments that covered a whole pass without producing any morsel
@@ -79,8 +64,6 @@ class MorselDriver final : public DrivingSource {
   /// co-productions) / dispensed to this query's workers.
   uint64_t scan_morsels_produced() const;
   uint64_t scan_morsels_consumed() const { return morsels_consumed_; }
-  /// Dispenses satisfied from the worker's preferred stripe.
-  uint64_t affinity_hits() const { return affinity_hits_; }
 
  private:
   struct LegScan {
@@ -92,16 +75,6 @@ class MorselDriver final : public DrivingSource {
     bool promoted = false;
   };
 
-  struct ReadyMorsel {
-    uint64_t seq = 0;
-    ParallelMorsel morsel;
-  };
-
-  /// Produces one morsel from the promoted leg into the ready queue.
-  /// False when the leg's scan is exhausted.
-  bool ProduceOne();
-  /// Pops a ready morsel into `*out`, preferring `worker`'s last stripe.
-  void TakeReady(ParallelMorsel* out, size_t worker);
   /// The scan signature a shared pass is registered under.
   std::string ScanSignature(size_t table) const;
 
@@ -109,23 +82,14 @@ class MorselDriver final : public DrivingSource {
   size_t morsel_size_;
   bool record_positions_;
   SharedScanRegistry* registry_;
-  size_t produce_ahead_;
   std::vector<LegScan> legs_;
   size_t current_ = SIZE_MAX;
-  /// Latched when the current promotion's scan ran dry, so the final empty
-  /// cursor pull is charged exactly once per promotion (work parity with
-  /// the pre-read-ahead dispenser). Reset by Promote.
-  bool exhausted_ = false;
   /// Entries dispensed since the current promotion (high-water validity).
   uint64_t dispensed_this_promotion_ = 0;
   WorkCounter wc_;
 
-  std::deque<ReadyMorsel> ready_;
-  uint64_t next_seq_ = 0;
-  std::vector<uint64_t> last_stripe_;  ///< per worker; UINT64_MAX = none
   uint64_t morsels_produced_ = 0;
   uint64_t morsels_consumed_ = 0;
-  uint64_t affinity_hits_ = 0;
 };
 
 }  // namespace ajr

@@ -35,7 +35,6 @@ StatusOr<ExecStats> ParallelPipelineExecutor::Execute(const RowSink& sink) {
     exec.set_metrics(metrics_);
     exec.set_fault_injection(faults_);
     exec.set_observer(ObserverFor(0));
-    exec.set_shared_cache(parallel_.shared_cache);
     StatusOr<ExecStats> result = exec.Execute(sink);
     if (result.ok()) worker_stats_[0] = *result;
     return result;
@@ -55,12 +54,8 @@ StatusOr<ExecStats> ParallelPipelineExecutor::Execute(const RowSink& sink) {
     const size_t total = plan_->entries[driving]->table().num_rows();
     morsel_size = std::clamp<size_t>(total / (dop * 16), 64, 1024);
   }
-  // Read-ahead (and with it morsel affinity) only pays off with several
-  // workers; depth 1 keeps single-worker dispensing bit-identical to the
-  // pre-affinity dispenser.
-  const size_t produce_ahead = dop > 1 ? std::min<size_t>(4, dop) : 1;
   MorselDriver driver(plan_, morsel_size, record_positions,
-                      parallel_.scan_registry, produce_ahead);
+                      parallel_.scan_registry);
   AdaptiveCoordinator coordinator(plan_, options_, &driver,
                                   parallel_.fold_interval);
   AJR_RETURN_IF_ERROR(coordinator.Init());
@@ -72,7 +67,6 @@ StatusOr<ExecStats> ParallelPipelineExecutor::Execute(const RowSink& sink) {
     exec->set_cancellation_token(cancel_token_);
     exec->set_fault_injection(faults_);
     exec->set_observer(ObserverFor(w));
-    exec->set_shared_cache(parallel_.shared_cache);
     // No per-worker metrics: the orchestrator flushes merged totals once.
     workers.push_back(std::move(exec));
   }
@@ -89,7 +83,7 @@ StatusOr<ExecStats> ParallelPipelineExecutor::Execute(const RowSink& sink) {
   // StatusOr is not default-constructible; revoked lease slots stay nullopt.
   std::vector<std::optional<StatusOr<ExecStats>>> results(dop);
   auto run = [&](size_t w) {
-    results[w] = workers[w]->ExecuteWorker(&coordinator, locked_sink, w);
+    results[w] = workers[w]->ExecuteWorker(&coordinator, locked_sink);
   };
 
   const auto start = std::chrono::steady_clock::now();
@@ -161,14 +155,6 @@ StatusOr<ExecStats> ParallelPipelineExecutor::Execute(const RowSink& sink) {
           ->Add(merged.scan_morsels_produced);
       metrics_->GetCounter("exec.shared_scan_morsels_consumed")
           ->Add(merged.scan_morsels_consumed);
-    }
-    if (parallel_.shared_cache != nullptr) {
-      metrics_->GetCounter("exec.probe_cache_shared_hits")
-          ->Add(merged.probe_cache_shared_hits);
-      metrics_->GetCounter("exec.probe_cache_shared_misses")
-          ->Add(merged.probe_cache_shared_misses);
-      metrics_->GetCounter("exec.probe_cache_shared_stripe_conflicts")
-          ->Add(merged.probe_cache_shared_conflicts);
     }
   }
   return merged;

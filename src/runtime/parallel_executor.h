@@ -54,14 +54,12 @@ struct ParallelExecOptions {
   /// exercise the coordinator/dispenser machinery deterministically (one
   /// worker = serial morsel order).
   bool force_parallel = false;
-  /// Cross-query scan sharing (runtime/shared_scan.h): promoted driving
-  /// legs attach to in-flight passes over the same scan instead of opening
-  /// private cursors. Null = every query scans privately. Implies the
-  /// parallel orchestration (the dispenser is where attachment happens).
+  /// Cross-query scan sharing (runtime/shared_scan.h), the engine's only
+  /// sharing layer: promoted driving legs attach to in-flight passes over
+  /// the same scan instead of opening private cursors. Null = every query
+  /// scans privately. Implies the parallel orchestration even at dop <= 1
+  /// (the dispenser is where attachment happens).
   SharedScanRegistry* scan_registry = nullptr;
-  /// Cross-query shared probe cache (exec/probe_cache_shared.h), handed to
-  /// every worker (and to the serial delegate). Null = no sharing.
-  SharedProbeCache* shared_cache = nullptr;
 };
 
 class ParallelPipelineExecutor {

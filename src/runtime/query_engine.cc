@@ -29,8 +29,6 @@ QueryEngine::QueryEngine(const Catalog* catalog, QueryEngineOptions options)
       planner_(catalog, options.planner),
       metrics_(options.metrics != nullptr ? options.metrics
                                           : &MetricsRegistry::Global()),
-      shared_cache_(options.shared_cache_entries_per_stripe,
-                    options.shared_cache_stripes),
       pool_(ResolveWorkers(options.num_workers)) {
   m_.submitted = metrics_->GetCounter("engine.queries_submitted");
   m_.started = metrics_->GetCounter("engine.queries_started");
@@ -108,7 +106,6 @@ void QueryEngine::RunQuery(const std::shared_ptr<QuerySession>& session,
   parallel.morsel_size = spec.morsel_size;
   parallel.pool = &pool_;
   if (spec.share_scan) parallel.scan_registry = &scan_registry_;
-  if (spec.share_cache) parallel.shared_cache = &shared_cache_;
   ParallelPipelineExecutor executor(plan.get(), spec.adaptive, parallel);
   executor.set_cancellation_token(&session->token);
   executor.set_metrics(metrics_);

@@ -23,7 +23,6 @@
 #include "catalog/catalog.h"
 #include "common/metrics.h"
 #include "common/status.h"
-#include "exec/probe_cache_shared.h"
 #include "optimize/planner.h"
 #include "runtime/query_session.h"
 #include "runtime/shared_scan.h"
@@ -39,10 +38,6 @@ struct QueryEngineOptions {
   PlannerOptions planner;
   /// Metrics sink; nullptr = MetricsRegistry::Global().
   MetricsRegistry* metrics = nullptr;
-  /// Shared probe cache geometry (queries with QuerySpec::share_cache):
-  /// lock-striped segments and LRU entries per segment.
-  size_t shared_cache_stripes = 16;
-  size_t shared_cache_entries_per_stripe = 256;
 };
 
 /// Multi-query runtime over one catalog.
@@ -68,9 +63,9 @@ class QueryEngine {
   size_t num_workers() const { return pool_.num_threads(); }
   MetricsRegistry& metrics() const { return *metrics_; }
   const Planner& planner() const { return planner_; }
-  /// Cross-query sharing state (one per engine; queries opt in per spec).
+  /// Cross-query scan sharing state (one per engine; queries opt in per
+  /// spec).
   SharedScanRegistry& scan_registry() { return scan_registry_; }
-  SharedProbeCache& shared_cache() { return shared_cache_; }
 
  private:
   /// Pre-resolved metric handles (one map lookup each at construction).
@@ -98,7 +93,6 @@ class QueryEngine {
   MetricsRegistry* metrics_;
   EngineMetrics m_;
   SharedScanRegistry scan_registry_;
-  SharedProbeCache shared_cache_;
   std::atomic<uint64_t> next_query_id_{1};
   // Last member: destroyed (joined) first, while the planner and metrics
   // are still alive for in-flight queries.

@@ -48,8 +48,7 @@ struct QuerySpec {
   /// of scanning privately (runtime/shared_scan.h). Forces the morsel-
   /// parallel orchestration even at dop == 1.
   bool share_scan = false;
-  /// Consult/populate the engine's cross-query SharedProbeCache
-  /// (exec/probe_cache_shared.h).
+  /// Unused by the engine (it has no probe cache); perfbench sets it.
   bool share_cache = false;
   /// Relative deadline, measured from Submit(); queue wait counts against
   /// it. nullopt = no deadline.

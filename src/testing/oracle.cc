@@ -48,8 +48,8 @@ std::string OrderToString(const std::vector<size_t>& order) {
 }
 
 // First logical-work field where `b` diverges from `a`, or nullopt when
-// the two runs did the same work. Sharing stats (probe_cache_shared_*,
-// shared_scan_*) and wall time are deliberately excluded: they describe HOW
+// the two runs did the same work. Sharing stats (shared_scan_*,
+// scan_morsels_*) and wall time are deliberately excluded: they describe HOW
 // the work ran, not what work the controller saw.
 std::optional<std::string> WorkStatsDiff(const ExecStats& a, const ExecStats& b) {
   auto diff_u64 = [](const char* field, uint64_t x, uint64_t y)
@@ -170,12 +170,11 @@ std::vector<DifferentialConfig> DefaultConfigs() {
 }
 
 std::vector<DifferentialConfig> ConfigsForShare() {
-  using Share = DifferentialConfig::Share;
   // All share configs run the morsel-parallel orchestration at dop 1 (one
   // worker consumes morsels in dispenser order, so runs are deterministic
-  // and the four modes can be held to bit-identical work in one class).
+  // and both modes can be held to bit-identical work in one class).
   auto mk = [](const char* name, AdaptiveOptions adaptive, const char* cls,
-               Share share) {
+               bool share_scan) {
     DifferentialConfig c;
     c.name = name;
     c.adaptive = adaptive;
@@ -183,26 +182,22 @@ std::vector<DifferentialConfig> ConfigsForShare() {
     c.work_class = cls;
     c.dop = 1;
     c.morsel_size = 5;
-    c.share = share;
+    c.share_scan = share_scan;
     c.force_parallel = true;
     return c;
   };
   // The aggressive options demote and re-promote constantly, so the shared
-  // modes exercise kept-attachment resumption and epoch-tagged shared-cache
-  // retirement under maximum switching churn.
+  // mode exercises kept-attachment resumption under maximum switching churn.
   AdaptiveOptions aggressive = AggressiveAdaptiveOptions();
   std::vector<DifferentialConfig> out = {
-      mk("share-off", AdaptiveOptions{}, "share", Share::kOff),
-      mk("share-scan", AdaptiveOptions{}, "share", Share::kScan),
-      mk("share-cache", AdaptiveOptions{}, "share", Share::kCache),
-      mk("share-both", AdaptiveOptions{}, "share", Share::kBoth),
-      mk("share-off/aggressive", aggressive, "share-aggressive", Share::kOff),
-      mk("share-both/aggressive", aggressive, "share-aggressive", Share::kBoth),
+      mk("share-off", AdaptiveOptions{}, "share", false),
+      mk("share-scan", AdaptiveOptions{}, "share", true),
+      mk("share-off/aggressive", aggressive, "share-aggressive", false),
+      mk("share-scan/aggressive", aggressive, "share-aggressive", true),
   };
-  // Concurrency smoke: two workers over one shared pass and striped cache.
+  // Concurrency smoke: two workers over one shared pass.
   // Classless — morsel interleaving makes per-run work timing-dependent.
-  DifferentialConfig dop2 =
-      mk("share-both/dop2", AdaptiveOptions{}, "", Share::kBoth);
+  DifferentialConfig dop2 = mk("share-scan/dop2", AdaptiveOptions{}, "", true);
   dop2.dop = 2;
   out.push_back(dop2);
   return out;
@@ -367,28 +362,20 @@ StatusOr<std::optional<FailureReport>> RunDifferential(
       // are per-worker properties), a cross-worker duplicate check, and
       // the usual result comparison on the merged row multiset.
       //
-      // Sharing configs (--share axis) run TWICE against one registry/
-      // cache pair: the cold run populates them, the warm run attaches to
-      // the retained pass / hits the cached probes, and the two runs must
-      // do bit-identical logical work — replay may change how work is
-      // performed, never what work the controller sees.
+      // Share-scan configs (--share axis) run TWICE against one registry:
+      // the cold run populates it, the warm run attaches to the retained
+      // pass, and the two runs must do bit-identical logical work — replay
+      // may change how work is performed, never what work the controller
+      // sees.
       SharedScanRegistry scan_registry;
-      SharedProbeCache shared_probe_cache;
-      const bool share_scan = config.share == DifferentialConfig::Share::kScan ||
-                              config.share == DifferentialConfig::Share::kBoth;
-      const bool share_cache =
-          config.share == DifferentialConfig::Share::kCache ||
-          config.share == DifferentialConfig::Share::kBoth;
-      const size_t runs =
-          config.share == DifferentialConfig::Share::kOff ? 1 : 2;
+      const size_t runs = config.share_scan ? 2 : 1;
       std::optional<ExecStats> cold_stats;
       for (size_t run = 0; run < runs; ++run) {
         ParallelExecOptions popts;
         popts.dop = config.dop;
         popts.morsel_size = config.morsel_size;
         popts.force_parallel = config.force_parallel;
-        if (share_scan) popts.scan_registry = &scan_registry;
-        if (share_cache) popts.shared_cache = &shared_probe_cache;
+        if (config.share_scan) popts.scan_registry = &scan_registry;
         ParallelPipelineExecutor exec(plan->get(), config.adaptive, popts);
         std::vector<std::unique_ptr<InvariantChecker>> checkers;
         if (options.check_invariants) {
@@ -450,7 +437,7 @@ StatusOr<std::optional<FailureReport>> RunDifferential(
                   WorkStatsDiff(*cold_stats, *stats)) {
             failure.kind = "work-divergence";
             failure.detail = StrCat(
-                "warm re-run against the retained registry/cache diverges "
+                "warm re-run against the retained registry diverges "
                 "from the cold run: ",
                 *diff);
             return std::optional<FailureReport>(std::move(failure));

@@ -50,9 +50,10 @@ struct DifferentialConfig {
   AdaptiveOptions adaptive;
   StatsTier stats_tier = StatsTier::kBase;
   /// Configurations sharing a non-empty work_class claim to perform the
-  /// same LOGICAL work — scan and probe-cache sharing are pure execution
-  /// strategies, so every stat the adaptive controller can see (work units, row counts, checks, reorders, the event log, the
-  /// final order) must be bit-identical across the class. RunDifferential
+  /// same LOGICAL work — scan sharing is a pure execution strategy, so
+  /// every stat the adaptive controller can see (work units, row counts,
+  /// checks, reorders, the event log, the final order) must be
+  /// bit-identical across the class. RunDifferential
   /// enforces this and reports divergence as kind "work-divergence".
   /// Configs in one class must share a stats_tier (different tiers plan
   /// differently on purpose).
@@ -67,14 +68,13 @@ struct DifferentialConfig {
   /// small fuzz query still crosses many morsel boundaries, folds, and
   /// drain barriers.
   size_t morsel_size = 5;
-  /// Cross-query sharing mode (the --share axis): which of the shared scan
-  /// registry and the striped shared probe cache the run attaches to.
-  enum class Share { kOff, kScan, kCache, kBoth };
-  Share share = Share::kOff;
+  /// Cross-query scan sharing (the --share axis): attach the run's driving
+  /// scans to a shared scan registry.
+  bool share_scan = false;
   /// Run the morsel-parallel orchestration even at dop == 1 (deterministic:
   /// one worker consumes morsels in dispenser order). Sharing configs set
-  /// this so all four Share modes run the identical code path and can share
-  /// a work_class; serial-path configs must never join such a class (the
+  /// this so share-off and share-scan run the identical code path and can
+  /// share a work_class; serial-path configs must never join such a class (the
   /// coordinator's event strings differ from the serial executor's).
   bool force_parallel = false;
 };
@@ -92,15 +92,14 @@ std::vector<DifferentialConfig> DefaultConfigs();
 /// subsets asserts all policies agree on the result multiset.
 std::vector<DifferentialConfig> ConfigsForPolicy(PolicyKind kind);
 
-/// The cross-query sharing axis (fuzz_differential --share): the four
-/// Share modes at forced-parallel dop 1 in one work_class — shared scans
-/// replay per-morsel work and the shared cache replays recorded probe
-/// triples, so work units, decision traces, events, and results must be
-/// bit-identical to sharing-off — plus a dop-2 share-both config (classless:
-/// morsel interleaving is timing-dependent). Every sharing config is
-/// additionally run twice against the same registry/cache, and the warm
-/// re-run must be work-identical to the cold one (retained passes and
-/// cached probes replay, never change, the work).
+/// The cross-query sharing axis (fuzz_differential --share): share-off and
+/// share-scan at forced-parallel dop 1 in one work_class — shared scans
+/// replay per-morsel work, so work units, decision traces, events, and
+/// results must be bit-identical to sharing-off — plus a dop-2 share-scan
+/// config (classless: morsel interleaving is timing-dependent). Every
+/// share-scan config is additionally run twice against the same registry,
+/// and the warm re-run must be work-identical to the cold one (retained
+/// passes replay, never change, the work).
 std::vector<DifferentialConfig> ConfigsForShare();
 
 /// The aggressive AdaptiveOptions used by DefaultConfigs (exported for

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "exec/pipeline_executor.h"
-#include "exec/probe_cache_shared.h"
 #include "optimize/planner.h"
 #include "runtime/parallel_executor.h"
 #include "runtime/shared_scan.h"
@@ -157,57 +156,9 @@ TEST(MetricsRegistryTest, GlobalIsASingleton) {
   EXPECT_EQ(&MetricsRegistry::Global(), &MetricsRegistry::Global());
 }
 
-TEST(MetricsRegistryTest, ExecutorExportsProbeCounters) {
-  // An executor handed a registry and a shared probe cache must flush its
-  // shared-cache stats into the exec.probe_cache_shared_* counters; without
-  // set_metrics it must not touch the global registry.
-  Catalog catalog;
-  DmvConfig config;
-  config.num_owners = 500;
-  ASSERT_TRUE(GenerateDmv(&catalog, config).ok());
-  Planner planner(&catalog);
-  auto plan = planner.Plan(DmvQueryGenerator::Example1());
-  ASSERT_TRUE(plan.ok()) << plan.status();
-
-  MetricsRegistry reg;
-  SharedProbeCache cache;
-  PipelineExecutor exec(plan->get());
-  exec.set_metrics(&reg);
-  exec.set_shared_cache(&cache);
-  auto stats = exec.Execute(nullptr);
-  ASSERT_TRUE(stats.ok()) << stats.status();
-
-  for (const char* name :
-       {"exec.probe_cache_shared_hits", "exec.probe_cache_shared_misses",
-        "exec.probe_cache_shared_stripe_conflicts"}) {
-    ASSERT_NE(reg.FindCounter(name), nullptr) << name;
-  }
-  EXPECT_EQ(reg.FindCounter("exec.probe_cache_shared_hits")->value(),
-            stats->probe_cache_shared_hits);
-  EXPECT_EQ(reg.FindCounter("exec.probe_cache_shared_misses")->value(),
-            stats->probe_cache_shared_misses);
-  EXPECT_EQ(reg.FindCounter("exec.probe_cache_shared_stripe_conflicts")->value(),
-            stats->probe_cache_shared_conflicts);
-  EXPECT_GT(stats->probe_cache_shared_misses, 0u);
-  // The batching and memo counters are gone for good.
-  EXPECT_EQ(reg.FindCounter("exec.probe_batches"), nullptr);
-  EXPECT_EQ(reg.FindCounter("exec.probe_cache_hits"), nullptr);
-
-  // A second executor accumulates into the same counters.
-  auto plan2 = planner.Plan(DmvQueryGenerator::Example2());
-  ASSERT_TRUE(plan2.ok());
-  PipelineExecutor exec2(plan2->get());
-  exec2.set_metrics(&reg);
-  exec2.set_shared_cache(&cache);
-  auto stats2 = exec2.Execute(nullptr);
-  ASSERT_TRUE(stats2.ok());
-  EXPECT_EQ(reg.FindCounter("exec.probe_cache_shared_misses")->value(),
-            stats->probe_cache_shared_misses + stats2->probe_cache_shared_misses);
-}
-
 TEST(MetricsRegistryTest, ExecutorExportsPolicyCounters) {
   // The executor flushes the AdaptationPolicy's decision accounting into
-  // the exec.policy_* counters next to the probe flush: one counter per
+  // the exec.policy_* counters: one counter per
   // PolicyStats field, each equal to the ExecStats copy of that field.
   Catalog catalog;
   DmvConfig config;
@@ -245,11 +196,10 @@ TEST(MetricsRegistryTest, ExecutorExportsPolicyCounters) {
 }
 
 TEST(MetricsRegistryTest, ParallelExecutorExportsSharingCounters) {
-  // Two runs of one query against the same SharedScanRegistry and
-  // SharedProbeCache: the warm run attaches to the retained pass (a full
-  // physical pass saved) and hits the shared cache, and the executor must
-  // flush both into the exec.shared_scan_* / exec.probe_cache_shared_*
-  // counters, each equal to the cumulative ExecStats totals.
+  // Two runs of one query against the same SharedScanRegistry: the warm
+  // run attaches to the retained pass (a full physical pass saved), and
+  // the executor must flush the exec.shared_scan_* counters, each equal to
+  // the cumulative ExecStats totals.
   Catalog catalog;
   DmvConfig config;
   config.num_owners = 500;
@@ -260,13 +210,11 @@ TEST(MetricsRegistryTest, ParallelExecutorExportsSharingCounters) {
 
   MetricsRegistry reg;
   SharedScanRegistry scan_registry;
-  SharedProbeCache shared_cache;
   ParallelExecOptions popts;
   popts.dop = 1;
   popts.force_parallel = true;  // one worker: deterministic morsel order
   popts.morsel_size = 64;
   popts.scan_registry = &scan_registry;
-  popts.shared_cache = &shared_cache;
 
   ExecStats total;
   for (int run = 0; run < 2; ++run) {
@@ -276,35 +224,28 @@ TEST(MetricsRegistryTest, ParallelExecutorExportsSharingCounters) {
     ASSERT_TRUE(stats.ok()) << stats.status();
     total.shared_scan_attaches += stats->shared_scan_attaches;
     total.shared_scan_passes_saved += stats->shared_scan_passes_saved;
-    total.probe_cache_shared_hits += stats->probe_cache_shared_hits;
-    total.probe_cache_shared_misses += stats->probe_cache_shared_misses;
-    total.probe_cache_shared_conflicts += stats->probe_cache_shared_conflicts;
+    total.scan_morsels_produced += stats->scan_morsels_produced;
+    total.scan_morsels_consumed += stats->scan_morsels_consumed;
   }
 
   for (const char* name :
        {"exec.shared_scan_attaches", "exec.shared_scan_passes_saved",
-        "exec.shared_scan_morsels_produced", "exec.shared_scan_morsels_consumed",
-        "exec.probe_cache_shared_hits", "exec.probe_cache_shared_misses",
-        "exec.probe_cache_shared_stripe_conflicts"}) {
+        "exec.shared_scan_morsels_produced", "exec.shared_scan_morsels_consumed"}) {
     ASSERT_NE(reg.FindCounter(name), nullptr) << name;
   }
   EXPECT_EQ(reg.FindCounter("exec.shared_scan_attaches")->value(),
             total.shared_scan_attaches);
   EXPECT_EQ(reg.FindCounter("exec.shared_scan_passes_saved")->value(),
             total.shared_scan_passes_saved);
-  EXPECT_EQ(reg.FindCounter("exec.probe_cache_shared_hits")->value(),
-            total.probe_cache_shared_hits);
-  EXPECT_EQ(reg.FindCounter("exec.probe_cache_shared_misses")->value(),
-            total.probe_cache_shared_misses);
-  EXPECT_EQ(reg.FindCounter("exec.probe_cache_shared_stripe_conflicts")->value(),
-            total.probe_cache_shared_conflicts);
+  EXPECT_EQ(reg.FindCounter("exec.shared_scan_morsels_produced")->value(),
+            total.scan_morsels_produced);
+  EXPECT_EQ(reg.FindCounter("exec.shared_scan_morsels_consumed")->value(),
+            total.scan_morsels_consumed);
   // The warm run re-attached (one attach per promoted leg of run 2) and
   // replayed the retained pass without a physical scan.
   EXPECT_GT(total.shared_scan_attaches, 0u);
   EXPECT_GT(total.shared_scan_passes_saved, 0u);
-  EXPECT_GT(total.probe_cache_shared_hits, 0u);
-  // Single-threaded runs must never see stripe-lock contention.
-  EXPECT_EQ(total.probe_cache_shared_conflicts, 0u);
+  EXPECT_LT(total.scan_morsels_produced, total.scan_morsels_consumed);
 }
 
 TEST(MetricsRegistryTest, ConcurrentGetAndRecord) {

@@ -24,10 +24,10 @@
 //   --inject dup      emit every output row twice
 //   --policy P        restrict the config spread to one AdaptationPolicy
 //                     (default: the full spread across all policies)
-//   --share           run the cross-query sharing axis: shared-scan /
-//                     shared-probe-cache modes in one work_class against
-//                     sharing-off, each warm-re-run against its retained
-//                     registry/cache (mutually exclusive with --policy)
+//   --share           run the cross-query sharing axis: shared scans in
+//                     one work_class against sharing-off, each warm-re-run
+//                     against its retained registry (mutually exclusive
+//                     with --policy)
 //   --expect-failure  exit 0 only if a failure IS found (oracle self-test)
 //   --no-shrink       print the raw failing spec without minimizing
 //

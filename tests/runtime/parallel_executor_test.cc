@@ -281,7 +281,7 @@ TEST_F(ParallelExecutorTest, MorselDriverDispensesScanExactlyOnce) {
     EXPECT_TRUE(driver.Promote(t0).ok());
     std::vector<Rid> rids;
     ParallelMorsel m;
-    while (driver.Fill(&m, /*worker=*/0)) {
+    while (driver.Fill(&m)) {
       EXPECT_LE(m.rids.size(), morsel_size);
       rids.insert(rids.end(), m.rids.begin(), m.rids.end());
       EXPECT_TRUE(driver.high_water().has_value());

@@ -1,14 +1,15 @@
 // Concurrency stress for the cross-query sharing surfaces, built to run
 // under ThreadSanitizer (cmake -DAJR_SANITIZE=thread, `ctest -L stress`).
 //
-// Concurrent queries with share_scan + share_cache enabled hammer ONE
-// engine-owned SharedScanRegistry and ONE striped SharedProbeCache, at
-// dop 2 and dop 4, over several generated workloads. The functional
-// assertion is the strongest one available: every query's collected row
-// multiset equals the brute-force ReferenceExecutor's — sharing may change
-// wall time, never results. The interleavings TSan observes (cooperative
-// pass production, circular attach/detach, stripe lock traffic) are the
-// actual point.
+// Concurrent queries with share_scan enabled hammer ONE engine-owned
+// SharedScanRegistry at dop 2 and dop 4, over several generated workloads.
+// The functional assertion is the strongest one available: every query's
+// collected row multiset equals the brute-force ReferenceExecutor's —
+// sharing may change wall time, never results. The interleavings TSan
+// observes are the actual point: cooperative pass production by workers of
+// different queries, circular attach (mid-pass attachments wrapping to the
+// pass start), and the coordinator's drain barrier parking a query's
+// workers while other queries keep producing the same pass.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +26,7 @@ namespace {
 
 TEST(SharedStressTest, ConcurrentSharedQueriesMatchReference) {
   // Two submitters per round keep >= 2 queries concurrently attached to the
-  // same pass / cache stripes; repeated submissions re-attach warm.
+  // same pass; repeated submissions re-attach warm.
   constexpr int kSubmitters = 2;
   constexpr int kQueriesEach = 4;
   const uint64_t seeds[] = {11, 23, 47};
@@ -51,7 +52,6 @@ TEST(SharedStressTest, ConcurrentSharedQueriesMatchReference) {
             qs.dop = dop;
             qs.morsel_size = 5;  // tiny: many morsels -> much pass traffic
             qs.share_scan = true;
-            qs.share_cache = true;
             qs.collect_rows = true;
             auto handle = engine.Submit(std::move(qs));
             ASSERT_TRUE(handle.ok()) << handle.status();

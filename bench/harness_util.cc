@@ -11,8 +11,6 @@
 #include <sched.h>
 #endif
 
-#include "adaptive/policy.h"
-
 namespace ajr {
 namespace bench {
 
@@ -39,13 +37,6 @@ HarnessFlags HarnessFlags::Parse(int argc, char** argv) {
     } else if (const char* v = value("--json=")) {
       flags.json = true;
       flags.json_path = v;
-    } else if (const char* v = value("--policy=")) {
-      auto parsed = ParsePolicyKind(v);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "unknown policy: %s (rank|regret|static)\n", v);
-        std::exit(2);
-      }
-      flags.policy = *parsed;
     } else if (std::strcmp(arg, "--stats=minimal") == 0) {
       flags.stats_tier = StatsTier::kMinimal;
     } else if (std::strcmp(arg, "--stats=base") == 0) {
@@ -149,8 +140,6 @@ double MeasureEffectiveCores() {
 QueryRun Workbench::Run(const JoinQuery& query, const AdaptiveOptions& options) const {
   QueryRun run;
   run.name = query.name;
-  AdaptiveOptions effective = options;
-  effective.policy = flags_.policy;
   auto plan = planner_->Plan(query);
   if (!plan.ok()) {
     std::fprintf(stderr, "planning %s failed: %s\n", query.name.c_str(),
@@ -159,7 +148,7 @@ QueryRun Workbench::Run(const JoinQuery& query, const AdaptiveOptions& options) 
   }
   std::vector<double> times;
   for (size_t rep = 0; rep < std::max<size_t>(flags_.reps, 1); ++rep) {
-    run.stats = ExecuteOnce(**plan, effective, query.name);
+    run.stats = ExecuteOnce(**plan, options, query.name);
     times.push_back(run.stats.wall_seconds * 1000.0);
   }
   run.wall_ms = Median(times);
@@ -174,10 +163,6 @@ std::pair<QueryRun, QueryRun> Workbench::RunPair(const JoinQuery& query,
   QueryRun a, b;
   a.name = query.name;
   b.name = query.name;
-  AdaptiveOptions effective_a = options_a;
-  effective_a.policy = flags_.policy;
-  AdaptiveOptions effective_b = options_b;
-  effective_b.policy = flags_.policy;
   auto plan = planner_->Plan(query);
   if (!plan.ok()) {
     std::fprintf(stderr, "planning %s failed: %s\n", query.name.c_str(),
@@ -185,12 +170,12 @@ std::pair<QueryRun, QueryRun> Workbench::RunPair(const JoinQuery& query,
     std::exit(1);
   }
   // Untimed warm-up touches the relevant data once for both sides.
-  ExecuteOnce(**plan, effective_a, query.name);
+  ExecuteOnce(**plan, options_a, query.name);
   std::vector<double> times_a, times_b;
   for (size_t rep = 0; rep < std::max<size_t>(flags_.reps, 1); ++rep) {
-    a.stats = ExecuteOnce(**plan, effective_a, query.name);
+    a.stats = ExecuteOnce(**plan, options_a, query.name);
     times_a.push_back(a.stats.wall_seconds * 1000.0);
-    b.stats = ExecuteOnce(**plan, effective_b, query.name);
+    b.stats = ExecuteOnce(**plan, options_b, query.name);
     times_b.push_back(b.stats.wall_seconds * 1000.0);
   }
   a.wall_ms = Median(times_a);
@@ -310,9 +295,8 @@ void JsonReport::Finish() {
   std::fprintf(f, "  \"owners\": %zu,\n  \"per_template\": %zu,\n  \"reps\": %zu,\n",
                flags_.owners, flags_.per_template, flags_.reps);
   std::fprintf(f,
-               "  \"seed\": %llu,\n  \"dop\": %zu,\n  \"policy\": \"%s\",\n",
-               static_cast<unsigned long long>(flags_.seed), flags_.dop,
-               PolicyKindName(flags_.policy));
+               "  \"seed\": %llu,\n  \"dop\": %zu,\n",
+               static_cast<unsigned long long>(flags_.seed), flags_.dop);
   std::fprintf(f, "  \"effective_cores\": %s,\n",
                JsonNumber(MeasureEffectiveCores()).c_str());
   std::fprintf(f, "  \"runs\": [");

@@ -45,11 +45,6 @@ struct HarnessFlags {
   /// Stamped into the JSON results either way, so baselines taken at
   /// different dops never compare silently.
   size_t dop = 1;
-  /// --policy=rank|regret|static: the AdaptationPolicy the harness's
-  /// adaptive configurations run under (adaptive/policy.h). Applied by
-  /// Workbench::Run/RunPair and stamped into the JSON results, so baselines
-  /// taken under different policies never compare silently.
-  PolicyKind policy = PolicyKind::kRank;
 
   static HarnessFlags Parse(int argc, char** argv);
 };

@@ -99,8 +99,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::vector<JoinQuery>& queries = *queries_or;
-  AdaptiveOptions adaptive = Workbench::SwitchBoth();
-  adaptive.policy = flags.common.policy;
+  const AdaptiveOptions adaptive = Workbench::SwitchBoth();
 
   // Plan once per query; plans are shared across dops and reps.
   std::vector<std::unique_ptr<PipelinePlan>> plans;

@@ -1,8 +1,8 @@
 // Wide-join repair curve (DESIGN.md §13): how much of the gap between a
-// deliberately corrupted initial order and the cardinality-greedy seed the
-// adaptive policies win back as join count sweeps 6 -> 20.
+// deliberately corrupted initial order and the cardinality-greedy seed
+// adaptation wins back as join count sweeps 6 -> 20.
 //
-// Per width n, wide star (W1) and snowflake (W2) instances run under four
+// Per width n, wide star (W1) and snowflake (W2) instances run under three
 // configurations:
 //
 //   greedy_static   the planner's seed (cardinality-greedy above the
@@ -10,13 +10,12 @@
 //   corrupt_static  AntiGreedyCardinalityOrder seed, no adaptation — the
 //                   damage
 //   corrupt_rank    corrupted seed + rank policy (switch driving & inner)
-//   corrupt_regret  corrupted seed + regret-bounded policy
 //
-// repair = (corrupt_static - corrupt_<policy>) / (corrupt_static - greedy_static),
+// repair = (corrupt_static - corrupt_rank) / (corrupt_static - greedy_static),
 // reported on wall time and on deterministic work units (the 1-CPU-stable
-// metric). The ROADMAP target: adaptive repair recovers at least half the
-// wall-time gap at n >= 10. Every configuration must produce the same
-// number of rows — the harness aborts on a mismatch.
+// metric). Pass rule: rank repairs at least half the wall-time gap at
+// every n >= 10 (exit 1 otherwise). Every configuration must produce the
+// same number of rows — the harness aborts on a mismatch.
 
 #include <cstdio>
 #include <cstdlib>
@@ -67,18 +66,18 @@ int main(int argc, char** argv) {
   DmvQueryGenerator gen(&bench.catalog(), flags.seed);
   JsonReport report("wide_join", flags);
 
-  const char* config_names[4] = {"greedy_static", "corrupt_static",
-                                 "corrupt_rank", "corrupt_regret"};
-  std::printf("%-12s %14s %14s %14s %14s %12s %12s\n", "query", "greedy_ms",
-              "corrupt_ms", "rank_ms", "regret_ms", "rank_rep%", "regret_rep%");
+  constexpr int kConfigs = 3;
+  const char* config_names[kConfigs] = {"greedy_static", "corrupt_static",
+                                        "corrupt_rank"};
+  std::printf("%-12s %14s %14s %14s %12s\n", "query", "greedy_ms",
+              "corrupt_ms", "rank_ms", "rank_rep%");
 
-  double min_repair_rank = 1e9, min_repair_regret = 1e9;
-  bool curve_ok = true;
+  double min_repair_rank = 1e9;
   for (size_t n : widths) {
     // Per-width totals drive the repair aggregate (single instances are
     // noisy on shared hardware; the JSON carries both levels).
-    double total_ms[4] = {0, 0, 0, 0};
-    double total_wu[4] = {0, 0, 0, 0};
+    double total_ms[kConfigs] = {0, 0, 0};
+    double total_wu[kConfigs] = {0, 0, 0};
 
     std::vector<JoinQuery> queries;
     for (size_t v = 0; v < variants; ++v) {
@@ -107,30 +106,24 @@ int main(int argc, char** argv) {
       corrupt_plan.initial_order =
           AntiGreedyCardinalityOrder(greedy_plan.EstimatedCostInputs());
 
-      AdaptiveOptions opts[4];
-      const PipelinePlan* plans[4] = {&greedy_plan, &corrupt_plan,
-                                      &corrupt_plan, &corrupt_plan};
-      opts[0] = Workbench::NoSwitch();
-      opts[0].policy = PolicyKind::kStatic;
-      opts[1] = opts[0];
-      opts[2] = Workbench::SwitchBoth();
-      opts[2].policy = PolicyKind::kRank;
-      opts[3] = Workbench::SwitchBoth();
-      opts[3].policy = PolicyKind::kRegret;
+      const AdaptiveOptions opts[kConfigs] = {
+          Workbench::NoSwitch(), Workbench::NoSwitch(), Workbench::SwitchBoth()};
+      const PipelinePlan* plans[kConfigs] = {&greedy_plan, &corrupt_plan,
+                                             &corrupt_plan};
 
-      ConfigResult results[4];
-      for (int c = 0; c < 4; ++c) ExecuteOnce(*plans[c], opts[c]);  // warm-up
+      ConfigResult results[kConfigs];
+      for (int c = 0; c < kConfigs; ++c) ExecuteOnce(*plans[c], opts[c]);  // warm-up
       for (size_t rep = 0; rep < std::max<size_t>(flags.reps, 1); ++rep) {
-        // Interleaved reps: cache warm-up and frequency drift hit all four
-        // configurations equally.
-        for (int c = 0; c < 4; ++c) {
+        // Interleaved reps: cache warm-up and frequency drift hit every
+        // configuration equally.
+        for (int c = 0; c < kConfigs; ++c) {
           results[c].stats = ExecuteOnce(*plans[c], opts[c]);
           results[c].wall_ms.push_back(results[c].stats.wall_seconds * 1000.0);
           results[c].work_units = results[c].stats.work_units;
           results[c].rows_out = results[c].stats.rows_out;
         }
       }
-      for (int c = 1; c < 4; ++c) {
+      for (int c = 1; c < kConfigs; ++c) {
         if (results[c].rows_out != results[0].rows_out) {
           std::fprintf(stderr,
                        "ROWS MISMATCH on %s: %s=%llu vs greedy_static=%llu\n",
@@ -141,8 +134,8 @@ int main(int argc, char** argv) {
         }
       }
 
-      double ms[4];
-      for (int c = 0; c < 4; ++c) {
+      double ms[kConfigs];
+      for (int c = 0; c < kConfigs; ++c) {
         ms[c] = Median(results[c].wall_ms);
         total_ms[c] += ms[c];
         total_wu[c] += static_cast<double>(results[c].work_units);
@@ -154,48 +147,33 @@ int main(int argc, char** argv) {
         run.stats = results[c].stats;
         report.AddRun(config_names[c], run);
       }
-      auto repair = [&](int c) {
-        const double gap = ms[1] - ms[0];
-        return gap > 0 ? (ms[1] - ms[c]) / gap : 1.0;
-      };
-      std::printf("%-12s %14.3f %14.3f %14.3f %14.3f %11.0f%% %11.0f%%\n",
-                  query.name.c_str(), ms[0], ms[1], ms[2], ms[3],
-                  100.0 * repair(2), 100.0 * repair(3));
+      const double gap = ms[1] - ms[0];
+      std::printf("%-12s %14.3f %14.3f %14.3f %11.0f%%\n", query.name.c_str(),
+                  ms[0], ms[1], ms[2],
+                  100.0 * (gap > 0 ? (ms[1] - ms[2]) / gap : 1.0));
     }
 
-    auto agg_repair = [&](const double* totals, int c) {
+    auto agg_repair = [](const double* totals) {
       const double gap = totals[1] - totals[0];
-      return gap > 0 ? (totals[1] - totals[c]) / gap : 1.0;
+      return gap > 0 ? (totals[1] - totals[2]) / gap : 1.0;
     };
-    const double rank_wall = agg_repair(total_ms, 2);
-    const double regret_wall = agg_repair(total_ms, 3);
-    const double rank_wu = agg_repair(total_wu, 2);
-    const double regret_wu = agg_repair(total_wu, 3);
-    std::printf("  n=%-2zu aggregate: wall repair rank=%.0f%% regret=%.0f%%  |  "
-                "work-unit repair rank=%.0f%% regret=%.0f%%\n\n",
-                n, 100.0 * rank_wall, 100.0 * regret_wall, 100.0 * rank_wu,
-                100.0 * regret_wu);
+    const double rank_wall = agg_repair(total_ms);
+    const double rank_wu = agg_repair(total_wu);
+    std::printf("  n=%-2zu aggregate: wall repair rank=%.0f%%  |  "
+                "work-unit repair rank=%.0f%%\n\n",
+                n, 100.0 * rank_wall, 100.0 * rank_wu);
     char metric[64];
     std::snprintf(metric, sizeof metric, "repair_wall_rank_n%zu", n);
     report.AddMetric(metric, rank_wall);
-    std::snprintf(metric, sizeof metric, "repair_wall_regret_n%zu", n);
-    report.AddMetric(metric, regret_wall);
     std::snprintf(metric, sizeof metric, "repair_wu_rank_n%zu", n);
     report.AddMetric(metric, rank_wu);
-    std::snprintf(metric, sizeof metric, "repair_wu_regret_n%zu", n);
-    report.AddMetric(metric, regret_wu);
-    if (n >= 10) {
-      min_repair_rank = std::min(min_repair_rank, rank_wall);
-      min_repair_regret = std::min(min_repair_regret, regret_wall);
-      if (rank_wall < 0.5 && regret_wall < 0.5) curve_ok = false;
-    }
+    if (n >= 10) min_repair_rank = std::min(min_repair_rank, rank_wall);
   }
 
   report.AddMetric("min_repair_wall_rank_n_ge_10", min_repair_rank);
-  report.AddMetric("min_repair_wall_regret_n_ge_10", min_repair_regret);
-  std::printf("repair target (>=50%% of the wall gap at n>=10 by at least one "
-              "policy): %s\n  worst width: rank=%.0f%% regret=%.0f%%\n",
-              curve_ok ? "MET" : "NOT MET", 100.0 * min_repair_rank,
-              100.0 * min_repair_regret);
+  const bool curve_ok = min_repair_rank >= 0.5;
+  std::printf("repair target (rank repairs >=50%% of the wall gap at every "
+              "n>=10): %s\n  worst width: rank=%.0f%%\n",
+              curve_ok ? "MET" : "NOT MET", 100.0 * min_repair_rank);
   return curve_ok ? 0 : 1;
 }

@@ -1,7 +1,6 @@
 // Engine server demo: the concurrent query runtime end to end.
 //
-//   $ ./build/examples/engine_server [--dop=N] [--policy=rank|regret|static]
-//                                    [--share=off|scan]
+//   $ ./build/examples/engine_server [--dop=N] [--share=off|scan]
 //
 // Builds a small DMV database, starts a QueryEngine with four workers, and
 // plays a short serving scenario: a burst of template queries answered
@@ -21,7 +20,6 @@
 #include <cstring>
 #include <thread>
 
-#include "adaptive/policy.h"
 #include "common/metrics.h"
 #include "runtime/query_engine.h"
 #include "workload/dmv.h"
@@ -31,7 +29,7 @@ using namespace ajr;
 
 namespace {
 
-Status Run(size_t dop, PolicyKind policy, bool share_scan) {
+Status Run(size_t dop, bool share_scan) {
   // 1. Build phase: load the catalog before serving (the engine's
   //    thread-safety contract: no catalog writes while queries run).
   std::printf("loading DMV data set...\n");
@@ -51,8 +49,8 @@ Status Run(size_t dop, PolicyKind policy, bool share_scan) {
   // 3. A burst of concurrent queries: two instances of each template.
   const char* share_name = share_scan ? "scan" : "off";
   std::printf("serving a burst of 10 template queries on %zu workers"
-              " (intra-query dop=%zu, policy=%s, share=%s)...\n",
-              engine.num_workers(), dop, PolicyKindName(policy), share_name);
+              " (intra-query dop=%zu, share=%s)...\n",
+              engine.num_workers(), dop, share_name);
   std::vector<QueryHandle> burst;
   for (int template_id = 1; template_id <= kNumFourTableTemplates; ++template_id) {
     for (size_t variant = 0; variant < 2; ++variant) {
@@ -63,7 +61,6 @@ Status Run(size_t dop, PolicyKind policy, bool share_scan) {
       AJR_ASSIGN_OR_RETURN(JoinQuery q, gen.Generate(template_id, v));
       QuerySpec spec;
       spec.query = std::move(q);
-      spec.adaptive.policy = policy;
       spec.dop = dop;
       spec.share_scan = share_scan;
       AJR_ASSIGN_OR_RETURN(QueryHandle h, engine.Submit(std::move(spec)));
@@ -82,7 +79,6 @@ Status Run(size_t dop, PolicyKind policy, bool share_scan) {
   AJR_ASSIGN_OR_RETURN(JoinQuery cancel_me, gen.Generate(3, 7));
   QuerySpec cancel_spec;
   cancel_spec.query = std::move(cancel_me);
-  cancel_spec.adaptive.policy = policy;
   AJR_ASSIGN_OR_RETURN(QueryHandle cancelled, engine.Submit(std::move(cancel_spec)));
   cancelled.Cancel();
   std::printf("cancelled query  -> %s\n",
@@ -93,7 +89,6 @@ Status Run(size_t dop, PolicyKind policy, bool share_scan) {
   AJR_ASSIGN_OR_RETURN(JoinQuery slow, gen.Generate(1, 11));
   QuerySpec deadline_spec;
   deadline_spec.query = std::move(slow);
-  deadline_spec.adaptive.policy = policy;
   deadline_spec.timeout = std::chrono::milliseconds(0);
   AJR_ASSIGN_OR_RETURN(QueryHandle timed_out, engine.Submit(std::move(deadline_spec)));
   std::printf("deadline query   -> %s\n",
@@ -159,20 +154,11 @@ Status Run(size_t dop, PolicyKind policy, bool share_scan) {
 
 int main(int argc, char** argv) {
   size_t dop = 1;
-  PolicyKind policy = PolicyKind::kRank;
   bool share_scan = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--dop=", 6) == 0) {
       dop = static_cast<size_t>(std::strtoull(argv[i] + 6, nullptr, 10));
       if (dop == 0) dop = 1;
-    } else if (std::strncmp(argv[i], "--policy=", 9) == 0) {
-      auto parsed = ParsePolicyKind(argv[i] + 9);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "unknown policy: %s (rank|regret|static)\n",
-                     argv[i] + 9);
-        return 2;
-      }
-      policy = *parsed;
     } else if (std::strncmp(argv[i], "--share=", 8) == 0) {
       const char* mode = argv[i] + 8;
       if (std::strcmp(mode, "off") == 0 || std::strcmp(mode, "scan") == 0) {
@@ -184,13 +170,12 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "unknown flag: %s (usage: %s [--dop=N]"
-                   " [--policy=rank|regret|static]"
                    " [--share=off|scan])\n",
                    argv[i], argv[0]);
       return 2;
     }
   }
-  Status status = Run(dop, policy, share_scan);
+  Status status = Run(dop, share_scan);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;

@@ -14,18 +14,18 @@ shared-runner wall clocks are noisy — the exit code is for humans running
 the comparison on quiet hardware, and for the job-summary table this
 script appends to $GITHUB_STEP_SUMMARY when that variable is set.
 
-Harness provenance (git_sha, build_type, dop, policy, effective_cores) is
-stamped into each file by bench/harness_util; comparing across different
-build types, dops, or adaptation policies is reported as a warning because
-such deltas measure the configuration, not the code. `effective_cores` is
-the spin-calibrated count of cores the run actually got (not
-hardware_concurrency); it is printed next to each comparison. Older files
-may still carry a `backend` key from when a second index structure
-existed; it is ignored. When either side of a comparison carries the
-`speedups_not_meaningful` marker (bench/parallel_scaling and
-bench/shared_traffic set it when the host measures under 1.5 effective
-cores, mirroring their WARNING lines), all dop>1 metrics and all speedup
-ratios are skipped: such "speedups" are scheduler noise. Work-shape metrics
+Harness provenance (git_sha, build_type, dop, effective_cores) is stamped
+into each file by bench/harness_util; comparing across different build
+types or dops is reported as a warning because such deltas measure the
+configuration, not the code. `effective_cores` is the spin-calibrated
+count of cores the run actually got (not hardware_concurrency); it is
+printed next to each comparison. Older files may still carry a `backend`
+key from when a second index structure existed, or a `policy` key from
+when a second adaptation policy existed; both are ignored. When either
+side of a comparison carries the `speedups_not_meaningful` marker
+(bench/parallel_scaling and bench/shared_traffic set it when the host
+measures under 1.5 effective cores, mirroring their WARNING lines), all
+dop>1 metrics and all speedup ratios are skipped: such "speedups" are scheduler noise. Work-shape metrics
 like `passes_per_query` (scan passes physically produced per consuming
 query — lower is better) stay gated even then, because they count work,
 not wall time.
@@ -72,8 +72,7 @@ def load(path):
     with open(path) as f:
         doc = json.load(f)
     meta = {k: doc.get(k)
-            for k in ("git_sha", "build_type", "dop", "policy",
-                      "effective_cores")}
+            for k in ("git_sha", "build_type", "dop", "effective_cores")}
     return {m["name"]: m["value"] for m in doc.get("metrics", [])}, meta
 
 
@@ -129,7 +128,7 @@ def main():
             continue
         fresh, fmeta = load(os.path.join(fresh_dir, name))
         base, bmeta = load(base_path)
-        for key in ("build_type", "dop", "policy"):
+        for key in ("build_type", "dop"):
             if bmeta.get(key) is not None and fmeta.get(key) is not None \
                     and bmeta[key] != fmeta[key]:
                 print(f"  WARNING: {key} differs "

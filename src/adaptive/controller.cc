@@ -5,6 +5,41 @@
 
 namespace ajr {
 
+namespace {
+
+// Sample floor for monitored local selectivities in inner-reorder checks.
+constexpr uint64_t kInnerMinSamples = 2;
+
+CostInputs BuildCostInputs(const PipelinePlan& plan,
+                           const std::vector<LegView>& legs,
+                           const std::vector<EdgeMonitor>& edges,
+                           const AdaptiveOptions& options,
+                           uint64_t min_leg_samples) {
+  CostInputs in;
+  in.query = &plan.query;
+  const size_t n = plan.query.tables.size();
+  assert(legs.size() == n);
+  in.tables.resize(n);
+  for (size_t t = 0; t < n; ++t) {
+    const LegView& leg = legs[t];
+    LegParams& p = in.tables[t];
+    p.cardinality = static_cast<double>(plan.entries[t]->StatsCardinality());
+    p.index_height = leg.index_height;
+    p.local_sel = EffectiveLocalSel(*leg.inner, *leg.driving, plan.est_local_sel[t],
+                                    plan.access[t].driving.est_slpi, min_leg_samples);
+    // A demoted leg's positional predicate shrinks its effective
+    // cardinality to the unprocessed remainder.
+    p.local_sel *= leg.demoted_fraction;
+  }
+  in.edge_sel.resize(plan.query.edges.size());
+  for (size_t e = 0; e < in.edge_sel.size(); ++e) {
+    in.edge_sel[e] = edges[e].Selectivity(plan.est_edge_sel[e], options.min_edge_pairs);
+  }
+  return in;
+}
+
+}  // namespace
+
 std::optional<std::vector<size_t>> CheckInnerReorder(const CostInputs& in,
                                                      const std::vector<size_t>& order,
                                                      size_t from,
@@ -62,6 +97,53 @@ std::optional<DrivingSwitchDecision> CheckDrivingSwitch(
   decision.est_current = current_cost;
   decision.est_best = best_cost;
   return decision;
+}
+
+CostInputs BuildInnerCheckInputs(const PipelinePlan& plan,
+                                 const std::vector<LegView>& legs,
+                                 const std::vector<EdgeMonitor>& edges,
+                                 const AdaptiveOptions& options) {
+  return BuildCostInputs(plan, legs, edges, options, kInnerMinSamples);
+}
+
+DrivingCheckInputs BuildDrivingCheckInputs(const PipelinePlan& plan,
+                                           const std::vector<LegView>& legs,
+                                           const std::vector<EdgeMonitor>& edges,
+                                           const AdaptiveOptions& options,
+                                           size_t current) {
+  DrivingCheckInputs out;
+  out.inputs = BuildCostInputs(plan, legs, edges, options, options.min_leg_samples);
+  CostInputs& in = out.inputs;
+  // Anticipate the demotion of the current driving leg: as an inner leg its
+  // positional predicate would keep only the unprocessed remainder.
+  const LegView& cur = legs[current];
+  if (cur.total_entries > 0) {
+    in.tables[current].local_sel *= std::min(1.0, cur.remaining_entries / cur.total_entries);
+  }
+  out.candidates.resize(in.tables.size());
+  for (size_t t = 0; t < in.tables.size(); ++t) {
+    DrivingCandidate& cand = out.candidates[t];
+    cand.table = t;
+    const LegView& leg = legs[t];
+    const DrivingAccess& access = plan.access[t].driving;
+    if (leg.ever_driven) {
+      // Exact: the scan knows its position; a demoted leg's remainder was
+      // frozen at demotion time.
+      cand.raw_entries = leg.remaining_entries;
+      double s_lpr = leg.driving->scanned_total() > 0
+                         ? leg.driving->ResidualSel(1.0)
+                         : (access.est_slpi > 0 ? plan.est_local_sel[t] / access.est_slpi
+                                                : 1.0);
+      cand.flow = cand.raw_entries * std::min(1.0, s_lpr);
+    } else {
+      // Never scanned: the optimizer's S_LPI (Sec 4.3.3) — possibly badly
+      // wrong under skew, which is the paper's Template 4 degradation.
+      double card = static_cast<double>(plan.entries[t]->StatsCardinality());
+      cand.raw_entries = access.est_slpi * card;
+      cand.flow = in.tables[t].local_sel * card;
+    }
+  }
+  return out;
 }
 
 }  // namespace ajr

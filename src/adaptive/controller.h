@@ -3,8 +3,11 @@
 // The executor calls these pure decision functions at the paper's strategic
 // points: CheckInnerReorder when a pipeline segment reaches its depleted
 // state (Fig 2), CheckDrivingSwitch after every batch of c driving rows
-// (Fig 3). Inputs are CostInputs assembled from the run-time monitors, so
-// the decisions use measured selectivities where available and optimizer
+// (Fig 3). Inputs are CostInputs assembled from the run-time monitors by
+// BuildInnerCheckInputs / BuildDrivingCheckInputs — the one place both
+// decision hosts (the serial PipelineExecutor and the parallel
+// AdaptiveCoordinator) turn their monitors into Eq 1 inputs — so the
+// decisions use measured selectivities where available and optimizer
 // estimates elsewhere.
 
 #pragma once
@@ -16,20 +19,14 @@
 
 #include "adaptive/monitor.h"
 #include "optimize/cost_model.h"
+#include "optimize/planner.h"
 #include "storage/bplus_tree.h"
 
 namespace ajr {
 
-/// Which AdaptationPolicy (adaptive/policy.h) drives reorder/switch
-/// decisions. kRank is the paper's rank-based procedures; kRegret is
-/// SkinnerDB-style UCB1 exploration; kStatic never adapts.
-enum class PolicyKind {
-  kRank,
-  kRegret,
-  kStatic,
-};
-
-/// Run-time adaptation knobs (paper defaults: c = 10, w = 1000).
+/// Run-time adaptation knobs (paper defaults: c = 10, w = 1000). Both
+/// reorder_* flags off is the static baseline: the optimizer's order runs
+/// unchanged and no check fires.
 struct AdaptiveOptions {
   /// Enable inner-leg reordering (Fig 2 / Fig 8 experiments).
   bool reorder_inners = true;
@@ -67,10 +64,6 @@ struct AdaptiveOptions {
   /// costs far more (relatively) than on the paper's I/O-bound system, and
   /// back-off restores the paper's sub-1% overhead regime (Sec 5.4).
   bool check_backoff = true;
-  /// Which decision policy the executor instantiates (adaptive/policy.h).
-  /// kStatic forces both reorder capabilities off regardless of the
-  /// reorder_* flags above; kRank and kRegret honor them.
-  PolicyKind policy = PolicyKind::kRank;
   /// Unused by the engine (the B+-tree is the only index); perfbench reads it.
   IndexBackend index_backend = IndexBackend::kBTree;
   static constexpr uint64_t kMaxBackoff = 16;
@@ -143,5 +136,53 @@ struct DrivingSwitchDecision {
 std::optional<DrivingSwitchDecision> CheckDrivingSwitch(
     const CostInputs& in, const std::vector<size_t>& order,
     const std::vector<DrivingCandidate>& candidates, const AdaptiveOptions& options);
+
+/// One query table's run-time state as a decision host sees it: the inputs
+/// the Eq 1 / Fig 3 builders below read. Pointers borrow host-owned
+/// monitors for the duration of one build.
+struct LegView {
+  const LegMonitor* inner = nullptr;
+  const DrivingMonitor* driving = nullptr;
+  /// Tallest probe-index height (Eq 1's PC input).
+  double index_height = 3;
+  /// Unprocessed fraction behind a demoted leg's positional predicate;
+  /// 1 for a leg that was never demoted.
+  double demoted_fraction = 1.0;
+  /// The leg drives or drove before: its scan position is known, so the
+  /// entry counts below are exact.
+  bool ever_driven = false;
+  /// Entries the leg's full driving scan covers (meaningful once driven).
+  double total_entries = 0;
+  /// Entries its scan has left: live for the current driving leg, frozen
+  /// at demotion time for a demoted one.
+  double remaining_entries = 0;
+};
+
+/// Eq 1 inputs for an inner-reorder check (Fig 2): monitored selectivities
+/// over a small sample floor — inner reorders are cheap and reversible, so
+/// young monitors may act — with demoted legs scaled to their remainder.
+/// `legs` is parallel to plan.query.tables, `edges` to plan.query.edges.
+CostInputs BuildInnerCheckInputs(const PipelinePlan& plan,
+                                 const std::vector<LegView>& legs,
+                                 const std::vector<EdgeMonitor>& edges,
+                                 const AdaptiveOptions& options);
+
+/// Eq 1 inputs and Fig 3 candidates for a driving-switch check.
+struct DrivingCheckInputs {
+  CostInputs inputs;
+  std::vector<DrivingCandidate> candidates;  ///< per query table
+};
+
+/// Builds the driving-switch check's inputs with current driving leg
+/// `current`: monitored local selectivities need options.min_leg_samples
+/// (a cold monitor must not make a candidate plan look free), the current
+/// leg is scaled by its anticipated demotion, and each candidate's
+/// remaining entries are exact for legs that drove and the optimizer's
+/// S_LPI * C(T) for the rest.
+DrivingCheckInputs BuildDrivingCheckInputs(const PipelinePlan& plan,
+                                           const std::vector<LegView>& legs,
+                                           const std::vector<EdgeMonitor>& edges,
+                                           const AdaptiveOptions& options,
+                                           size_t current);
 
 }  // namespace ajr

@@ -1,28 +1,8 @@
 #include "adaptive/policy.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <limits>
-
-#include "optimize/greedy_order.h"
 
 namespace ajr {
-
-namespace {
-
-/// arm order shares the host's fixed prefix [0..position)?
-bool SharesPrefix(const std::vector<size_t>& arm,
-                  const std::vector<size_t>& order, size_t position) {
-  for (size_t i = 0; i < position; ++i) {
-    if (arm[i] != order[i]) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-// ---- RankPolicy ------------------------------------------------------------
 
 PolicyDecision RankPolicy::Decide(const PolicySnapshot& snapshot) {
   ++stats_.decisions;
@@ -35,7 +15,6 @@ PolicyDecision RankPolicy::Decide(const PolicySnapshot& snapshot) {
     d.action = PolicyDecision::Action::kInnerReorder;
     d.new_order.assign(order.begin(), order.begin() + snapshot.position);
     d.new_order.insert(d.new_order.end(), tail->begin(), tail->end());
-    ++stats_.inner_reorders;
     return d;
   }
   assert(snapshot.candidates != nullptr);
@@ -46,241 +25,10 @@ PolicyDecision RankPolicy::Decide(const PolicySnapshot& snapshot) {
   d.new_order = std::move(decision->new_order);
   d.est_current = decision->est_current;
   d.est_best = decision->est_best;
-  ++stats_.driving_switches;
   return d;
-}
-
-// ---- RegretBoundedPolicy ---------------------------------------------------
-
-void RegretBoundedPolicy::InitArms(const PolicySnapshot& snapshot) {
-  std::vector<size_t> sorted = *snapshot.order;
-  std::sort(sorted.begin(), sorted.end());
-  const size_t n = sorted.size();
-  if (n <= kExhaustiveArmTables) {
-    do {
-      Arm arm;
-      arm.order = sorted;
-      arms_.push_back(std::move(arm));
-    } while (std::next_permutation(sorted.begin(), sorted.end()));
-  } else {
-    hybrid_ = true;
-    for (size_t t : sorted) {
-      Arm arm;
-      arm.order = {t};
-      arms_.push_back(std::move(arm));
-    }
-  }
-  // The slice up to the first decision ran under the host's initial order.
-  active_arm_ = SIZE_MAX;
-  for (size_t i = 0; i < arms_.size(); ++i) {
-    const bool match = hybrid_ ? arms_[i].order[0] == (*snapshot.order)[0]
-                               : arms_[i].order == *snapshot.order;
-    if (match) {
-      active_arm_ = i;
-      break;
-    }
-  }
-}
-
-void RegretBoundedPolicy::CreditActiveArm(const PolicySnapshot& snapshot) {
-  const uint64_t delta_rows = snapshot.rows_out - last_rows_;
-  const uint64_t delta_work = snapshot.work_units - last_work_;
-  last_rows_ = snapshot.rows_out;
-  last_work_ = snapshot.work_units;
-  if (active_arm_ == SIZE_MAX || delta_work == 0) return;
-  // Normalized output-per-work reward in [0,1): rows/(rows+work) is
-  // monotone in rows-per-work-unit and never needs a scale constant.
-  const double reward = static_cast<double>(delta_rows) /
-                        static_cast<double>(delta_rows + delta_work);
-  Arm& arm = arms_[active_arm_];
-  ++arm.pulls;
-  arm.reward_sum += reward;
-  RecomputeRegret();
-}
-
-void RegretBoundedPolicy::RecomputeRegret() {
-  double best_mean = 0;
-  for (const Arm& arm : arms_) {
-    if (arm.pulls > 0) best_mean = std::max(best_mean, arm.mean());
-  }
-  double regret = 0;
-  for (const Arm& arm : arms_) {
-    if (arm.pulls > 0) {
-      regret += static_cast<double>(arm.pulls) * (best_mean - arm.mean());
-    }
-  }
-  stats_.cumulative_regret = regret;
-}
-
-double RegretBoundedPolicy::UcbIndex(size_t i, uint64_t total_pulls) const {
-  const Arm& arm = arms_[i];
-  if (arm.pulls == 0) return std::numeric_limits<double>::infinity();
-  const double t = static_cast<double>(std::max<uint64_t>(total_pulls, 1));
-  return arm.mean() +
-         std::sqrt(2.0 * std::log(t) / static_cast<double>(arm.pulls));
-}
-
-std::vector<RegretBoundedPolicy::ArmView> RegretBoundedPolicy::arms() const {
-  std::vector<ArmView> out;
-  out.reserve(arms_.size());
-  for (const Arm& arm : arms_) {
-    out.push_back(ArmView{arm.order, arm.pulls, arm.mean()});
-  }
-  return out;
-}
-
-PolicyDecision RegretBoundedPolicy::Decide(const PolicySnapshot& snapshot) {
-  ++stats_.decisions;
-  if (arms_.empty()) InitArms(snapshot);
-  CreditActiveArm(snapshot);
-  PolicyDecision d;
-  const std::vector<size_t>& order = *snapshot.order;
-
-  uint64_t total_pulls = 0;
-  for (const Arm& arm : arms_) total_pulls += arm.pulls;
-
-  if (snapshot.point == DecisionPoint::kInnerDepleted) {
-    if (hybrid_) {
-      // Long pipelines: UCB explores driving legs only; inner tails pick
-      // the cheapest of a polynomial candidate set — the paper's
-      // greedy-rank tail plus every neighbor swap of the current tail
-      // (O(n) candidates, O(n*E) TailCost each). Deterministic: candidates
-      // are costed in a fixed sequence and must strictly beat the
-      // incumbent, and the whole reorder must clear the epsilon guard.
-      const CostInputs& in = *snapshot.inputs;
-      uint64_t mask = 0;
-      for (size_t i = 0; i < snapshot.position; ++i) {
-        mask |= uint64_t{1} << order[i];
-      }
-      std::vector<size_t> current(order.begin() + snapshot.position,
-                                  order.end());
-      const double current_cost = TailCost(in, current, mask);
-      std::vector<size_t> best_tail = current;
-      double best_cost = current_cost;
-      auto consider = [&](std::vector<size_t> tail) {
-        const double cost = TailCost(in, tail, mask);
-        if (cost < best_cost) {
-          best_cost = cost;
-          best_tail = std::move(tail);
-        }
-      };
-      consider(GreedyRankOrder(in, current, mask));
-      for (auto& swapped : NeighborSwapOrders(order, snapshot.position)) {
-        consider(std::vector<size_t>(swapped.begin() + snapshot.position,
-                                     swapped.end()));
-      }
-      if (best_tail == current ||
-          best_cost > (1.0 - options_.inner_benefit_epsilon) * current_cost) {
-        return d;  // near-lateral move: keep the pipeline undisturbed
-      }
-      d.action = PolicyDecision::Action::kInnerReorder;
-      d.new_order.assign(order.begin(), order.begin() + snapshot.position);
-      d.new_order.insert(d.new_order.end(), best_tail.begin(), best_tail.end());
-      d.est_current = current_cost;
-      d.est_best = best_cost;
-      ++stats_.inner_reorders;
-      return d;
-    }
-    // Exhaustive arms: best UCB among orders that keep the fixed prefix
-    // (the depleted segment is the only part the host may reorder here).
-    size_t best = SIZE_MAX;
-    double best_index = -std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < arms_.size(); ++i) {
-      if (!SharesPrefix(arms_[i].order, order, snapshot.position)) continue;
-      const double index = UcbIndex(i, total_pulls);
-      if (index > best_index) {
-        best_index = index;
-        best = i;
-      }
-    }
-    if (best == SIZE_MAX) return d;
-    active_arm_ = best;
-    if (arms_[best].order == order) return d;
-    d.action = PolicyDecision::Action::kInnerReorder;
-    d.new_order = arms_[best].order;
-    ++stats_.inner_reorders;
-    return d;
-  }
-
-  // Driving boundary: any arm is eligible.
-  size_t best = 0;
-  double best_index = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < arms_.size(); ++i) {
-    const double index = UcbIndex(i, total_pulls);
-    if (index > best_index) {
-      best_index = index;
-      best = i;
-    }
-  }
-  active_arm_ = best;
-  std::vector<size_t> chosen;
-  if (hybrid_) {
-    const size_t driving = arms_[best].order[0];
-    if (driving == order[0]) return d;
-    chosen = {driving};
-    std::vector<size_t> inners;
-    for (size_t t = 0; t < snapshot.inputs->tables.size(); ++t) {
-      if (t != driving) inners.push_back(t);
-    }
-    auto rest =
-        GreedyRankOrder(*snapshot.inputs, inners, uint64_t{1} << driving);
-    chosen.insert(chosen.end(), rest.begin(), rest.end());
-  } else {
-    if (arms_[best].order == order) return d;
-    chosen = arms_[best].order;
-  }
-  d.new_order = std::move(chosen);
-  // Report the UCB indices as the decision estimates: not work units, but
-  // the quantities this policy actually compared.
-  d.est_best = best_index;
-  for (size_t i = 0; i < arms_.size(); ++i) {
-    const bool current_arm = hybrid_ ? arms_[i].order[0] == order[0]
-                                     : arms_[i].order == order;
-    if (current_arm) {
-      d.est_current = UcbIndex(i, total_pulls);
-      break;
-    }
-  }
-  if (d.new_order[0] != order[0]) {
-    d.action = PolicyDecision::Action::kDrivingSwitch;
-    ++stats_.driving_switches;
-  } else {
-    d.action = PolicyDecision::Action::kInnerReorder;
-    ++stats_.inner_reorders;
-  }
-  return d;
-}
-
-// ---- Selection -------------------------------------------------------------
-
-const char* PolicyKindName(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kRank:
-      return "rank";
-    case PolicyKind::kRegret:
-      return "regret";
-    case PolicyKind::kStatic:
-      return "static";
-  }
-  return "rank";
-}
-
-std::optional<PolicyKind> ParsePolicyKind(const std::string& name) {
-  if (name == "rank") return PolicyKind::kRank;
-  if (name == "regret") return PolicyKind::kRegret;
-  if (name == "static") return PolicyKind::kStatic;
-  return std::nullopt;
 }
 
 std::unique_ptr<AdaptationPolicy> MakePolicy(const AdaptiveOptions& options) {
-  switch (options.policy) {
-    case PolicyKind::kStatic:
-      return std::make_unique<StaticPolicy>();
-    case PolicyKind::kRegret:
-      return std::make_unique<RegretBoundedPolicy>(options);
-    case PolicyKind::kRank:
-      break;
-  }
   return std::make_unique<RankPolicy>(options);
 }
 

@@ -20,24 +20,16 @@
 // never see the policy, they only adopt published epochs. Policies
 // therefore need no internal locking.
 //
-// Shipped policies:
-//   * RankPolicy   — the paper's procedures (CheckInnerReorder Fig 2,
-//                    CheckDrivingSwitch Fig 3), moved not rewritten:
-//                    bit-identical decisions to the pre-policy executor.
-//   * RegretBoundedPolicy — SkinnerDB-style exploration: UCB1 over
-//                    candidate join orders at depleted states, per-order
-//                    reward = output rows per work unit within the slice,
-//                    cumulative empirical regret exposed as stats.
-//   * StaticPolicy — never adapts; the optimizer's order runs unchanged
-//                    (replaces the ad-hoc reorder_inners=false plumbing as
-//                    the way to request a static baseline).
+// RankPolicy is the engine's only policy: the paper's procedures
+// (CheckInnerReorder Fig 2, CheckDrivingSwitch Fig 3), moved not rewritten,
+// so its decisions are bit-identical to the pre-policy executor. The static
+// baseline is both AdaptiveOptions::reorder_* flags off. The interface stays
+// as a seam for tests and for decorators that time Decide().
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "adaptive/controller.h"
@@ -52,8 +44,8 @@ enum class DecisionPoint {
   /// driving leg — fixed.
   kInnerDepleted,
   /// The whole pipeline is depleted, between driving rows (Fig 3's
-  /// moment): the policy may switch the driving leg or reorder the full
-  /// inner tail (position 1).
+  /// moment): the policy may switch the driving leg (kKeep or
+  /// kDrivingSwitch only).
   kDrivingBoundary,
 };
 
@@ -74,17 +66,6 @@ struct PolicySnapshot {
   /// Per-table driving candidates (remaining scan entries and flow).
   /// Non-null only at kDrivingBoundary.
   const std::vector<DrivingCandidate>* candidates = nullptr;
-  /// Driving rows produced so far (host-wide; fleet-wide under the
-  /// parallel coordinator).
-  uint64_t driving_rows_produced = 0;
-  /// Cumulative output rows / work units — the reward signal for
-  /// exploration policies. Fleet-wide merged totals under the parallel
-  /// coordinator.
-  uint64_t rows_out = 0;
-  uint64_t work_units = 0;
-  /// Decision epoch: how many times the host consulted the policy before
-  /// this call.
-  uint64_t epoch = 0;
 };
 
 /// What the host should do at this depleted state.
@@ -98,23 +79,18 @@ struct PolicyDecision {
   /// Full pipeline order to adopt (all actions except kKeep). For
   /// kInnerReorder the prefix [0..snapshot.position) is unchanged.
   std::vector<size_t> new_order;
-  /// Estimated remaining cost of the current / chosen plan (work units)
-  /// when the policy costs plans; both 0 for policies that do not.
+  /// Estimated remaining cost of the current / chosen plan (work units);
+  /// set for kDrivingSwitch.
   double est_current = 0;
   double est_best = 0;
 
   bool changed() const { return action != Action::kKeep; }
 };
 
-/// Lifetime counters a policy maintains across decisions.
+/// Lifetime counters a policy maintains across decisions. The hosts count
+/// adopted reorders and switches themselves (ExecStats).
 struct PolicyStats {
-  uint64_t decisions = 0;         ///< Decide() calls
-  uint64_t inner_reorders = 0;    ///< decisions returning kInnerReorder
-  uint64_t driving_switches = 0;  ///< decisions returning kDrivingSwitch
-  /// Cumulative empirical regret (exploration policies): the reward an
-  /// always-play-the-best-arm policy would have collected minus the reward
-  /// actually collected, in normalized reward units. 0 for rank/static.
-  double cumulative_regret = 0;
+  uint64_t decisions = 0;  ///< Decide() calls
 };
 
 /// The decision interface. See the file comment for the ownership and
@@ -159,82 +135,7 @@ class RankPolicy : public AdaptationPolicy {
   AdaptiveOptions options_;
 };
 
-/// Never adapts: the host skips all checks and the optimizer's initial
-/// order runs to completion (the paper's "static" baseline).
-class StaticPolicy : public AdaptationPolicy {
- public:
-  const char* name() const override { return "static"; }
-  bool adapts_inners() const override { return false; }
-  bool adapts_driving() const override { return false; }
-  PolicyDecision Decide(const PolicySnapshot&) override {
-    ++stats_.decisions;  // defensive: hosts gate on the capabilities above
-    return PolicyDecision{};
-  }
-};
-
-/// SkinnerDB-style regret-bounded exploration (PAPERS.md): treats
-/// candidate join orders as bandit arms and picks by UCB1 at every
-/// depleted state. The slice between two consecutive decisions is credited
-/// to the arm that was active, with reward rows/(rows+work) — a
-/// normalized output-rows-per-work-unit in [0,1).
-///
-/// Arms: for queries of up to kExhaustiveArmTables tables, every
-/// permutation is an arm (the 3-table convergence test explores all 6).
-/// Above that, one arm per driving leg (inners greedy-rank-ordered at
-/// selection time) — UCB over n! arms would explore forever. Hybrid
-/// inner-tail decisions cost a polynomial candidate set instead: the
-/// paper's greedy-rank tail plus every adjacent transposition of the
-/// current tail (greedy_order.h's neighbor swaps, which catch the
-/// position-dependent wins on cyclic graphs a pure rank sort misses),
-/// adopting the cheapest tail when it clears inner_benefit_epsilon.
-class RegretBoundedPolicy : public AdaptationPolicy {
- public:
-  static constexpr size_t kExhaustiveArmTables = 4;
-
-  explicit RegretBoundedPolicy(const AdaptiveOptions& options)
-      : options_(options) {}
-  const char* name() const override { return "regret"; }
-  bool adapts_inners() const override { return options_.reorder_inners; }
-  bool adapts_driving() const override { return options_.reorder_driving; }
-  PolicyDecision Decide(const PolicySnapshot& snapshot) override;
-
-  /// Exposed for tests: per-arm pull counts and mean rewards.
-  struct ArmView {
-    std::vector<size_t> order;  ///< full order, or {driving} in hybrid mode
-    uint64_t pulls = 0;
-    double mean_reward = 0;
-  };
-  std::vector<ArmView> arms() const;
-
- private:
-  struct Arm {
-    std::vector<size_t> order;
-    uint64_t pulls = 0;
-    double reward_sum = 0;
-    double mean() const { return pulls > 0 ? reward_sum / pulls : 0.0; }
-  };
-
-  void InitArms(const PolicySnapshot& snapshot);
-  void CreditActiveArm(const PolicySnapshot& snapshot);
-  void RecomputeRegret();
-  /// UCB1 index of arm i; unexplored arms sort first.
-  double UcbIndex(size_t i, uint64_t total_pulls) const;
-
-  AdaptiveOptions options_;
-  std::vector<Arm> arms_;
-  /// True when arms are driving-leg-only (more than kExhaustiveArmTables
-  /// tables): tails are rank-ordered at selection time.
-  bool hybrid_ = false;
-  size_t active_arm_ = SIZE_MAX;
-  uint64_t last_rows_ = 0;
-  uint64_t last_work_ = 0;
-};
-
-/// Policy selection for QuerySpec / engine_server --policy=<name>.
-const char* PolicyKindName(PolicyKind kind);
-std::optional<PolicyKind> ParsePolicyKind(const std::string& name);
-
-/// Instantiates the policy selected by `options.policy`.
+/// Instantiates the engine's policy: a RankPolicy over `options`.
 std::unique_ptr<AdaptationPolicy> MakePolicy(const AdaptiveOptions& options);
 
 }  // namespace ajr

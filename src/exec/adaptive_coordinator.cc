@@ -9,15 +9,6 @@
 
 namespace ajr {
 
-namespace {
-
-// Sample floor for monitored selectivities in inner-reorder decisions —
-// mirrors the serial executor's kInnerMinSamples: inner reorders are cheap
-// and reversible, so young merged monitors may act.
-constexpr uint64_t kInnerMinSamples = 2;
-
-}  // namespace
-
 AdaptiveCoordinator::AdaptiveCoordinator(const PipelinePlan* plan,
                                          const AdaptiveOptions& options,
                                          DrivingSource* source,
@@ -114,8 +105,6 @@ void AdaptiveCoordinator::Fold(const WorkerMonitorDeltas& deltas) {
     driving_[t].Absorb(deltas.driving[t]);
   }
   for (size_t e = 0; e < edges_.size(); ++e) edges_[e].Absorb(deltas.edges[e]);
-  merged_rows_out_ += deltas.rows_out;
-  merged_work_units_ += deltas.work_units;
   ++folds_;
   // Decisions fire only while dispensing: once draining, the pending switch
   // must install before new evidence can overturn it, and at end-of-scan
@@ -128,33 +117,22 @@ void AdaptiveCoordinator::Fold(const WorkerMonitorDeltas& deltas) {
   RunChecksLocked();
 }
 
-CostInputs AdaptiveCoordinator::BuildCostInputsLocked(
-    uint64_t min_leg_samples) const {
-  CostInputs in;
-  in.query = &plan_->query;
-  const size_t n = plan_->query.tables.size();
-  in.tables.resize(n);
-  for (size_t t = 0; t < n; ++t) {
-    LegParams& p = in.tables[t];
-    p.cardinality = static_cast<double>(plan_->entries[t]->StatsCardinality());
-    p.index_height = index_heights_[t];
-    p.local_sel = EffectiveLocalSel(inner_[t], driving_[t],
-                                    plan_->est_local_sel[t],
-                                    plan_->access[t].driving.est_slpi,
-                                    min_leg_samples);
-    // A demoted leg's positional predicate shrinks its effective
-    // cardinality to the unprocessed remainder (same scaling as the serial
-    // executor's BuildRuntimeCostInputs).
-    if (demotions_[t].demoted) {
-      p.local_sel *= demotions_[t].remaining_fraction;
-    }
+std::vector<LegView> AdaptiveCoordinator::LegViewsLocked() const {
+  std::vector<LegView> views(inner_.size());
+  for (size_t t = 0; t < views.size(); ++t) {
+    LegView& v = views[t];
+    v.inner = &inner_[t];
+    v.driving = &driving_[t];
+    v.index_height = index_heights_[t];
+    v.demoted_fraction =
+        demotions_[t].demoted ? demotions_[t].remaining_fraction : 1.0;
+    // The dispenser knows what it handed out; a demoted leg's remainder
+    // was frozen at demotion time.
+    v.ever_driven = source_->ever_promoted(t);
+    v.total_entries = source_->total_entries(t);
+    v.remaining_entries = demotions_[t].remaining_entries;
   }
-  in.edge_sel.resize(plan_->query.edges.size());
-  for (size_t e = 0; e < in.edge_sel.size(); ++e) {
-    in.edge_sel[e] =
-        edges_[e].Selectivity(plan_->est_edge_sel[e], options_.min_edge_pairs);
-  }
-  return in;
+  return views;
 }
 
 uint64_t AdaptiveCoordinator::MergedDrivingRowsLocked() const {
@@ -167,16 +145,12 @@ void AdaptiveCoordinator::RunChecksLocked() {
   bool reordered = false;
   if (policy_->adapts_inners() && order_.size() > 2) {
     ++inner_checks_;
-    CostInputs in = BuildCostInputsLocked(kInnerMinSamples);
+    CostInputs in = BuildInnerCheckInputs(*plan_, LegViewsLocked(), edges_, options_);
     PolicySnapshot snapshot;
     snapshot.point = DecisionPoint::kInnerDepleted;
     snapshot.position = 1;
     snapshot.inputs = &in;
     snapshot.order = &order_;
-    snapshot.driving_rows_produced = MergedDrivingRowsLocked();
-    snapshot.rows_out = merged_rows_out_;
-    snapshot.work_units = merged_work_units_;
-    snapshot.epoch = epoch_.load(std::memory_order_relaxed);
     PolicyDecision decision = policy_->Decide(snapshot);
     if (decision.action == PolicyDecision::Action::kInnerReorder) {
       ++inner_reorders_;
@@ -195,50 +169,18 @@ void AdaptiveCoordinator::RunChecksLocked() {
   // skip the check entirely rather than decide and fail at install time.
   if (policy_->adapts_driving() && source_->demotion_safe()) {
     ++driving_checks_;
-    CostInputs in = BuildCostInputsLocked(options_.min_leg_samples);
     const size_t current = order_[0];
-    const double current_total = source_->total_entries(current);
-    const double current_remaining = std::max(
-        0.0, current_total - source_->dispensed_entries(current));
-    // Anticipate the demotion of the current driving leg: as an inner leg
-    // its positional predicate would keep only the unprocessed remainder.
-    if (current_total > 0) {
-      in.tables[current].local_sel *=
-          std::min(1.0, current_remaining / current_total);
-    }
-    std::vector<DrivingCandidate> candidates(in.tables.size());
-    for (size_t t = 0; t < in.tables.size(); ++t) {
-      DrivingCandidate& cand = candidates[t];
-      cand.table = t;
-      if (source_->ever_promoted(t)) {
-        // Exact: the dispenser knows what it handed out; a demoted leg's
-        // remainder was frozen at demotion time.
-        cand.raw_entries = t == current ? current_remaining
-                                        : demotions_[t].remaining_entries;
-        double s_lpr = driving_[t].scanned_total() > 0
-                           ? driving_[t].ResidualSel(1.0)
-                           : (plan_->access[t].driving.est_slpi > 0
-                                  ? plan_->est_local_sel[t] /
-                                        plan_->access[t].driving.est_slpi
-                                  : 1.0);
-        cand.flow = cand.raw_entries * std::min(1.0, s_lpr);
-      } else {
-        // Never scanned: the optimizer's S_LPI (Sec 4.3.3).
-        double card = static_cast<double>(plan_->entries[t]->StatsCardinality());
-        cand.raw_entries = plan_->access[t].driving.est_slpi * card;
-        cand.flow = in.tables[t].local_sel * card;
-      }
-    }
+    std::vector<LegView> views = LegViewsLocked();
+    views[current].remaining_entries = std::max(
+        0.0, views[current].total_entries - source_->dispensed_entries(current));
+    DrivingCheckInputs check =
+        BuildDrivingCheckInputs(*plan_, views, edges_, options_, current);
     PolicySnapshot snapshot;
     snapshot.point = DecisionPoint::kDrivingBoundary;
     snapshot.position = 1;
-    snapshot.inputs = &in;
+    snapshot.inputs = &check.inputs;
     snapshot.order = &order_;
-    snapshot.candidates = &candidates;
-    snapshot.driving_rows_produced = MergedDrivingRowsLocked();
-    snapshot.rows_out = merged_rows_out_;
-    snapshot.work_units = merged_work_units_;
-    snapshot.epoch = epoch_.load(std::memory_order_relaxed);
+    snapshot.candidates = &check.candidates;
     PolicyDecision decision = policy_->Decide(snapshot);
     if (decision.action == PolicyDecision::Action::kDrivingSwitch) {
       DrivingSwitchDecision sw;
@@ -247,18 +189,6 @@ void AdaptiveCoordinator::RunChecksLocked() {
       sw.est_best = decision.est_best;
       pending_switch_ = std::move(sw);
       state_ = State::kDrainingSwitch;
-      reordered = true;
-    } else if (decision.action == PolicyDecision::Action::kInnerReorder) {
-      // An exploration policy kept the driving leg but chose a different
-      // tail: an ordinary inner reorder, published immediately (workers
-      // adopt it at their next depleted state).
-      ++inner_reorders_;
-      order_ = std::move(decision.new_order);
-      std::string msg = StrCat("parallel inner reorder after ",
-                               MergedDrivingRowsLocked(), " driving rows; order");
-      for (size_t t : order_) msg += " " + plan_->query.tables[t].alias;
-      events_.push_back(std::move(msg));
-      epoch_.fetch_add(1, std::memory_order_release);
       reordered = true;
     }
   }
@@ -351,12 +281,7 @@ void AdaptiveCoordinator::FinishStats(ExecStats* stats) const {
   stats->final_order = order_;
   stats->events.insert(stats->events.end(), events_.begin(), events_.end());
   stats->work_units += source_->scan_work_units();
-  const PolicyStats& ps = policy_->stats();
-  stats->policy_decisions += ps.decisions;
-  stats->policy_reorders += ps.inner_reorders;
-  stats->policy_switches += ps.driving_switches;
-  stats->policy_regret_x1000 +=
-      static_cast<uint64_t>(ps.cumulative_regret * 1000.0 + 0.5);
+  stats->policy_decisions += policy_->stats().decisions;
 }
 
 }  // namespace ajr

@@ -132,11 +132,6 @@ struct WorkerMonitorDeltas {
   std::vector<LegMonitor::Delta> inner;       ///< per query table
   std::vector<DrivingMonitor::Delta> driving; ///< per query table
   std::vector<EdgeMonitor::Delta> edges;      ///< per query edge
-  /// Output rows / work units this worker accrued since its previous fold —
-  /// the fleet-wide reward signal for exploration policies (the coordinator
-  /// accumulates them into the PolicySnapshot it feeds its policy).
-  uint64_t rows_out = 0;
-  uint64_t work_units = 0;
 };
 
 class AdaptiveCoordinator {
@@ -207,10 +202,11 @@ class AdaptiveCoordinator {
     kAbort,           ///< terminal: cancelled or failed
   };
 
-  /// Builds the merged-statistics CostInputs, mirroring the serial
-  /// executor's BuildRuntimeCostInputs (demoted legs scaled to their
-  /// unprocessed remainder).
-  CostInputs BuildCostInputsLocked(uint64_t min_leg_samples) const;
+  /// Per-table view of the merged monitors and the dispenser for the
+  /// shared Eq 1 input builders (adaptive/controller.h). Remaining entries
+  /// are the frozen demotion remainders; the driving check fills in the
+  /// current driving leg's.
+  std::vector<LegView> LegViewsLocked() const;
   void RunChecksLocked();
   void InstallSwitchLocked();
   void AbortLocked(Status status);
@@ -246,10 +242,6 @@ class AdaptiveCoordinator {
   CheckBackoff backoff_;
   uint64_t folds_ = 0;
   uint64_t folds_since_check_ = 0;
-  /// Fleet-wide output rows / work units accumulated from worker folds —
-  /// the reward signal handed to exploration policies in PolicySnapshot.
-  uint64_t merged_rows_out_ = 0;
-  uint64_t merged_work_units_ = 0;
 
   uint64_t inner_checks_ = 0;
   uint64_t inner_reorders_ = 0;

@@ -13,14 +13,6 @@
 
 namespace ajr {
 
-namespace {
-
-// Sample floor for monitored selectivities in inner-reorder decisions (see
-// BuildRuntimeCostInputs doc comment).
-constexpr uint64_t kInnerMinSamples = 2;
-
-}  // namespace
-
 PipelineExecutor::PipelineExecutor(const PipelinePlan* plan, AdaptiveOptions options)
     : plan_(plan), options_(options) {}
 
@@ -92,7 +84,7 @@ Status PipelineExecutor::CreateDrivingCursor(size_t t) {
 }
 
 void PipelineExecutor::RefreshPositions(size_t from) {
-  CostInputs in = BuildRuntimeCostInputs(kInnerMinSamples);
+  CostInputs in = BuildInnerCheckInputs(*plan_, LegViews(), edge_monitors_, options_);
   uint64_t mask = 0;
   for (size_t i = 0; i < from; ++i) mask |= uint64_t{1} << order_[i];
   for (size_t i = from; i < order_.size(); ++i) {
@@ -112,32 +104,20 @@ void PipelineExecutor::RefreshPositions(size_t from) {
   }
 }
 
-CostInputs PipelineExecutor::BuildRuntimeCostInputs(uint64_t min_leg_samples) const {
-  CostInputs in;
-  in.query = &plan_->query;
-  const size_t n = plan_->query.tables.size();
-  in.tables.resize(n);
-  for (size_t t = 0; t < n; ++t) {
+std::vector<LegView> PipelineExecutor::LegViews() const {
+  std::vector<LegView> views(legs_.size());
+  for (size_t t = 0; t < legs_.size(); ++t) {
     const LegRt& leg = legs_[t];
-    LegParams& p = in.tables[t];
-    p.cardinality = static_cast<double>(leg.entry->StatsCardinality());
-    p.index_height = leg.index_height;
-    p.local_sel = EffectiveLocalSel(leg.inner_monitor, leg.driving_monitor,
-                                    plan_->est_local_sel[t],
-                                    plan_->access[t].driving.est_slpi,
-                                    min_leg_samples);
-    // A demoted leg's positional predicate shrinks its effective
-    // cardinality to the unprocessed remainder.
-    if (leg.prefix.has_value()) {
-      p.local_sel *= leg.cached_remaining_fraction;
-    }
+    LegView& v = views[t];
+    v.inner = &leg.inner_monitor;
+    v.driving = &leg.driving_monitor;
+    v.index_height = leg.index_height;
+    v.demoted_fraction = leg.prefix.has_value() ? leg.cached_remaining_fraction : 1.0;
+    v.ever_driven = leg.cursor != nullptr;
+    v.total_entries = leg.total_raw_entries;
+    v.remaining_entries = leg.cached_remaining_entries;
   }
-  in.edge_sel.resize(plan_->query.edges.size());
-  for (size_t e = 0; e < in.edge_sel.size(); ++e) {
-    in.edge_sel[e] =
-        edge_monitors_[e].Selectivity(plan_->est_edge_sel[e], options_.min_edge_pairs);
-  }
-  return in;
+  return views;
 }
 
 double PipelineExecutor::RemainingEntries(size_t t) const {
@@ -276,78 +256,20 @@ void PipelineExecutor::DrivingCheck() {
   ++stats_.driving_checks;
   // Back-off bookkeeping: assume unproductive; a switch below resets it.
   driving_backoff_.OnUnproductiveCheck();
-  CostInputs in = BuildRuntimeCostInputs(options_.min_leg_samples);
   const size_t current = order_[0];
-  const double current_remaining = RemainingEntries(current);
-  // Anticipate the demotion of the current driving leg: as an inner leg its
-  // positional predicate would keep only the unprocessed remainder.
-  if (legs_[current].total_raw_entries > 0) {
-    in.tables[current].local_sel *= std::min(
-        1.0, current_remaining / legs_[current].total_raw_entries);
-  }
-
-  std::vector<DrivingCandidate> candidates(in.tables.size());
-  for (size_t t = 0; t < in.tables.size(); ++t) {
-    DrivingCandidate& cand = candidates[t];
-    cand.table = t;
-    const LegRt& leg = legs_[t];
-    if (leg.cursor != nullptr) {
-      // Exact: the live cursor knows its position; a demoted leg's
-      // remainder was frozen at demotion time.
-      cand.raw_entries = t == current ? current_remaining : leg.cached_remaining_entries;
-      double s_lpr = leg.driving_monitor.scanned_total() > 0
-                         ? leg.driving_monitor.ResidualSel(1.0)
-                         : (plan_->access[t].driving.est_slpi > 0
-                                ? plan_->est_local_sel[t] /
-                                      plan_->access[t].driving.est_slpi
-                                : 1.0);
-      cand.flow = cand.raw_entries * std::min(1.0, s_lpr);
-    } else {
-      // Never scanned: the optimizer's S_LPI (Sec 4.3.3) — possibly badly
-      // wrong under skew, which is the paper's Template 4 degradation.
-      double card = static_cast<double>(leg.entry->StatsCardinality());
-      cand.raw_entries = plan_->access[t].driving.est_slpi * card;
-      cand.flow = in.tables[t].local_sel * card;
-    }
-  }
+  std::vector<LegView> views = LegViews();
+  views[current].remaining_entries = RemainingEntries(current);
+  DrivingCheckInputs check =
+      BuildDrivingCheckInputs(*plan_, views, edge_monitors_, options_, current);
 
   PolicySnapshot snapshot;
   snapshot.point = DecisionPoint::kDrivingBoundary;
   snapshot.position = 1;
-  snapshot.inputs = &in;
+  snapshot.inputs = &check.inputs;
   snapshot.order = &order_;
-  snapshot.candidates = &candidates;
-  snapshot.driving_rows_produced = stats_.driving_rows_produced;
-  snapshot.rows_out = stats_.rows_out;
-  snapshot.work_units = wc_.total();
-  snapshot.epoch = policy_->stats().decisions;
+  snapshot.candidates = &check.candidates;
   PolicyDecision decision = policy_->Decide(snapshot);
   if (!decision.changed()) return;
-  if (decision.action == PolicyDecision::Action::kInnerReorder) {
-    // Exploration policies may pick a same-driving-leg order here; the whole
-    // pipeline is depleted between driving rows, so adopting the tail at
-    // position 1 is an ordinary inner reorder (invariant I4 holds).
-    ++stats_.inner_reorders;
-    driving_backoff_.OnReorder();
-    std::vector<size_t> order_before = order_;
-    order_ = decision.new_order;
-    RefreshPositions(1);
-    std::string msg =
-        StrCat("inner reorder at position 1 after ", stats_.driving_rows_produced,
-               " driving rows (policy ", policy_->name(), "); order");
-    for (size_t t : order_) msg += " " + plan_->query.tables[t].alias;
-    stats_.events.push_back(std::move(msg));
-    if (observer_ != nullptr) {
-      AdaptationEvent ev;
-      ev.kind = AdaptationEvent::Kind::kInnerReorder;
-      ev.position = 1;
-      ev.order_before = std::move(order_before);
-      ev.order_after = order_;
-      ev.driving_rows_produced = stats_.driving_rows_produced;
-      observer_->OnAdaptation(ev);
-    }
-    return;
-  }
   ++stats_.driving_switches;
   driving_backoff_.OnReorder();
   std::vector<size_t> order_before = order_;
@@ -402,16 +324,12 @@ void PipelineExecutor::InnerCheck(size_t level) {
   checking_leg.incoming_since_check = 0;
   checking_leg.check_backoff.OnUnproductiveCheck();
   ++stats_.inner_checks;
-  CostInputs in = BuildRuntimeCostInputs(kInnerMinSamples);
+  CostInputs in = BuildInnerCheckInputs(*plan_, LegViews(), edge_monitors_, options_);
   PolicySnapshot snapshot;
   snapshot.point = DecisionPoint::kInnerDepleted;
   snapshot.position = level;
   snapshot.inputs = &in;
   snapshot.order = &order_;
-  snapshot.driving_rows_produced = stats_.driving_rows_produced;
-  snapshot.rows_out = stats_.rows_out;
-  snapshot.work_units = wc_.total();
-  snapshot.epoch = policy_->stats().decisions;
   PolicyDecision decision = policy_->Decide(snapshot);
   if (!decision.changed()) return;
   ++stats_.inner_reorders;
@@ -546,19 +464,9 @@ StatusOr<ExecStats> PipelineExecutor::Execute(const RowSink& sink) {
   stats_.work_units = wc_.total();
   stats_.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  {
-    const PolicyStats& ps = policy_->stats();
-    stats_.policy_decisions = ps.decisions;
-    stats_.policy_reorders = ps.inner_reorders;
-    stats_.policy_switches = ps.driving_switches;
-    stats_.policy_regret_x1000 =
-        static_cast<uint64_t>(ps.cumulative_regret * 1000.0 + 0.5);
-  }
+  stats_.policy_decisions = policy_->stats().decisions;
   if (metrics_ != nullptr) {
     metrics_->GetCounter("exec.policy_decisions")->Add(stats_.policy_decisions);
-    metrics_->GetCounter("exec.policy_reorders")->Add(stats_.policy_reorders);
-    metrics_->GetCounter("exec.policy_switches")->Add(stats_.policy_switches);
-    metrics_->GetCounter("exec.policy_regret_x1000")->Add(stats_.policy_regret_x1000);
   }
   return stats_;
 }

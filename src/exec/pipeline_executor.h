@@ -68,15 +68,10 @@ struct ExecStats {
   uint64_t parallel_workers = 0;
   uint64_t morsels = 0;
   uint64_t monitor_folds = 0;
-  /// AdaptationPolicy observability (adaptive/policy.h): Decide() calls and
-  /// what they returned, plus the policy's cumulative empirical regret in
-  /// milli-reward units (0 for rank/static, which track no regret). Owned
-  /// by the decision host — the serial executor or the parallel
-  /// coordinator — so workers report 0.
+  /// AdaptationPolicy Decide() calls (adaptive/policy.h). Owned by the
+  /// decision host — the serial executor or the parallel coordinator — so
+  /// workers report 0.
   uint64_t policy_decisions = 0;
-  uint64_t policy_reorders = 0;
-  uint64_t policy_switches = 0;
-  uint64_t policy_regret_x1000 = 0;
   /// Total join-order changes (inner reorders + driving switches) — the
   /// quantity Fig 10 plots against the history window size.
   uint64_t order_switches() const { return inner_reorders + driving_switches; }
@@ -133,20 +128,16 @@ class PipelineExecutor {
   void set_fault_injection(const FaultInjection* faults) { faults_ = faults; }
 
   /// Installs an engine-wide metrics registry: at the end of Execute() the
-  /// run's policy counters are added to the `exec.*` counters (one Add per
-  /// counter per query — nothing on the probe hot path). `metrics` must outlive Execute(); may be null (default). Call
+  /// run's policy decisions are added to `exec.policy_decisions` (one Add
+  /// per query — nothing on the probe hot path). `metrics` must outlive Execute(); may be null (default). Call
   /// before Execute().
   void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
   /// Injects the AdaptationPolicy that will own this run's reorder/switch
-  /// decisions. Default (no call): Execute() instantiates the policy named
-  /// by options.policy via MakePolicy. Call before Execute(); mainly for
-  /// tests that need to inspect the policy (e.g. RegretBoundedPolicy arm
-  /// statistics) after the run.
+  /// decisions. Default (no call): Execute() instantiates MakePolicy(options).
+  /// Call before Execute(); for decorators that wrap the policy (e.g. to
+  /// time Decide()).
   void set_policy(std::unique_ptr<AdaptationPolicy> policy);
-
-  /// The policy driving this run (null until Execute() unless injected).
-  AdaptationPolicy* policy() const { return policy_.get(); }
 
   /// Morsel-parallel worker mode (see exec/adaptive_coordinator.h): driving
   /// rows come from the coordinator's shared morsel source instead of a
@@ -213,12 +204,10 @@ class PipelineExecutor {
   /// Recomputes position-derived state (applicable edges, probe edge,
   /// loaded flags) for pipeline positions [from..k].
   void RefreshPositions(size_t from);
-  /// `min_leg_samples` gates monitored local selectivities (below it the
-  /// optimizer estimate is used). Inner reorders pass a small value —
-  /// they are cheap and reversible, so acting on young monitors is fine —
-  /// while driving switches pass options_.min_leg_samples (a cold monitor
-  /// must not make a candidate driving plan look free).
-  CostInputs BuildRuntimeCostInputs(uint64_t min_leg_samples) const;
+  /// Per-table view of the legs for the shared Eq 1 input builders
+  /// (adaptive/controller.h). Remaining entries are the frozen demotion
+  /// remainders; DrivingCheck fills in the live current driving leg's.
+  std::vector<LegView> LegViews() const;
   /// Exact remaining scan entries for a leg that has (or had) a cursor.
   double RemainingEntries(size_t t) const;
   bool NextDrivingRow();
@@ -271,10 +260,6 @@ class PipelineExecutor {
   bool executed_ = false;
   /// Worker mode: the coordinator epoch this worker last adopted.
   uint64_t parallel_epoch_ = 0;
-  /// Worker mode: rows/work already reported to the coordinator, so each
-  /// fold carries only the delta since the previous one.
-  uint64_t folded_rows_ = 0;
-  uint64_t folded_work_ = 0;
   ExecStats stats_;
 };
 

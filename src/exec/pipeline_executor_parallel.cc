@@ -76,11 +76,6 @@ void PipelineExecutor::FoldMonitors(AdaptiveCoordinator* coordinator) {
   }
   deltas.edges.reserve(edge_monitors_.size());
   for (EdgeMonitor& em : edge_monitors_) deltas.edges.push_back(em.TakeDelta());
-  const uint64_t work_now = wc_.total();
-  deltas.rows_out = stats_.rows_out - folded_rows_;
-  deltas.work_units = work_now - folded_work_;
-  folded_rows_ = stats_.rows_out;
-  folded_work_ = work_now;
   coordinator->Fold(deltas);
   ++stats_.monitor_folds;
 }

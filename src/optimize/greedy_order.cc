@@ -76,20 +76,6 @@ std::vector<size_t> AntiGreedyCardinalityOrder(const CostInputs& in) {
   return GreedyOrderImpl(in, /*worst=*/true);
 }
 
-std::vector<std::vector<size_t>> NeighborSwapOrders(
-    const std::vector<size_t>& order, size_t from) {
-  if (from < 1) from = 1;
-  std::vector<std::vector<size_t>> out;
-  if (order.size() < from + 2) return out;
-  out.reserve(order.size() - from - 1);
-  for (size_t i = from; i + 1 < order.size(); ++i) {
-    std::vector<size_t> cand = order;
-    std::swap(cand[i], cand[i + 1]);
-    out.push_back(std::move(cand));
-  }
-  return out;
-}
-
 double EstimatedJoinOutput(const CostInputs& in,
                            const std::vector<size_t>& order) {
   if (order.empty()) return 0;

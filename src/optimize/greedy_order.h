@@ -1,6 +1,4 @@
-// Cardinality-greedy initial join orders for wide queries, and the
-// polynomial candidate sets the adaptive layer explores at widths where
-// exhaustive enumeration is off the table (DESIGN.md §13).
+// Cardinality-greedy initial join orders for wide queries (DESIGN.md §13).
 //
 // The planner's default seeding costs every driving candidate with a
 // greedy-rank tail — O(n^2) GreedyRankOrder calls — which is fine at the
@@ -11,8 +9,8 @@
 // Steinbrunn et al.'s minimum-intermediate-result heuristic): start from
 // the smallest filtered leg, then place, round by round, the connected leg
 // with the smallest estimated post-join cardinality. The run-time monitors
-// plus RankPolicy / RegretBoundedPolicy are expected to repair what the
-// heuristic gets wrong — that contract is what bench/wide_join measures.
+// plus RankPolicy are expected to repair what the heuristic gets wrong —
+// that contract is what bench/wide_join measures.
 //
 // All selection here is deterministic: candidates are scanned in table-index
 // order and only a strictly better score displaces the incumbent, so equal
@@ -44,14 +42,6 @@ std::vector<size_t> GreedyCardinalityOrder(const CostInputs& in);
 /// from; a naive reversal would disconnect star prefixes and measure
 /// cross-product blowup instead of misordering.
 std::vector<size_t> AntiGreedyCardinalityOrder(const CostInputs& in);
-
-/// The polynomial inner-tail candidate set for wide pipelines: every order
-/// obtained from `order` by one adjacent transposition within
-/// order[from..]. Returns order.size() - from - 1 candidates (empty when
-/// the tail has fewer than two legs); each shares the prefix [0, from).
-/// `from` is clamped to >= 1 so the driving leg is never moved.
-std::vector<std::vector<size_t>> NeighborSwapOrders(
-    const std::vector<size_t>& order, size_t from);
 
 /// Estimated rows the fully joined pipeline emits under `in`: the driving
 /// leg's filtered cardinality times JC of every inner given its prefix.

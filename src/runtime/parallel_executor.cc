@@ -137,10 +137,6 @@ StatusOr<ExecStats> ParallelPipelineExecutor::Execute(const RowSink& sink) {
 
   if (metrics_ != nullptr) {
     metrics_->GetCounter("exec.policy_decisions")->Add(merged.policy_decisions);
-    metrics_->GetCounter("exec.policy_reorders")->Add(merged.policy_reorders);
-    metrics_->GetCounter("exec.policy_switches")->Add(merged.policy_switches);
-    metrics_->GetCounter("exec.policy_regret_x1000")
-        ->Add(merged.policy_regret_x1000);
     metrics_->GetCounter("exec.parallel_queries")->Add(1);
     metrics_->GetCounter("exec.parallel_workers")->Add(merged.parallel_workers);
     metrics_->GetCounter("exec.parallel_morsels")->Add(merged.morsels);

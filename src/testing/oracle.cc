@@ -66,11 +66,7 @@ std::optional<std::string> WorkStatsDiff(const ExecStats& a, const ExecStats& b)
         diff_u64("inner_reorders", a.inner_reorders, b.inner_reorders),
         diff_u64("driving_checks", a.driving_checks, b.driving_checks),
         diff_u64("driving_switches", a.driving_switches, b.driving_switches),
-        diff_u64("policy_decisions", a.policy_decisions, b.policy_decisions),
-        diff_u64("policy_reorders", a.policy_reorders, b.policy_reorders),
-        diff_u64("policy_switches", a.policy_switches, b.policy_switches),
-        diff_u64("policy_regret_x1000", a.policy_regret_x1000,
-                 b.policy_regret_x1000)}) {
+        diff_u64("policy_decisions", a.policy_decisions, b.policy_decisions)}) {
     if (d.has_value()) return d;
   }
   if (a.initial_order != b.initial_order) {
@@ -136,16 +132,12 @@ AdaptiveOptions AggressiveAdaptiveOptions() {
 }
 
 std::vector<DifferentialConfig> DefaultConfigs() {
-  // The static baseline is a policy now, not a pair of disabled flags: the
-  // StaticPolicy's capabilities gate every check off, so the optimizer's
-  // initial order runs unchanged.
+  // The static baseline: both reorder flags off gate every check, so the
+  // optimizer's initial order runs unchanged.
   AdaptiveOptions off;
-  off.policy = PolicyKind::kStatic;
+  off.reorder_inners = false;
+  off.reorder_driving = false;
   AdaptiveOptions aggressive = AggressiveAdaptiveOptions();
-  AdaptiveOptions regret;
-  regret.policy = PolicyKind::kRegret;
-  AdaptiveOptions regret_aggressive = AggressiveAdaptiveOptions();
-  regret_aggressive.policy = PolicyKind::kRegret;
   return {
       {"static", off, StatsTier::kBase, ""},
       {"paper-default", AdaptiveOptions{}, StatsTier::kMinimal, ""},
@@ -153,10 +145,6 @@ std::vector<DifferentialConfig> DefaultConfigs() {
       // The aggressive configs demote and re-promote on nearly every check:
       // the hardest case for positional predicates and cursor resumption.
       {"aggressive-base", aggressive, StatsTier::kBase, ""},
-      // Regret-bounded policy axis: results must still match the reference
-      // under UCB-driven switching.
-      {"regret-base", regret, StatsTier::kBase, ""},
-      {"regret-aggressive", regret_aggressive, StatsTier::kBase, ""},
       // Morsel-parallel axis: the same invariants must hold per worker
       // pipeline, and the merged result multiset must still equal the
       // reference, for every dop. Tiny morsels force frequent dispenser
@@ -165,7 +153,6 @@ std::vector<DifferentialConfig> DefaultConfigs() {
       {"static/dop2", off, StatsTier::kBase, "", 2, 5},
       {"paper-default/dop2", AdaptiveOptions{}, StatsTier::kMinimal, "", 2, 5},
       {"aggressive-base/dop4", aggressive, StatsTier::kBase, "", 4, 3},
-      {"regret-base/dop2", regret, StatsTier::kBase, "", 2, 5},
   };
 }
 
@@ -200,14 +187,6 @@ std::vector<DifferentialConfig> ConfigsForShare() {
   DifferentialConfig dop2 = mk("share-scan/dop2", AdaptiveOptions{}, "", true);
   dop2.dop = 2;
   out.push_back(dop2);
-  return out;
-}
-
-std::vector<DifferentialConfig> ConfigsForPolicy(PolicyKind kind) {
-  std::vector<DifferentialConfig> out;
-  for (DifferentialConfig& config : DefaultConfigs()) {
-    if (config.adaptive.policy == kind) out.push_back(std::move(config));
-  }
   return out;
 }
 

@@ -79,18 +79,11 @@ struct DifferentialConfig {
   bool force_parallel = false;
 };
 
-/// The default configuration spread: static plan, paper defaults, and an
-/// aggressive config that maximizes moments-of-symmetry churn (check every
-/// row, zero thresholds, window of 4) under both statistics tiers, the
-/// regret policy, and morsel-parallel twins at dop 2 and 4.
+/// The default configuration spread: static plan (both reorder flags
+/// off), paper defaults, and an aggressive config that maximizes
+/// moments-of-symmetry churn (check every row, zero thresholds, window of
+/// 4) under both statistics tiers, and morsel-parallel twins at dop 2 and 4.
 std::vector<DifferentialConfig> DefaultConfigs();
-
-/// The subset of DefaultConfigs() whose AdaptiveOptions select `kind` —
-/// the policy axis of the differential oracle (fuzz_differential
-/// --policy=<name>, CI's per-policy smoke runs). Every subset still
-/// compares against the trusted reference executor, so running the three
-/// subsets asserts all policies agree on the result multiset.
-std::vector<DifferentialConfig> ConfigsForPolicy(PolicyKind kind);
 
 /// The cross-query sharing axis (fuzz_differential --share): share-off and
 /// share-scan at forced-parallel dop 1 in one work_class — shared scans

@@ -1,6 +1,6 @@
 // AdaptationPolicy behavioural suite (DESIGN.md §12).
 //
-// Three contracts, one per shipped policy:
+// Two contracts:
 //
 //   * RankPolicy is the paper's brain *moved*, not rewritten: on the fig7
 //     four-table mix it must reproduce the pre-refactor executor's decision
@@ -9,14 +9,9 @@
 //     executor BEFORE the policy extraction (same workload: DMV 5000
 //     owners, seed 20070415, minimal-stats planner, default options).
 //
-//   * StaticPolicy never decides anything: no checks fire, no events are
-//     logged, the optimizer's order runs unchanged — even when the
-//     reorder_* flags are on (PolicyKind::kStatic overrides them).
-//
-//   * RegretBoundedPolicy converges: on a 3-table workload with a planted
-//     pathological initial order (driving the fat table), UCB1 exploration
-//     must identify and adopt the cheap driving leg, and exploration must
-//     not cost correctness (exact multiset vs the reference executor).
+//   * With both reorder_* flags off (the static baseline) nothing is
+//     decided: no checks fire, no events are logged, the optimizer's order
+//     runs unchanged.
 
 #include <gtest/gtest.h>
 
@@ -27,9 +22,7 @@
 
 #include "adaptive/policy.h"
 #include "exec/pipeline_executor.h"
-#include "exec/reference_executor.h"
 #include "optimize/planner.h"
-#include "testing/workload_gen.h"
 #include "workload/dmv.h"
 #include "workload/templates.h"
 
@@ -161,23 +154,27 @@ TEST_F(PolicyTest, RankPolicyReproducesPreRefactorTrace) {
   for (const JoinQuery& q : GoldenMix()) {
     auto plan = planner_->Plan(q);
     ASSERT_TRUE(plan.ok()) << plan.status();
-    AdaptiveOptions options;  // defaults: PolicyKind::kRank, SwitchBoth
+    AdaptiveOptions options;  // defaults: SwitchBoth
     PipelineExecutor exec(plan->get(), options);
     auto stats = exec.Execute(nullptr);
     ASSERT_TRUE(stats.ok()) << q.name << ": " << stats.status();
-    // Every consultation and adoption flowed through the policy: its
-    // accounting must agree with the executor's own counters.
+    // Every check consulted the policy exactly once.
     EXPECT_EQ(stats->policy_decisions, stats->inner_checks + stats->driving_checks)
         << q.name;
-    EXPECT_EQ(stats->policy_switches, stats->driving_switches) << q.name;
-    EXPECT_EQ(stats->policy_regret_x1000, 0u) << q.name;
     trace += TraceLine(q, *stats);
   }
   EXPECT_EQ(trace, kGoldenFig7Trace)
       << "RankPolicy diverged from the pre-refactor executor";
 }
 
-TEST_F(PolicyTest, StaticPolicyNeverDecides) {
+TEST_F(PolicyTest, ReorderFlagsOffNeverDecides) {
+  AdaptiveOptions options;
+  options.reorder_inners = false;
+  options.reorder_driving = false;
+  std::unique_ptr<AdaptationPolicy> policy = MakePolicy(options);
+  EXPECT_FALSE(policy->adapts_inners());
+  EXPECT_FALSE(policy->adapts_driving());
+
   // Rank pass for the completeness cross-check: static execution must
   // produce the same row counts, it just never reorders.
   for (const JoinQuery& q : GoldenMix()) {
@@ -190,10 +187,6 @@ TEST_F(PolicyTest, StaticPolicyNeverDecides) {
     auto rank_stats = rank_exec.Execute(nullptr);
     ASSERT_TRUE(rank_stats.ok()) << q.name;
 
-    AdaptiveOptions options;
-    options.policy = PolicyKind::kStatic;
-    // kStatic must override the (enabled) reorder flags.
-    ASSERT_TRUE(options.reorder_inners && options.reorder_driving);
     PipelineExecutor exec(plan->get(), options);
     auto stats = exec.Execute(nullptr);
     ASSERT_TRUE(stats.ok()) << q.name << ": " << stats.status();
@@ -206,179 +199,8 @@ TEST_F(PolicyTest, StaticPolicyNeverDecides) {
     EXPECT_TRUE(stats->events.empty()) << q.name;
     EXPECT_EQ(stats->final_order, initial) << q.name;
     EXPECT_EQ(stats->rows_out, rank_stats->rows_out)
-        << q.name << ": policies must agree on the result multiset";
+        << q.name << ": static and adaptive runs must agree on the result";
   }
-}
-
-// ---- Regret-bounded convergence ------------------------------------------
-
-/// Three tables with sharply different driving costs, joined in a chain on
-/// `k`: big (1000 rows, 20 per key) — mid (50 rows) — small (10 rows).
-/// Driving small touches 10 scan rows for the full 200-row result; driving
-/// big touches 1000. The best driving leg is unambiguous.
-testing::WorkloadSpec ConvergenceWorkload() {
-  testing::WorkloadSpec spec;
-  auto table = [](std::string name, size_t rows, int64_t key_mod) {
-    testing::TableSpec t;
-    t.name = std::move(name);
-    t.columns = {{"k", DataType::kInt64}, {"v", DataType::kInt64}};
-    for (size_t i = 0; i < rows; ++i) {
-      t.rows.push_back({Value(static_cast<int64_t>(i) % key_mod),
-                        Value(static_cast<int64_t>(i))});
-    }
-    t.indexed_columns = {"k"};
-    return t;
-  };
-  spec.tables.push_back(table("big", 1000, 50));
-  spec.tables.push_back(table("mid", 50, 50));
-  spec.tables.push_back(table("small", 10, 10));
-
-  JoinQuery& q = spec.query;
-  q.name = "regret_convergence";
-  q.tables = {{"big", "big"}, {"mid", "mid"}, {"small", "small"}};
-  q.edges = {{0, "k", 1, "k", 0}, {1, "k", 2, "k", 1}};
-  q.local_predicates = {nullptr, nullptr, nullptr};
-  q.output = {{0, "v"}, {2, "v"}};
-  return spec;
-}
-
-TEST(RegretPolicyTest, ConvergesToCheapDrivingLegUnderPlantedBadOrder) {
-  testing::WorkloadSpec spec = ConvergenceWorkload();
-  auto catalog = spec.Materialize();
-  ASSERT_TRUE(catalog.ok()) << catalog.status();
-  Planner planner(catalog->get(), PlannerOptions{StatsTier::kMinimal});
-  auto plan = planner.Plan(spec.query);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  // Plant the pathological order: drive the fat table.
-  (*plan)->initial_order = {0, 1, 2};
-
-  AdaptiveOptions options;
-  options.policy = PolicyKind::kRegret;
-  options.check_frequency = 1;   // a decision at every driving row
-  options.check_backoff = false; // keep deciding even when arms repeat
-
-  auto policy = std::make_unique<RegretBoundedPolicy>(options);
-  RegretBoundedPolicy* raw = policy.get();
-  PipelineExecutor exec(plan->get(), options);
-  exec.set_policy(std::move(policy));
-  std::vector<Row> rows;
-  auto stats = exec.Execute([&rows](const Row& r) { rows.push_back(r); });
-  ASSERT_TRUE(stats.ok()) << stats.status();
-
-  // Exploration never costs correctness: exact multiset vs brute force.
-  auto expected = ExecuteReference(**catalog, spec.query);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-  SortRows(&rows);
-  SortRows(&*expected);
-  EXPECT_EQ(rows, *expected);
-  EXPECT_EQ(stats->rows_out, 200u);
-
-  // 3 tables => all 3! = 6 permutations are arms; within one query's
-  // horizon UCB1 must have covered the whole space (every arm pulled)
-  // and kept deciding past the initial sweep.
-  std::vector<RegretBoundedPolicy::ArmView> arms = raw->arms();
-  ASSERT_EQ(arms.size(), 6u);
-  EXPECT_GT(stats->policy_decisions, arms.size());
-  for (const auto& arm : arms) {
-    EXPECT_GT(arm.pulls, 0u) << "unexplored arm";
-  }
-
-  // Exploration moved the pipeline off the planted order, and the run
-  // finished driving the cheap 10-row table (everything here is
-  // deterministic: same workload, same arms, same UCB tie-breaks).
-  ASSERT_FALSE(stats->final_order.empty());
-  EXPECT_NE(stats->final_order, (std::vector<size_t>{0, 1, 2}));
-  EXPECT_EQ(stats->final_order[0], 2u)
-      << "executor should finish driving the 10-row table";
-  EXPECT_GT(stats->driving_switches, 0u);
-  // Empirical regret was accrued (exploration has a price) and reported.
-  EXPECT_GT(stats->policy_regret_x1000, 0u);
-}
-
-TEST(RegretPolicyTest, Ucb1ConvergesToBestArmOverSyntheticSlices) {
-  // Pure bandit check, decoupled from executor slice sizes: a simulated
-  // 3-table environment where driving table 2 yields reward ~0.9 per
-  // slice and the others ~0.05 / ~0.02. Over a long horizon UCB1 must
-  // concentrate pulls on the best arm while the per-pull regret of the
-  // exploration tax stays bounded.
-  AdaptiveOptions options;
-  options.policy = PolicyKind::kRegret;
-  RegretBoundedPolicy policy(options);
-
-  // Slice yield (rows, work) by driving leg of the order in effect.
-  auto slice = [](size_t driving) -> std::pair<uint64_t, uint64_t> {
-    switch (driving) {
-      case 2: return {900, 100};  // reward 0.9
-      case 1: return {10, 190};   // reward 0.05
-      default: return {4, 196};   // reward 0.02
-    }
-  };
-
-  std::vector<size_t> order = {0, 1, 2};  // planted worst order
-  uint64_t rows = 0, work = 0;
-  constexpr int kDecisions = 600;
-  for (int i = 0; i < kDecisions; ++i) {
-    auto [dr, dw] = slice(order[0]);
-    rows += dr;
-    work += dw;
-    PolicySnapshot snapshot;
-    snapshot.point = DecisionPoint::kDrivingBoundary;
-    snapshot.order = &order;
-    snapshot.rows_out = rows;
-    snapshot.work_units = work;
-    snapshot.epoch = policy.stats().decisions;
-    PolicyDecision d = policy.Decide(snapshot);
-    if (d.changed()) order = d.new_order;
-  }
-
-  std::vector<RegretBoundedPolicy::ArmView> arms = policy.arms();
-  ASSERT_EQ(arms.size(), 6u);
-  size_t most_pulled = 0;
-  size_t best_mean = 0;
-  uint64_t total_pulls = 0;
-  for (size_t i = 0; i < arms.size(); ++i) {
-    total_pulls += arms[i].pulls;
-    if (arms[i].pulls > arms[most_pulled].pulls) most_pulled = i;
-    if (arms[i].mean_reward > arms[best_mean].mean_reward) best_mean = i;
-  }
-  EXPECT_EQ(arms[most_pulled].order[0], 2u)
-      << "UCB1 should exploit the high-reward driving leg";
-  EXPECT_EQ(arms[best_mean].order[0], 2u);
-  // The best arm dominates: more pulls than all suboptimal-driving arms
-  // combined.
-  uint64_t best_driving_pulls = 0;
-  for (const auto& arm : arms) {
-    if (arm.order[0] == 2) best_driving_pulls += arm.pulls;
-  }
-  EXPECT_GT(best_driving_pulls, total_pulls - best_driving_pulls);
-  // Regret is the exploration tax only — far below the linear worst case
-  // (always playing a ~0.05 arm would accrue ~0.85 per pull).
-  EXPECT_GT(policy.stats().cumulative_regret, 0.0);
-  EXPECT_LT(policy.stats().cumulative_regret, 0.3 * total_pulls);
-}
-
-TEST(PolicyKindTest, NamesRoundTrip) {
-  for (PolicyKind kind :
-       {PolicyKind::kRank, PolicyKind::kRegret, PolicyKind::kStatic}) {
-    auto parsed = ParsePolicyKind(PolicyKindName(kind));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, kind);
-  }
-  EXPECT_FALSE(ParsePolicyKind("greedy").has_value());
-  EXPECT_FALSE(ParsePolicyKind("").has_value());
-}
-
-TEST(PolicyKindTest, MakePolicySelectsByKind) {
-  AdaptiveOptions options;
-  EXPECT_STREQ(MakePolicy(options)->name(), "rank");
-  options.policy = PolicyKind::kRegret;
-  EXPECT_STREQ(MakePolicy(options)->name(), "regret");
-  options.policy = PolicyKind::kStatic;
-  std::unique_ptr<AdaptationPolicy> st = MakePolicy(options);
-  EXPECT_STREQ(st->name(), "static");
-  // kStatic overrides the reorder flags: both capabilities off.
-  EXPECT_FALSE(st->adapts_inners());
-  EXPECT_FALSE(st->adapts_driving());
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "adaptive/policy.h"
 #include "exec/pipeline_executor.h"
 #include "exec/reference_executor.h"
 #include "optimize/greedy_order.h"
@@ -138,8 +137,8 @@ TEST(WideJoinTest, StarDifferentialClean) {
 }
 
 // A corrupted (anti-greedy) seed must still produce exactly the greedy
-// seed's result multiset under both adaptive policies, and adaptation must
-// beat running the corruption statically (work units are deterministic on
+// seed's result multiset under adaptation, and adaptation must beat
+// running the corruption statically (work units are deterministic on
 // these plans, so the strict inequality is stable).
 void CheckCorruptedSeedRepair(const WorkloadSpec& spec) {
   auto catalog = spec.Materialize();
@@ -165,22 +164,13 @@ void CheckCorruptedSeedRepair(const WorkloadSpec& spec) {
   EXPECT_EQ(RunPlan(corrupt_plan, StaticOptions(), &wu_corrupt), *expected);
   EXPECT_GT(wu_corrupt, wu_greedy) << "corruption is supposed to hurt";
 
-  for (PolicyKind kind : {PolicyKind::kRank, PolicyKind::kRegret}) {
-    AdaptiveOptions adapt = ajr::testing::AggressiveAdaptiveOptions();
-    adapt.policy = kind;
-    uint64_t wu_repaired = 0;
-    EXPECT_EQ(RunPlan(corrupt_plan, adapt, &wu_repaired), *expected)
-        << "policy=" << PolicyKindName(kind);
-    // Rank must win back work even on these miniature worlds. The regret
-    // policy's UCB exploration legitimately costs more than the corruption
-    // at this scale (dozens of driving rows), so its work recovery is
-    // asserted at realistic scale by bench/wide_join instead; here only
-    // the result multiset is on the hook.
-    if (kind == PolicyKind::kRank) {
-      EXPECT_LT(wu_repaired, wu_corrupt)
-          << "rank policy failed to recover any of the corrupted seed's damage";
-    }
-  }
+  uint64_t wu_repaired = 0;
+  EXPECT_EQ(RunPlan(corrupt_plan, ajr::testing::AggressiveAdaptiveOptions(),
+                    &wu_repaired),
+            *expected);
+  // Rank must win back work even on these miniature worlds.
+  EXPECT_LT(wu_repaired, wu_corrupt)
+      << "rank policy failed to recover any of the corrupted seed's damage";
 }
 
 TEST(WideJoinTest, ChainCorruptedSeedRepairs) {

@@ -10,7 +10,7 @@
 // Usage:
 //   fuzz_differential [--seed N] [--count N] [--duration SECONDS]
 //                     [--jobs N] [--inject none|nopos|dup]
-//                     [--policy rank|regret|static] [--share] [--wide]
+//                     [--share] [--wide]
 //                     [--expect-failure] [--no-shrink] [--start-seed N]
 //
 //   --seed N          run exactly seed N (replay mode)
@@ -22,12 +22,9 @@
 //   --jobs N          worker threads (default 1)
 //   --inject nopos    disable positional predicates (Sec 4.2 duplicate bug)
 //   --inject dup      emit every output row twice
-//   --policy P        restrict the config spread to one AdaptationPolicy
-//                     (default: the full spread across all policies)
 //   --share           run the cross-query sharing axis: shared scans in
 //                     one work_class against sharing-off, each warm-re-run
-//                     against its retained registry (mutually exclusive
-//                     with --policy)
+//                     against its retained registry
 //   --expect-failure  exit 0 only if a failure IS found (oracle self-test)
 //   --no-shrink       print the raw failing spec without minimizing
 //
@@ -45,7 +42,6 @@
 #include <thread>
 #include <vector>
 
-#include "adaptive/policy.h"
 #include "testing/oracle.h"
 #include "testing/shrinker.h"
 #include "testing/workload_gen.h"
@@ -69,7 +65,6 @@ struct Flags {
   std::optional<double> duration_seconds;
   unsigned jobs = 1;
   std::string inject = "none";
-  std::optional<ajr::PolicyKind> policy;
   bool share = false;
   bool wide = false;
   bool expect_failure = false;
@@ -115,13 +110,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       if (flags->inject != "none" && flags->inject != "nopos" &&
           flags->inject != "dup") {
         std::fprintf(stderr, "--inject must be none|nopos|dup, got %s\n", v);
-        return false;
-      }
-    } else if (matches(arg, "--policy")) {
-      if ((v = value_of(&i, "--policy", arg)) == nullptr) return false;
-      flags->policy = ajr::ParsePolicyKind(v);
-      if (!flags->policy.has_value()) {
-        std::fprintf(stderr, "--policy must be rank|regret|static, got %s\n", v);
         return false;
       }
     } else if (std::strcmp(arg, "--share") == 0) {
@@ -189,13 +177,6 @@ int main(int argc, char** argv) {
   faults.double_emit = flags.inject == "dup";
   DifferentialOptions options;
   if (flags.inject != "none") options.faults = &faults;
-  if (flags.policy.has_value() && flags.share) {
-    std::fprintf(stderr, "--policy and --share are mutually exclusive axes\n");
-    return 2;
-  }
-  if (flags.policy.has_value()) {
-    options.configs = ajr::testing::ConfigsForPolicy(*flags.policy);
-  }
   if (flags.share) {
     options.configs = ajr::testing::ConfigsForShare();
   }
@@ -230,12 +211,10 @@ int main(int argc, char** argv) {
           .count();
   std::printf(
       "fuzz_differential: %llu cases in %.1fs (%.0f cases/s), inject=%s, "
-      "policy=%s, share=%s, profile=%s\n",
+      "share=%s, profile=%s\n",
       static_cast<unsigned long long>(shared.cases_run.load()), elapsed,
       shared.cases_run.load() / (elapsed > 0 ? elapsed : 1),
-      flags.inject.c_str(),
-      flags.policy.has_value() ? ajr::PolicyKindName(*flags.policy) : "all",
-      flags.share ? "on" : "off", flags.wide ? "wide" : "default");
+      flags.inject.c_str(), flags.share ? "on" : "off", flags.wide ? "wide" : "default");
 
   if (!shared.harness_error.empty()) {
     std::fprintf(stderr, "HARNESS ERROR: %s\n", shared.harness_error.c_str());
@@ -265,14 +244,9 @@ int main(int argc, char** argv) {
     minimal = std::move(shrunk.spec);
   }
   std::printf("\n---- minimal repro ----\n%s", minimal.ToRepro().c_str());
-  std::string axis;
-  if (flags.policy.has_value()) {
-    axis = std::string(" --policy ") + ajr::PolicyKindName(*flags.policy);
-  } else if (flags.share) {
-    axis = " --share";
-  }
   std::printf("replay: fuzz_differential --seed %llu --inject %s%s%s\n",
               static_cast<unsigned long long>(shared.failure->seed),
-              flags.inject.c_str(), axis.c_str(), flags.wide ? " --wide" : "");
+              flags.inject.c_str(), flags.share ? " --share" : "",
+              flags.wide ? " --wide" : "");
   return flags.expect_failure ? 0 : 1;
 }

@@ -186,23 +186,6 @@ TEST(GreedyOrderTest, AntiGreedyPrefixesStayConnected) {
   }
 }
 
-TEST(GreedyOrderTest, NeighborSwapOrdersEnumerateAdjacentTranspositions) {
-  std::vector<size_t> order = {3, 1, 4, 0, 2};
-  auto swaps = NeighborSwapOrders(order, 1);
-  ASSERT_EQ(swaps.size(), 3u);  // order.size() - from - 1
-  for (const auto& cand : swaps) {
-    ASSERT_EQ(cand.size(), order.size());
-    EXPECT_EQ(cand[0], order[0]);  // prefix (driving leg) fixed
-    size_t diffs = 0;
-    for (size_t i = 0; i < order.size(); ++i) diffs += cand[i] != order[i];
-    EXPECT_EQ(diffs, 2u);  // exactly one adjacent transposition
-  }
-  // from = 0 is clamped to 1; short tails yield no candidates.
-  EXPECT_EQ(NeighborSwapOrders(order, 0).size(), 3u);
-  EXPECT_EQ(NeighborSwapOrders({1, 2}, 1).size(), 0u);
-  EXPECT_EQ(NeighborSwapOrders(order, 4).size(), 0u);
-}
-
 TEST(GreedyOrderTest, EstimatedJoinOutputMatchesHandComputation) {
   JoinQuery q = ChainQuery(3);
   auto in = MakeInputs(&q, {10, 100, 1000}, {0.02, 0.01});

@@ -16,7 +16,7 @@
 //         --per-template=30 --dops=1,2,4
 //
 // Flags: --owners=N --per-template=N --workers=N --seed=N
-//        --stats=minimal|base|rich --dops=CSV --morsel-size=N
+//        --stats=minimal|base|rich --dops=CSV
 
 #include <algorithm>
 #include <chrono>
@@ -39,7 +39,6 @@ struct Flags {
   HarnessFlags common;
   size_t workers = 0;  // 0 = hardware concurrency (at least 4)
   std::vector<size_t> dops = {1, 2};  // intra-query dop axis
-  size_t morsel_size = 0;  // 0 = executor auto-sizing
 };
 
 Flags ParseFlags(int argc, char** argv) {
@@ -58,9 +57,6 @@ Flags ParseFlags(int argc, char** argv) {
         p = *end == ',' ? end + 1 : end;
       }
       if (flags.dops.empty()) flags.dops.push_back(1);
-    } else if (std::strncmp(argv[i], "--morsel-size=", 14) == 0) {
-      flags.morsel_size =
-          static_cast<size_t>(std::strtoull(argv[i] + 14, nullptr, 10));
     } else {
       passthrough.push_back(argv[i]);
     }
@@ -148,7 +144,6 @@ int main(int argc, char** argv) {
       spec.query = q;
       spec.adaptive = adaptive;
       spec.dop = dop;
-      spec.morsel_size = flags.morsel_size;
       auto handle = engine.Submit(std::move(spec));
       if (!handle.ok()) {
         std::fprintf(stderr, "submit failed: %s\n", handle.status().ToString().c_str());

@@ -3,14 +3,19 @@
 //
 // Runs the six-table DMV mix (the longest pipelines, S1/S2) through
 // ParallelPipelineExecutor at each requested dop, with adaptation on.
-// Reports per-dop throughput and the speedup over dop=1, and checks two
-// contracts along the way:
+// Reports per-dop throughput and the speedup over dop=1, and checks three
+// contracts along the way (exit 1 when any fails):
 //
 //   * every dop produces exactly the dop=1 row counts (the multiset
 //     contract of parallel execution);
 //   * dop=1 work units are bit-identical to the plain serial
 //     PipelineExecutor (the dop<=1 delegation contract), so this harness
-//     doubles as a determinism tripwire for the figure reproductions.
+//     doubles as a determinism tripwire for the figure reproductions;
+//   * adaptation survives parallelism: no dop >= 2 does more than
+//     kMaxParallelWorkRatio times the serial work units. The coordinator's
+//     morsel ramp starts at c entries, so the fleet decides about as early
+//     as the serial executor; a run that stops adapting does roughly twice
+//     the serial work and trips this gate.
 //
 // Speedup is only meaningful on a machine with real cores: the report
 // includes the measured effective core count (bench/harness_util's
@@ -24,8 +29,7 @@
 //         --dops=1,2,4,8 --json
 //
 // Flags: --owners=N --per-template=N (six-table queries) --reps=N
-//        --seed=N --stats=minimal|base|rich --dops=CSV --morsel-size=N
-//        --json[=PATH]
+//        --seed=N --stats=minimal|base|rich --dops=CSV --json[=PATH]
 
 #include <algorithm>
 #include <chrono>
@@ -33,7 +37,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/harness_util.h"
@@ -44,10 +47,12 @@ using namespace ajr::bench;
 
 namespace {
 
+/// Gate: parallel work units over serial work units, for every dop >= 2.
+constexpr double kMaxParallelWorkRatio = 1.25;
+
 struct Flags {
   HarnessFlags common;
   std::vector<size_t> dops = {1, 2, 4, 8};
-  size_t morsel_size = 0;  // 0 = executor auto-sizing
 };
 
 Flags ParseFlags(int argc, char** argv) {
@@ -64,9 +69,6 @@ Flags ParseFlags(int argc, char** argv) {
         p = *end == ',' ? end + 1 : end;
       }
       if (flags.dops.empty()) flags.dops.push_back(1);
-    } else if (std::strncmp(argv[i], "--morsel-size=", 14) == 0) {
-      flags.morsel_size =
-          static_cast<size_t>(std::strtoull(argv[i] + 14, nullptr, 10));
     } else {
       passthrough.push_back(argv[i]);
     }
@@ -134,26 +136,17 @@ int main(int argc, char** argv) {
   const double cores = MeasureEffectiveCores();
   const bool speedups_not_meaningful = cores < kMinMeaningfulCores;
   JsonReport report("parallel_scaling", flags.common);
-  report.AddMetric("hardware_concurrency",
-                   static_cast<double>(std::thread::hardware_concurrency()));
   report.AddMetric("queries", static_cast<double>(queries.size()));
-  report.AddMetric("morsel_size", static_cast<double>(flags.morsel_size));
 
-  char morsel_desc[32];
-  if (flags.morsel_size == 0) {
-    std::snprintf(morsel_desc, sizeof(morsel_desc), "auto");
-  } else {
-    std::snprintf(morsel_desc, sizeof(morsel_desc), "%zu", flags.morsel_size);
-  }
-  std::printf("\nIntra-query scaling (%zu queries, %zu reps, morsel=%s, "
-              "hardware_concurrency=%u, effective cores=%.2f)\n",
-              queries.size(), reps, morsel_desc,
-              std::thread::hardware_concurrency(), cores);
+  std::printf("\nIntra-query scaling (%zu queries, %zu reps, "
+              "effective cores=%.2f)\n",
+              queries.size(), reps, cores);
   std::printf("  %-6s %10s %10s %9s %12s %9s\n", "dop", "wall_s", "qps",
               "speedup", "work_units", "switches");
 
   double dop1_wall = 0;
   bool dop1_wu_identical = true;
+  double max_work_ratio = 0;  // over dops >= 2
   int exit_code = 0;
   for (size_t dop : flags.dops) {
     DopResult best;  // median-of-reps by wall time
@@ -164,12 +157,6 @@ int main(int argc, char** argv) {
       for (size_t i = 0; i < queries.size(); ++i) {
         ParallelExecOptions popts;
         popts.dop = dop;
-        popts.morsel_size = flags.morsel_size;
-        // Fold after every morsel: a DMV driving scan is only a handful
-        // of morsels long, so the default cadence (check_frequency
-        // morsels) would starve the coordinator of statistics and the
-        // parallel runs would never adapt at all.
-        popts.fold_interval = 1;
         ParallelPipelineExecutor exec(plans[i].get(), adaptive, popts);
         auto stats = exec.Execute(nullptr);
         if (!stats.ok()) {
@@ -212,6 +199,11 @@ int main(int argc, char** argv) {
 
     const double qps = static_cast<double>(queries.size()) / best.wall_s;
     const double speedup = dop1_wall > 0 ? dop1_wall / best.wall_s : 1.0;
+    const double work_ratio =
+        serial_wu > 0 ? static_cast<double>(best.work_units) /
+                            static_cast<double>(serial_wu)
+                      : 0.0;
+    if (dop >= 2) max_work_ratio = std::max(max_work_ratio, work_ratio);
     std::printf("  %-6zu %10.3f %10.1f %8.2fx %12llu %9llu%s\n", dop,
                 best.wall_s, qps, speedup,
                 static_cast<unsigned long long>(best.work_units),
@@ -223,23 +215,27 @@ int main(int argc, char** argv) {
     report.AddMetric("qps" + suffix, qps);
     report.AddMetric("speedup" + suffix, speedup);
     report.AddMetric("work_units" + suffix, static_cast<double>(best.work_units));
-    report.AddMetric("work_units" + suffix + "_vs_serial",
-                     serial_wu > 0 ? static_cast<double>(best.work_units) /
-                                         static_cast<double>(serial_wu)
-                                   : 0.0);
+    report.AddMetric("work_units" + suffix + "_vs_serial", work_ratio);
     report.AddMetric("order_switches" + suffix, static_cast<double>(best.switches));
     report.AddMetric("morsels" + suffix, static_cast<double>(best.morsels));
     report.AddMetric("row_mismatches" + suffix, static_cast<double>(best.mismatches));
   }
   report.AddMetric("dop1_work_unit_identity", dop1_wu_identical ? 1.0 : 0.0);
+  report.AddMetric("max_work_units_vs_serial", max_work_ratio);
   // Machine-readable twin of the WARNING below: bench_delta.py skips dop>1
   // wall-time comparisons when either side carries this marker.
   report.AddMetric("speedups_not_meaningful", speedups_not_meaningful ? 1.0 : 0.0);
   if (!dop1_wu_identical) exit_code = 1;
+  const bool work_ok = max_work_ratio <= kMaxParallelWorkRatio;
+  if (!work_ok) exit_code = 1;
 
   std::printf("\n  dop=1 work units %s the serial executor's (%llu)\n",
               dop1_wu_identical ? "match" : "DO NOT match",
               static_cast<unsigned long long>(serial_wu));
+  std::printf("  parallel work target (every dop>=2 within %.2fx serial): %s\n"
+              "    worst dop: %.2fx\n",
+              kMaxParallelWorkRatio, work_ok ? "MET" : "NOT MET",
+              max_work_ratio);
   if (speedups_not_meaningful) {
     std::printf("WARNING: %.2f effective cores, speedups not meaningful\n", cores);
     std::printf("  work-unit parity is the meaningful check on this machine\n");

@@ -74,13 +74,19 @@ struct AdaptiveOptions {
 /// driving and per-leg inner intervals share one tested implementation).
 ///
 /// The interval starts at `base` (the check frequency c). Every
-/// unproductive check doubles it, capped at base * kMaxBackoff; any reorder
-/// resets it to base. With back-off disabled the interval is constant.
+/// unproductive check doubles it, capped at base * max_factor (kMaxBackoff
+/// by default); any reorder resets it to base. With back-off disabled the
+/// interval is constant. The parallel coordinator reuses it as its morsel
+/// ramp (exec/adaptive_coordinator.h).
 class CheckBackoff {
  public:
   CheckBackoff() : CheckBackoff(10, true) {}
-  CheckBackoff(uint64_t base, bool enabled)
-      : base_(base == 0 ? 1 : base), interval_(base_), enabled_(enabled) {}
+  CheckBackoff(uint64_t base, bool enabled,
+               uint64_t max_factor = AdaptiveOptions::kMaxBackoff)
+      : base_(base == 0 ? 1 : base),
+        interval_(base_),
+        cap_(base_ * std::max<uint64_t>(1, max_factor)),
+        enabled_(enabled) {}
 
   /// Rows to let pass before the next check.
   uint64_t interval() const { return interval_; }
@@ -88,7 +94,7 @@ class CheckBackoff {
   /// A check ran and decided "no change": double the interval (capped).
   void OnUnproductiveCheck() {
     if (enabled_) {
-      interval_ = std::min(interval_ * 2, base_ * AdaptiveOptions::kMaxBackoff);
+      interval_ = std::min(interval_ * 2, cap_);
     }
   }
 
@@ -98,6 +104,7 @@ class CheckBackoff {
  private:
   uint64_t base_;
   uint64_t interval_;
+  uint64_t cap_;
   bool enabled_;
 };
 

@@ -9,17 +9,27 @@
 
 namespace ajr {
 
+namespace {
+
+/// The largest power of two f with base * f <= kMaxMorselEntries (at least
+/// 1), so every ramp size is a whole number of base-sized grains.
+uint64_t RampFactor(uint64_t base) {
+  uint64_t f = 1;
+  while (base * f * 2 <= AdaptiveCoordinator::kMaxMorselEntries) f *= 2;
+  return f;
+}
+
+}  // namespace
+
 AdaptiveCoordinator::AdaptiveCoordinator(const PipelinePlan* plan,
                                          const AdaptiveOptions& options,
-                                         DrivingSource* source,
-                                         size_t fold_interval)
+                                         DrivingSource* source)
     : plan_(plan),
       options_(options),
       source_(source),
-      fold_interval_(fold_interval > 0 ? fold_interval
-                                       : std::max<size_t>(1, options.check_frequency)),
       policy_(MakePolicy(options)),
-      backoff_(1, options.check_backoff) {
+      ramp_(std::max<size_t>(1, options.check_frequency), options.check_backoff,
+            RampFactor(std::max<size_t>(1, options.check_frequency))) {
   const size_t n = plan_->query.tables.size();
   order_ = plan_->initial_order;
   demotions_.assign(n, ParallelDemotion());
@@ -60,7 +70,7 @@ AdaptiveCoordinator::Acquire AdaptiveCoordinator::AcquireMorsel(
     if (state_ == State::kAbort) return Acquire::kAborted;
     if (state_ == State::kDone) return Acquire::kFinished;
     if (state_ == State::kRunning) {
-      if (source_->Fill(morsel)) return Acquire::kMorsel;
+      if (source_->Fill(morsel, ramp_.interval())) return Acquire::kMorsel;
       // The promoted scan ran dry with no switch pending: drain to finish.
       state_ = State::kDrainingEnd;
     }
@@ -105,16 +115,17 @@ void AdaptiveCoordinator::Fold(const WorkerMonitorDeltas& deltas) {
     driving_[t].Absorb(deltas.driving[t]);
   }
   for (size_t e = 0; e < edges_.size(); ++e) edges_[e].Absorb(deltas.edges[e]);
-  ++folds_;
   // Decisions fire only while dispensing: once draining, the pending switch
   // must install before new evidence can overturn it, and at end-of-scan
-  // the remaining work is zero — nothing to reoptimize.
-  if (state_ != State::kRunning) return;
-  if (order_.size() <= 1) return;
-  if (!policy_->adapts_inners() && !policy_->adapts_driving()) return;
-  if (++folds_since_check_ < backoff_.interval()) return;
-  folds_since_check_ = 0;
-  RunChecksLocked();
+  // the remaining work is zero — nothing to reoptimize. A fold that cannot
+  // change the order grows the ramp like one whose checks changed nothing.
+  const bool can_change = state_ == State::kRunning && order_.size() > 1 &&
+                          (policy_->adapts_inners() || policy_->adapts_driving());
+  if (can_change && RunChecksLocked()) {
+    ramp_.OnReorder();
+  } else {
+    ramp_.OnUnproductiveCheck();
+  }
 }
 
 std::vector<LegView> AdaptiveCoordinator::LegViewsLocked() const {
@@ -141,7 +152,7 @@ uint64_t AdaptiveCoordinator::MergedDrivingRowsLocked() const {
   return total;
 }
 
-void AdaptiveCoordinator::RunChecksLocked() {
+bool AdaptiveCoordinator::RunChecksLocked() {
   bool reordered = false;
   if (policy_->adapts_inners() && order_.size() > 2) {
     ++inner_checks_;
@@ -192,11 +203,7 @@ void AdaptiveCoordinator::RunChecksLocked() {
       reordered = true;
     }
   }
-  if (reordered) {
-    backoff_.OnReorder();
-  } else {
-    backoff_.OnUnproductiveCheck();
-  }
+  return reordered;
 }
 
 void AdaptiveCoordinator::InstallSwitchLocked() {
@@ -245,6 +252,9 @@ void AdaptiveCoordinator::InstallSwitchLocked() {
   }
   order_ = std::move(decision.new_order);
   epoch_.fetch_add(1, std::memory_order_release);
+  // Folds that landed during the drain grew the ramp; the new driving leg
+  // starts over at c entries.
+  ramp_.OnReorder();
   state_ = State::kRunning;
 }
 

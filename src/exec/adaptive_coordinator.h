@@ -1,14 +1,24 @@
 // AdaptiveCoordinator: shared run-time reoptimization state for morsel-
 // parallel execution.
 //
-// In parallel mode the driving leg's scan is split into fixed-size morsels
-// handed out from a shared dispenser (the DrivingSource), and `dop` worker-
-// local pipeline clones run concurrently. Each worker keeps its own inner
-// legs and sliding-window monitors; every check-frequency
-// morsels it folds its monitor *deltas* into the coordinator, which merges
-// them and runs the paper's decision procedures (CheckInnerReorder /
-// CheckDrivingSwitch) over the merged statistics — the same Eq 1/3/4
-// machinery the serial executor uses, fed with fleet-wide evidence.
+// In parallel mode the driving leg's scan is split into morsels handed out
+// from a shared dispenser (the DrivingSource), and `dop` worker-local
+// pipeline clones run concurrently. Each worker keeps its own inner legs
+// and sliding-window monitors; after every morsel it folds its monitor
+// *deltas* into the coordinator, which merges them and runs the paper's
+// decision procedures (CheckInnerReorder / CheckDrivingSwitch) over the
+// merged statistics — the same Eq 1/3/4 machinery the serial executor
+// uses, fed with fleet-wide evidence.
+//
+// Morsel ramp: the first morsel holds c (check_frequency) driving entries,
+// so the fleet decides after about as many rows as the serial executor
+// does. Every fold that changes nothing — including folds that cannot
+// change anything (static options, a one-table order, a draining
+// coordinator) — doubles the next morsel, up to the largest c * 2^k that
+// fits kMaxMorselEntries; an inner reorder or a driving switch resets it
+// to c. This is CheckBackoff applied to morsel size, so with
+// check_backoff off the morsels stay at c entries. Once the order settles
+// the morsels are large and folds are rare.
 //
 // Decisions are published as epoch-tagged snapshots. Workers poll the epoch
 // (one atomic load) between driving rows — full-pipeline depleted states,
@@ -76,9 +86,10 @@ class DrivingSource {
   /// sits past every dispensed entry).
   virtual Status Promote(size_t table) = 0;
 
-  /// Fills `morsel` with the next batch of entries from the promoted scan.
-  /// False when the scan is exhausted (morsels are never empty).
-  virtual bool Fill(ParallelMorsel* morsel) = 0;
+  /// Fills `morsel` with up to `max_entries` next entries of the promoted
+  /// scan (the coordinator's ramp size, always a whole number of ramp-base
+  /// grains). False when the scan is exhausted (morsels are never empty).
+  virtual bool Fill(ParallelMorsel* morsel, size_t max_entries) = 0;
 
   /// False when the promoted scan cannot be demoted with a positional
   /// predicate — e.g. a shared-scan attachment that joined mid-pass, whose
@@ -136,18 +147,16 @@ struct WorkerMonitorDeltas {
 
 class AdaptiveCoordinator {
  public:
-  /// `plan` and `source` must outlive the coordinator. `fold_interval` is
-  /// the number of morsels a worker processes between folds (0 = the
-  /// options' check frequency c).
+  /// Morsel ramp ceiling (driving entries per morsel).
+  static constexpr size_t kMaxMorselEntries = 1024;
+
+  /// `plan` and `source` must outlive the coordinator.
   AdaptiveCoordinator(const PipelinePlan* plan, const AdaptiveOptions& options,
-                      DrivingSource* source, size_t fold_interval = 0);
+                      DrivingSource* source);
   ~AdaptiveCoordinator();
 
   /// Promotes the plan's initial driving leg. Call once before workers run.
   Status Init();
-
-  /// Morsels between worker folds.
-  size_t fold_interval() const { return fold_interval_; }
 
   /// Registers a worker into the barrier group and snapshots the current
   /// decision state. False when execution already finished or aborted (the
@@ -175,10 +184,12 @@ class AdaptiveCoordinator {
   /// Snapshots the current decision state for adoption.
   void GetSync(ParallelWorkerSync* sync) const;
 
-  /// Merges one worker's monitor deltas and, at the check cadence, runs the
-  /// decision procedures over the merged statistics. An inner reorder
-  /// publishes a new epoch immediately; a driving switch moves the
-  /// coordinator into the drain state (installed at the barrier).
+  /// Merges one worker's monitor deltas (one fold per processed morsel)
+  /// and, while dispensing, runs the decision procedures over the merged
+  /// statistics. An inner reorder publishes a new epoch immediately; a
+  /// driving switch moves the coordinator into the drain state (installed
+  /// at the barrier). Either resets the morsel ramp; any other fold
+  /// doubles it.
   void Fold(const WorkerMonitorDeltas& deltas);
 
   /// Aborts execution (first status wins); wakes every parked worker. A
@@ -207,7 +218,8 @@ class AdaptiveCoordinator {
   /// are the frozen demotion remainders; the driving check fills in the
   /// current driving leg's.
   std::vector<LegView> LegViewsLocked() const;
-  void RunChecksLocked();
+  /// Runs the checks; true when they reordered or decided a switch.
+  bool RunChecksLocked();
   void InstallSwitchLocked();
   void AbortLocked(Status status);
   uint64_t MergedDrivingRowsLocked() const;
@@ -215,7 +227,6 @@ class AdaptiveCoordinator {
   const PipelinePlan* plan_;
   AdaptiveOptions options_;
   DrivingSource* source_;
-  size_t fold_interval_;
   /// The fleet-wide decision policy (adaptive/policy.h): one instance for
   /// the whole run, consulted only inside RunChecksLocked (under mu_), so
   /// it needs no locking of its own. Workers never see it.
@@ -239,9 +250,8 @@ class AdaptiveCoordinator {
   std::vector<EdgeMonitor> edges_;
   std::vector<double> index_heights_;
 
-  CheckBackoff backoff_;
-  uint64_t folds_ = 0;
-  uint64_t folds_since_check_ = 0;
+  /// The morsel ramp: interval() is the next morsel's entry budget.
+  CheckBackoff ramp_;
 
   uint64_t inner_checks_ = 0;
   uint64_t inner_reorders_ = 0;

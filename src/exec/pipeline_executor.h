@@ -57,14 +57,14 @@ struct ExecStats {
   uint64_t probe_descents_saved = 0;
   /// Shared-scan observability (runtime/shared_scan.h; all zero when scan
   /// sharing is off), read off the morsel dispenser by the orchestrator
-  /// after the run.
+  /// after the run. scan_morsels_* count grains (c-entry units of a pass).
   uint64_t shared_scan_attaches = 0;
   uint64_t shared_scan_passes_saved = 0;
   uint64_t scan_morsels_produced = 0;
   uint64_t scan_morsels_consumed = 0;
   /// Morsel-parallel observability (all zero in serial runs): workers that
   /// processed at least one morsel, morsels processed, and monitor folds
-  /// into the shared AdaptiveCoordinator.
+  /// into the shared AdaptiveCoordinator (one per morsel).
   uint64_t parallel_workers = 0;
   uint64_t morsels = 0;
   uint64_t monitor_folds = 0;
@@ -143,7 +143,8 @@ class PipelineExecutor {
   /// rows come from the coordinator's shared morsel source instead of a
   /// private cursor, reorder decisions come from the coordinator's merged
   /// monitors (adopted at driving-row boundaries — full-pipeline depleted
-  /// states), and worker-local monitor deltas are folded back periodically.
+  /// states), and worker-local monitor deltas are folded back after every
+  /// morsel.
   /// Single-use, like Execute(). Called by ParallelPipelineExecutor
   /// (runtime/parallel_executor.h), not by user code.
   StatusOr<ExecStats> ExecuteWorker(AdaptiveCoordinator* coordinator,

@@ -109,7 +109,6 @@ StatusOr<ExecStats> PipelineExecutor::ExecuteWorker(
   const auto start = std::chrono::steady_clock::now();
   const size_t k = order_.size();
   ParallelMorsel morsel;
-  size_t morsels_since_fold = 0;
   bool finished = false;
   while (!finished) {
     switch (coordinator->AcquireMorsel(&morsel)) {
@@ -193,14 +192,11 @@ StatusOr<ExecStats> PipelineExecutor::ExecuteWorker(
         }
       }
     }
-    if (++morsels_since_fold >= coordinator->fold_interval()) {
-      morsels_since_fold = 0;
-      FoldMonitors(coordinator);
-    }
+    // One fold per morsel: the coordinator checks at every fold, and the
+    // morsel ramp keeps folds rare once the order settles. Every processed
+    // morsel is folded, so nothing is left to fold at the end.
+    FoldMonitors(coordinator);
   }
-  // Final fold: keeps the coordinator's merged row totals (event log
-  // bookkeeping) complete. Ignored if the run already finished.
-  FoldMonitors(coordinator);
   stats_.final_order = order_;
   stats_.work_units = wc_.total();
   stats_.wall_seconds =

@@ -7,18 +7,18 @@
 
 namespace ajr {
 
-MorselDriver::MorselDriver(const PipelinePlan* plan, size_t morsel_size,
+MorselDriver::MorselDriver(const PipelinePlan* plan, size_t grain_entries,
                            bool record_positions, SharedScanRegistry* registry)
     : plan_(plan),
-      morsel_size_(std::max<size_t>(1, morsel_size)),
+      grain_(std::max<size_t>(1, grain_entries)),
       record_positions_(record_positions),
       registry_(registry),
       legs_(plan->query.tables.size()) {}
 
 std::string MorselDriver::ScanSignature(size_t table) const {
   // A pass is shareable only between scans that produce the very same
-  // morsel stream: same storage objects (catalog-owned, so pointers are
-  // process-wide identities), same key ranges, same morsel size, and the
+  // grain stream: same storage objects (catalog-owned, so pointers are
+  // process-wide identities), same key ranges, same grain size, and the
   // same position-recording mode.
   const DrivingAccess& access = plan_->access[table].driving;
   std::string sig =
@@ -26,7 +26,7 @@ std::string MorselDriver::ScanSignature(size_t table) const {
              " i:",
              reinterpret_cast<uintptr_t>(
                  access.index != nullptr ? access.index->tree.get() : nullptr),
-             " m:", morsel_size_, " p:", record_positions_ ? 1 : 0, " r:");
+             " g:", grain_, " p:", record_positions_ ? 1 : 0, " r:");
   for (const KeyRange& r : access.ranges) sig += r.ToString() + ";";
   return sig;
 }
@@ -55,7 +55,7 @@ Status MorselDriver::Promote(size_t table) {
     }
     if (registry_ != nullptr) {
       leg.shared = std::make_unique<SharedScanAttachment>();
-      registry_->AttachOrCreate(ScanSignature(table), make_cursor, morsel_size_,
+      registry_->AttachOrCreate(ScanSignature(table), make_cursor, grain_,
                                 record_positions_, leg.shared.get());
     } else {
       leg.cursor = make_cursor();
@@ -70,25 +70,35 @@ Status MorselDriver::Promote(size_t table) {
   return Status::OK();
 }
 
-bool MorselDriver::Fill(ParallelMorsel* morsel) {
+bool MorselDriver::Fill(ParallelMorsel* morsel, size_t max_entries) {
   assert(current_ != SIZE_MAX && "Fill before first Promote");
   LegScan& leg = legs_[current_];
-  morsel->rids.clear();
-  morsel->positions.clear();
+  const size_t max_grains = std::max<size_t>(1, max_entries / grain_);
   if (leg.shared != nullptr) {
-    if (!leg.shared->Next(morsel, &wc_)) return false;
+    if (!leg.shared->Next(morsel, &wc_, max_grains)) return false;
   } else {
-    Rid rid;
-    while (morsel->rids.size() < morsel_size_ && leg.cursor->Next(&wc_, &rid)) {
-      morsel->rids.push_back(rid);
-      if (record_positions_) {
-        morsel->positions.push_back(leg.cursor->CurrentPosition());
+    // Whole grain pulls, exactly as a shared pass produces them; the scan
+    // ends at the first empty pull (its charge is the scan's tail).
+    morsel->rids.clear();
+    morsel->positions.clear();
+    for (size_t g = 0; g < max_grains && !leg.exhausted; ++g) {
+      const size_t begin = morsel->rids.size();
+      Rid rid;
+      while (morsel->rids.size() - begin < grain_ &&
+             leg.cursor->Next(&wc_, &rid)) {
+        morsel->rids.push_back(rid);
+        if (record_positions_) {
+          morsel->positions.push_back(leg.cursor->CurrentPosition());
+        }
+      }
+      if (morsel->rids.size() == begin) {
+        leg.exhausted = true;
+      } else {
+        ++private_grains_;
       }
     }
     if (morsel->rids.empty()) return false;
-    ++morsels_produced_;
   }
-  ++morsels_consumed_;
   leg.dispensed += static_cast<double>(morsel->rids.size());
   dispensed_this_promotion_ += morsel->rids.size();
   return true;
@@ -148,9 +158,17 @@ uint64_t MorselDriver::shared_scan_passes_saved() const {
 }
 
 uint64_t MorselDriver::scan_morsels_produced() const {
-  uint64_t n = morsels_produced_;
+  uint64_t n = private_grains_;
   for (const LegScan& leg : legs_) {
     if (leg.shared != nullptr) n += leg.shared->produced();
+  }
+  return n;
+}
+
+uint64_t MorselDriver::scan_morsels_consumed() const {
+  uint64_t n = private_grains_;
+  for (const LegScan& leg : legs_) {
+    if (leg.shared != nullptr) n += leg.shared->consumed();
   }
   return n;
 }

@@ -4,15 +4,19 @@
 // It owns one resumable ScanCursor per query table, created lazily at first
 // promotion — the same cursors the serial executor drives with, so morsel
 // order, positional predicates, and re-promotion semantics are identical.
-// Fill() batches the promoted cursor's RIDs into fixed-size morsels; the
-// cursor's position after the last dispensed entry is the fleet-wide
+// Fill() batches the promoted cursor's RIDs into morsels of the size the
+// coordinator's ramp asks for, pulled as whole grains of `grain_entries`
+// (the ramp base c) entries; the scan ends at the first empty grain pull.
+// The cursor's position after the last dispensed entry is the fleet-wide
 // high-water mark a demotion's positional predicate is built from.
 //
 // Cross-query sharing: with a SharedScanRegistry installed, a promoted
 // leg attaches to the registry's pass for its scan signature instead of
-// opening a private cursor — morsels are produced once per pass and
-// replayed (RIDs, positions, and per-morsel work units) to every attached
-// query. A leg that attached mid-pass consumes in wrapped order, so the
+// opening a private cursor — grains are produced once per pass and
+// replayed (RIDs, positions, and per-grain work units) to every attached
+// query. Private and shared legs pull the same grains, so both dispense
+// identical morsel boundaries and per-morsel work units. A leg that
+// attached mid-pass consumes in wrapped order, so the
 // driver reports demotion_safe() = false while it is promoted and the
 // coordinator keeps the driving leg (a positional predicate needs a scan
 // prefix).
@@ -36,15 +40,16 @@ namespace ajr {
 
 class MorselDriver final : public DrivingSource {
  public:
-  /// `plan` must outlive the driver. `record_positions` makes Fill() record
-  /// each entry's scan position alongside its RID (observer-instrumented
-  /// runs only — it materializes one ScanPosition per entry). `registry`
-  /// (may be null) enables cross-query scan sharing.
-  MorselDriver(const PipelinePlan* plan, size_t morsel_size,
+  /// `plan` must outlive the driver. `grain_entries` is the ramp base c:
+  /// Fill() pulls and dispenses whole grains of it. `record_positions` makes
+  /// Fill() record each entry's scan position alongside its RID (observer-
+  /// instrumented runs only — it materializes one ScanPosition per entry).
+  /// `registry` (may be null) enables cross-query scan sharing.
+  MorselDriver(const PipelinePlan* plan, size_t grain_entries,
                bool record_positions, SharedScanRegistry* registry = nullptr);
 
   Status Promote(size_t table) override;
-  bool Fill(ParallelMorsel* morsel) override;
+  bool Fill(ParallelMorsel* morsel, size_t max_entries) override;
   bool demotion_safe() const override;
   std::optional<ScanPosition> high_water() const override;
   double total_entries(size_t table) const override;
@@ -60,10 +65,10 @@ class MorselDriver final : public DrivingSource {
   /// Attachments that covered a whole pass without producing any morsel
   /// themselves — full physical passes this query never paid for.
   uint64_t shared_scan_passes_saved() const;
-  /// Morsels physically produced by this driver (private fills plus shared
+  /// Grains physically produced by this driver (private pulls plus shared
   /// co-productions) / dispensed to this query's workers.
   uint64_t scan_morsels_produced() const;
-  uint64_t scan_morsels_consumed() const { return morsels_consumed_; }
+  uint64_t scan_morsels_consumed() const;
 
  private:
   struct LegScan {
@@ -73,13 +78,14 @@ class MorselDriver final : public DrivingSource {
     double dispensed = 0;      ///< entries ever handed out, all promotions
     size_t prefix_col = SIZE_MAX;
     bool promoted = false;
+    bool exhausted = false;    ///< private mode: a grain pull came back empty
   };
 
   /// The scan signature a shared pass is registered under.
   std::string ScanSignature(size_t table) const;
 
   const PipelinePlan* plan_;
-  size_t morsel_size_;
+  size_t grain_;
   bool record_positions_;
   SharedScanRegistry* registry_;
   std::vector<LegScan> legs_;
@@ -88,8 +94,7 @@ class MorselDriver final : public DrivingSource {
   uint64_t dispensed_this_promotion_ = 0;
   WorkCounter wc_;
 
-  uint64_t morsels_produced_ = 0;
-  uint64_t morsels_consumed_ = 0;
+  uint64_t private_grains_ = 0;  ///< grains pulled by private cursors
 };
 
 }  // namespace ajr

@@ -43,21 +43,11 @@ StatusOr<ExecStats> ParallelPipelineExecutor::Execute(const RowSink& sink) {
   const bool record_positions =
       std::any_of(observers_.begin(), observers_.end(),
                   [](ExecObserver* o) { return o != nullptr; });
-  // Auto-sized morsels target ~16 morsels per worker over the initial
-  // driving table, clamped to [64, 1024]: a fixed size that suits a
-  // 100k-entry scan would hand a 10k-entry scan to the fleet as a handful
-  // of morsels, starving the coordinator of fold points (and therefore of
-  // reorder decisions) before the scan is already over.
-  size_t morsel_size = parallel_.morsel_size;
-  if (morsel_size == 0) {
-    const size_t driving = plan_->initial_order[0];
-    const size_t total = plan_->entries[driving]->table().num_rows();
-    morsel_size = std::clamp<size_t>(total / (dop * 16), 64, 1024);
-  }
-  MorselDriver driver(plan_, morsel_size, record_positions,
+  // The dispenser pulls grains of the ramp base c, so every morsel size
+  // the coordinator's ramp asks for is a whole number of grains.
+  MorselDriver driver(plan_, options_.check_frequency, record_positions,
                       parallel_.scan_registry);
-  AdaptiveCoordinator coordinator(plan_, options_, &driver,
-                                  parallel_.fold_interval);
+  AdaptiveCoordinator coordinator(plan_, options_, &driver);
   AJR_RETURN_IF_ERROR(coordinator.Init());
 
   std::vector<std::unique_ptr<PipelineExecutor>> workers;

@@ -1,12 +1,16 @@
 // ParallelPipelineExecutor: morsel-parallel adaptive execution of one
 // PipelinePlan (the orchestrator over exec/'s worker mode).
 //
-// The driving leg's scan is split into fixed-size morsels by a shared
-// MorselDriver; `dop` worker-local PipelineExecutor clones pull morsels and
-// run the ordinary serial pipeline over them, folding their monitor deltas
-// into an AdaptiveCoordinator that runs the paper's reorder checks over the
-// merged, fleet-wide statistics (see exec/adaptive_coordinator.h for the
-// decision-publication and driving-switch drain protocol).
+// The driving leg's scan is split into morsels by a shared MorselDriver;
+// `dop` worker-local PipelineExecutor clones pull morsels and run the
+// ordinary serial pipeline over them, folding their monitor deltas after
+// every morsel into an AdaptiveCoordinator that runs the paper's reorder
+// checks over the merged, fleet-wide statistics (see
+// exec/adaptive_coordinator.h for the decision-publication and driving-
+// switch drain protocol). Morsel size is not a knob: the coordinator's
+// ramp starts at c (check_frequency) entries, so the fleet decides as
+// early as the serial executor, and doubles after every fold that
+// changes nothing.
 //
 // dop <= 1 delegates to the serial PipelineExecutor unchanged — same code
 // path, same work units, bit-identical results and stats.
@@ -39,14 +43,6 @@ struct ParallelExecOptions {
   /// Degree of parallelism: worker pipelines running concurrently. <= 1
   /// means serial execution (the untouched PipelineExecutor path).
   size_t dop = 1;
-  /// Driving-scan entries per morsel. Small morsels adapt and balance
-  /// better; large morsels amortize dispenser synchronization. 0 (the
-  /// default) auto-sizes from the driving table's cardinality: ~16
-  /// morsels per worker, clamped to [64, 1024].
-  size_t morsel_size = 0;
-  /// Morsels a worker processes between monitor folds into the
-  /// coordinator (0 = the adaptive options' check frequency c).
-  size_t fold_interval = 0;
   /// Thread source for workers beyond worker 0 (null = spawn threads).
   ThreadPool* pool = nullptr;
   /// Run the morsel-parallel orchestration even at dop <= 1 instead of

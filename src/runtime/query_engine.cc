@@ -103,7 +103,6 @@ void QueryEngine::RunQuery(const std::shared_ptr<QuerySession>& session,
   // so the cap is the pool size, not pool size + 1 for the caller's thread.
   ParallelExecOptions parallel;
   parallel.dop = std::min(std::max<size_t>(1, spec.dop), pool_.num_threads());
-  parallel.morsel_size = spec.morsel_size;
   parallel.pool = &pool_;
   if (spec.share_scan) parallel.scan_registry = &scan_registry_;
   ParallelPipelineExecutor executor(plan.get(), spec.adaptive, parallel);

@@ -41,8 +41,6 @@ struct QuerySpec {
   /// serial executor unchanged; larger values are capped at the engine's
   /// worker-pool size.
   size_t dop = 1;
-  /// Driving-scan entries per morsel in parallel runs.
-  size_t morsel_size = 0;  ///< 0 = auto-size (see ParallelExecOptions)
   /// Attach this query's driving scans to the engine's SharedScanRegistry:
   /// concurrent queries over the same table ride one physical pass instead
   /// of scanning privately (runtime/shared_scan.h). Forces the morsel-

@@ -6,41 +6,55 @@
 namespace ajr {
 
 SharedScanPass::SharedScanPass(std::unique_ptr<ScanCursor> cursor,
-                               size_t morsel_size, bool record_positions)
+                               size_t grain_entries, bool record_positions)
     : cursor_(std::move(cursor)),
-      morsel_size_(std::max<size_t>(1, morsel_size)),
+      grain_entries_(std::max<size_t>(1, grain_entries)),
       record_positions_(record_positions) {}
-
-size_t SharedScanPass::num_morsels() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return morsels_.size();
-}
-
-bool SharedScanPass::complete() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return complete_;
-}
 
 void SharedScanPass::ProduceLocked() {
   assert(!complete_);
-  // Mirrors MorselDriver's private fill loop exactly — same cursor call
-  // sequence, so a partial final morsel carries its failed Next's charge and
+  // Mirrors MorselDriver's private grain pull exactly — same cursor call
+  // sequence, so a partial final grain carries its failed Next's charge and
   // the following empty pull becomes the tail, just like a private scan.
-  Morsel m;
+  const size_t begin = rids_.size();
   WorkCounter wc;
   Rid rid;
-  while (m.rids.size() < morsel_size_ && cursor_->Next(&wc, &rid)) {
-    m.rids.push_back(rid);
-    if (record_positions_) m.positions.push_back(cursor_->CurrentPosition());
+  while (rids_.size() - begin < grain_entries_ && cursor_->Next(&wc, &rid)) {
+    rids_.push_back(rid);
+    if (record_positions_) positions_.push_back(cursor_->CurrentPosition());
   }
-  if (m.rids.empty()) {
+  if (rids_.size() == begin) {
     complete_ = true;
     tail_work_ = wc.total();
     return;
   }
-  m.end = cursor_->CurrentPosition();
-  m.work = wc.total();
-  morsels_.push_back(std::move(m));
+  grain_work_.push_back(wc.total());
+  ScanPosition end = cursor_->CurrentPosition();
+  end_shape_.order = end.order;
+  end_shape_.key_type = end.key_type;
+  if (end.order == ScanOrder::kKeyRidOrder) {
+    if (end.key_type != DataType::kString) {
+      grain_end_key_.push_back(end.key_enc);
+    } else {
+      if (end_key_strs_.empty() || end_key_strs_.back() != end.key_str) {
+        end_key_strs_.push_back(std::move(end.key_str));
+      }
+      grain_end_key_.push_back(end_key_strs_.size() - 1);
+    }
+  }
+}
+
+ScanPosition SharedScanPass::GrainEndPositionLocked(size_t g) const {
+  ScanPosition p = end_shape_;
+  p.rid = rids_[GrainEnd(g) - 1];
+  if (p.order == ScanOrder::kKeyRidOrder) {
+    if (p.key_type != DataType::kString) {
+      p.key_enc = grain_end_key_[g];
+    } else {
+      p.key_str = end_key_strs_[grain_end_key_[g]];
+    }
+  }
+  return p;
 }
 
 SharedScanAttachment::~SharedScanAttachment() {
@@ -49,21 +63,34 @@ SharedScanAttachment::~SharedScanAttachment() {
   --pass_->live_attachments_;
 }
 
-bool SharedScanAttachment::Next(ParallelMorsel* morsel, WorkCounter* wc) {
+bool SharedScanAttachment::Next(ParallelMorsel* morsel, WorkCounter* wc,
+                                size_t max_grains) {
+  morsel->rids.clear();
+  morsel->positions.clear();
   if (covered_) return false;
   SharedScanPass& pass = *pass_;
   std::lock_guard<std::mutex> lock(pass.mu_);
-  for (;;) {
-    if (wrapped_ && next_ == start_) break;  // full circle: covered
-    if (next_ < pass.morsels_.size()) {
-      const SharedScanPass::Morsel& m = pass.morsels_[next_];
-      morsel->rids.assign(m.rids.begin(), m.rids.end());
-      morsel->positions.assign(m.positions.begin(), m.positions.end());
-      wc->Add(m.work);
-      last_end_ = m.end;
+  for (size_t taken = 0; taken < max_grains;) {
+    if (wrapped_ && next_ == start_) {  // full circle: covered
+      Cover(wc);
+      break;
+    }
+    if (next_ < pass.grain_work_.size()) {
+      const size_t begin = pass.GrainBegin(next_);
+      const size_t end = pass.GrainEnd(next_);
+      morsel->rids.insert(morsel->rids.end(), pass.rids_.begin() + begin,
+                          pass.rids_.begin() + end);
+      if (pass.record_positions_) {
+        morsel->positions.insert(morsel->positions.end(),
+                                 pass.positions_.begin() + begin,
+                                 pass.positions_.begin() + end);
+      }
+      wc->Add(pass.grain_work_[next_]);
+      last_grain_ = next_;
       ++next_;
       ++consumed_;
-      return true;
+      ++taken;
+      continue;
     }
     // At the frontier. A completed pass either wraps this attachment or
     // finishes it; an in-flight pass grows by one cooperative production.
@@ -73,22 +100,33 @@ bool SharedScanAttachment::Next(ParallelMorsel* morsel, WorkCounter* wc) {
         next_ = 0;
         continue;
       }
-      break;  // consumed [start, end) and — if wrapping — [0, start): covered
+      // Consumed [start, end) and — if wrapping — [0, start): covered.
+      Cover(wc);
+      break;
     }
     pass.ProduceLocked();
     if (!pass.complete_) ++produced_;
   }
+  return !morsel->rids.empty();
+}
+
+std::optional<ScanPosition> SharedScanAttachment::last_position() const {
+  if (last_grain_ == SIZE_MAX) return std::nullopt;
+  std::lock_guard<std::mutex> lock(pass_->mu_);
+  return pass_->GrainEndPositionLocked(last_grain_);
+}
+
+void SharedScanAttachment::Cover(WorkCounter* wc) {
   covered_ = true;
-  // The tail (the scan's final empty cursor pull) is charged once per
+  // The tail (the scan's final empty grain pull) is charged once per
   // attachment, completing work parity with a private scan.
-  wc->Add(pass.tail_work_);
-  return false;
+  wc->Add(pass_->tail_work_);
 }
 
 void SharedScanRegistry::AttachOrCreate(
     const std::string& sig,
     const std::function<std::unique_ptr<ScanCursor>()>& make_cursor,
-    size_t morsel_size, bool record_positions, SharedScanAttachment* att) {
+    size_t grain_entries, bool record_positions, SharedScanAttachment* att) {
   std::lock_guard<std::mutex> lock(mu_);
   ++tick_;
   for (Entry& e : passes_) {
@@ -106,7 +144,7 @@ void SharedScanRegistry::AttachOrCreate(
       // demotion safety) for nothing.
       att->start_ = e.pass->complete_ || e.pass->live_attachments_ == 0
                         ? 0
-                        : e.pass->morsels_.size();
+                        : e.pass->grain_work_.size();
       ++e.pass->live_attachments_;
     }
     att->next_ = att->start_;
@@ -133,7 +171,7 @@ void SharedScanRegistry::AttachOrCreate(
   }
   Entry e;
   e.sig = sig;
-  e.pass = std::make_shared<SharedScanPass>(make_cursor(), morsel_size,
+  e.pass = std::make_shared<SharedScanPass>(make_cursor(), grain_entries,
                                             record_positions);
   e.pass->live_attachments_ = 1;
   e.last_use = tick_;

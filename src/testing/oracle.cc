@@ -138,6 +138,12 @@ std::vector<DifferentialConfig> DefaultConfigs() {
   off.reorder_inners = false;
   off.reorder_driving = false;
   AdaptiveOptions aggressive = AggressiveAdaptiveOptions();
+  // The parallel twins pin a small ramp base c (the first morsel's entry
+  // count) so a small fuzz query still crosses many morsel boundaries.
+  auto base = [](AdaptiveOptions o, size_t c) {
+    o.check_frequency = c;
+    return o;
+  };
   return {
       {"static", off, StatsTier::kBase, ""},
       {"paper-default", AdaptiveOptions{}, StatsTier::kMinimal, ""},
@@ -148,11 +154,13 @@ std::vector<DifferentialConfig> DefaultConfigs() {
       // Morsel-parallel axis: the same invariants must hold per worker
       // pipeline, and the merged result multiset must still equal the
       // reference, for every dop. Tiny morsels force frequent dispenser
-      // round-trips, monitor folds, and (for the aggressive config) drain
-      // barriers under constant switching.
-      {"static/dop2", off, StatsTier::kBase, "", 2, 5},
-      {"paper-default/dop2", AdaptiveOptions{}, StatsTier::kMinimal, "", 2, 5},
-      {"aggressive-base/dop4", aggressive, StatsTier::kBase, "", 4, 3},
+      // round-trips and monitor folds; the static run's ramp only grows,
+      // the paper-default one resets at every reorder, and the aggressive
+      // one (no back-off) stays at 3 entries, so drain barriers land under
+      // constant switching.
+      {"static/dop2", base(off, 5), StatsTier::kBase, "", 2},
+      {"paper-default/dop2", base(AdaptiveOptions{}, 5), StatsTier::kMinimal, "", 2},
+      {"aggressive-base/dop4", base(aggressive, 3), StatsTier::kBase, "", 4},
   };
 }
 
@@ -165,10 +173,10 @@ std::vector<DifferentialConfig> ConfigsForShare() {
     DifferentialConfig c;
     c.name = name;
     c.adaptive = adaptive;
+    c.adaptive.check_frequency = 5;  // ramp base: 5-entry first morsels
     c.stats_tier = StatsTier::kBase;
     c.work_class = cls;
     c.dop = 1;
-    c.morsel_size = 5;
     c.share_scan = share_scan;
     c.force_parallel = true;
     return c;
@@ -352,7 +360,6 @@ StatusOr<std::optional<FailureReport>> RunDifferential(
       for (size_t run = 0; run < runs; ++run) {
         ParallelExecOptions popts;
         popts.dop = config.dop;
-        popts.morsel_size = config.morsel_size;
         popts.force_parallel = config.force_parallel;
         if (config.share_scan) popts.scan_registry = &scan_registry;
         ParallelPipelineExecutor exec(plan->get(), config.adaptive, popts);

@@ -64,10 +64,6 @@ struct DifferentialConfig {
   /// against the reference. Parallel configs cannot join a work_class:
   /// morsel interleaving makes per-run work timing-dependent.
   size_t dop = 1;
-  /// Driving-scan entries per morsel for dop > 1. Deliberately tiny so a
-  /// small fuzz query still crosses many morsel boundaries, folds, and
-  /// drain barriers.
-  size_t morsel_size = 5;
   /// Cross-query scan sharing (the --share axis): attach the run's driving
   /// scans to a shared scan registry.
   bool share_scan = false;

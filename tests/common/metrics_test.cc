@@ -200,7 +200,6 @@ TEST(MetricsRegistryTest, ParallelExecutorExportsSharingCounters) {
   ParallelExecOptions popts;
   popts.dop = 1;
   popts.force_parallel = true;  // one worker: deterministic morsel order
-  popts.morsel_size = 64;
   popts.scan_registry = &scan_registry;
 
   ExecStats total;

@@ -202,8 +202,11 @@ void CheckParallelAgreement(const WorkloadSpec& spec) {
     for (size_t dop : {size_t{1}, size_t{4}}) {
       ParallelExecOptions popts;
       popts.dop = dop;
-      popts.morsel_size = 5;  // tiny morsels: many folds and drain barriers
-      ParallelPipelineExecutor exec(p, adapt, popts);
+      // Ramp base 5 without back-off: 5-entry morsels, many folds and
+      // drain barriers.
+      AdaptiveOptions options = adapt;
+      if (dop > 1) options.check_frequency = 5;
+      ParallelPipelineExecutor exec(p, options, popts);
       std::vector<Row> rows;
       auto stats = exec.Execute([&rows](const Row& r) { rows.push_back(r); });
       ASSERT_TRUE(stats.ok()) << stats.status();

@@ -122,7 +122,9 @@ TEST(FuzzCancel, ParallelCancelledOrExactNeverPartial) {
       qs.query = spec.query;
       qs.adaptive = AggressiveAdaptiveOptions();
       qs.dop = kDops[round % 2];
-      qs.morsel_size = 4;  // many dispenser round-trips per query
+      // Ramp base 4 without back-off: 4-entry morsels, many dispenser
+      // round-trips per query.
+      qs.adaptive.check_frequency = 4;
       qs.collect_rows = true;
       auto handle = engine.Submit(std::move(qs));
       ASSERT_TRUE(handle.ok()) << handle.status().ToString();

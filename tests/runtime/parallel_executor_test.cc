@@ -9,22 +9,29 @@
 //     checks produce driving switches on the paper's misestimated
 //     templates, and switched runs stay exact;
 //   * the MorselDriver dispenses the driving scan exactly once regardless
-//     of morsel size;
+//     of morsel size, and private and shared legs dispense identical
+//     morsels across a ramp;
+//   * the coordinator's morsel ramp starts at c, doubles per unproductive
+//     fold up to its cap, and resets at every reorder and driving switch;
 //   * WorkerLease degrades dop on a busy pool instead of deadlocking.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "exec/adaptive_coordinator.h"
+#include "exec/exec_observer.h"
 #include "exec/pipeline_executor.h"
 #include "exec/reference_executor.h"
 #include "runtime/morsel.h"
 #include "runtime/parallel_executor.h"
+#include "runtime/shared_scan.h"
 #include "runtime/thread_pool.h"
 #include "runtime/worker_lease.h"
 #include "testing/oracle.h"
@@ -122,7 +129,6 @@ TEST_F(ParallelExecutorTest, Dop1BitIdenticalToSerial) {
 
       ParallelExecOptions parallel;
       parallel.dop = 1;
-      parallel.morsel_size = 7;  // must be ignored on the serial path
       std::vector<Row> par_rows;
       ExecStats par = RunParallel(plan->get(), Strict(), parallel, &par_rows);
 
@@ -144,7 +150,8 @@ TEST_F(ParallelExecutorTest, Dop1BitIdenticalToSerial) {
 }
 
 // dop > 1: the row multiset equals the reference for every template, at
-// several dops and morsel sizes, with adaptation fully on.
+// several dops and morsel sizes (Strict() has no back-off, so morsels stay
+// at the ramp base c), with adaptation fully on.
 TEST_F(ParallelExecutorTest, ParallelRowMultisetMatchesReference) {
   DmvQueryGenerator gen(catalog_);
   const size_t kDops[] = {2, 4};
@@ -160,10 +167,10 @@ TEST_F(ParallelExecutorTest, ParallelRowMultisetMatchesReference) {
       for (size_t morsel : kMorsels) {
         ParallelExecOptions parallel;
         parallel.dop = dop;
-        parallel.morsel_size = morsel;
+        AdaptiveOptions options = Strict();
+        options.check_frequency = morsel;
         std::vector<Row> rows;
-        ExecStats stats =
-            RunParallel(plan->get(), Strict(), parallel, &rows);
+        ExecStats stats = RunParallel(plan->get(), options, parallel, &rows);
         SortRows(&rows);
         EXPECT_EQ(rows, expected)
             << "T" << t << " dop=" << dop << " morsel=" << morsel;
@@ -185,7 +192,6 @@ TEST_F(ParallelExecutorTest, SixTableParallelMatchesReference) {
 
     ParallelExecOptions parallel;
     parallel.dop = 4;
-    parallel.morsel_size = 16;
     std::vector<Row> rows;
     ExecStats stats = RunParallel(plan->get(), Strict(), parallel, &rows);
     SortRows(&rows);
@@ -206,7 +212,6 @@ TEST_F(ParallelExecutorTest, MergedStatsAccountForTheFleet) {
 
   ParallelExecOptions parallel;
   parallel.dop = 4;
-  parallel.morsel_size = 8;
   ParallelPipelineExecutor exec(plan->get(), Strict(), parallel);
   std::vector<Row> rows;
   std::mutex mu;
@@ -219,8 +224,9 @@ TEST_F(ParallelExecutorTest, MergedStatsAccountForTheFleet) {
   EXPECT_EQ(stats->rows_out, rows.size());
   EXPECT_GE(stats->parallel_workers, 1u);
   EXPECT_LE(stats->parallel_workers, 4u);
-  EXPECT_GT(stats->morsels, 1u) << "morsel_size=8 must split the scan";
-  EXPECT_GT(stats->monitor_folds, 0u);
+  EXPECT_GT(stats->morsels, 1u) << "c-entry morsels must split the scan";
+  // One fold per processed morsel, and no extra final fold.
+  EXPECT_EQ(stats->monitor_folds, stats->morsels);
 
   ASSERT_EQ(exec.worker_stats().size(), 4u);
   uint64_t worker_rows = 0;
@@ -228,6 +234,7 @@ TEST_F(ParallelExecutorTest, MergedStatsAccountForTheFleet) {
   for (const ExecStats& ws : exec.worker_stats()) {
     worker_rows += ws.rows_out;
     worker_morsels += ws.morsels;
+    EXPECT_EQ(ws.monitor_folds, ws.morsels);
   }
   EXPECT_EQ(worker_rows, stats->rows_out);
   EXPECT_EQ(worker_morsels, stats->morsels);
@@ -250,11 +257,10 @@ TEST_F(ParallelExecutorTest, DrivingSwitchesOccurUnderMergedStatistics) {
 
       ParallelExecOptions parallel;
       parallel.dop = 4;
-      parallel.morsel_size = 8;   // frequent barriers: switches can land
-      parallel.fold_interval = 1; // fold after every morsel
+      AdaptiveOptions options = Strict();
+      options.check_frequency = 8;  // frequent barriers: switches can land
       std::vector<Row> rows;
-      ExecStats stats =
-          RunParallel(plan->get(), Strict(), parallel, &rows);
+      ExecStats stats = RunParallel(plan->get(), options, parallel, &rows);
       SortRows(&rows);
       ASSERT_EQ(rows, expected) << "T" << t << " v" << v << " diverged after "
                                 << stats.driving_switches << " switches";
@@ -276,13 +282,13 @@ TEST_F(ParallelExecutorTest, MorselDriverDispensesScanExactlyOnce) {
   ASSERT_TRUE(plan.ok()) << plan.status();
   const size_t t0 = (*plan)->initial_order[0];
 
-  auto drain = [&](size_t morsel_size) {
-    MorselDriver driver(plan->get(), morsel_size, /*record_positions=*/false);
+  auto drain = [&](size_t grain) {
+    MorselDriver driver(plan->get(), grain, /*record_positions=*/false);
     EXPECT_TRUE(driver.Promote(t0).ok());
     std::vector<Rid> rids;
     ParallelMorsel m;
-    while (driver.Fill(&m)) {
-      EXPECT_LE(m.rids.size(), morsel_size);
+    while (driver.Fill(&m, grain)) {
+      EXPECT_LE(m.rids.size(), grain);
       rids.insert(rids.end(), m.rids.begin(), m.rids.end());
       EXPECT_TRUE(driver.high_water().has_value());
     }
@@ -297,6 +303,281 @@ TEST_F(ParallelExecutorTest, MorselDriverDispensesScanExactlyOnce) {
   EXPECT_FALSE(small.empty());
   std::set<Rid> unique(small.begin(), small.end());
   EXPECT_EQ(unique.size(), small.size()) << "dispenser duplicated an entry";
+}
+
+// ---- morsel ramp -----------------------------------------------------------
+
+/// A DrivingSource over an in-memory entry counter that records every
+/// Fill budget the coordinator asks for.
+class CountingSource : public DrivingSource {
+ public:
+  explicit CountingSource(size_t total) : total_(total) {}
+
+  Status Promote(size_t table) override {
+    current_ = table;
+    return Status::OK();
+  }
+  bool Fill(ParallelMorsel* morsel, size_t max_entries) override {
+    budgets.push_back(max_entries);
+    morsel->rids.clear();
+    morsel->positions.clear();
+    while (morsel->rids.size() < max_entries && next_ < total_) {
+      morsel->rids.push_back(next_++);
+    }
+    return !morsel->rids.empty();
+  }
+  std::optional<ScanPosition> high_water() const override {
+    return std::nullopt;
+  }
+  double total_entries(size_t) const override {
+    return static_cast<double>(total_);
+  }
+  double dispensed_entries(size_t) const override {
+    return static_cast<double>(next_);
+  }
+  bool ever_promoted(size_t table) const override { return table == current_; }
+  size_t prefix_col(size_t) const override { return SIZE_MAX; }
+  uint64_t scan_work_units() const override { return 0; }
+
+  std::vector<size_t> budgets;
+
+ private:
+  size_t total_;
+  size_t next_ = 0;
+  size_t current_ = SIZE_MAX;
+};
+
+/// Drains `source` through a one-worker coordinator, folding an empty
+/// delta after every morsel (what ExecuteWorker does, minus the pipeline).
+void DrainThroughCoordinator(const PipelinePlan* plan,
+                             const AdaptiveOptions& options,
+                             CountingSource* source) {
+  AdaptiveCoordinator coordinator(plan, options, source);
+  ASSERT_TRUE(coordinator.Init().ok());
+  ParallelWorkerSync sync;
+  ASSERT_TRUE(coordinator.RegisterWorker(&sync));
+  WorkerMonitorDeltas empty;
+  empty.inner.resize(plan->query.tables.size());
+  empty.driving.resize(plan->query.tables.size());
+  empty.edges.resize(plan->query.edges.size());
+  ParallelMorsel m;
+  while (coordinator.AcquireMorsel(&m) ==
+         AdaptiveCoordinator::Acquire::kMorsel) {
+    coordinator.Fold(empty);
+  }
+}
+
+AdaptiveOptions StaticOptions() {
+  AdaptiveOptions o;
+  o.reorder_inners = false;
+  o.reorder_driving = false;
+  return o;
+}
+
+// Static folds can never change the order, so every one counts as
+// "changed nothing": the ramp starts at c and doubles per fold up to the
+// largest c * 2^k within kMaxMorselEntries, then stays there.
+TEST_F(ParallelExecutorTest, StaticRunRampsFromCToTheCap) {
+  DmvQueryGenerator gen(catalog_);
+  auto q = gen.Generate(1, 0);
+  ASSERT_TRUE(q.ok()) << q.status();
+  auto plan = Plan(*q);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  CountingSource source(5000);
+  DrainThroughCoordinator(plan->get(), StaticOptions(), &source);
+  const std::vector<size_t> ramp = {10, 20, 40, 80, 160, 320, 640};
+  ASSERT_GT(source.budgets.size(), ramp.size() + 2);
+  for (size_t i = 0; i < source.budgets.size(); ++i) {
+    const size_t expect = i < ramp.size() ? ramp[i] : 640;
+    EXPECT_EQ(source.budgets[i], expect) << "fill " << i;
+  }
+
+  // A base that divides the ceiling ramps all the way to it.
+  AdaptiveOptions c1 = StaticOptions();
+  c1.check_frequency = 1;
+  CountingSource unit(5000);
+  DrainThroughCoordinator(plan->get(), c1, &unit);
+  ASSERT_GE(unit.budgets.size(), 12u);
+  EXPECT_EQ(unit.budgets[0], 1u);
+  EXPECT_EQ(unit.budgets[10], AdaptiveCoordinator::kMaxMorselEntries);
+  EXPECT_EQ(unit.budgets[11], AdaptiveCoordinator::kMaxMorselEntries);
+}
+
+// With check_backoff off the ramp mirrors CheckBackoff and stays at c.
+TEST_F(ParallelExecutorTest, RampStaysAtCWithoutBackoff) {
+  DmvQueryGenerator gen(catalog_);
+  auto q = gen.Generate(1, 0);
+  ASSERT_TRUE(q.ok()) << q.status();
+  auto plan = Plan(*q);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  AdaptiveOptions options = StaticOptions();
+  options.check_frequency = 7;
+  options.check_backoff = false;
+  CountingSource source(500);
+  DrainThroughCoordinator(plan->get(), options, &source);
+  ASSERT_GT(source.budgets.size(), 10u);
+  for (size_t b : source.budgets) EXPECT_EQ(b, 7u);
+}
+
+/// Forwards to a MorselDriver and records every Fill budget.
+class RecordingSource : public DrivingSource {
+ public:
+  explicit RecordingSource(const PipelinePlan* plan)
+      : driver_(plan, kBase, /*record_positions=*/true) {}
+
+  Status Promote(size_t table) override { return driver_.Promote(table); }
+  bool Fill(ParallelMorsel* morsel, size_t max_entries) override {
+    budgets.push_back(max_entries);
+    return driver_.Fill(morsel, max_entries);
+  }
+  bool demotion_safe() const override { return driver_.demotion_safe(); }
+  std::optional<ScanPosition> high_water() const override {
+    return driver_.high_water();
+  }
+  double total_entries(size_t t) const override {
+    return driver_.total_entries(t);
+  }
+  double dispensed_entries(size_t t) const override {
+    return driver_.dispensed_entries(t);
+  }
+  bool ever_promoted(size_t t) const override { return driver_.ever_promoted(t); }
+  size_t prefix_col(size_t t) const override { return driver_.prefix_col(t); }
+  uint64_t scan_work_units() const override { return driver_.scan_work_units(); }
+
+  static constexpr size_t kBase = 10;
+  std::vector<size_t> budgets;
+
+ private:
+  MorselDriver driver_;
+};
+
+/// Records, for every adaptation a worker adopts, the index of the morsel
+/// it adopted it in (adoption happens at the morsel's first driving row).
+class AdaptationLog : public ExecObserver {
+ public:
+  explicit AdaptationLog(const RecordingSource* source) : source_(source) {}
+  void OnAdaptation(const AdaptationEvent& event) override {
+    fills.push_back(source_->budgets.size() - 1);
+    switches += event.kind == AdaptationEvent::Kind::kDrivingSwitch ? 1 : 0;
+  }
+  std::vector<size_t> fills;
+  uint64_t switches = 0;
+
+ private:
+  const RecordingSource* source_;
+};
+
+// Adaptive one-worker runs: the first morsel is c entries; each later one
+// either doubles the previous (up to the cap) or resets to c; and the
+// morsel after every inner reorder and every driving switch is c entries.
+TEST_F(ParallelExecutorTest, RampResetsToCAfterReordersAndSwitches) {
+  constexpr size_t kC = RecordingSource::kBase;
+  AdaptiveOptions options = Strict();
+  options.check_frequency = kC;
+  options.check_backoff = true;
+  const size_t cap = 640;  // largest 10 * 2^k <= kMaxMorselEntries
+
+  DmvQueryGenerator gen(catalog_);
+  uint64_t inner_reorders = 0, switches = 0, doublings = 0;
+  for (int t = 1; t <= kNumFourTableTemplates; ++t) {
+    for (size_t v = 0; v < 4; ++v) {
+      auto q = gen.Generate(t, v);
+      ASSERT_TRUE(q.ok()) << q.status();
+      auto plan = Plan(*q);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+
+      RecordingSource source(plan->get());
+      AdaptiveCoordinator coordinator(plan->get(), options, &source);
+      ASSERT_TRUE(coordinator.Init().ok());
+      AdaptationLog log(&source);
+      PipelineExecutor worker(plan->get(), options);
+      worker.set_observer(&log);
+      auto stats = worker.ExecuteWorker(&coordinator, nullptr);
+      ASSERT_TRUE(stats.ok()) << stats.status();
+      ExecStats merged = *stats;
+      coordinator.FinishStats(&merged);
+
+      const std::vector<size_t>& b = source.budgets;
+      ASSERT_FALSE(b.empty());
+      EXPECT_EQ(b[0], kC) << "T" << t << " v" << v;
+      for (size_t i = 1; i < b.size(); ++i) {
+        const size_t doubled = std::min(2 * b[i - 1], cap);
+        EXPECT_TRUE(b[i] == doubled || b[i] == kC)
+            << "T" << t << " v" << v << " fill " << i << ": " << b[i - 1]
+            << " -> " << b[i];
+        doublings += b[i] == doubled && doubled != kC ? 1 : 0;
+      }
+      for (size_t fill : log.fills) {
+        EXPECT_EQ(b[fill], kC) << "T" << t << " v" << v
+                               << ": adaptation adopted in a grown morsel";
+      }
+      // A change the scan ends before any worker adopts is not logged.
+      EXPECT_LE(log.fills.size(),
+                merged.inner_reorders + merged.driving_switches);
+      switches += log.switches;
+      inner_reorders += log.fills.size() - log.switches;
+    }
+  }
+  EXPECT_GT(inner_reorders, 0u) << "no inner reorder: reset is untested";
+  EXPECT_GT(switches, 0u) << "no driving switch: reset is untested";
+  EXPECT_GT(doublings, 0u) << "the ramp never grew";
+}
+
+std::string Describe(const ScanPosition& p) {
+  return std::to_string(static_cast<int>(p.order)) + "/" +
+         std::to_string(static_cast<int>(p.key_type)) + "/" +
+         std::to_string(p.key_enc) + "/" + p.key_str + "/" +
+         std::to_string(p.rid);
+}
+
+// Private and shared legs pull the same grains: across a ramp (growing,
+// resetting, capped) they dispense identical morsel boundaries, RIDs,
+// positions and per-morsel scan work units, on every table of the plan.
+TEST_F(ParallelExecutorTest, PrivateAndSharedLegsDispenseIdenticalMorsels) {
+  DmvQueryGenerator gen(catalog_);
+  auto q = gen.Generate(2, 0);
+  ASSERT_TRUE(q.ok()) << q.status();
+  auto plan = Plan(*q);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  constexpr size_t kGrain = 10;
+  const std::vector<size_t> schedule = {10, 20, 40, 10, 20, 40, 80,
+                                        160, 320, 640, 640};
+  SharedScanRegistry registry;
+  MorselDriver priv(plan->get(), kGrain, /*record_positions=*/true);
+  MorselDriver shared(plan->get(), kGrain, /*record_positions=*/true,
+                      &registry);
+  for (size_t t = 0; t < (*plan)->query.tables.size(); ++t) {
+    ASSERT_TRUE(priv.Promote(t).ok());
+    ASSERT_TRUE(shared.Promote(t).ok());
+    ParallelMorsel a, b;
+    for (size_t i = 0;; ++i) {
+      const size_t budget = schedule[std::min(i, schedule.size() - 1)];
+      const uint64_t wa = priv.scan_work_units();
+      const uint64_t wb = shared.scan_work_units();
+      const bool more_a = priv.Fill(&a, budget);
+      const bool more_b = shared.Fill(&b, budget);
+      ASSERT_EQ(more_a, more_b) << "table " << t << " fill " << i;
+      EXPECT_EQ(priv.scan_work_units() - wa, shared.scan_work_units() - wb)
+          << "table " << t << " fill " << i;
+      if (!more_a) break;
+      ASSERT_EQ(a.rids, b.rids) << "table " << t << " fill " << i;
+      ASSERT_EQ(a.positions.size(), b.positions.size());
+      for (size_t k = 0; k < a.positions.size(); ++k) {
+        EXPECT_EQ(Describe(a.positions[k]), Describe(b.positions[k]));
+      }
+      ASSERT_TRUE(priv.high_water().has_value());
+      ASSERT_TRUE(shared.high_water().has_value());
+      EXPECT_EQ(Describe(*priv.high_water()), Describe(*shared.high_water()))
+          << "table " << t << " fill " << i;
+    }
+    EXPECT_EQ(priv.dispensed_entries(t), shared.dispensed_entries(t));
+  }
+  EXPECT_EQ(priv.scan_work_units(), shared.scan_work_units());
+  EXPECT_EQ(priv.scan_morsels_produced(), shared.scan_morsels_produced());
+  EXPECT_EQ(priv.scan_morsels_consumed(), shared.scan_morsels_consumed());
 }
 
 // A lease on a fully busy pool must revoke its tasks and return without
@@ -385,11 +666,9 @@ TEST_F(ParallelExecutorTest, PerWorkerInvariantsAndCrossWorkerUniqueness) {
 
   ParallelExecOptions parallel;
   parallel.dop = kDop;
-  parallel.morsel_size = 8;
-  parallel.fold_interval = 1;
-  ParallelPipelineExecutor exec(plan->get(),
-                                testing::AggressiveAdaptiveOptions(),
-                                parallel);
+  AdaptiveOptions options = testing::AggressiveAdaptiveOptions();
+  options.check_frequency = 8;
+  ParallelPipelineExecutor exec(plan->get(), options, parallel);
   exec.set_worker_observers(observers);
   auto stats = exec.Execute(nullptr);
   ASSERT_TRUE(stats.ok()) << stats.status();

@@ -157,7 +157,7 @@ TEST_F(QueryEngineTest, MorselParallelQueriesMatchSerialRowCounts) {
     QuerySpec spec;
     spec.query = q;
     spec.dop = 4;  // intra-query parallelism, capped at the pool size
-    spec.morsel_size = 16;
+    spec.adaptive.check_frequency = 16;  // ramp base: 16-entry first morsels
     QueryHandle h = MustSubmit(&engine, std::move(spec));
     const QueryResult& result = h.Wait();
     ASSERT_TRUE(result.status.ok()) << h.name() << ": " << result.status;

@@ -50,7 +50,8 @@ TEST(SharedStressTest, ConcurrentSharedQueriesMatchReference) {
             QuerySpec qs;
             qs.query = spec.query;
             qs.dop = dop;
-            qs.morsel_size = 5;  // tiny: many morsels -> much pass traffic
+            // Ramp base 5: tiny first morsels -> much pass traffic.
+            qs.adaptive.check_frequency = 5;
             qs.share_scan = true;
             qs.collect_rows = true;
             auto handle = engine.Submit(std::move(qs));

@@ -144,6 +144,17 @@ std::optional<DrivingSwitchDecision> CheckDrivingSwitch(
     const CostInputs& in, const std::vector<size_t>& order,
     const std::vector<DrivingCandidate>& candidates, const AdaptiveOptions& options);
 
+/// Eq 1's probe-index height for a table: its tallest index, at least 3.
+double ProbeIndexHeight(const TableEntry& entry);
+
+/// Entries a driving scan has left: its total minus the entries it already
+/// consumed (scanned by the serial executor, dispensed by the morsel
+/// driver). Exact because driving ranges are normalized to be disjoint and
+/// sorted, so the scan visits every counted entry once.
+inline double EntriesLeft(double total, double consumed) {
+  return std::max(0.0, total - consumed);
+}
+
 /// One query table's run-time state as a decision host sees it: the inputs
 /// the Eq 1 / Fig 3 builders below read. Pointers borrow host-owned
 /// monitors for the duration of one build.

@@ -21,6 +21,36 @@ uint64_t RampFactor(uint64_t base) {
 
 }  // namespace
 
+DrivingScan OpenDrivingScan(const PipelinePlan& plan, size_t table) {
+  const DrivingAccess& access = plan.access[table].driving;
+  const HeapTable& heap = plan.entries[table]->table();
+  DrivingScan scan;
+  if (access.index != nullptr) {
+    scan.cursor = std::make_unique<IndexScanCursor>(access.index->tree.get(),
+                                                    access.ranges);
+    scan.total_entries = static_cast<double>(
+        CountRangeEntries(*access.index->tree, access.ranges));
+    scan.prefix_col = access.index->column_idx;
+  } else {
+    scan.cursor = std::make_unique<TableScanCursor>(&heap);
+    scan.total_entries = static_cast<double>(heap.num_rows());
+  }
+  return scan;
+}
+
+void Demotion::Record(const std::optional<ScanPosition>& at, size_t col,
+                      double total, double consumed) {
+  if (at.has_value()) {
+    demoted = true;
+    ++seq;
+    prefix = *at;
+    prefix_col = col;
+  }
+  remaining_entries = EntriesLeft(total, consumed);
+  remaining_fraction =
+      total > 0 ? std::min(1.0, remaining_entries / total) : 1.0;
+}
+
 AdaptiveCoordinator::AdaptiveCoordinator(const PipelinePlan* plan,
                                          const AdaptiveOptions& options,
                                          DrivingSource* source)
@@ -32,18 +62,11 @@ AdaptiveCoordinator::AdaptiveCoordinator(const PipelinePlan* plan,
             RampFactor(std::max<size_t>(1, options.check_frequency))) {
   const size_t n = plan_->query.tables.size();
   order_ = plan_->initial_order;
-  demotions_.assign(n, ParallelDemotion());
+  demotions_.assign(n, Demotion());
   inner_.assign(n, LegMonitor(options_.history_window, options_.averaging));
   driving_.assign(n, DrivingMonitor(options_.history_window, options_.averaging));
   edges_.assign(plan_->query.edges.size(),
                 EdgeMonitor(options_.history_window, options_.averaging));
-  index_heights_.assign(n, 3.0);
-  for (size_t t = 0; t < n; ++t) {
-    for (const auto& idx : plan_->entries[t]->indexes()) {
-      index_heights_[t] = std::max(index_heights_[t],
-                                   static_cast<double>(idx->tree->height()));
-    }
-  }
 }
 
 AdaptiveCoordinator::~AdaptiveCoordinator() = default;
@@ -134,7 +157,7 @@ std::vector<LegView> AdaptiveCoordinator::LegViewsLocked() const {
     LegView& v = views[t];
     v.inner = &inner_[t];
     v.driving = &driving_[t];
-    v.index_height = index_heights_[t];
+    v.index_height = ProbeIndexHeight(*plan_->entries[t]);
     v.demoted_fraction =
         demotions_[t].demoted ? demotions_[t].remaining_fraction : 1.0;
     // The dispenser knows what it handed out; a demoted leg's remainder
@@ -182,8 +205,8 @@ bool AdaptiveCoordinator::RunChecksLocked() {
     ++driving_checks_;
     const size_t current = order_[0];
     std::vector<LegView> views = LegViewsLocked();
-    views[current].remaining_entries = std::max(
-        0.0, views[current].total_entries - source_->dispensed_entries(current));
+    views[current].remaining_entries = EntriesLeft(
+        views[current].total_entries, source_->dispensed_entries(current));
     DrivingCheckInputs check =
         BuildDrivingCheckInputs(*plan_, views, edges_, options_, current);
     PolicySnapshot snapshot;
@@ -217,20 +240,9 @@ void AdaptiveCoordinator::InstallSwitchLocked() {
   // before the high-water position — so the positional predicate excludes
   // every emitted combination and loses nothing behind it. When this
   // promotion dispensed nothing, any earlier prefix stays valid unchanged.
-  ParallelDemotion& dem = demotions_[current];
-  std::optional<ScanPosition> high_water = source_->high_water();
-  if (high_water.has_value()) {
-    dem.demoted = true;
-    ++dem.seq;
-    dem.prefix = *high_water;
-    dem.prefix_col = source_->prefix_col(current);
-  }
-  const double total = source_->total_entries(current);
-  const double remaining =
-      std::max(0.0, total - source_->dispensed_entries(current));
-  dem.remaining_entries = remaining;
-  dem.remaining_fraction =
-      total > 0 ? std::min(1.0, remaining / total) : 1.0;
+  demotions_[current].Record(source_->high_water(), source_->prefix_col(current),
+                             source_->total_entries(current),
+                             source_->dispensed_entries(current));
 
   Status promoted = source_->Promote(decision.new_order[0]);
   if (!promoted.ok()) {

@@ -20,10 +20,11 @@
 // check_backoff off the morsels stay at c entries. Once the order settles
 // the morsels are large and folds are rare.
 //
-// Decisions are published as epoch-tagged snapshots. Workers poll the epoch
-// (one atomic load) between driving rows — full-pipeline depleted states,
-// the paper's moments of symmetry (Sec 4.1) — and adopt the new order and
-// demotions there, so every reorder still happens only at a depleted state.
+// Decisions are published as epoch-tagged snapshots. A worker's driving-
+// entry source polls the epoch (one atomic load) before it hands out each
+// driving entry — a full-pipeline depleted state, the paper's moment of
+// symmetry (Sec 4.1) — and adopts the new order and demotions there, so
+// every reorder still happens only at a depleted state.
 //
 // A driving switch needs more care than an inner reorder: no in-flight
 // morsel of the old driving leg may be re-emitted under the new one. The
@@ -58,12 +59,55 @@
 #include "adaptive/monitor.h"
 #include "common/status.h"
 #include "optimize/planner.h"
+#include "storage/cursors.h"
 #include "storage/scan_position.h"
 
 namespace ajr {
 
 class AdaptationPolicy;
 struct ExecStats;
+
+// ---- Driving-leg state shared by both decision hosts -----------------------
+//
+// The serial PipelineExecutor and the coordinator/MorselDriver pair open
+// driving scans, demote driving legs and count what a scan has left the
+// same way: through OpenDrivingScan, one Demotion record per query table,
+// and EntriesLeft (adaptive/controller.h).
+
+/// A driving leg's scan as the plan opens it: indexed legs scan in
+/// (key, RID) order over the plan's ranges, others in RID order.
+struct DrivingScan {
+  std::unique_ptr<ScanCursor> cursor;
+  /// Entries the full scan covers.
+  double total_entries = 0;
+  /// Column index of the scan-order key (SIZE_MAX = RID order).
+  size_t prefix_col = SIZE_MAX;
+};
+
+/// Opens query table `table`'s driving scan from its start.
+DrivingScan OpenDrivingScan(const PipelinePlan& plan, size_t table);
+
+/// A demoted driving leg (Sec 4.2): the positional predicate over its scan
+/// order and the remainder behind it, frozen at demotion (a demoted leg
+/// scans nothing until it drives again). The serial executor fills it at a
+/// driving switch, the coordinator at a switch install, and workers copy
+/// the coordinator's whole. `seq` increments at every demotion of the
+/// table, so a worker applies each demotion exactly once.
+struct Demotion {
+  bool demoted = false;
+  uint64_t seq = 0;
+  ScanPosition prefix;
+  /// Column index of the prefix's key (SIZE_MAX = RID order).
+  size_t prefix_col = SIZE_MAX;
+  double remaining_entries = 0;
+  double remaining_fraction = 1.0;
+
+  /// Demotes at `prefix` after `consumed` of the scan's `total` entries.
+  /// A nullopt prefix (the promotion consumed nothing) keeps any earlier
+  /// prefix, which is still valid, and only refreshes the remainder.
+  void Record(const std::optional<ScanPosition>& prefix, size_t prefix_col,
+              double total, double consumed);
+};
 
 /// One batch of driving-scan entries handed to a worker. `positions` is
 /// parallel to `rids` and filled only when the orchestrator asked the
@@ -118,23 +162,11 @@ class DrivingSource {
   virtual uint64_t scan_work_units() const = 0;
 };
 
-/// Per-table demotion record published to workers. `seq` increments at
-/// every demotion of the table, so a worker applies each demotion exactly
-/// once (LegRt::demote_seq_seen).
-struct ParallelDemotion {
-  bool demoted = false;
-  uint64_t seq = 0;
-  ScanPosition prefix;
-  size_t prefix_col = SIZE_MAX;
-  double remaining_entries = 0;
-  double remaining_fraction = 1.0;
-};
-
 /// Epoch-tagged decision snapshot a worker adopts at a depleted state.
 struct ParallelWorkerSync {
   uint64_t epoch = 0;
   std::vector<size_t> order;
-  std::vector<ParallelDemotion> demotions;  ///< per query table
+  std::vector<Demotion> demotions;  ///< per query table
 };
 
 /// One worker's monitor deltas since its previous fold (see
@@ -241,14 +273,13 @@ class AdaptiveCoordinator {
   std::atomic<uint64_t> epoch_{0};
 
   std::vector<size_t> order_;
-  std::vector<ParallelDemotion> demotions_;
+  std::vector<Demotion> demotions_;
   std::optional<DrivingSwitchDecision> pending_switch_;
 
   // Merged monitors (coordinator side of the fold).
   std::vector<LegMonitor> inner_;
   std::vector<DrivingMonitor> driving_;
   std::vector<EdgeMonitor> edges_;
-  std::vector<double> index_heights_;
 
   /// The morsel ramp: interval() is the next morsel's entry budget.
   CheckBackoff ramp_;

@@ -1,7 +1,6 @@
 #include "exec/pipeline_executor.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 
 #include "adaptive/policy.h"
@@ -22,7 +21,13 @@ void PipelineExecutor::set_policy(std::unique_ptr<AdaptationPolicy> policy) {
   policy_ = std::move(policy);
 }
 
-Status PipelineExecutor::InitLegs() {
+Status PipelineExecutor::Init(const char* entry_point) {
+  if (executed_) {
+    return Status::Internal(StrCat("PipelineExecutor is single-use: ", entry_point,
+                                   " was already called"));
+  }
+  executed_ = true;
+  stats_ = ExecStats();
   const JoinQuery& q = plan_->query;
   const size_t n = q.tables.size();
   legs_.resize(n);
@@ -52,10 +57,6 @@ Status PipelineExecutor::InitLegs() {
                            leg.entry->schema().ColumnIndex(e.ColumnOn(t)));
       leg.edge_col[e.edge_id] = col;
     }
-    for (const auto& idx : leg.entry->indexes()) {
-      leg.index_height =
-          std::max(leg.index_height, static_cast<double>(idx->tree->height()));
-    }
   }
   output_cols_.clear();
   for (const auto& oc : q.output) {
@@ -63,23 +64,8 @@ Status PipelineExecutor::InitLegs() {
                          plan_->entries[oc.table]->schema().ColumnIndex(oc.column));
     output_cols_.emplace_back(oc.table, col);
   }
-  return Status::OK();
-}
-
-Status PipelineExecutor::CreateDrivingCursor(size_t t) {
-  LegRt& leg = legs_[t];
-  const DrivingAccess& access = plan_->access[t].driving;
-  if (access.index != nullptr) {
-    leg.cursor = std::make_unique<IndexScanCursor>(access.index->tree.get(),
-                                                   access.ranges);
-    leg.total_raw_entries = static_cast<double>(
-        CountRangeEntriesAfter(*access.index->tree, access.ranges, std::nullopt));
-    leg.prefix_col = access.index->column_idx;
-  } else {
-    leg.cursor = std::make_unique<TableScanCursor>(&leg.entry->table());
-    leg.total_raw_entries = static_cast<double>(leg.entry->table().num_rows());
-    leg.prefix_col = SIZE_MAX;
-  }
+  order_ = plan_->initial_order;
+  stats_.initial_order = order_;
   return Status::OK();
 }
 
@@ -111,39 +97,52 @@ std::vector<LegView> PipelineExecutor::LegViews() const {
     LegView& v = views[t];
     v.inner = &leg.inner_monitor;
     v.driving = &leg.driving_monitor;
-    v.index_height = leg.index_height;
-    v.demoted_fraction = leg.prefix.has_value() ? leg.cached_remaining_fraction : 1.0;
-    v.ever_driven = leg.cursor != nullptr;
-    v.total_entries = leg.total_raw_entries;
-    v.remaining_entries = leg.cached_remaining_entries;
+    v.index_height = ProbeIndexHeight(*leg.entry);
+    v.demoted_fraction = leg.demotion.demoted ? leg.demotion.remaining_fraction : 1.0;
+    v.ever_driven = leg.scan.cursor != nullptr;
+    v.total_entries = leg.scan.total_entries;
+    v.remaining_entries = leg.demotion.remaining_entries;
   }
   return views;
 }
 
-double PipelineExecutor::RemainingEntries(size_t t) const {
-  const LegRt& leg = legs_[t];
-  assert(leg.cursor != nullptr);
-  const DrivingAccess& access = plan_->access[t].driving;
-  // Position: for the current driving leg, the live cursor position; for a
-  // demoted leg, its recorded prefix.
-  std::optional<ScanPosition> pos = leg.prefix;
-  if (t == order_[0] && leg.driving_monitor.scanned_total() > 0) {
-    pos = leg.cursor->CurrentPosition();
+PipelineExecutor::Pull PipelineExecutor::NextDrivingEntry(Rid* rid) {
+  if (coordinator_ == nullptr) {
+    return legs_[order_[0]].scan.cursor->Next(&wc_, rid) ? Pull::kRow : Pull::kEnd;
   }
-  if (access.index != nullptr) {
-    return static_cast<double>(
-        CountRangeEntriesAfter(*access.index->tree, access.ranges, pos));
+  while (morsel_pos_ == morsel_.rids.size()) {
+    // Every row of the current morsel is through the pipeline: fold it
+    // (one fold per morsel), then take the next one.
+    if (stats_.monitor_folds < stats_.morsels) FoldMonitors();
+    switch (coordinator_->AcquireMorsel(&morsel_)) {
+      case AdaptiveCoordinator::Acquire::kAborted:
+        return Pull::kAborted;
+      case AdaptiveCoordinator::Acquire::kFinished:
+        return Pull::kEnd;
+      case AdaptiveCoordinator::Acquire::kMorsel:
+        break;
+    }
+    ++stats_.morsels;
+    morsel_pos_ = 0;
   }
-  size_t total = leg.entry->table().num_rows();
-  size_t done = pos.has_value() ? static_cast<size_t>(pos->rid) + 1 : 0;
-  return static_cast<double>(total > done ? total - done : 0);
+  // Between driving entries the whole worker pipeline is depleted: the
+  // decision-adoption point (the paper's moment of symmetry, per worker).
+  if (coordinator_->published_epoch() != parallel_epoch_) {
+    coordinator_->GetSync(&sync_);
+    AdoptParallelSync(sync_);
+  }
+  *rid = morsel_.rids[morsel_pos_++];
+  return Pull::kRow;
 }
 
-bool PipelineExecutor::NextDrivingRow() {
-  size_t t = order_[0];
-  LegRt& leg = legs_[t];
+PipelineExecutor::Pull PipelineExecutor::NextDrivingRow() {
   Rid rid;
-  while (leg.cursor->Next(&wc_, &rid)) {
+  for (;;) {
+    const Pull pull = NextDrivingEntry(&rid);
+    if (pull != Pull::kRow) return pull;
+    // Read after the entry source, which may have adopted a new order.
+    const size_t t = order_[0];
+    LegRt& leg = legs_[t];
     RowView row = leg.entry->table().Fetch(rid, &wc_);
     bool pass = leg.driving_residual->EvalCounted(row, &wc_);
     leg.driving_monitor.RecordScannedEntry(pass);
@@ -153,11 +152,15 @@ bool PipelineExecutor::NextDrivingRow() {
     ++produced_since_check_;
     ++stats_.driving_rows_produced;
     if (observer_ != nullptr) {
-      observer_->OnDrivingRow(t, rid, leg.cursor->CurrentPosition());
+      // Workers get positions from the dispenser, which records them only
+      // for observed runs.
+      observer_->OnDrivingRow(t, rid,
+                              coordinator_ == nullptr
+                                  ? leg.scan.cursor->CurrentPosition()
+                                  : morsel_.positions[morsel_pos_ - 1]);
     }
-    return true;
+    return Pull::kRow;
   }
-  return false;
 }
 
 void PipelineExecutor::ProbeLeg(size_t level) {
@@ -190,12 +193,13 @@ void PipelineExecutor::ProbeLeg(size_t level) {
     after_edges += 1;
     if (!leg.local_bound->EvalCounted(row, &wc_)) return;
     // Positional predicate of a demoted driving leg (Sec 4.2).
-    if (leg.prefix.has_value() &&
+    const Demotion& dem = leg.demotion;
+    if (dem.demoted &&
         !(faults_ != nullptr && faults_->disable_positional_predicates)) {
       ChargeWork(&wc_, WorkCounter::kPredicateEval);
-      bool after = leg.prefix_col == SIZE_MAX
-                       ? leg.prefix->StrictlyBeforeRid(rid)
-                       : leg.prefix->StrictlyBefore(row, leg.prefix_col, rid);
+      bool after = dem.prefix_col == SIZE_MAX
+                       ? dem.prefix.StrictlyBeforeRid(rid)
+                       : dem.prefix.StrictlyBefore(row, dem.prefix_col, rid);
       if (!after) return;
     }
     out += 1;
@@ -257,8 +261,10 @@ void PipelineExecutor::DrivingCheck() {
   // Back-off bookkeeping: assume unproductive; a switch below resets it.
   driving_backoff_.OnUnproductiveCheck();
   const size_t current = order_[0];
+  LegRt& old_leg = legs_[current];
+  const double scanned = static_cast<double>(old_leg.driving_monitor.scanned_total());
   std::vector<LegView> views = LegViews();
-  views[current].remaining_entries = RemainingEntries(current);
+  views[current].remaining_entries = EntriesLeft(old_leg.scan.total_entries, scanned);
   DrivingCheckInputs check =
       BuildDrivingCheckInputs(*plan_, views, edge_monitors_, options_, current);
 
@@ -287,21 +293,15 @@ void PipelineExecutor::DrivingCheck() {
 
   // Demote the old driving leg: record the processed prefix for its
   // positional predicate (Sec 4.2). The cursor is kept for re-promotion.
-  LegRt& old_leg = legs_[current];
-  old_leg.prefix = old_leg.cursor->CurrentPosition();
-  old_leg.cached_remaining_entries = RemainingEntries(current);
-  old_leg.cached_remaining_fraction =
-      old_leg.total_raw_entries > 0
-          ? std::min(1.0, old_leg.cached_remaining_entries / old_leg.total_raw_entries)
-          : 1.0;
+  old_leg.demotion.Record(old_leg.scan.cursor->CurrentPosition(),
+                          old_leg.scan.prefix_col, old_leg.scan.total_entries,
+                          scanned);
 
   // Promote the new driving leg; a previously demoted leg resumes its
   // original cursor (which already sits past its prefix).
-  size_t next = decision.new_order[0];
-  if (legs_[next].cursor == nullptr) {
-    Status st = CreateDrivingCursor(next);
-    assert(st.ok());
-    (void)st;
+  LegRt& next = legs_[decision.new_order[0]];
+  if (next.scan.cursor == nullptr) {
+    next.scan = OpenDrivingScan(*plan_, decision.new_order[0]);
   }
   order_ = std::move(decision.new_order);
   RefreshPositions(1);
@@ -314,7 +314,7 @@ void PipelineExecutor::DrivingCheck() {
     ev.order_after = order_;
     ev.driving_rows_produced = stats_.driving_rows_produced;
     ev.demoted_table = current;
-    ev.demoted_prefix = old_leg.prefix;
+    ev.demoted_prefix = old_leg.demotion.prefix;
     observer_->OnAdaptation(ev);
   }
 }
@@ -386,23 +386,12 @@ void PipelineExecutor::Emit(const RowSink& sink) {
   if (faults_ != nullptr && faults_->double_emit) EmitOnce(sink);
 }
 
-StatusOr<ExecStats> PipelineExecutor::Execute(const RowSink& sink) {
-  if (executed_) {
-    return Status::Internal(
-        "PipelineExecutor is single-use: Execute() was already called");
-  }
-  executed_ = true;
-  if (policy_ == nullptr) policy_ = MakePolicy(options_);
-  adapt_inners_ = policy_->adapts_inners();
-  adapt_driving_ = policy_->adapts_driving();
-  AJR_RETURN_IF_ERROR(InitLegs());
-  order_ = plan_->initial_order;
-  driving_backoff_ = CheckBackoff(options_.check_frequency, options_.check_backoff);
-  stats_ = ExecStats();
-  stats_.initial_order = order_;
-  AJR_RETURN_IF_ERROR(CreateDrivingCursor(order_[0]));
-  RefreshPositions(1);
+Status PipelineExecutor::Stop(Status status) {
+  if (coordinator_ != nullptr) coordinator_->Abort(status);
+  return status;
+}
 
+Status PipelineExecutor::Run(const RowSink& sink) {
   const auto start = std::chrono::steady_clock::now();
   const size_t k = order_.size();
   int level = 0;
@@ -412,13 +401,15 @@ StatusOr<ExecStats> PipelineExecutor::Execute(const RowSink& sink) {
       // cheapest safe point for the full cancel + deadline poll.
       if (cancel_token_ != nullptr) {
         StopReason stop = cancel_token_->Check();
-        if (stop != StopReason::kNone) return CancellationToken::ToStatus(stop);
+        if (stop != StopReason::kNone) return Stop(CancellationToken::ToStatus(stop));
       }
       if (adapt_driving_ && k > 1 &&
           produced_since_check_ >= driving_backoff_.interval()) {
         DrivingCheck();
       }
-      if (!NextDrivingRow()) break;
+      const Pull pull = NextDrivingRow();
+      if (pull == Pull::kAborted) return Stop(coordinator_->abort_status());
+      if (pull == Pull::kEnd) break;
       if (k == 1) {
         Emit(sink);
         continue;
@@ -451,7 +442,7 @@ StatusOr<ExecStats> PipelineExecutor::Execute(const RowSink& sink) {
       if (cancel_token_ != nullptr) {
         StopReason stop = (++cancel_polls_ & 1023) == 0 ? cancel_token_->Check()
                                                         : cancel_token_->CheckFlag();
-        if (stop != StopReason::kNone) return CancellationToken::ToStatus(stop);
+        if (stop != StopReason::kNone) return Stop(CancellationToken::ToStatus(stop));
       }
       if (adapt_inners_ && static_cast<size_t>(level) + 1 < k &&
           leg.incoming_since_check >= leg.check_backoff.interval()) {
@@ -464,6 +455,18 @@ StatusOr<ExecStats> PipelineExecutor::Execute(const RowSink& sink) {
   stats_.work_units = wc_.total();
   stats_.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  return Status::OK();
+}
+
+StatusOr<ExecStats> PipelineExecutor::Execute(const RowSink& sink) {
+  AJR_RETURN_IF_ERROR(Init("Execute()"));
+  if (policy_ == nullptr) policy_ = MakePolicy(options_);
+  adapt_inners_ = policy_->adapts_inners();
+  adapt_driving_ = policy_->adapts_driving();
+  driving_backoff_ = CheckBackoff(options_.check_frequency, options_.check_backoff);
+  legs_[order_[0]].scan = OpenDrivingScan(*plan_, order_[0]);
+  RefreshPositions(1);
+  AJR_RETURN_IF_ERROR(Run(sink));
   stats_.policy_decisions = policy_->stats().decisions;
   if (metrics_ != nullptr) {
     metrics_->GetCounter("exec.policy_decisions")->Add(stats_.policy_decisions);

@@ -13,6 +13,13 @@
 // carries a positional predicate on its scan order — "key > k* OR (key = k*
 // AND rid > r*)" for an index scan, "rid > r*" for a table scan — and its
 // cursor is kept so a re-promotion resumes the original scan.
+//
+// Serial runs (Execute) and morsel-parallel workers (ExecuteWorker) share
+// that one loop; only its driving-entry source differs. A serial run reads
+// the driving leg's own cursor and decides reorders itself. A worker reads
+// the morsels the AdaptiveCoordinator hands out, folds its monitors after
+// each morsel, and adopts the coordinator's decisions before each driving
+// entry — a full-pipeline depleted state (pipeline_executor_parallel.cc).
 
 #pragma once
 
@@ -27,17 +34,15 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/work_counter.h"
+#include "exec/adaptive_coordinator.h"
 #include "expr/evaluator.h"
 #include "optimize/planner.h"
-#include "storage/cursors.h"
 
 namespace ajr {
 
 class AdaptationPolicy;
-class AdaptiveCoordinator;
 class ExecObserver;
 struct FaultInjection;
-struct ParallelWorkerSync;
 
 /// Counters reported by one execution.
 struct ExecStats {
@@ -139,11 +144,12 @@ class PipelineExecutor {
   /// time Decide()).
   void set_policy(std::unique_ptr<AdaptationPolicy> policy);
 
-  /// Morsel-parallel worker mode (see exec/adaptive_coordinator.h): driving
-  /// rows come from the coordinator's shared morsel source instead of a
-  /// private cursor, reorder decisions come from the coordinator's merged
-  /// monitors (adopted at driving-row boundaries — full-pipeline depleted
-  /// states), and worker-local monitor deltas are folded back after every
+  /// Morsel-parallel worker mode (see exec/adaptive_coordinator.h): the
+  /// same get-next loop as Execute(), but driving entries come from the
+  /// coordinator's shared morsel source instead of a private cursor,
+  /// reorder decisions come from the coordinator's merged monitors (adopted
+  /// before each driving entry is handed out — a full-pipeline depleted
+  /// state), and worker-local monitor deltas are folded back after every
   /// morsel.
   /// Single-use, like Execute(). Called by ParallelPipelineExecutor
   /// (runtime/parallel_executor.h), not by user code.
@@ -151,8 +157,6 @@ class PipelineExecutor {
                                     const RowSink& sink);
 
  private:
-  friend class AdaptiveCoordinator;
-
   /// Per-leg runtime state.
   struct LegRt {
     const TableEntry* entry = nullptr;
@@ -165,25 +169,13 @@ class PipelineExecutor {
     /// Column index on this table's side of each edge (SIZE_MAX = edge
     /// does not touch this table).
     std::vector<size_t> edge_col;
-    /// Tallest probe-index height (cost-model input).
-    double index_height = 3;
 
-    // Driving-scan state.
-    std::unique_ptr<ScanCursor> cursor;
-    double total_raw_entries = 0;  ///< entries the full driving scan covers
-    /// Processed prefix (positional predicate) once demoted; in the scan
-    /// order of `cursor`.
-    std::optional<ScanPosition> prefix;
-    /// Column index of the prefix's key (SIZE_MAX = RID order).
-    size_t prefix_col = SIZE_MAX;
-    /// Remaining entries/fraction behind `prefix`, frozen at demotion time —
-    /// the prefix only moves when the leg drives again, so caching keeps
-    /// the per-check cost free of B+-tree descents.
-    double cached_remaining_entries = 0;
-    double cached_remaining_fraction = 1.0;
-    /// Latest coordinator demotion sequence number applied to this leg
-    /// (worker mode only; see ParallelDemotion::seq).
-    uint64_t demote_seq_seen = 0;
+    // Driving-leg state. Serial mode opens `scan` at the leg's first
+    // promotion and keeps it across demotions, so a re-promotion resumes
+    // it; workers never open one (the morsel driver owns the scans).
+    DrivingScan scan;
+    /// Positional predicate and frozen remainder once demoted.
+    Demotion demotion;
 
     // Monitors.
     LegMonitor inner_monitor;
@@ -200,8 +192,9 @@ class PipelineExecutor {
     CheckBackoff check_backoff;
   };
 
-  Status InitLegs();
-  Status CreateDrivingCursor(size_t t);
+  /// Shared set-up of both entry points: the single-use rule, the legs,
+  /// the initial order, and fresh stats.
+  Status Init(const char* entry_point);
   /// Recomputes position-derived state (applicable edges, probe edge,
   /// loaded flags) for pipeline positions [from..k].
   void RefreshPositions(size_t from);
@@ -209,9 +202,23 @@ class PipelineExecutor {
   /// (adaptive/controller.h). Remaining entries are the frozen demotion
   /// remainders; DrivingCheck fills in the live current driving leg's.
   std::vector<LegView> LegViews() const;
-  /// Exact remaining scan entries for a leg that has (or had) a cursor.
-  double RemainingEntries(size_t t) const;
-  bool NextDrivingRow();
+
+  /// The get-next loop of both entry points (Sec 4.1): runs the pipeline
+  /// until the driving entries run out or a stop path fires, then records
+  /// the final order, work units and wall time.
+  Status Run(const RowSink& sink);
+  /// Every stop path (cancel, deadline, coordinator abort): aborts the
+  /// coordinator, when there is one, and returns `status`.
+  Status Stop(Status status);
+
+  enum class Pull { kRow, kEnd, kAborted };
+  /// Next driving-scan entry: from the driving leg's cursor in serial mode,
+  /// from the current morsel in worker mode. A worker first folds a
+  /// finished morsel and acquires the next one, then adopts any newer
+  /// coordinator decision; kAborted when the coordinator aborted.
+  Pull NextDrivingEntry(Rid* rid);
+  /// Next driving row that survives the driving residual, made current.
+  Pull NextDrivingRow();
   /// Loads the leg at `level`'s matches for the current incoming row: one
   /// index probe, then residual join predicates, the local predicate, and
   /// any positional predicate.
@@ -226,7 +233,7 @@ class PipelineExecutor {
   /// rows (so invariant I4's depleted-state precondition holds).
   void AdoptParallelSync(const ParallelWorkerSync& sync);
   /// Worker mode: folds this worker's monitor deltas into the coordinator.
-  void FoldMonitors(AdaptiveCoordinator* coordinator);
+  void FoldMonitors();
 
   const PipelinePlan* plan_;
   AdaptiveOptions options_;
@@ -259,7 +266,13 @@ class PipelineExecutor {
   std::vector<Rid> probe_rids_;
   uint64_t cancel_polls_ = 0;
   bool executed_ = false;
-  /// Worker mode: the coordinator epoch this worker last adopted.
+  /// Worker mode (coordinator_ is null in serial runs): the morsel being
+  /// consumed, the next entry's index in it, the last snapshot taken and
+  /// the coordinator epoch this worker last adopted.
+  AdaptiveCoordinator* coordinator_ = nullptr;
+  ParallelMorsel morsel_;
+  size_t morsel_pos_ = 0;
+  ParallelWorkerSync sync_;
   uint64_t parallel_epoch_ = 0;
   ExecStats stats_;
 };

@@ -34,31 +34,12 @@ std::string MorselDriver::ScanSignature(size_t table) const {
 Status MorselDriver::Promote(size_t table) {
   LegScan& leg = legs_[table];
   if (!leg.promoted) {
-    // Mirrors PipelineExecutor::CreateDrivingCursor: indexed legs scan in
-    // (key, RID) order over the plan's ranges, others in RID order.
-    const DrivingAccess& access = plan_->access[table].driving;
-    auto make_cursor = [&]() -> std::unique_ptr<ScanCursor> {
-      if (access.index != nullptr) {
-        return std::make_unique<IndexScanCursor>(access.index->tree.get(),
-                                                 access.ranges);
-      }
-      return std::make_unique<TableScanCursor>(&plan_->entries[table]->table());
-    };
-    if (access.index != nullptr) {
-      leg.total_raw = static_cast<double>(CountRangeEntriesAfter(
-          *access.index->tree, access.ranges, std::nullopt));
-      leg.prefix_col = access.index->column_idx;
-    } else {
-      leg.total_raw =
-          static_cast<double>(plan_->entries[table]->table().num_rows());
-      leg.prefix_col = SIZE_MAX;
-    }
+    leg.scan = OpenDrivingScan(*plan_, table);
     if (registry_ != nullptr) {
       leg.shared = std::make_unique<SharedScanAttachment>();
-      registry_->AttachOrCreate(ScanSignature(table), make_cursor, grain_,
-                                record_positions_, leg.shared.get());
-    } else {
-      leg.cursor = make_cursor();
+      registry_->AttachOrCreate(
+          ScanSignature(table), [&leg] { return std::move(leg.scan.cursor); },
+          grain_, record_positions_, leg.shared.get());
     }
     leg.promoted = true;
   }
@@ -85,10 +66,10 @@ bool MorselDriver::Fill(ParallelMorsel* morsel, size_t max_entries) {
       const size_t begin = morsel->rids.size();
       Rid rid;
       while (morsel->rids.size() - begin < grain_ &&
-             leg.cursor->Next(&wc_, &rid)) {
+             leg.scan.cursor->Next(&wc_, &rid)) {
         morsel->rids.push_back(rid);
         if (record_positions_) {
-          morsel->positions.push_back(leg.cursor->CurrentPosition());
+          morsel->positions.push_back(leg.scan.cursor->CurrentPosition());
         }
       }
       if (morsel->rids.size() == begin) {
@@ -119,11 +100,11 @@ std::optional<ScanPosition> MorselDriver::high_water() const {
   }
   const LegScan& leg = legs_[current_];
   if (leg.shared != nullptr) return leg.shared->last_position();
-  return leg.cursor->CurrentPosition();
+  return leg.scan.cursor->CurrentPosition();
 }
 
 double MorselDriver::total_entries(size_t table) const {
-  return legs_[table].total_raw;
+  return legs_[table].scan.total_entries;
 }
 
 double MorselDriver::dispensed_entries(size_t table) const {
@@ -135,7 +116,7 @@ bool MorselDriver::ever_promoted(size_t table) const {
 }
 
 size_t MorselDriver::prefix_col(size_t table) const {
-  return legs_[table].prefix_col;
+  return legs_[table].scan.prefix_col;
 }
 
 uint64_t MorselDriver::shared_scan_attaches() const {

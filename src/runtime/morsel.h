@@ -1,9 +1,11 @@
 // MorselDriver: the shared driving-scan dispenser of morsel-parallel
 // execution (runtime side of exec/adaptive_coordinator.h's DrivingSource).
 //
-// It owns one resumable ScanCursor per query table, created lazily at first
-// promotion — the same cursors the serial executor drives with, so morsel
-// order, positional predicates, and re-promotion semantics are identical.
+// It owns one resumable driving scan per query table, opened lazily at
+// first promotion by OpenDrivingScan — the serial executor's scan opener,
+// so morsel order, scan totals, positional predicates, and re-promotion
+// semantics are identical. Each morsel it fills feeds a worker's get-next
+// loop (PipelineExecutor::ExecuteWorker) one driving entry at a time.
 // Fill() batches the promoted cursor's RIDs into morsels of the size the
 // coordinator's ramp asks for, pulled as whole grains of `grain_entries`
 // (the ramp base c) entries; the scan ends at the first empty grain pull.
@@ -34,7 +36,6 @@
 #include "exec/adaptive_coordinator.h"
 #include "optimize/planner.h"
 #include "runtime/shared_scan.h"
-#include "storage/cursors.h"
 
 namespace ajr {
 
@@ -72,11 +73,10 @@ class MorselDriver final : public DrivingSource {
 
  private:
   struct LegScan {
-    std::unique_ptr<ScanCursor> cursor;              ///< private mode
+    /// The opened scan; shared mode hands its cursor to the registry.
+    DrivingScan scan;
     std::unique_ptr<SharedScanAttachment> shared;    ///< shared mode
-    double total_raw = 0;      ///< entries the full driving scan covers
     double dispensed = 0;      ///< entries ever handed out, all promotions
-    size_t prefix_col = SIZE_MAX;
     bool promoted = false;
     bool exhausted = false;    ///< private mode: a grain pull came back empty
   };

@@ -427,13 +427,6 @@ size_t BPlusTree::CountKeyLessEqual(const IndexKey& key) const {
   return CountBefore(key, UINT64_MAX);
 }
 
-size_t BPlusTree::CountEntriesAfter(const IndexKey& key, Rid rid) const {
-  AJR_CHECK(key.type == key_type_);
-  size_t at_or_before =
-      rid == UINT64_MAX ? CountKeyLessEqual(key) : CountBefore(key, rid + 1);
-  return size_ - at_or_before;
-}
-
 Status BPlusTree::CheckInvariants() const {
   struct Checker {
     const BPlusTree* tree;

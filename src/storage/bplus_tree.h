@@ -167,7 +167,7 @@ class BPlusTree {
 
   /// Number of entries with key strictly less than `key`. O(height) via
   /// per-child subtree counts (the "key range cardinality" statistic
-  /// commercial indexes expose; used for remaining-scan estimates).
+  /// commercial indexes expose; used to size driving scans).
   size_t CountKeyLess(const IndexKey& key) const;
   size_t CountKeyLess(const Value& key) const { return CountKeyLess(EncodeKey(key)); }
 
@@ -175,12 +175,6 @@ class BPlusTree {
   size_t CountKeyLessEqual(const IndexKey& key) const;
   size_t CountKeyLessEqual(const Value& key) const {
     return CountKeyLessEqual(EncodeKey(key));
-  }
-
-  /// Number of entries strictly after (key, rid) in (key, RID) order.
-  size_t CountEntriesAfter(const IndexKey& key, Rid rid) const;
-  size_t CountEntriesAfter(const Value& key, Rid rid) const {
-    return CountEntriesAfter(EncodeKey(key), rid);
   }
 
   /// Validates structural invariants (test hook): sorted leaves, consistent

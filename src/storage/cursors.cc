@@ -146,39 +146,16 @@ bool IndexProbe::Next(WorkCounter* wc, Rid* rid) {
   return true;
 }
 
-size_t CountRangeEntries(const BPlusTree& tree, const KeyRange& range) {
-  size_t hi = range.hi.has_value()
-                  ? (range.hi_inclusive ? tree.CountKeyLessEqual(*range.hi)
-                                        : tree.CountKeyLess(*range.hi))
-                  : tree.size();
-  size_t lo = range.lo.has_value()
-                  ? (range.lo_inclusive ? tree.CountKeyLess(*range.lo)
-                                        : tree.CountKeyLessEqual(*range.lo))
-                  : 0;
-  return hi > lo ? hi - lo : 0;
-}
-
-size_t CountRangeEntriesAfter(const BPlusTree& tree,
-                              const std::vector<KeyRange>& ranges,
-                              const std::optional<ScanPosition>& pos) {
-  size_t at_or_before_pos =
-      pos.has_value()
-          ? tree.size() - tree.CountEntriesAfter(pos->AsIndexKey(), pos->rid)
-          : 0;
+size_t CountRangeEntries(const BPlusTree& tree, const std::vector<KeyRange>& ranges) {
   size_t total = 0;
-  for (const auto& r : ranges) {
-    size_t in_range = CountRangeEntries(tree, r);
-    if (pos.has_value()) {
-      size_t lo = r.lo.has_value()
-                      ? (r.lo_inclusive ? tree.CountKeyLess(*r.lo)
-                                        : tree.CountKeyLessEqual(*r.lo))
-                      : 0;
-      // Entries in the range that are <= pos.
-      size_t processed =
-          at_or_before_pos > lo ? std::min(at_or_before_pos - lo, in_range) : 0;
-      in_range -= processed;
-    }
-    total += in_range;
+  for (const KeyRange& r : ranges) {
+    size_t hi = r.hi.has_value() ? (r.hi_inclusive ? tree.CountKeyLessEqual(*r.hi)
+                                                   : tree.CountKeyLess(*r.hi))
+                                 : tree.size();
+    size_t lo = r.lo.has_value() ? (r.lo_inclusive ? tree.CountKeyLess(*r.lo)
+                                                   : tree.CountKeyLessEqual(*r.lo))
+                                 : 0;
+    total += hi > lo ? hi - lo : 0;
   }
   return total;
 }

@@ -32,17 +32,10 @@
 
 namespace ajr {
 
-/// Entries of `tree` within `range` (bounds in Value form, as produced by
-/// ExtractRanges).
-size_t CountRangeEntries(const BPlusTree& tree, const KeyRange& range);
-
-/// Entries of `tree` within `ranges`, restricted to strictly after `pos`
-/// (nullopt = no restriction): the cardinality behind a driving scan's
-/// positional predicate. Shared by the executor's remaining-cost inputs and
-/// the morsel driver's exact per-leg accounting.
-size_t CountRangeEntriesAfter(const BPlusTree& tree,
-                              const std::vector<KeyRange>& ranges,
-                              const std::optional<ScanPosition>& pos);
+/// Entries of `tree` within `ranges` (bounds in Value form, as produced by
+/// ExtractRanges): the entries a driving index scan over them covers when
+/// the ranges are disjoint.
+size_t CountRangeEntries(const BPlusTree& tree, const std::vector<KeyRange>& ranges);
 
 /// Iterates the RIDs of a table in a well-defined scan order.
 class ScanCursor {

@@ -149,6 +149,44 @@ TEST_F(ParallelExecutorTest, Dop1BitIdenticalToSerial) {
   }
 }
 
+// A one-worker coordinator run of a static plan is the serial run through
+// the same get-next loop: the morsels replay the serial cursor's entries in
+// order, so rows come out in the same sequence and every work unit (the
+// dispenser's scan charges included) matches, at any morsel ramp base.
+TEST_F(ParallelExecutorTest, OneWorkerStaticRunIsSerial) {
+  DmvQueryGenerator gen(catalog_);
+  for (size_t c : {1, 3, 10}) {
+    AdaptiveOptions options;
+    options.reorder_inners = false;
+    options.reorder_driving = false;
+    options.check_frequency = c;
+    for (int t = 1; t <= kNumFourTableTemplates; ++t) {
+      for (size_t v = 0; v < 3; ++v) {
+        auto q = gen.Generate(t, v);
+        ASSERT_TRUE(q.ok()) << q.status();
+        auto plan = Plan(*q);
+        ASSERT_TRUE(plan.ok()) << plan.status();
+
+        std::vector<Row> serial_rows;
+        ExecStats serial = RunSerial(plan->get(), options, &serial_rows);
+
+        ParallelExecOptions parallel;
+        parallel.dop = 1;
+        parallel.force_parallel = true;
+        std::vector<Row> par_rows;
+        ExecStats par = RunParallel(plan->get(), options, parallel, &par_rows);
+
+        EXPECT_EQ(par.parallel_workers, 1u);
+        EXPECT_EQ(par_rows, serial_rows) << "c=" << c << " T" << t << " v" << v;
+        EXPECT_EQ(par.driving_rows_produced, serial.driving_rows_produced)
+            << "c=" << c << " T" << t << " v" << v;
+        EXPECT_EQ(par.work_units, serial.work_units)
+            << "c=" << c << " T" << t << " v" << v;
+      }
+    }
+  }
+}
+
 // dop > 1: the row multiset equals the reference for every template, at
 // several dops and morsel sizes (Strict() has no back-off, so morsels stay
 // at the ramp base c), with adaptation fully on.

@@ -165,7 +165,6 @@ TEST(BPlusTreeTest, CountFunctionsMatchBruteForce) {
     entries.push_back({key, static_cast<Rid>(i)});
   }
   ASSERT_TRUE(tree.CheckInvariants().ok()) << tree.CheckInvariants();
-  std::sort(entries.begin(), entries.end());
   for (int64_t k : {-1, 0, 13, 50, 99, 100, 101}) {
     size_t lt = 0, le = 0;
     for (const auto& e : entries) {
@@ -175,13 +174,6 @@ TEST(BPlusTreeTest, CountFunctionsMatchBruteForce) {
     EXPECT_EQ(tree.CountKeyLess(Value(k)), lt) << "k=" << k;
     EXPECT_EQ(tree.CountKeyLessEqual(Value(k)), le) << "k=" << k;
   }
-  // CountEntriesAfter from a mid-stream position.
-  IndexEntry mid = entries[entries.size() / 2];
-  size_t after = 0;
-  for (const auto& e : entries) {
-    if (e.Compare(mid) > 0) ++after;
-  }
-  EXPECT_EQ(tree.CountEntriesAfter(mid.key, mid.rid), after);
 }
 
 TEST(BPlusTreeTest, CountsAfterBulkLoad) {
@@ -192,7 +184,6 @@ TEST(BPlusTreeTest, CountsAfterBulkLoad) {
   ASSERT_TRUE(tree.CheckInvariants().ok()) << tree.CheckInvariants();
   EXPECT_EQ(tree.CountKeyLess(Value(50)), 500u);
   EXPECT_EQ(tree.CountKeyLessEqual(Value(50)), 510u);
-  EXPECT_EQ(tree.CountEntriesAfter(Value(50), 509), 490u);
 }
 
 // Property sweep: random workloads at several fanouts must preserve sorted

@@ -254,6 +254,9 @@ TEST_P(IndexScanRangeSweep, MatchesBruteForce) {
     }
   }
   EXPECT_EQ(got, expected);
+  // The scan's size is known up front: with disjoint ranges over duplicate
+  // keys, total - scanned is exactly the entries a driving scan has left.
+  EXPECT_EQ(CountRangeEntries(tree, ranges), got.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexScanRangeSweep,

@@ -1,8 +1,11 @@
 // Google-benchmark micro-benchmarks for the storage and execution
-// substrates: B+-tree insert/seek/probe, scan cursors, and end-to-end
+// substrates: B+-tree bulk load/probe/count, scan cursors, and end-to-end
 // pipeline execution with and without adaptation.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstdlib>
 
 #include "common/random.h"
 #include "exec/pipeline_executor.h"
@@ -13,20 +16,6 @@
 
 namespace ajr {
 namespace {
-
-void BM_BPlusTreeInsert(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(7);
-  std::vector<int64_t> keys(n);
-  for (auto& k : keys) k = rng.NextInt64(0, n);
-  for (auto _ : state) {
-    BPlusTree tree(DataType::kInt64);
-    for (int i = 0; i < n; ++i) tree.Insert(Value(keys[i]), static_cast<Rid>(i));
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_BPlusTreeInsert)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_BPlusTreeBulkLoad(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -43,11 +32,15 @@ BENCHMARK(BM_BPlusTreeBulkLoad)->Arg(10000)->Arg(100000);
 
 void BM_BPlusTreeProbe(benchmark::State& state) {
   const int n = 100000;
-  BPlusTree tree(DataType::kInt64);
   Rng rng(11);
+  std::vector<IndexEntry> entries;
+  entries.reserve(n);
   for (int i = 0; i < n; ++i) {
-    tree.Insert(Value(rng.NextInt64(0, n / 4)), static_cast<Rid>(i));
+    entries.push_back({Value(rng.NextInt64(0, n / 4)), static_cast<Rid>(i)});
   }
+  std::sort(entries.begin(), entries.end());
+  BPlusTree tree(DataType::kInt64);
+  if (!tree.BulkLoad(std::move(entries)).ok()) std::abort();
   Rng probe_rng(13);
   for (auto _ : state) {
     IndexProbe probe(&tree);
@@ -63,8 +56,10 @@ BENCHMARK(BM_BPlusTreeProbe);
 
 void BM_BPlusTreeRangeCount(benchmark::State& state) {
   const int n = 200000;
+  std::vector<IndexEntry> entries(n);
+  for (int i = 0; i < n; ++i) entries[i] = {Value(int64_t{i}), static_cast<Rid>(i)};
   BPlusTree tree(DataType::kInt64);
-  for (int i = 0; i < n; ++i) tree.Insert(Value(int64_t{i}), static_cast<Rid>(i));
+  if (!tree.BulkLoad(std::move(entries)).ok()) std::abort();
   Rng rng(17);
   for (auto _ : state) {
     benchmark::DoNotOptimize(tree.CountKeyLess(Value(rng.NextInt64(0, n))));

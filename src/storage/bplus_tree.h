@@ -1,9 +1,18 @@
-// BPlusTree: an in-memory B+-tree secondary index over (key, RID) pairs.
+// BPlusTree: an immutable, bulk-loaded secondary index over (key, RID) pairs.
 //
 // Entries are ordered lexicographically by (key, RID), so duplicate keys are
 // supported and every scan — full, range, or point probe — yields RIDs in
 // the deterministic (key, RID) order the paper's positional predicates rely
 // on ("age > 35 OR (age = 35 AND RID > cur_RID)").
+//
+// Layout: flat. BulkLoad moves the sorted entries into one array. Leaf i is
+// the entries [i·L, min((i+1)·L, n)), with L = max(fanout·2/3, 2), the leaf
+// fill of a classic bulk load. One key-only array holds each leaf's first
+// key. A numeric lookup is a branch-free lower bound over those leaf-first
+// keys, a prefetch of every cache line of the chosen leaf, and a branch-free
+// lower bound inside it; RIDs are compared only inside an equal-key run.
+// String lookups are a binary search through the pool. There is no Insert:
+// the tree never changes after BulkLoad.
 //
 // Key representation: every stored key is one uint64 slot. Numeric keys use
 // the order-preserving encodings from types/row_layout.h, so comparisons on
@@ -13,19 +22,27 @@
 // own a private one. Probes come in as IndexKey (see key_codec.h), which
 // carries string bytes so cross-pool probes and un-interned literals work.
 //
-// The tree charges work units (node visits, entry scans) to an optional
-// WorkCounter so probe costs can be measured deterministically.
+// Charges: traversals charge work units to an optional WorkCounter as the
+// node tree a bulk load builds would, so probe costs are deterministic and
+// match the optimizer's Eq 1 node-visit model. That tree has the leaves
+// above under internal levels that group L children per node and never
+// leave a one-child trailing node; height() is its height. A seek charges
+// height() kIndexNodeVisit, plus one more when its lower bound is past the
+// end, or is the first entry of a later leaf and is not the target itself
+// (the descent picked the previous leaf and hopped). Next charges
+// kIndexEntryScan, plus one kIndexNodeVisit when it reaches a leaf end or
+// the array end.
 //
-// Thread safety: every traversal entry point (SeekFirst/Seek/SeekAfter, the
-// Count* statistics, CheckInvariants) is const and mutates nothing inside
-// the tree; concurrent readers over a loaded tree are race-free, and each
-// Iterator is private to its caller (it holds the position, the tree holds
-// none). Insert/BulkLoad restructure nodes in place and require exclusive
-// access — build indexes before sharing the tree with the query runtime.
-// Per-query WorkCounters must not be shared across threads.
+// Thread safety: BulkLoad requires exclusive access; build indexes before
+// sharing the tree with the query runtime. Every read entry point is const
+// and the tree holds no position, so concurrent readers are race-free; each
+// Iterator is private to its caller. Per-query WorkCounters must not be
+// shared across threads.
 
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -58,7 +75,7 @@ struct IndexEntry {
 /// The only index structure; perfbench still selects it through this enum.
 enum class IndexBackend { kBTree };
 
-/// B+-tree index with leaf chaining. Keys are uint64 slots of one DataType.
+/// Flat bulk-loaded B+-tree. Keys are uint64 slots of one DataType.
 class BPlusTree {
  public:
   /// One entry in stored form: encoded key slot + RID.
@@ -67,10 +84,11 @@ class BPlusTree {
     Rid rid;
   };
 
-  /// Creates an empty tree. `fanout` is the max entries per leaf and max
-  /// children per internal node (minimum 4). String trees resolve ids
-  /// through `pool` when given (catalog indexes share the table pool) and
-  /// own a private pool otherwise (standalone trees interning on Insert).
+  /// Creates an empty tree. `fanout` (minimum 4) sets the leaf size L and
+  /// the modeled internal fan-in (see file comment). String trees resolve
+  /// ids through `pool` when given (catalog indexes share the table pool)
+  /// and own a private pool otherwise (standalone trees interning on
+  /// BulkLoad).
   explicit BPlusTree(DataType key_type, size_t fanout = 64,
                      const StringPool* pool = nullptr);
   ~BPlusTree();
@@ -81,14 +99,14 @@ class BPlusTree {
   BPlusTree& operator=(BPlusTree&&) noexcept;
 
   DataType key_type() const { return key_type_; }
-  size_t size() const { return size_; }
-  /// Tree height in levels (1 = just a leaf).
+  size_t size() const { return entries_.size(); }
+  /// Modeled tree height in levels (1 = just a leaf).
   size_t height() const { return height_; }
 
   /// Point probe: appends all RIDs whose key equals `key` to `out` in
-  /// ascending RID order and charges one root-to-leaf descent plus one
-  /// entry scan per match to `wc` (null = no charging). String keys borrow
-  /// the caller's bytes for the duration of the call.
+  /// ascending RID order and charges one seek plus one Next per match to
+  /// `wc` (null = no charging). String keys borrow the caller's bytes for
+  /// the duration of the call.
   void Probe(const IndexKey& key, WorkCounter* wc, std::vector<Rid>* out) const;
 
   /// The pool string key slots resolve through (null for non-string trees).
@@ -96,30 +114,18 @@ class BPlusTree {
   /// return their private pool.
   const StringPool* pool() const { return pool_; }
 
-  /// Inserts one entry. Duplicate keys allowed; duplicate (key, rid) pairs
-  /// are legal but the workload never produces them. String keys intern
-  /// into the private pool; on shared-pool trees they must already be
-  /// interned (catalog trees are bulk-loaded from table cells).
-  void Insert(const Value& key, Rid rid);
-
   /// Replaces the tree contents from entries sorted by (key, rid).
-  /// InvalidArgument if the entries are not sorted.
+  /// InvalidArgument if the entries are not sorted. String keys intern
+  /// into the private pool; on shared-pool trees they must already be
+  /// interned.
   Status BulkLoad(std::vector<IndexEntry> sorted_entries);
 
   /// BulkLoad in stored form: `sorted_entries` must already be encoded for
   /// this tree (order encoding / shared-pool ids) and sorted by the tree's
-  /// (key, rid) order. The catalog's index build uses this to go straight
-  /// from page cells to the tree with no Value materialization.
+  /// (key, rid) order; the tree takes the array over. The catalog's index
+  /// build uses this to go straight from page cells to the tree with no
+  /// Value materialization.
   Status BulkLoadEncoded(std::vector<EncodedEntry> sorted_entries);
-
-  /// Three-way compare of a probe key against a stored key slot.
-  int CompareProbe(const IndexKey& key, uint64_t stored) const {
-    if (key_type_ != DataType::kString) {
-      return key.enc < stored ? -1 : (key.enc > stored ? 1 : 0);
-    }
-    int c = key.str.compare(pool_->Get(static_cast<uint32_t>(stored)));
-    return c < 0 ? -1 : (c > 0 ? 1 : 0);
-  }
 
   /// True if a probe key equals a stored key slot.
   bool ProbeEquals(const IndexKey& key, uint64_t stored) const {
@@ -130,28 +136,45 @@ class BPlusTree {
   /// Materializes a stored key slot as an owned Value.
   Value DecodeKey(uint64_t stored) const;
 
-  /// Forward iterator over leaf entries. Obtained from the Seek* methods;
-  /// walking past the last entry makes it invalid.
+  /// Forward iterator over the entries: a position in the (key, RID) order
+  /// and the end of its leaf. Obtained from the Seek* methods; walking past
+  /// the last entry makes it invalid.
   class Iterator {
    public:
     Iterator() = default;
 
-    bool Valid() const { return leaf_ != nullptr; }
-    /// Stored key slot (compare via the owning tree's CompareProbe).
-    uint64_t key_slot() const;
+    bool Valid() const { return pos_ < leaf_end_; }
+    /// Index of the current entry in (key, RID) order; counts and range
+    /// positions (CountKeyLess, ...) are in the same coordinates.
+    size_t position() const { return pos_; }
+    /// Stored key slot (match via the owning tree's ProbeEquals).
+    uint64_t key_slot() const {
+      assert(Valid());
+      return tree_->entries_[pos_].key;
+    }
     /// Materialized key (tests / diagnostics; allocates for strings).
-    Value key() const;
-    Rid rid() const;
+    Value key() const { return tree_->DecodeKey(key_slot()); }
+    Rid rid() const {
+      assert(Valid());
+      return tree_->entries_[pos_].rid;
+    }
 
     /// Advances one entry, charging kIndexEntryScan (plus kIndexNodeVisit
-    /// when hopping to the next leaf).
-    void Next(WorkCounter* wc);
+    /// when it reaches a leaf end or the array end).
+    void Next(WorkCounter* wc) {
+      assert(Valid());
+      ChargeWork(wc, WorkCounter::kIndexEntryScan);
+      if (++pos_ == leaf_end_) {
+        ChargeWork(wc, WorkCounter::kIndexNodeVisit);
+        leaf_end_ = std::min(leaf_end_ + tree_->leaf_size_, tree_->size());
+      }
+    }
 
    private:
     friend class BPlusTree;
     const BPlusTree* tree_ = nullptr;
-    void* leaf_ = nullptr;  // LeafNode*
-    size_t slot_ = 0;
+    size_t pos_ = 0;
+    size_t leaf_end_ = 0;
   };
 
   /// First entry of the whole tree.
@@ -165,9 +188,9 @@ class BPlusTree {
   Iterator SeekAfter(const IndexKey& key, Rid rid, WorkCounter* wc) const;
   Iterator SeekAfter(const Value& key, Rid rid, WorkCounter* wc) const;
 
-  /// Number of entries with key strictly less than `key`. O(height) via
-  /// per-child subtree counts (the "key range cardinality" statistic
-  /// commercial indexes expose; used to size driving scans).
+  /// Number of entries with key strictly less than `key`: the position of
+  /// its lower bound (the "key range cardinality" statistic commercial
+  /// indexes expose; used to size driving scans).
   size_t CountKeyLess(const IndexKey& key) const;
   size_t CountKeyLess(const Value& key) const { return CountKeyLess(EncodeKey(key)); }
 
@@ -177,34 +200,30 @@ class BPlusTree {
     return CountKeyLessEqual(EncodeKey(key));
   }
 
-  /// Validates structural invariants (test hook): sorted leaves, consistent
-  /// separators, uniform depth, complete leaf chain, subtree counts.
+  /// Validates structural invariants (test hook): sorted entries and one
+  /// leaf-first key per leaf.
   Status CheckInvariants() const;
 
  private:
-  struct Node;
-  struct LeafNode;
-  struct InternalNode;
-
   /// Three-way compare of two stored entries.
   int CompareEntries(const EncodedEntry& a, const EncodedEntry& b) const;
-  /// Three-way compare of a stored entry against a probe (key, rid) target.
-  int CompareToProbe(const EncodedEntry& e, const IndexKey& key, Rid rid) const;
-  size_t ChildIndexFor(const std::vector<EncodedEntry>& separators,
-                       const IndexKey& key, Rid rid) const;
 
-  /// Encodes a probe key for storage (Insert path; interns into the private
-  /// pool when owned).
+  /// Encodes a Value key for storage (BulkLoad path; interns into the
+  /// private pool when owned).
   uint64_t EncodeForStore(const Value& key);
 
+  /// Position of the first entry >= (key, rid).
+  size_t LowerBound(const IndexKey& key, Rid rid) const;
+  /// Position of the first entry whose key slot is >= `key` (numeric trees).
+  size_t KeyLowerBound(uint64_t key) const;
+
   Iterator SeekEntry(const IndexKey& key, Rid rid, WorkCounter* wc) const;
-  size_t CountBefore(const IndexKey& key, Rid rid) const;
 
   DataType key_type_;
-  size_t fanout_;
-  size_t size_ = 0;
+  size_t leaf_size_;  ///< L: entries per leaf
   size_t height_ = 1;
-  std::unique_ptr<Node> root_;
+  std::vector<EncodedEntry> entries_;  ///< sorted by (key, rid)
+  std::vector<uint64_t> leaf_keys_;    ///< key of each leaf's first entry
   const StringPool* pool_ = nullptr;        ///< id resolver (string trees)
   std::unique_ptr<StringPool> owned_pool_;  ///< backing for standalone trees
 };

@@ -25,16 +25,31 @@ Status TableScanCursor::ResumeFrom(const ScanPosition& pos) {
   return Status::OK();
 }
 
+namespace {
+
+// [begin, end) positions of the entries of `tree` inside `r`; begin > end
+// for a range that holds nothing.
+std::pair<size_t, size_t> RangeSpan(const BPlusTree& tree, const KeyRange& r) {
+  size_t begin = r.lo.has_value() ? (r.lo_inclusive ? tree.CountKeyLess(*r.lo)
+                                                    : tree.CountKeyLessEqual(*r.lo))
+                                  : 0;
+  size_t end = r.hi.has_value() ? (r.hi_inclusive ? tree.CountKeyLessEqual(*r.hi)
+                                                  : tree.CountKeyLess(*r.hi))
+                                : tree.size();
+  return {begin, end};
+}
+
+}  // namespace
+
 IndexScanCursor::IndexScanCursor(const BPlusTree* tree, std::vector<KeyRange> ranges)
     : tree_(tree), ranges_(std::move(ranges)) {
   lo_.reserve(ranges_.size());
-  hi_.reserve(ranges_.size());
+  span_.reserve(ranges_.size());
   for (const KeyRange& r : ranges_) {
-    Bound lo, hi;
+    Bound lo;
     if (r.lo.has_value()) lo = {true, EncodeKey(*r.lo), r.lo_inclusive};
-    if (r.hi.has_value()) hi = {true, EncodeKey(*r.hi), r.hi_inclusive};
     lo_.push_back(lo);
-    hi_.push_back(hi);
+    span_.push_back(RangeSpan(*tree_, r));
   }
 }
 
@@ -45,22 +60,6 @@ void IndexScanCursor::Reset() {
   has_last_ = false;
   resumed_.reset();
   iter_ = BPlusTree::Iterator();
-}
-
-bool IndexScanCursor::BeforeRangeLo() const {
-  const Bound& b = lo_[range_idx_];
-  if (!b.present) return false;
-  int c = tree_->CompareProbe(b.key, iter_.key_slot());
-  if (c != 0) return c > 0;  // bound above the key => key below the bound
-  return !b.inclusive;       // sitting exactly on an exclusive lower bound
-}
-
-bool IndexScanCursor::PastRangeHi() const {
-  const Bound& b = hi_[range_idx_];
-  if (!b.present) return false;
-  int c = tree_->CompareProbe(b.key, iter_.key_slot());
-  if (c != 0) return c < 0;
-  return !b.inclusive;
 }
 
 void IndexScanCursor::AlignToRanges(WorkCounter* wc) {
@@ -149,13 +148,8 @@ bool IndexProbe::Next(WorkCounter* wc, Rid* rid) {
 size_t CountRangeEntries(const BPlusTree& tree, const std::vector<KeyRange>& ranges) {
   size_t total = 0;
   for (const KeyRange& r : ranges) {
-    size_t hi = r.hi.has_value() ? (r.hi_inclusive ? tree.CountKeyLessEqual(*r.hi)
-                                                   : tree.CountKeyLess(*r.hi))
-                                 : tree.size();
-    size_t lo = r.lo.has_value() ? (r.lo_inclusive ? tree.CountKeyLess(*r.lo)
-                                                   : tree.CountKeyLessEqual(*r.lo))
-                                 : 0;
-    total += hi > lo ? hi - lo : 0;
+    auto [begin, end] = RangeSpan(tree, r);
+    total += end > begin ? end - begin : 0;
   }
   return total;
 }

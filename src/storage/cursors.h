@@ -6,9 +6,10 @@
 // position (so a re-promoted driving leg continues its original scan —
 // Sec 4.2's "the original cursor is also needed").
 //
-// Range bounds are encoded to probe form (IndexKey) once at construction;
-// per-row range checks and the remembered position are integer compares on
-// key slots, not Value comparisons.
+// Each range becomes a [begin, end) pair of entry positions once at
+// construction, so per-row range checks are position compares (no key
+// compare, even on string keys); the remembered position is a key slot,
+// materialized only when asked for.
 //
 // Thread safety: cursors and probes are stateful per-query objects — one
 // owner thread each, never shared. They only *read* the underlying
@@ -20,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -88,8 +90,8 @@ class IndexScanCursor final : public ScanCursor {
   ScanOrder order() const override { return ScanOrder::kKeyRidOrder; }
 
  private:
-  /// One range bound in probe form; str views point into ranges_ (owned by
-  /// this cursor), so they are stable for the cursor's lifetime.
+  /// One range lower bound in probe form; str views point into ranges_
+  /// (owned by this cursor), so they are stable for the cursor's lifetime.
   struct Bound {
     bool present = false;
     IndexKey key;
@@ -99,13 +101,15 @@ class IndexScanCursor final : public ScanCursor {
   // Moves iter_ forward until it sits inside some range (possibly reseeking
   // at range lower bounds); leaves it invalid when all ranges are exhausted.
   void AlignToRanges(WorkCounter* wc);
-  // True if iter_'s key is below / inside / above ranges_[range_idx_].
-  bool BeforeRangeLo() const;
-  bool PastRangeHi() const;
+  // True if iter_ is below / above ranges_[range_idx_]'s entry positions.
+  bool BeforeRangeLo() const { return iter_.position() < span_[range_idx_].first; }
+  bool PastRangeHi() const { return iter_.position() >= span_[range_idx_].second; }
 
   const BPlusTree* tree_;
   std::vector<KeyRange> ranges_;
-  std::vector<Bound> lo_, hi_;  ///< encoded bounds, parallel to ranges_
+  std::vector<Bound> lo_;  ///< encoded lower bounds, parallel to ranges_
+  /// [begin, end) entry positions of each range, parallel to ranges_.
+  std::vector<std::pair<size_t, size_t>> span_;
   BPlusTree::Iterator iter_;
   size_t range_idx_ = 0;
   bool started_ = false;

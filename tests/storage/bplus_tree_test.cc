@@ -9,6 +9,15 @@
 namespace ajr {
 namespace {
 
+// Sorts `entries` by (key, rid) and bulk-loads them: the only way a tree is
+// built.
+BPlusTree Load(DataType type, size_t fanout, std::vector<IndexEntry> entries) {
+  std::sort(entries.begin(), entries.end());
+  BPlusTree tree(type, fanout);
+  EXPECT_TRUE(tree.BulkLoad(std::move(entries)).ok());
+  return tree;
+}
+
 std::vector<IndexEntry> Drain(const BPlusTree& tree) {
   std::vector<IndexEntry> out;
   for (auto it = tree.SeekFirst(nullptr); it.Valid(); it.Next(nullptr)) {
@@ -27,8 +36,7 @@ TEST(BPlusTreeTest, EmptyTree) {
 }
 
 TEST(BPlusTreeTest, SingleInsert) {
-  BPlusTree tree(DataType::kInt64);
-  tree.Insert(Value(42), 7);
+  BPlusTree tree = Load(DataType::kInt64, 64, {{Value(42), 7}});
   auto it = tree.SeekFirst(nullptr);
   ASSERT_TRUE(it.Valid());
   EXPECT_EQ(it.key().AsInt64(), 42);
@@ -38,15 +46,12 @@ TEST(BPlusTreeTest, SingleInsert) {
 }
 
 TEST(BPlusTreeTest, InsertsComeOutSorted) {
-  BPlusTree tree(DataType::kInt64, /*fanout=*/8);
   Rng rng(17);
   std::vector<IndexEntry> expected;
   for (int i = 0; i < 2000; ++i) {
-    Value key(rng.NextInt64(0, 300));
-    Rid rid = static_cast<Rid>(i);
-    tree.Insert(key, rid);
-    expected.push_back({key, rid});
+    expected.push_back({Value(rng.NextInt64(0, 300)), static_cast<Rid>(i)});
   }
+  BPlusTree tree = Load(DataType::kInt64, /*fanout=*/8, expected);
   std::sort(expected.begin(), expected.end());
   ASSERT_TRUE(tree.CheckInvariants().ok()) << tree.CheckInvariants();
   auto got = Drain(tree);
@@ -59,9 +64,10 @@ TEST(BPlusTreeTest, InsertsComeOutSorted) {
 }
 
 TEST(BPlusTreeTest, StringKeys) {
-  BPlusTree tree(DataType::kString, 4);
   const char* makes[] = {"Mercedes", "Audi", "Chevrolet", "BMW", "Mazda"};
-  for (Rid i = 0; i < 5; ++i) tree.Insert(Value(makes[i]), i);
+  std::vector<IndexEntry> entries;
+  for (Rid i = 0; i < 5; ++i) entries.push_back({Value(makes[i]), i});
+  BPlusTree tree = Load(DataType::kString, 4, entries);
   auto got = Drain(tree);
   ASSERT_EQ(got.size(), 5u);
   EXPECT_EQ(got[0].key.AsString(), "Audi");
@@ -70,8 +76,9 @@ TEST(BPlusTreeTest, StringKeys) {
 }
 
 TEST(BPlusTreeTest, DuplicateKeysOrderedByRid) {
-  BPlusTree tree(DataType::kInt64, 4);
-  for (Rid r : {9u, 3u, 7u, 1u, 5u}) tree.Insert(Value(10), r);
+  std::vector<IndexEntry> entries;
+  for (Rid r : {9u, 3u, 7u, 1u, 5u}) entries.push_back({Value(10), r});
+  BPlusTree tree = Load(DataType::kInt64, 4, entries);
   auto got = Drain(tree);
   ASSERT_EQ(got.size(), 5u);
   for (size_t i = 1; i < got.size(); ++i) {
@@ -80,11 +87,8 @@ TEST(BPlusTreeTest, DuplicateKeysOrderedByRid) {
 }
 
 TEST(BPlusTreeTest, SeekInclusiveExclusive) {
-  BPlusTree tree(DataType::kInt64, 4);
-  for (int k : {10, 20, 20, 30}) {
-    static Rid rid = 0;
-    tree.Insert(Value(k), rid++);
-  }
+  BPlusTree tree = Load(DataType::kInt64, 4,
+                        {{Value(10), 0}, {Value(20), 1}, {Value(20), 2}, {Value(30), 3}});
   auto inc = tree.Seek(Value(20), true, nullptr);
   ASSERT_TRUE(inc.Valid());
   EXPECT_EQ(inc.key().AsInt64(), 20);
@@ -99,10 +103,8 @@ TEST(BPlusTreeTest, SeekInclusiveExclusive) {
 }
 
 TEST(BPlusTreeTest, SeekAfterSkipsExactEntry) {
-  BPlusTree tree(DataType::kInt64, 4);
-  tree.Insert(Value(20), 5);
-  tree.Insert(Value(20), 6);
-  tree.Insert(Value(21), 0);
+  BPlusTree tree =
+      Load(DataType::kInt64, 4, {{Value(20), 5}, {Value(20), 6}, {Value(21), 0}});
   auto it = tree.SeekAfter(Value(20), 5, nullptr);
   ASSERT_TRUE(it.Valid());
   EXPECT_EQ(it.key().AsInt64(), 20);
@@ -115,22 +117,29 @@ TEST(BPlusTreeTest, SeekAfterSkipsExactEntry) {
 }
 
 TEST(BPlusTreeTest, BulkLoadMatchesInserts) {
+  // Random keys in random order: after the sort-then-BulkLoad, a full scan
+  // and every key's counts match brute force over the same entries.
   Rng rng(23);
   std::vector<IndexEntry> entries;
   for (int i = 0; i < 5000; ++i) {
     entries.push_back({Value(rng.NextInt64(0, 1000)), static_cast<Rid>(i)});
   }
-  std::sort(entries.begin(), entries.end());
-
-  BPlusTree bulk(DataType::kInt64, 16);
-  ASSERT_TRUE(bulk.BulkLoad(entries).ok());
+  BPlusTree bulk = Load(DataType::kInt64, 16, entries);
   ASSERT_TRUE(bulk.CheckInvariants().ok()) << bulk.CheckInvariants();
   EXPECT_EQ(bulk.size(), entries.size());
 
+  std::sort(entries.begin(), entries.end());
   auto got = Drain(bulk);
   ASSERT_EQ(got.size(), entries.size());
   for (size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].Compare(entries[i]), 0) << "at " << i;
+  }
+  for (int64_t k = -1; k <= 1001; ++k) {
+    auto lo = std::lower_bound(entries.begin(), entries.end(), IndexEntry{Value(k), 0});
+    auto hi = std::upper_bound(entries.begin(), entries.end(),
+                               IndexEntry{Value(k), UINT64_MAX});
+    EXPECT_EQ(bulk.CountKeyLess(Value(k)), static_cast<size_t>(lo - entries.begin()));
+    EXPECT_EQ(bulk.CountKeyLessEqual(Value(k)), static_cast<size_t>(hi - entries.begin()));
   }
 }
 
@@ -148,22 +157,140 @@ TEST(BPlusTreeTest, BulkLoadEmpty) {
 }
 
 TEST(BPlusTreeTest, SeekChargesNodeVisits) {
-  BPlusTree tree(DataType::kInt64, 8);
-  for (int i = 0; i < 1000; ++i) tree.Insert(Value(i), static_cast<Rid>(i));
+  std::vector<IndexEntry> entries;
+  for (int i = 0; i < 1000; ++i) entries.push_back({Value(i), static_cast<Rid>(i)});
+  BPlusTree tree = Load(DataType::kInt64, 8, entries);
   WorkCounter wc;
+  tree.Seek(Value(499), true, &wc);
+  EXPECT_EQ(wc.total(), tree.height() * WorkCounter::kIndexNodeVisit);
+  // Leaves hold 5 entries, so (500, 500) opens a leaf. The descent for
+  // (500, 0) picks the leaf before it and charges one hop onto it.
+  wc.Reset();
   tree.Seek(Value(500), true, &wc);
-  EXPECT_GE(wc.total(), tree.height() * WorkCounter::kIndexNodeVisit);
+  EXPECT_EQ(wc.total(), (tree.height() + 1) * WorkCounter::kIndexNodeVisit);
+}
+
+// The bulk-load leaf model every seek and scan is charged against: leaves
+// of L = max(fanout·2/3, 2) entries under a height computed by the same
+// grouping rule (no one-child trailing node). A seek charges height()
+// visits, plus one more when its lower bound is past the leaf the descent
+// picks (the last leaf whose first entry is <= the target). A Next charges
+// one entry scan, plus one visit at each leaf end.
+size_t ModelLeafSize(size_t fanout) {
+  return std::max<size_t>(std::max<size_t>(fanout, 4) * 2 / 3, 2);
+}
+
+size_t ModelHeight(size_t n, size_t leaf) {
+  size_t nodes = (n + leaf - 1) / leaf;
+  size_t height = 1;
+  while (nodes > 1) {
+    size_t groups = 0;
+    for (size_t i = 0; i < nodes; ++groups) {
+      size_t end = std::min(i + leaf, nodes);
+      if (end < nodes && nodes - end == 1 && end - i >= 2) end -= 1;
+      i = end;
+    }
+    nodes = groups;
+    ++height;
+  }
+  return height;
+}
+
+TEST(BPlusTreeTest, SeekChargesAndPositionsMatchLeafModel) {
+  using Entry = std::pair<int64_t, Rid>;
+  constexpr uint64_t kVisit = WorkCounter::kIndexNodeVisit;
+  for (size_t fanout : {4, 5, 7, 64}) {
+    const size_t leaf = ModelLeafSize(fanout);
+    for (size_t n : {size_t{0}, size_t{1}, leaf - 1, leaf, leaf + 1, 2 * leaf,
+                     size_t{5000}}) {
+      SCOPED_TRACE("fanout " + std::to_string(fanout) + " n " + std::to_string(n));
+      // Even keys with heavy duplication; rids 3i+1 leave gaps on both sides.
+      Rng rng(fanout * 7919 + n);
+      std::vector<Entry> sorted;
+      const int64_t distinct = std::max<int64_t>(1, static_cast<int64_t>(n) / 16);
+      for (size_t i = 0; i < n; ++i) {
+        sorted.emplace_back(2 * rng.NextInt64(0, distinct), static_cast<Rid>(3 * i + 1));
+      }
+      std::sort(sorted.begin(), sorted.end());
+      std::vector<IndexEntry> entries;
+      for (const Entry& e : sorted) entries.push_back({Value(e.first), e.second});
+      BPlusTree tree(DataType::kInt64, fanout);
+      ASSERT_TRUE(tree.BulkLoad(entries).ok());
+      ASSERT_EQ(tree.size(), n);
+      ASSERT_EQ(tree.height(), ModelHeight(n, leaf));
+      const uint64_t descent = tree.height() * kVisit;
+
+      // Lands on the brute-force lower bound of (key, rid) and charges the
+      // descent plus the model's hop.
+      auto expect_seek = [&](const BPlusTree::Iterator& it, const WorkCounter& wc,
+                             int64_t key, Rid rid, const char* op) {
+        SCOPED_TRACE(std::string(op) + " key " + std::to_string(key) + " rid " +
+                     std::to_string(rid));
+        Entry target{key, rid};
+        size_t p = std::lower_bound(sorted.begin(), sorted.end(), target) - sorted.begin();
+        bool hop = p == n || (p > 0 && p % leaf == 0 && sorted[p] != target);
+        EXPECT_EQ(wc.total(), descent + (hop ? kVisit : 0));
+        ASSERT_EQ(it.Valid(), p < n);
+        if (p < n) {
+          EXPECT_EQ(it.key().AsInt64(), sorted[p].first);
+          EXPECT_EQ(it.rid(), sorted[p].second);
+        }
+      };
+      auto seek = [&](int64_t key, bool inclusive) {
+        WorkCounter wc;
+        auto it = tree.Seek(Value(key), inclusive, &wc);
+        expect_seek(it, wc, key, inclusive ? 0 : UINT64_MAX,
+                    inclusive ? "Seek inclusive" : "Seek exclusive");
+      };
+      auto seek_after = [&](int64_t key, Rid rid) {
+        WorkCounter wc;
+        auto it = tree.SeekAfter(Value(key), rid, &wc);
+        expect_seek(it, wc, key, rid == UINT64_MAX ? UINT64_MAX : rid + 1, "SeekAfter");
+      };
+
+      // Every key from below the minimum to above the maximum: present
+      // (even) keys and keys between entries (odd).
+      const int64_t max_key = n == 0 ? 0 : sorted.back().first;
+      for (int64_t k = -1; k <= max_key + 1; ++k) {
+        seek(k, true);
+        seek(k, false);
+      }
+      // Each entry exactly (rid - 1 resumes onto it), just after it, and
+      // between it and the next rid; leaf-first entries are among these.
+      for (const Entry& e : sorted) {
+        seek_after(e.first, e.second - 1);
+        seek_after(e.first, e.second);
+        seek_after(e.first, e.second + 1);
+      }
+      seek_after(-1, 5);
+      seek_after(max_key, UINT64_MAX);
+      seek_after(max_key + 1, 0);
+
+      // SeekFirst charges the descent only; a full scan adds one entry
+      // scan per entry and one visit per leaf end.
+      WorkCounter wc;
+      auto it = tree.SeekFirst(&wc);
+      EXPECT_EQ(wc.total(), descent);
+      size_t count = 0;
+      for (; it.Valid(); it.Next(&wc), ++count) {
+        ASSERT_LT(count, n);
+        EXPECT_EQ(it.key().AsInt64(), sorted[count].first);
+        EXPECT_EQ(it.rid(), sorted[count].second);
+      }
+      EXPECT_EQ(count, n);
+      EXPECT_EQ(wc.total(), descent + n * WorkCounter::kIndexEntryScan +
+                                (n + leaf - 1) / leaf * kVisit);
+    }
+  }
 }
 
 TEST(BPlusTreeTest, CountFunctionsMatchBruteForce) {
   Rng rng(99);
-  BPlusTree tree(DataType::kInt64, 8);
   std::vector<IndexEntry> entries;
   for (int i = 0; i < 4000; ++i) {
-    Value key(rng.NextInt64(0, 100));
-    tree.Insert(key, static_cast<Rid>(i));
-    entries.push_back({key, static_cast<Rid>(i)});
+    entries.push_back({Value(rng.NextInt64(0, 100)), static_cast<Rid>(i)});
   }
+  BPlusTree tree = Load(DataType::kInt64, 8, entries);
   ASSERT_TRUE(tree.CheckInvariants().ok()) << tree.CheckInvariants();
   for (int64_t k : {-1, 0, 13, 50, 99, 100, 101}) {
     size_t lt = 0, le = 0;
@@ -186,20 +313,18 @@ TEST(BPlusTreeTest, CountsAfterBulkLoad) {
   EXPECT_EQ(tree.CountKeyLessEqual(Value(50)), 510u);
 }
 
-// Property sweep: random workloads at several fanouts must preserve sorted
-// order and structural invariants.
+// Property sweep: random bulk loads at several fanouts must scan, seek and
+// probe like brute force over the sorted entries.
 class BPlusTreeFanoutSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(BPlusTreeFanoutSweep, RandomWorkloadKeepsInvariants) {
   const size_t fanout = static_cast<size_t>(GetParam());
   Rng rng(1000 + fanout);
-  BPlusTree tree(DataType::kInt64, fanout);
   std::vector<IndexEntry> expected;
   for (int i = 0; i < 3000; ++i) {
-    Value key(rng.NextInt64(-50, 50));
-    tree.Insert(key, static_cast<Rid>(i));
-    expected.push_back({key, static_cast<Rid>(i)});
+    expected.push_back({Value(rng.NextInt64(-50, 50)), static_cast<Rid>(i)});
   }
+  BPlusTree tree = Load(DataType::kInt64, fanout, expected);
   ASSERT_TRUE(tree.CheckInvariants().ok()) << tree.CheckInvariants();
   std::sort(expected.begin(), expected.end());
   auto got = Drain(tree);
@@ -219,6 +344,13 @@ TEST_P(BPlusTreeFanoutSweep, RandomWorkloadKeepsInvariants) {
       EXPECT_EQ(it.key().Compare(lb->key), 0);
       EXPECT_EQ(it.rid(), lb->rid);
     }
+    // A point probe returns exactly the key's rids, in rid order.
+    std::vector<Rid> got_rids, want_rids;
+    tree.Probe(EncodeKey(Value(k)), nullptr, &got_rids);
+    for (const IndexEntry& e : expected) {
+      if (e.key == Value(k)) want_rids.push_back(e.rid);
+    }
+    EXPECT_EQ(got_rids, want_rids) << "k=" << k;
   }
 }
 

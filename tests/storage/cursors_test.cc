@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 
 namespace ajr {
@@ -10,10 +12,12 @@ namespace {
 // Builds a tree over keys [0, n) with rid == key (unique) when stride == 1,
 // or duplicated keys when stride > 1 (key = rid / stride).
 BPlusTree MakeTree(int n, int stride = 1) {
-  BPlusTree tree(DataType::kInt64, 8);
+  std::vector<IndexEntry> entries;
   for (int rid = 0; rid < n; ++rid) {
-    tree.Insert(Value(rid / stride), static_cast<Rid>(rid));
+    entries.push_back({Value(rid / stride), static_cast<Rid>(rid)});
   }
+  BPlusTree tree(DataType::kInt64, 8);
+  EXPECT_TRUE(tree.BulkLoad(std::move(entries)).ok());
   return tree;
 }
 
@@ -209,6 +213,56 @@ TEST(IndexProbeTest, ChargesWork) {
   EXPECT_GT(wc.total(), after_seek);
 }
 
+// String keys compare through the pool; the cursor's range checks are
+// entry positions, so bounds absent from the pool ("b~", "e") and
+// exclusive bounds must still land exactly, across a resume too.
+TEST(IndexScanCursorTest, StringKeyRangesMatchBruteForce) {
+  std::vector<IndexEntry> entries;
+  for (int rid = 0; rid < 200; ++rid) {
+    std::string key = std::string(1, static_cast<char>('a' + rid % 8)) +
+                      std::to_string(rid % 3);
+    entries.push_back({Value(key), static_cast<Rid>(rid)});
+  }
+  std::sort(entries.begin(), entries.end());
+  BPlusTree tree(DataType::kString, 8);
+  ASSERT_TRUE(tree.BulkLoad(entries).ok());
+
+  KeyRange r1, r2;
+  r1.lo = Value("b~");
+  r1.lo_inclusive = true;
+  r1.hi = Value("c1");
+  r1.hi_inclusive = true;
+  r2.lo = Value("d0");
+  r2.lo_inclusive = false;
+  r2.hi = Value("e");
+  r2.hi_inclusive = false;
+  std::vector<KeyRange> ranges = NormalizeRanges({r1, r2});
+
+  std::vector<Rid> expected;
+  for (const IndexEntry& e : entries) {
+    for (const KeyRange& r : ranges) {
+      if (r.Contains(e.key)) {
+        expected.push_back(e.rid);
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  IndexScanCursor c(&tree, ranges);
+  EXPECT_EQ(DrainCursor(&c), expected);
+  EXPECT_EQ(CountRangeEntries(tree, ranges), expected.size());
+
+  // Stop after a few rows, resume a fresh cursor from there.
+  IndexScanCursor first(&tree, ranges);
+  std::vector<Rid> got;
+  Rid rid;
+  for (int i = 0; i < 5 && first.Next(nullptr, &rid); ++i) got.push_back(rid);
+  IndexScanCursor rest(&tree, ranges);
+  ASSERT_TRUE(rest.ResumeFrom(first.CurrentPosition()).ok());
+  for (Rid r : DrainCursor(&rest)) got.push_back(r);
+  EXPECT_EQ(got, expected);
+}
+
 // Property test: cursor over random ranges equals brute-force filter.
 class IndexScanRangeSweep : public ::testing::TestWithParam<uint64_t> {};
 
@@ -216,12 +270,15 @@ TEST_P(IndexScanRangeSweep, MatchesBruteForce) {
   Rng rng(GetParam());
   const int n = 500;
   std::vector<int64_t> keys;
-  BPlusTree tree(DataType::kInt64, 8);
+  std::vector<IndexEntry> entries;
   for (int rid = 0; rid < n; ++rid) {
     int64_t k = rng.NextInt64(0, 60);
     keys.push_back(k);
-    tree.Insert(Value(k), static_cast<Rid>(rid));
+    entries.push_back({Value(k), static_cast<Rid>(rid)});
   }
+  std::sort(entries.begin(), entries.end());
+  BPlusTree tree(DataType::kInt64, 8);
+  ASSERT_TRUE(tree.BulkLoad(std::move(entries)).ok());
   // Random disjoint ranges via NormalizeRanges.
   std::vector<KeyRange> ranges;
   int num_ranges = 1 + static_cast<int>(rng.NextUint64(4));

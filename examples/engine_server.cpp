@@ -1,18 +1,16 @@
 // Engine server demo: the concurrent query runtime end to end.
 //
-//   $ ./build/examples/engine_server [--dop=N] [--share=off|scan]
+//   $ ./build/examples/engine_server [--dop=N]
 //
 // Builds a small DMV database, starts a QueryEngine with four workers, and
 // plays a short serving scenario: a burst of template queries answered
 // concurrently, one query cancelled mid-flight, one submitted with a
 // deadline it cannot meet. With --dop=N each query additionally runs
 // morsel-parallel: N worker pipelines split the driving scan and share
-// run-time reoptimization through a common coordinator. With --share=scan
-// the burst's queries ride one physical driving-scan pass per table across
-// concurrent queries (runtime/shared_scan.h). Finishes with
-// the engine's metrics snapshot — the process-wide view of everything that
+// run-time reoptimization through a common coordinator. Finishes with the
+// engine's metrics snapshot — the process-wide view of everything that
 // just happened, including how often the adaptive executor reordered
-// joins across the workload and how effective parallelism and sharing were.
+// joins across the workload and how effective parallelism was.
 
 #include <chrono>
 #include <cstdio>
@@ -29,7 +27,7 @@ using namespace ajr;
 
 namespace {
 
-Status Run(size_t dop, bool share_scan) {
+Status Run(size_t dop) {
   // 1. Build phase: load the catalog before serving (the engine's
   //    thread-safety contract: no catalog writes while queries run).
   std::printf("loading DMV data set...\n");
@@ -47,22 +45,16 @@ Status Run(size_t dop, bool share_scan) {
   DmvQueryGenerator gen(&catalog);
 
   // 3. A burst of concurrent queries: two instances of each template.
-  const char* share_name = share_scan ? "scan" : "off";
   std::printf("serving a burst of 10 template queries on %zu workers"
-              " (intra-query dop=%zu, share=%s)...\n",
-              engine.num_workers(), dop, share_name);
+              " (intra-query dop=%zu)...\n",
+              engine.num_workers(), dop);
   std::vector<QueryHandle> burst;
   for (int template_id = 1; template_id <= kNumFourTableTemplates; ++template_id) {
     for (size_t variant = 0; variant < 2; ++variant) {
-      // With sharing on, the two instances of a template are identical —
-      // concurrent identical queries are the traffic shape scan sharing
-      // exists for (a dashboard refreshed by many clients).
-      const size_t v = share_scan ? 0 : variant;
-      AJR_ASSIGN_OR_RETURN(JoinQuery q, gen.Generate(template_id, v));
+      AJR_ASSIGN_OR_RETURN(JoinQuery q, gen.Generate(template_id, variant));
       QuerySpec spec;
       spec.query = std::move(q);
       spec.dop = dop;
-      spec.share_scan = share_scan;
       AJR_ASSIGN_OR_RETURN(QueryHandle h, engine.Submit(std::move(spec)));
       burst.push_back(std::move(h));
     }
@@ -127,26 +119,6 @@ Status Run(size_t dop, bool share_scan) {
     std::printf("parallel path: unused (dop=%zu); rerun with --dop=4 to "
                 "split each driving scan across the worker pool\n", dop);
   }
-
-  // 7. Sharing effectiveness: how much of the burst's driving-scan work the
-  //    shared passes absorbed. Scan passes per query < 1.0 means concurrent
-  //    (or repeated) queries rode passes someone else produced.
-  if (share_scan) {
-    uint64_t attaches = counter("exec.shared_scan_attaches");
-    uint64_t passes_saved = counter("exec.shared_scan_passes_saved");
-    uint64_t produced = counter("exec.shared_scan_morsels_produced");
-    uint64_t consumed = counter("exec.shared_scan_morsels_consumed");
-    std::printf("sharing [%s]: %llu scan attaches, %llu full passes saved, "
-                "%.2f scan passes/query\n",
-                share_name, (unsigned long long)attaches,
-                (unsigned long long)passes_saved,
-                consumed > 0 ? static_cast<double>(produced) /
-                                   static_cast<double>(consumed)
-                             : 0.0);
-  } else {
-    std::printf("sharing: off; rerun with --share=scan to pool driving-scan "
-                "passes across the burst\n");
-  }
   return Status::OK();
 }
 
@@ -154,28 +126,18 @@ Status Run(size_t dop, bool share_scan) {
 
 int main(int argc, char** argv) {
   size_t dop = 1;
-  bool share_scan = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--dop=", 6) == 0) {
       dop = static_cast<size_t>(std::strtoull(argv[i] + 6, nullptr, 10));
       if (dop == 0) dop = 1;
-    } else if (std::strncmp(argv[i], "--share=", 8) == 0) {
-      const char* mode = argv[i] + 8;
-      if (std::strcmp(mode, "off") == 0 || std::strcmp(mode, "scan") == 0) {
-        share_scan = mode[0] == 's';
-      } else {
-        std::fprintf(stderr, "unknown share mode: %s (off|scan)\n", mode);
-        return 2;
-      }
     } else {
       std::fprintf(stderr,
-                   "unknown flag: %s (usage: %s [--dop=N]"
-                   " [--share=off|scan])\n",
+                   "unknown flag: %s (usage: %s [--dop=N])\n",
                    argv[i], argv[0]);
       return 2;
     }
   }
-  Status status = Run(dop, share_scan);
+  Status status = Run(dop);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Records the benchmark baselines as BENCH_<name>.json: the Fig 7
 # adaptive-vs-static scatter, the concurrent-runtime throughput harness,
-# the parallel-scaling harness, the wide-join repair curve (n=6..20), and
-# the shared-traffic harness (cross-query scan sharing off vs on).
+# the parallel-scaling harness, and the wide-join repair curve (n=6..20).
 #
 #   scripts/bench_baseline.sh            # writes bench/baselines/BENCH_*.json
 #   scripts/bench_baseline.sh /tmp/perf  # writes elsewhere (e.g. for a CI
@@ -41,10 +40,6 @@ echo "== baseline: wide_join (repair curve n=6..20, reduced scale) =="
 "${BUILD}/bench/wide_join" --owners=12000 --per-template=1 --reps=2 \
   --json="${OUT}/BENCH_wide_join.json"
 
-echo
-echo "== baseline: shared_traffic (8 concurrent identical queries) =="
-"${BUILD}/bench/shared_traffic" --owners=20000 --concurrent=8 --per-client=2 \
-  --reps=2 --json="${OUT}/BENCH_shared_traffic.json"
 
 echo
 echo "baselines written to ${OUT}/"

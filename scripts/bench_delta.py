@@ -23,12 +23,9 @@ printed next to each comparison. Older files may still carry a `backend`
 key from when a second index structure existed, or a `policy` key from
 when a second adaptation policy existed; both are ignored. When either
 side of a comparison carries the `speedups_not_meaningful` marker
-(bench/parallel_scaling and bench/shared_traffic set it when the host
-measures under 1.5 effective cores, mirroring their WARNING lines), all
-dop>1 metrics and all speedup ratios are skipped: such "speedups" are scheduler noise. Work-shape metrics
-like `passes_per_query` (scan passes physically produced per consuming
-query — lower is better) stay gated even then, because they count work,
-not wall time.
+(bench/parallel_scaling sets it when the host measures under 1.5
+effective cores, mirroring its WARNING line), all dop>1 metrics and all
+speedup ratios are skipped: such "speedups" are scheduler noise.
 Only Python stdlib is used.
 """
 
@@ -40,7 +37,7 @@ DEFAULT_THRESHOLD = 15.0
 
 HIGHER_BETTER = ("qps", "speedup", "throughput", "per_second", "identity")
 LOWER_BETTER = ("_ms", "_us", "wall", "latency", "seconds", "work_units",
-                "mismatch", "_ns", "passes_per_query")
+                "mismatch", "_ns")
 # Configuration echoes and activity counters: reported, never gated.
 INFORMATIONAL = ("workers", "hardware_concurrency", "morsel", "queries",
                  "order_switches", "reorders", "switches", "folds", "dop",

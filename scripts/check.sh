@@ -55,7 +55,7 @@ echo
 echo "== stress under ThreadSanitizer (${BUILD_TSAN}) =="
 cmake -B "${BUILD_TSAN}" -S "${ROOT}" -DAJR_SANITIZE=thread >/dev/null
 cmake --build "${BUILD_TSAN}" -j "${JOBS}" --target engine_stress_test \
-  fuzz_cancel_test parallel_executor_test wide_join_test shared_stress_test
+  fuzz_cancel_test parallel_executor_test wide_join_test
 ctest --test-dir "${BUILD_TSAN}" -L stress --output-on-failure
 
 echo
@@ -68,7 +68,6 @@ cmake --build "${BUILD_ASAN}" -j "${JOBS}" --target fuzz_smoke_test \
 "${BUILD_ASAN}/tests/fuzz_smoke_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/fuzz_differential" --count 100 --jobs "${JOBS}"
 "${BUILD_ASAN}/tests/fuzz_differential" --count 40 --wide --jobs "${JOBS}"
-"${BUILD_ASAN}/tests/fuzz_differential" --count 60 --share --jobs "${JOBS}"
 
 echo
 echo "all checks OK"

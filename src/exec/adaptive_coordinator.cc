@@ -12,7 +12,7 @@ namespace ajr {
 namespace {
 
 /// The largest power of two f with base * f <= kMaxMorselEntries (at least
-/// 1), so every ramp size is a whole number of base-sized grains.
+/// 1): the ramp's sizes are c * 2^k up to that cap.
 uint64_t RampFactor(uint64_t base) {
   uint64_t f = 1;
   while (base * f * 2 <= AdaptiveCoordinator::kMaxMorselEntries) f *= 2;
@@ -197,11 +197,7 @@ bool AdaptiveCoordinator::RunChecksLocked() {
       reordered = true;
     }
   }
-  // Driving switches demote the current leg with a positional predicate;
-  // when the source cannot express one (a shared-scan attachment that
-  // joined mid-pass), keeping the driving leg is the only sound decision —
-  // skip the check entirely rather than decide and fail at install time.
-  if (policy_->adapts_driving() && source_->demotion_safe()) {
+  if (policy_->adapts_driving()) {
     ++driving_checks_;
     const size_t current = order_[0];
     std::vector<LegView> views = LegViewsLocked();

@@ -2,13 +2,14 @@
 // parallel execution.
 //
 // In parallel mode the driving leg's scan is split into morsels handed out
-// from a shared dispenser (the DrivingSource), and `dop` worker-local
-// pipeline clones run concurrently. Each worker keeps its own inner legs
-// and sliding-window monitors; after every morsel it folds its monitor
-// *deltas* into the coordinator, which merges them and runs the paper's
-// decision procedures (CheckInnerReorder / CheckDrivingSwitch) over the
-// merged statistics — the same Eq 1/3/4 machinery the serial executor
-// uses, fed with fleet-wide evidence.
+// by the query's one dispenser (the DrivingSource), which scans through the
+// query's own cursors, and `dop` worker-local pipeline clones run
+// concurrently. Each worker keeps its own inner legs and sliding-window
+// monitors; after every morsel it folds its monitor *deltas* into the
+// coordinator, which merges them and runs the paper's decision procedures
+// (CheckInnerReorder / CheckDrivingSwitch) over the merged statistics —
+// the same Eq 1/3/4 machinery the serial executor uses, fed with
+// fleet-wide evidence.
 //
 // Morsel ramp: the first morsel holds c (check_frequency) driving entries,
 // so the fleet decides after about as many rows as the serial executor
@@ -117,7 +118,7 @@ struct ParallelMorsel {
   std::vector<ScanPosition> positions;
 };
 
-/// The coordinator's view of the shared driving scans: one resumable scan
+/// The coordinator's view of the query's driving scans: one resumable scan
 /// cursor per query table, created lazily at first promotion. Implemented
 /// by runtime::MorselDriver; abstract here so exec/ does not depend on
 /// runtime/. Every method is called under the coordinator mutex.
@@ -131,16 +132,9 @@ class DrivingSource {
   virtual Status Promote(size_t table) = 0;
 
   /// Fills `morsel` with up to `max_entries` next entries of the promoted
-  /// scan (the coordinator's ramp size, always a whole number of ramp-base
-  /// grains). False when the scan is exhausted (morsels are never empty).
+  /// scan (the coordinator's ramp size). False when the scan is exhausted
+  /// (morsels are never empty).
   virtual bool Fill(ParallelMorsel* morsel, size_t max_entries) = 0;
-
-  /// False when the promoted scan cannot be demoted with a positional
-  /// predicate — e.g. a shared-scan attachment that joined mid-pass, whose
-  /// processed set is not a prefix of the scan order. The coordinator then
-  /// skips driving-switch decisions (keeping the driving leg is always
-  /// sound).
-  virtual bool demotion_safe() const { return true; }
 
   /// Position of the last entry handed out since the current promotion;
   /// nullopt when this promotion has dispensed nothing yet.
@@ -158,7 +152,7 @@ class DrivingSource {
   /// Column index of the table's scan-order key (SIZE_MAX = RID order).
   virtual size_t prefix_col(size_t table) const = 0;
 
-  /// Work units charged by the shared scans (merged into the final stats).
+  /// Work units charged by the driving scans (merged into the final stats).
   virtual uint64_t scan_work_units() const = 0;
 };
 
@@ -232,7 +226,7 @@ class AdaptiveCoordinator {
   Status abort_status() const;
 
   /// Folds the coordinator-owned totals into the merged stats: check and
-  /// reorder counts, the final order, the event log, and the shared scans'
+  /// reorder counts, the final order, the event log, and the driving scans'
   /// work units.
   void FinishStats(ExecStats* stats) const;
 

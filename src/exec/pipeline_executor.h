@@ -60,13 +60,6 @@ struct ExecStats {
   uint64_t probe_batches = 0;
   uint64_t probe_batch_keys = 0;
   uint64_t probe_descents_saved = 0;
-  /// Shared-scan observability (runtime/shared_scan.h; all zero when scan
-  /// sharing is off), read off the morsel dispenser by the orchestrator
-  /// after the run. scan_morsels_* count grains (c-entry units of a pass).
-  uint64_t shared_scan_attaches = 0;
-  uint64_t shared_scan_passes_saved = 0;
-  uint64_t scan_morsels_produced = 0;
-  uint64_t scan_morsels_consumed = 0;
   /// Morsel-parallel observability (all zero in serial runs): workers that
   /// processed at least one morsel, morsels processed, and monitor folds
   /// into the shared AdaptiveCoordinator (one per morsel).
@@ -146,7 +139,7 @@ class PipelineExecutor {
 
   /// Morsel-parallel worker mode (see exec/adaptive_coordinator.h): the
   /// same get-next loop as Execute(), but driving entries come from the
-  /// coordinator's shared morsel source instead of a private cursor,
+  /// coordinator's morsels instead of the leg's own cursor,
   /// reorder decisions come from the coordinator's merged monitors (adopted
   /// before each driving entry is handed out — a full-pipeline depleted
   /// state), and worker-local monitor deltas are folded back after every

@@ -26,8 +26,7 @@ StatusOr<ExecStats> ParallelPipelineExecutor::Execute(const RowSink& sink) {
   const size_t dop = std::max<size_t>(1, parallel_.dop);
   worker_stats_.assign(dop, ExecStats());
 
-  if (dop <= 1 && !parallel_.force_parallel &&
-      parallel_.scan_registry == nullptr) {
+  if (dop <= 1 && !parallel_.force_parallel) {
     // Serial delegation: the exact pre-existing code path, work-unit and
     // checksum identical to a plain PipelineExecutor run.
     PipelineExecutor exec(plan_, options_);
@@ -43,10 +42,7 @@ StatusOr<ExecStats> ParallelPipelineExecutor::Execute(const RowSink& sink) {
   const bool record_positions =
       std::any_of(observers_.begin(), observers_.end(),
                   [](ExecObserver* o) { return o != nullptr; });
-  // The dispenser pulls grains of the ramp base c, so every morsel size
-  // the coordinator's ramp asks for is a whole number of grains.
-  MorselDriver driver(plan_, options_.check_frequency, record_positions,
-                      parallel_.scan_registry);
+  MorselDriver driver(plan_, record_positions);
   AdaptiveCoordinator coordinator(plan_, options_, &driver);
   AJR_RETURN_IF_ERROR(coordinator.Init());
 
@@ -119,11 +115,6 @@ StatusOr<ExecStats> ParallelPipelineExecutor::Execute(const RowSink& sink) {
   }
   coordinator.FinishStats(&merged);
   merged.parallel_workers = participated;
-  // Scan-sharing observability lives on the dispenser, not the workers.
-  merged.shared_scan_attaches = driver.shared_scan_attaches();
-  merged.shared_scan_passes_saved = driver.shared_scan_passes_saved();
-  merged.scan_morsels_produced = driver.scan_morsels_produced();
-  merged.scan_morsels_consumed = driver.scan_morsels_consumed();
 
   if (metrics_ != nullptr) {
     metrics_->GetCounter("exec.policy_decisions")->Add(merged.policy_decisions);
@@ -132,16 +123,6 @@ StatusOr<ExecStats> ParallelPipelineExecutor::Execute(const RowSink& sink) {
     metrics_->GetCounter("exec.parallel_morsels")->Add(merged.morsels);
     metrics_->GetCounter("exec.parallel_monitor_folds")
         ->Add(merged.monitor_folds);
-    if (parallel_.scan_registry != nullptr) {
-      metrics_->GetCounter("exec.shared_scan_attaches")
-          ->Add(merged.shared_scan_attaches);
-      metrics_->GetCounter("exec.shared_scan_passes_saved")
-          ->Add(merged.shared_scan_passes_saved);
-      metrics_->GetCounter("exec.shared_scan_morsels_produced")
-          ->Add(merged.scan_morsels_produced);
-      metrics_->GetCounter("exec.shared_scan_morsels_consumed")
-          ->Add(merged.scan_morsels_consumed);
-    }
   }
   return merged;
 }

@@ -1,13 +1,14 @@
 // ParallelPipelineExecutor: morsel-parallel adaptive execution of one
 // PipelinePlan (the orchestrator over exec/'s worker mode).
 //
-// The driving leg's scan is split into morsels by a shared MorselDriver;
-// `dop` worker-local PipelineExecutor clones pull morsels and run the
-// ordinary serial pipeline over them, folding their monitor deltas after
-// every morsel into an AdaptiveCoordinator that runs the paper's reorder
-// checks over the merged, fleet-wide statistics (see
-// exec/adaptive_coordinator.h for the decision-publication and driving-
-// switch drain protocol). Morsel size is not a knob: the coordinator's
+// The driving leg's scan is split into morsels by the query's own
+// MorselDriver, which opens every driving cursor through OpenDrivingScan
+// exactly as the serial executor does; `dop` worker-local PipelineExecutor
+// clones pull morsels and run the ordinary serial pipeline over them,
+// folding their monitor deltas after every morsel into an
+// AdaptiveCoordinator that runs the paper's reorder checks over the
+// merged, fleet-wide statistics (see exec/adaptive_coordinator.h for the
+// decision-publication and driving-switch drain protocol). Morsel size is not a knob: the coordinator's
 // ramp starts at c (check_frequency) entries, so the fleet decides as
 // early as the serial executor, and doubles after every fold that
 // changes nothing.
@@ -30,7 +31,6 @@
 #include "common/metrics.h"
 #include "exec/pipeline_executor.h"
 #include "optimize/planner.h"
-#include "runtime/shared_scan.h"
 #include "runtime/thread_pool.h"
 
 namespace ajr {
@@ -50,12 +50,6 @@ struct ParallelExecOptions {
   /// exercise the coordinator/dispenser machinery deterministically (one
   /// worker = serial morsel order).
   bool force_parallel = false;
-  /// Cross-query scan sharing (runtime/shared_scan.h), the engine's only
-  /// sharing layer: promoted driving legs attach to in-flight passes over
-  /// the same scan instead of opening private cursors. Null = every query
-  /// scans privately. Implies the parallel orchestration even at dop <= 1
-  /// (the dispenser is where attachment happens).
-  SharedScanRegistry* scan_registry = nullptr;
 };
 
 class ParallelPipelineExecutor {

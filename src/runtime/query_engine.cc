@@ -104,7 +104,6 @@ void QueryEngine::RunQuery(const std::shared_ptr<QuerySession>& session,
   ParallelExecOptions parallel;
   parallel.dop = std::min(std::max<size_t>(1, spec.dop), pool_.num_threads());
   parallel.pool = &pool_;
-  if (spec.share_scan) parallel.scan_registry = &scan_registry_;
   ParallelPipelineExecutor executor(plan.get(), spec.adaptive, parallel);
   executor.set_cancellation_token(&session->token);
   executor.set_metrics(metrics_);

@@ -25,7 +25,6 @@
 #include "common/status.h"
 #include "optimize/planner.h"
 #include "runtime/query_session.h"
-#include "runtime/shared_scan.h"
 #include "runtime/thread_pool.h"
 
 namespace ajr {
@@ -63,9 +62,6 @@ class QueryEngine {
   size_t num_workers() const { return pool_.num_threads(); }
   MetricsRegistry& metrics() const { return *metrics_; }
   const Planner& planner() const { return planner_; }
-  /// Cross-query scan sharing state (one per engine; queries opt in per
-  /// spec).
-  SharedScanRegistry& scan_registry() { return scan_registry_; }
 
  private:
   /// Pre-resolved metric handles (one map lookup each at construction).
@@ -92,7 +88,6 @@ class QueryEngine {
   Planner planner_;
   MetricsRegistry* metrics_;
   EngineMetrics m_;
-  SharedScanRegistry scan_registry_;
   std::atomic<uint64_t> next_query_id_{1};
   // Last member: destroyed (joined) first, while the planner and metrics
   // are still alive for in-flight queries.

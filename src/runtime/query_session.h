@@ -7,6 +7,8 @@
 // terminal state, Cancel() requests cooperative cancellation, and the
 // QueryResult carries the terminal Status (OK, Cancelled, DeadlineExceeded,
 // or a planner/executor error) plus the ExecStats of a completed run.
+// Concurrent queries share only the read-only catalog and the engine's
+// worker pool: every query scans through its own cursors.
 //
 // Thread safety: QueryHandle methods may be called from any thread, and
 // from several threads at once. The session's result is written exactly
@@ -36,15 +38,13 @@ struct QuerySpec {
   JoinQuery query;
   /// Run-time adaptation knobs for this query.
   AdaptiveOptions adaptive;
-  /// Intra-query degree of parallelism: worker pipelines over a shared
-  /// morsel dispenser (see runtime/parallel_executor.h). <= 1 runs the
+  /// Intra-query degree of parallelism: worker pipelines over the query's
+  /// one morsel dispenser (see runtime/parallel_executor.h). <= 1 runs the
   /// serial executor unchanged; larger values are capped at the engine's
   /// worker-pool size.
   size_t dop = 1;
-  /// Attach this query's driving scans to the engine's SharedScanRegistry:
-  /// concurrent queries over the same table ride one physical pass instead
-  /// of scanning privately (runtime/shared_scan.h). Forces the morsel-
-  /// parallel orchestration even at dop == 1.
+  /// Unused by the engine (it has no shared scan: every query scans through
+  /// its own cursors); perfbench sets it.
   bool share_scan = false;
   /// Unused by the engine (it has no probe cache); perfbench sets it.
   bool share_cache = false;

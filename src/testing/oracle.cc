@@ -38,57 +38,6 @@ bool StrictlyAfter(const ScanPosition& prev, const ScanPosition& pos) {
   return prev.StrictlyBefore(pos.key(), pos.rid);
 }
 
-std::string OrderToString(const std::vector<size_t>& order) {
-  std::string out = "[";
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (i > 0) out += " ";
-    out += std::to_string(order[i]);
-  }
-  return out + "]";
-}
-
-// First logical-work field where `b` diverges from `a`, or nullopt when
-// the two runs did the same work. Sharing stats (shared_scan_*,
-// scan_morsels_*) and wall time are deliberately excluded: they describe HOW
-// the work ran, not what work the controller saw.
-std::optional<std::string> WorkStatsDiff(const ExecStats& a, const ExecStats& b) {
-  auto diff_u64 = [](const char* field, uint64_t x, uint64_t y)
-      -> std::optional<std::string> {
-    if (x == y) return std::nullopt;
-    return StrCat(field, ": ", x, " vs ", y);
-  };
-  for (auto& d :
-       {diff_u64("work_units", a.work_units, b.work_units),
-        diff_u64("rows_out", a.rows_out, b.rows_out),
-        diff_u64("driving_rows_produced", a.driving_rows_produced,
-                 b.driving_rows_produced),
-        diff_u64("inner_checks", a.inner_checks, b.inner_checks),
-        diff_u64("inner_reorders", a.inner_reorders, b.inner_reorders),
-        diff_u64("driving_checks", a.driving_checks, b.driving_checks),
-        diff_u64("driving_switches", a.driving_switches, b.driving_switches),
-        diff_u64("policy_decisions", a.policy_decisions, b.policy_decisions)}) {
-    if (d.has_value()) return d;
-  }
-  if (a.initial_order != b.initial_order) {
-    return StrCat("initial_order: ", OrderToString(a.initial_order), " vs ",
-                  OrderToString(b.initial_order));
-  }
-  if (a.final_order != b.final_order) {
-    return StrCat("final_order: ", OrderToString(a.final_order), " vs ",
-                  OrderToString(b.final_order));
-  }
-  if (a.events != b.events) {
-    size_t i = 0;
-    while (i < a.events.size() && i < b.events.size() && a.events[i] == b.events[i]) {
-      ++i;
-    }
-    return StrCat("event log diverges at event ", i, ": \"",
-                  i < a.events.size() ? a.events[i] : "<none>", "\" vs \"",
-                  i < b.events.size() ? b.events[i] : "<none>", "\"");
-  }
-  return std::nullopt;
-}
-
 // Detail string for a result-multiset mismatch, or nullopt when `rows`
 // (sorted in place) equals `expected` (already sorted).
 std::optional<std::string> CompareSortedRows(const std::vector<Row>& expected,
@@ -145,57 +94,29 @@ std::vector<DifferentialConfig> DefaultConfigs() {
     return o;
   };
   return {
-      {"static", off, StatsTier::kBase, ""},
-      {"paper-default", AdaptiveOptions{}, StatsTier::kMinimal, ""},
-      {"aggressive-minimal", aggressive, StatsTier::kMinimal, ""},
+      {"static", off, StatsTier::kBase},
+      {"paper-default", AdaptiveOptions{}, StatsTier::kMinimal},
+      {"aggressive-minimal", aggressive, StatsTier::kMinimal},
       // The aggressive configs demote and re-promote on nearly every check:
       // the hardest case for positional predicates and cursor resumption.
-      {"aggressive-base", aggressive, StatsTier::kBase, ""},
+      {"aggressive-base", aggressive, StatsTier::kBase},
       // Morsel-parallel axis: the same invariants must hold per worker
       // pipeline, and the merged result multiset must still equal the
       // reference, for every dop. Tiny morsels force frequent dispenser
       // round-trips and monitor folds; the static run's ramp only grows,
       // the paper-default one resets at every reorder, and the aggressive
-      // one (no back-off) stays at 3 entries, so drain barriers land under
+      // ones (no back-off) stay at 3 entries, so drain barriers land under
       // constant switching.
-      {"static/dop2", base(off, 5), StatsTier::kBase, "", 2},
-      {"paper-default/dop2", base(AdaptiveOptions{}, 5), StatsTier::kMinimal, "", 2},
-      {"aggressive-base/dop4", base(aggressive, 3), StatsTier::kBase, "", 4},
+      {"static/dop2", base(off, 5), StatsTier::kBase, 2},
+      {"paper-default/dop2", base(AdaptiveOptions{}, 5), StatsTier::kMinimal, 2},
+      {"aggressive-base/dop4", base(aggressive, 3), StatsTier::kBase, 4},
+      // The coordinator with one worker: deterministic (morsels are
+      // consumed in dispenser order), so a failing seed replays exactly.
+      // Its decisions come from the coordinator's folds, not the serial
+      // checks, so its work legitimately differs from aggressive-base's.
+      {"aggressive-base/one-worker", base(aggressive, 3), StatsTier::kBase, 1,
+       /*force_parallel=*/true},
   };
-}
-
-std::vector<DifferentialConfig> ConfigsForShare() {
-  // All share configs run the morsel-parallel orchestration at dop 1 (one
-  // worker consumes morsels in dispenser order, so runs are deterministic
-  // and both modes can be held to bit-identical work in one class).
-  auto mk = [](const char* name, AdaptiveOptions adaptive, const char* cls,
-               bool share_scan) {
-    DifferentialConfig c;
-    c.name = name;
-    c.adaptive = adaptive;
-    c.adaptive.check_frequency = 5;  // ramp base: 5-entry first morsels
-    c.stats_tier = StatsTier::kBase;
-    c.work_class = cls;
-    c.dop = 1;
-    c.share_scan = share_scan;
-    c.force_parallel = true;
-    return c;
-  };
-  // The aggressive options demote and re-promote constantly, so the shared
-  // mode exercises kept-attachment resumption under maximum switching churn.
-  AdaptiveOptions aggressive = AggressiveAdaptiveOptions();
-  std::vector<DifferentialConfig> out = {
-      mk("share-off", AdaptiveOptions{}, "share", false),
-      mk("share-scan", AdaptiveOptions{}, "share", true),
-      mk("share-off/aggressive", aggressive, "share-aggressive", false),
-      mk("share-scan/aggressive", aggressive, "share-aggressive", true),
-  };
-  // Concurrency smoke: two workers over one shared pass.
-  // Classless — morsel interleaving makes per-run work timing-dependent.
-  DifferentialConfig dop2 = mk("share-scan/dop2", AdaptiveOptions{}, "", true);
-  dop2.dop = 2;
-  out.push_back(dop2);
-  return out;
 }
 
 std::string FailureReport::ToString() const {
@@ -307,30 +228,7 @@ StatusOr<std::optional<FailureReport>> RunDifferential(
     cardinalities.push_back(entry->table().num_rows());
   }
 
-  const std::vector<DifferentialConfig> configs =
-      options.configs.empty() ? DefaultConfigs() : options.configs;
-  // Reference run per work_class: name of the first config in the class
-  // plus its stats, compared against every later member.
-  std::vector<std::pair<std::string, ExecStats>> class_stats;
-  std::vector<std::string> class_names;
-  // Detail of a divergence from the config's work_class reference, or
-  // nullopt (also when the config opens its class or has none).
-  auto work_class_diff = [&](const DifferentialConfig& config,
-                             const ExecStats& stats) -> std::optional<std::string> {
-    if (config.work_class.empty()) return std::nullopt;
-    size_t cls = 0;
-    while (cls < class_names.size() && class_names[cls] != config.work_class) ++cls;
-    if (cls == class_names.size()) {
-      class_names.push_back(config.work_class);
-      class_stats.emplace_back(config.name, stats);
-      return std::nullopt;
-    }
-    std::optional<std::string> diff = WorkStatsDiff(class_stats[cls].second, stats);
-    if (!diff.has_value()) return std::nullopt;
-    return StrCat("logical work differs from config \"", class_stats[cls].first,
-                  "\" (work_class \"", config.work_class, "\"): ", *diff);
-  };
-  for (const DifferentialConfig& config : configs) {
+  for (const DifferentialConfig& config : DefaultConfigs()) {
     FailureReport failure;
     failure.seed = spec.seed;
     failure.config = config.name;
@@ -348,96 +246,57 @@ StatusOr<std::optional<FailureReport>> RunDifferential(
       // is a full serial pipeline over its share of driving rows, so I1-I5
       // are per-worker properties), a cross-worker duplicate check, and
       // the usual result comparison on the merged row multiset.
-      //
-      // Share-scan configs (--share axis) run TWICE against one registry:
-      // the cold run populates it, the warm run attaches to the retained
-      // pass, and the two runs must do bit-identical logical work — replay
-      // may change how work is performed, never what work the controller
-      // sees.
-      SharedScanRegistry scan_registry;
-      const size_t runs = config.share_scan ? 2 : 1;
-      std::optional<ExecStats> cold_stats;
-      for (size_t run = 0; run < runs; ++run) {
-        ParallelExecOptions popts;
-        popts.dop = config.dop;
-        popts.force_parallel = config.force_parallel;
-        if (config.share_scan) popts.scan_registry = &scan_registry;
-        ParallelPipelineExecutor exec(plan->get(), config.adaptive, popts);
-        std::vector<std::unique_ptr<InvariantChecker>> checkers;
-        if (options.check_invariants) {
-          std::vector<ExecObserver*> observers;
-          for (size_t w = 0; w < config.dop; ++w) {
-            checkers.push_back(std::make_unique<InvariantChecker>(cardinalities));
-            observers.push_back(checkers.back().get());
-          }
-          exec.set_worker_observers(std::move(observers));
+      ParallelExecOptions popts;
+      popts.dop = config.dop;
+      popts.force_parallel = config.force_parallel;
+      ParallelPipelineExecutor exec(plan->get(), config.adaptive, popts);
+      std::vector<std::unique_ptr<InvariantChecker>> checkers;
+      if (options.check_invariants) {
+        std::vector<ExecObserver*> observers;
+        for (size_t w = 0; w < config.dop; ++w) {
+          checkers.push_back(std::make_unique<InvariantChecker>(cardinalities));
+          observers.push_back(checkers.back().get());
         }
-        if (options.faults != nullptr) exec.set_fault_injection(options.faults);
+        exec.set_worker_observers(std::move(observers));
+      }
+      if (options.faults != nullptr) exec.set_fault_injection(options.faults);
 
-        std::vector<Row> rows;
-        auto stats = exec.Execute([&rows](const Row& r) { rows.push_back(r); });
-        if (!stats.ok()) {
-          failure.kind = "error";
-          failure.detail = StrCat("executor: ", stats.status().ToString());
-          return std::optional<FailureReport>(std::move(failure));
-        }
-        if (options.check_invariants) {
-          uint64_t emitted_total = 0;
-          std::unordered_set<std::string> all_keys;
-          for (size_t w = 0; w < checkers.size(); ++w) {
-            checkers[w]->FinalCheck(exec.worker_stats()[w]);
-            if (!checkers[w]->ok()) {
-              failure.kind = "invariant";
-              for (const std::string& v : checkers[w]->violations()) {
-                failure.detail += StrCat("worker ", w, ": ", v, "\n");
-              }
-              return std::optional<FailureReport>(std::move(failure));
-            }
-            emitted_total += checkers[w]->emitted();
-            all_keys.insert(checkers[w]->emitted_keys().begin(),
-                            checkers[w]->emitted_keys().end());
-          }
-          if (all_keys.size() != emitted_total) {
+      std::vector<Row> rows;
+      auto stats = exec.Execute([&rows](const Row& r) { rows.push_back(r); });
+      if (!stats.ok()) {
+        failure.kind = "error";
+        failure.detail = StrCat("executor: ", stats.status().ToString());
+        return std::optional<FailureReport>(std::move(failure));
+      }
+      if (options.check_invariants) {
+        uint64_t emitted_total = 0;
+        std::unordered_set<std::string> all_keys;
+        for (size_t w = 0; w < checkers.size(); ++w) {
+          checkers[w]->FinalCheck(exec.worker_stats()[w]);
+          if (!checkers[w]->ok()) {
             failure.kind = "invariant";
-            failure.detail =
-                StrCat("I1: ", emitted_total, " emits across workers but only ",
-                       all_keys.size(),
-                       " distinct RID tuples (cross-worker duplicate)\n");
+            for (const std::string& v : checkers[w]->violations()) {
+              failure.detail += StrCat("worker ", w, ": ", v, "\n");
+            }
             return std::optional<FailureReport>(std::move(failure));
           }
+          emitted_total += checkers[w]->emitted();
+          all_keys.insert(checkers[w]->emitted_keys().begin(),
+                          checkers[w]->emitted_keys().end());
         }
-        if (std::optional<std::string> diff =
-                CompareSortedRows(expected, &rows)) {
-          failure.kind = "result-mismatch";
+        if (all_keys.size() != emitted_total) {
+          failure.kind = "invariant";
           failure.detail =
-              StrCat(run == 0 ? "" : "warm re-run: ", std::move(*diff));
+              StrCat("I1: ", emitted_total, " emits across workers but only ",
+                     all_keys.size(),
+                     " distinct RID tuples (cross-worker duplicate)\n");
           return std::optional<FailureReport>(std::move(failure));
-        }
-        if (run == 0) {
-          cold_stats = *stats;
-        } else if (config.dop <= 1) {
-          // Warm-vs-cold work identity is a single-worker property; at
-          // dop > 1 morsel interleaving makes per-run work timing-
-          // dependent (the warm run still checks results + invariants).
-          if (std::optional<std::string> diff =
-                  WorkStatsDiff(*cold_stats, *stats)) {
-            failure.kind = "work-divergence";
-            failure.detail = StrCat(
-                "warm re-run against the retained registry diverges "
-                "from the cold run: ",
-                *diff);
-            return std::optional<FailureReport>(std::move(failure));
-          }
         }
       }
-      // Forced-parallel single-worker runs are deterministic, so they may
-      // join a work_class (real dop > 1 configs stay classless).
-      if (config.dop <= 1) {
-        if (std::optional<std::string> diff = work_class_diff(config, *cold_stats)) {
-          failure.kind = "work-divergence";
-          failure.detail = std::move(*diff);
-          return std::optional<FailureReport>(std::move(failure));
-        }
+      if (std::optional<std::string> diff = CompareSortedRows(expected, &rows)) {
+        failure.kind = "result-mismatch";
+        failure.detail = std::move(*diff);
+        return std::optional<FailureReport>(std::move(failure));
       }
       continue;
     }
@@ -452,11 +311,6 @@ StatusOr<std::optional<FailureReport>> RunDifferential(
     if (!stats.ok()) {
       failure.kind = "error";
       failure.detail = StrCat("executor: ", stats.status().ToString());
-      return std::optional<FailureReport>(std::move(failure));
-    }
-    if (std::optional<std::string> diff = work_class_diff(config, *stats)) {
-      failure.kind = "work-divergence";
-      failure.detail = std::move(*diff);
       return std::optional<FailureReport>(std::move(failure));
     }
     if (options.check_invariants) {

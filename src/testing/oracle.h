@@ -49,47 +49,22 @@ struct DifferentialConfig {
   std::string name;
   AdaptiveOptions adaptive;
   StatsTier stats_tier = StatsTier::kBase;
-  /// Configurations sharing a non-empty work_class claim to perform the
-  /// same LOGICAL work — scan sharing is a pure execution strategy, so
-  /// every stat the adaptive controller can see (work units, row counts,
-  /// checks, reorders, the event log, the final order) must be
-  /// bit-identical across the class. RunDifferential
-  /// enforces this and reports divergence as kind "work-divergence".
-  /// Configs in one class must share a stats_tier (different tiers plan
-  /// differently on purpose).
-  std::string work_class;
   /// Degree of parallelism: > 1 runs the morsel-parallel executor with one
   /// InvariantChecker per worker (I1-I5 hold per worker pipeline) plus a
   /// cross-worker duplicate check and the usual result-multiset comparison
-  /// against the reference. Parallel configs cannot join a work_class:
-  /// morsel interleaving makes per-run work timing-dependent.
+  /// against the reference.
   size_t dop = 1;
-  /// Cross-query scan sharing (the --share axis): attach the run's driving
-  /// scans to a shared scan registry.
-  bool share_scan = false;
   /// Run the morsel-parallel orchestration even at dop == 1 (deterministic:
-  /// one worker consumes morsels in dispenser order). Sharing configs set
-  /// this so share-off and share-scan run the identical code path and can
-  /// share a work_class; serial-path configs must never join such a class (the
-  /// coordinator's event strings differ from the serial executor's).
+  /// one worker consumes morsels in dispenser order).
   bool force_parallel = false;
 };
 
 /// The default configuration spread: static plan (both reorder flags
 /// off), paper defaults, and an aggressive config that maximizes
 /// moments-of-symmetry churn (check every row, zero thresholds, window of
-/// 4) under both statistics tiers, and morsel-parallel twins at dop 2 and 4.
+/// 4) under both statistics tiers, morsel-parallel twins at dop 2 and 4,
+/// and an aggressive one-worker coordinator run.
 std::vector<DifferentialConfig> DefaultConfigs();
-
-/// The cross-query sharing axis (fuzz_differential --share): share-off and
-/// share-scan at forced-parallel dop 1 in one work_class — shared scans
-/// replay per-morsel work, so work units, decision traces, events, and
-/// results must be bit-identical to sharing-off — plus a dop-2 share-scan
-/// config (classless: morsel interleaving is timing-dependent). Every
-/// share-scan config is additionally run twice against the same registry,
-/// and the warm re-run must be work-identical to the cold one (retained
-/// passes replay, never change, the work).
-std::vector<DifferentialConfig> ConfigsForShare();
 
 /// The aggressive AdaptiveOptions used by DefaultConfigs (exported for
 /// tests that want maximum switching on their own plans).
@@ -99,7 +74,7 @@ AdaptiveOptions AggressiveAdaptiveOptions();
 struct FailureReport {
   uint64_t seed = 0;
   std::string config;  ///< DifferentialConfig::name
-  std::string kind;    ///< "result-mismatch" | "invariant" | "work-divergence" | "error"
+  std::string kind;    ///< "result-mismatch" | "invariant" | "error"
   std::string detail;
 
   std::string ToString() const;
@@ -107,8 +82,6 @@ struct FailureReport {
 
 /// Options for RunDifferential.
 struct DifferentialOptions {
-  /// Configurations to run; empty = DefaultConfigs().
-  std::vector<DifferentialConfig> configs;
   /// Deliberate executor bugs (oracle self-validation); null = none.
   const FaultInjection* faults = nullptr;
   /// Run the InvariantChecker observer alongside result comparison.

@@ -9,8 +9,6 @@
 
 #include "exec/pipeline_executor.h"
 #include "optimize/planner.h"
-#include "runtime/parallel_executor.h"
-#include "runtime/shared_scan.h"
 #include "workload/dmv.h"
 #include "workload/templates.h"
 
@@ -180,58 +178,6 @@ TEST(MetricsRegistryTest, ExecutorExportsPolicyCounters) {
   // so a query that adapted must have recorded decisions.
   EXPECT_EQ(stats->policy_decisions,
             stats->inner_checks + stats->driving_checks);
-}
-
-TEST(MetricsRegistryTest, ParallelExecutorExportsSharingCounters) {
-  // Two runs of one query against the same SharedScanRegistry: the warm
-  // run attaches to the retained pass (a full physical pass saved), and
-  // the executor must flush the exec.shared_scan_* counters, each equal to
-  // the cumulative ExecStats totals.
-  Catalog catalog;
-  DmvConfig config;
-  config.num_owners = 500;
-  ASSERT_TRUE(GenerateDmv(&catalog, config).ok());
-  Planner planner(&catalog);
-  auto plan = planner.Plan(DmvQueryGenerator::Example1());
-  ASSERT_TRUE(plan.ok()) << plan.status();
-
-  MetricsRegistry reg;
-  SharedScanRegistry scan_registry;
-  ParallelExecOptions popts;
-  popts.dop = 1;
-  popts.force_parallel = true;  // one worker: deterministic morsel order
-  popts.scan_registry = &scan_registry;
-
-  ExecStats total;
-  for (int run = 0; run < 2; ++run) {
-    ParallelPipelineExecutor exec(plan->get(), AdaptiveOptions{}, popts);
-    exec.set_metrics(&reg);
-    auto stats = exec.Execute(nullptr);
-    ASSERT_TRUE(stats.ok()) << stats.status();
-    total.shared_scan_attaches += stats->shared_scan_attaches;
-    total.shared_scan_passes_saved += stats->shared_scan_passes_saved;
-    total.scan_morsels_produced += stats->scan_morsels_produced;
-    total.scan_morsels_consumed += stats->scan_morsels_consumed;
-  }
-
-  for (const char* name :
-       {"exec.shared_scan_attaches", "exec.shared_scan_passes_saved",
-        "exec.shared_scan_morsels_produced", "exec.shared_scan_morsels_consumed"}) {
-    ASSERT_NE(reg.FindCounter(name), nullptr) << name;
-  }
-  EXPECT_EQ(reg.FindCounter("exec.shared_scan_attaches")->value(),
-            total.shared_scan_attaches);
-  EXPECT_EQ(reg.FindCounter("exec.shared_scan_passes_saved")->value(),
-            total.shared_scan_passes_saved);
-  EXPECT_EQ(reg.FindCounter("exec.shared_scan_morsels_produced")->value(),
-            total.scan_morsels_produced);
-  EXPECT_EQ(reg.FindCounter("exec.shared_scan_morsels_consumed")->value(),
-            total.scan_morsels_consumed);
-  // The warm run re-attached (one attach per promoted leg of run 2) and
-  // replayed the retained pass without a physical scan.
-  EXPECT_GT(total.shared_scan_attaches, 0u);
-  EXPECT_GT(total.shared_scan_passes_saved, 0u);
-  EXPECT_LT(total.scan_morsels_produced, total.scan_morsels_consumed);
 }
 
 TEST(MetricsRegistryTest, ConcurrentGetAndRecord) {

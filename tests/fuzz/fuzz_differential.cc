@@ -10,7 +10,7 @@
 // Usage:
 //   fuzz_differential [--seed N] [--count N] [--duration SECONDS]
 //                     [--jobs N] [--inject none|nopos|dup]
-//                     [--share] [--wide]
+//                     [--wide]
 //                     [--expect-failure] [--no-shrink] [--start-seed N]
 //
 //   --seed N          run exactly seed N (replay mode)
@@ -22,9 +22,6 @@
 //   --jobs N          worker threads (default 1)
 //   --inject nopos    disable positional predicates (Sec 4.2 duplicate bug)
 //   --inject dup      emit every output row twice
-//   --share           run the cross-query sharing axis: shared scans in
-//                     one work_class against sharing-off, each warm-re-run
-//                     against its retained registry
 //   --expect-failure  exit 0 only if a failure IS found (oracle self-test)
 //   --no-shrink       print the raw failing spec without minimizing
 //
@@ -65,7 +62,6 @@ struct Flags {
   std::optional<double> duration_seconds;
   unsigned jobs = 1;
   std::string inject = "none";
-  bool share = false;
   bool wide = false;
   bool expect_failure = false;
   bool no_shrink = false;
@@ -112,8 +108,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
         std::fprintf(stderr, "--inject must be none|nopos|dup, got %s\n", v);
         return false;
       }
-    } else if (std::strcmp(arg, "--share") == 0) {
-      flags->share = true;
     } else if (std::strcmp(arg, "--wide") == 0) {
       flags->wide = true;
     } else if (std::strcmp(arg, "--expect-failure") == 0) {
@@ -177,9 +171,6 @@ int main(int argc, char** argv) {
   faults.double_emit = flags.inject == "dup";
   DifferentialOptions options;
   if (flags.inject != "none") options.faults = &faults;
-  if (flags.share) {
-    options.configs = ajr::testing::ConfigsForShare();
-  }
 
   SharedState shared;
   const auto start = std::chrono::steady_clock::now();
@@ -211,10 +202,10 @@ int main(int argc, char** argv) {
           .count();
   std::printf(
       "fuzz_differential: %llu cases in %.1fs (%.0f cases/s), inject=%s, "
-      "share=%s, profile=%s\n",
+      "profile=%s\n",
       static_cast<unsigned long long>(shared.cases_run.load()), elapsed,
       shared.cases_run.load() / (elapsed > 0 ? elapsed : 1),
-      flags.inject.c_str(), flags.share ? "on" : "off", flags.wide ? "wide" : "default");
+      flags.inject.c_str(), flags.wide ? "wide" : "default");
 
   if (!shared.harness_error.empty()) {
     std::fprintf(stderr, "HARNESS ERROR: %s\n", shared.harness_error.c_str());
@@ -244,9 +235,8 @@ int main(int argc, char** argv) {
     minimal = std::move(shrunk.spec);
   }
   std::printf("\n---- minimal repro ----\n%s", minimal.ToRepro().c_str());
-  std::printf("replay: fuzz_differential --seed %llu --inject %s%s%s\n",
+  std::printf("replay: fuzz_differential --seed %llu --inject %s%s\n",
               static_cast<unsigned long long>(shared.failure->seed),
-              flags.inject.c_str(), flags.share ? " --share" : "",
-              flags.wide ? " --wide" : "");
+              flags.inject.c_str(), flags.wide ? " --wide" : "");
   return flags.expect_failure ? 0 : 1;
 }

@@ -4,11 +4,13 @@
 //
 // The tests hammer the shared surfaces from many threads at once:
 // submitters racing the worker pool, cancellations racing execution and
-// completion, handles polled while their queries run, and the thread pool's
-// submit/shutdown edge. Assertions are deliberately coarse — terminal
-// status is one of the allowed three, OK results match the serial oracle —
-// because the point is the interleavings TSan observes, not new functional
-// coverage.
+// completion, handles polled while their queries run, the thread pool's
+// submit/shutdown edge, and concurrent morsel-parallel queries whose
+// coordinators park workers at drain barriers while other queries run on
+// the same pool. Assertions are deliberately coarse — terminal status is
+// one of the allowed three, OK results match the serial or brute-force
+// oracle — because the point is the interleavings TSan observes, not new
+// functional coverage.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +21,10 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "exec/reference_executor.h"
 #include "runtime/query_engine.h"
 #include "runtime/thread_pool.h"
+#include "testing/workload_gen.h"
 #include "workload/dmv.h"
 #include "workload/templates.h"
 
@@ -201,6 +205,55 @@ TEST_F(EngineStressTest, ShutdownRacesInFlightQueries) {
       StatusCode code = h.Wait().status.code();
       EXPECT_TRUE(code == StatusCode::kOk || code == StatusCode::kCancelled)
           << h.Wait().status;
+    }
+  }
+}
+
+// Concurrent dop 2 and dop 4 queries through one engine, over several
+// generated workloads: each query's coordinator parks its workers at the
+// drain barrier while the other submitter's queries run on the same pool.
+// Every query's collected row multiset must equal the brute-force
+// ReferenceExecutor's.
+TEST_F(EngineStressTest, ConcurrentParallelQueriesMatchReference) {
+  constexpr int kSubmitters = 2;
+  constexpr int kQueriesEach = 4;
+  const uint64_t seeds[] = {11, 23, 47};
+
+  for (size_t dop : {size_t{2}, size_t{4}}) {
+    for (uint64_t seed : seeds) {
+      testing::WorkloadSpec spec = testing::GenerateWorkload(seed);
+      auto catalog = spec.Materialize();
+      ASSERT_TRUE(catalog.ok()) << catalog.status();
+      auto expected = ExecuteReference(**catalog, spec.query);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      SortRows(&*expected);
+
+      QueryEngine engine(catalog->get(), Workers(4));
+      std::vector<std::thread> submitters;
+      for (int s = 0; s < kSubmitters; ++s) {
+        submitters.emplace_back([&] {
+          for (int i = 0; i < kQueriesEach; ++i) {
+            QuerySpec qs;
+            qs.query = spec.query;
+            qs.dop = dop;
+            // Ramp base 5: tiny first morsels -> many folds and barriers.
+            qs.adaptive.check_frequency = 5;
+            qs.collect_rows = true;
+            auto handle = engine.Submit(std::move(qs));
+            ASSERT_TRUE(handle.ok()) << handle.status();
+            const QueryResult& result = handle->Wait();
+            ASSERT_TRUE(result.status.ok()) << result.status;
+            std::vector<Row> rows = result.rows;
+            SortRows(&rows);
+            EXPECT_EQ(rows == *expected, true)
+                << "seed " << seed << " dop " << dop << ": parallel run rows ("
+                << rows.size() << ") diverge from reference ("
+                << expected->size() << ")";
+          }
+        });
+      }
+      for (std::thread& t : submitters) t.join();
+      engine.Shutdown();
     }
   }
 }

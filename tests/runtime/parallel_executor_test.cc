@@ -9,8 +9,7 @@
 //     checks produce driving switches on the paper's misestimated
 //     templates, and switched runs stay exact;
 //   * the MorselDriver dispenses the driving scan exactly once regardless
-//     of morsel size, and private and shared legs dispense identical
-//     morsels across a ramp;
+//     of morsel size;
 //   * the coordinator's morsel ramp starts at c, doubles per unproductive
 //     fold up to its cap, and resets at every reorder and driving switch;
 //   * WorkerLease degrades dop on a busy pool instead of deadlocking.
@@ -31,7 +30,6 @@
 #include "exec/reference_executor.h"
 #include "runtime/morsel.h"
 #include "runtime/parallel_executor.h"
-#include "runtime/shared_scan.h"
 #include "runtime/thread_pool.h"
 #include "runtime/worker_lease.h"
 #include "testing/oracle.h"
@@ -320,13 +318,13 @@ TEST_F(ParallelExecutorTest, MorselDriverDispensesScanExactlyOnce) {
   ASSERT_TRUE(plan.ok()) << plan.status();
   const size_t t0 = (*plan)->initial_order[0];
 
-  auto drain = [&](size_t grain) {
-    MorselDriver driver(plan->get(), grain, /*record_positions=*/false);
+  auto drain = [&](size_t size) {
+    MorselDriver driver(plan->get(), /*record_positions=*/false);
     EXPECT_TRUE(driver.Promote(t0).ok());
     std::vector<Rid> rids;
     ParallelMorsel m;
-    while (driver.Fill(&m, grain)) {
-      EXPECT_LE(m.rids.size(), grain);
+    while (driver.Fill(&m, size)) {
+      EXPECT_LE(m.rids.size(), size);
       rids.insert(rids.end(), m.rids.begin(), m.rids.end());
       EXPECT_TRUE(driver.high_water().has_value());
     }
@@ -463,14 +461,13 @@ TEST_F(ParallelExecutorTest, RampStaysAtCWithoutBackoff) {
 class RecordingSource : public DrivingSource {
  public:
   explicit RecordingSource(const PipelinePlan* plan)
-      : driver_(plan, kBase, /*record_positions=*/true) {}
+      : driver_(plan, /*record_positions=*/true) {}
 
   Status Promote(size_t table) override { return driver_.Promote(table); }
   bool Fill(ParallelMorsel* morsel, size_t max_entries) override {
     budgets.push_back(max_entries);
     return driver_.Fill(morsel, max_entries);
   }
-  bool demotion_safe() const override { return driver_.demotion_safe(); }
   std::optional<ScanPosition> high_water() const override {
     return driver_.high_water();
   }
@@ -561,61 +558,6 @@ TEST_F(ParallelExecutorTest, RampResetsToCAfterReordersAndSwitches) {
   EXPECT_GT(inner_reorders, 0u) << "no inner reorder: reset is untested";
   EXPECT_GT(switches, 0u) << "no driving switch: reset is untested";
   EXPECT_GT(doublings, 0u) << "the ramp never grew";
-}
-
-std::string Describe(const ScanPosition& p) {
-  return std::to_string(static_cast<int>(p.order)) + "/" +
-         std::to_string(static_cast<int>(p.key_type)) + "/" +
-         std::to_string(p.key_enc) + "/" + p.key_str + "/" +
-         std::to_string(p.rid);
-}
-
-// Private and shared legs pull the same grains: across a ramp (growing,
-// resetting, capped) they dispense identical morsel boundaries, RIDs,
-// positions and per-morsel scan work units, on every table of the plan.
-TEST_F(ParallelExecutorTest, PrivateAndSharedLegsDispenseIdenticalMorsels) {
-  DmvQueryGenerator gen(catalog_);
-  auto q = gen.Generate(2, 0);
-  ASSERT_TRUE(q.ok()) << q.status();
-  auto plan = Plan(*q);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-
-  constexpr size_t kGrain = 10;
-  const std::vector<size_t> schedule = {10, 20, 40, 10, 20, 40, 80,
-                                        160, 320, 640, 640};
-  SharedScanRegistry registry;
-  MorselDriver priv(plan->get(), kGrain, /*record_positions=*/true);
-  MorselDriver shared(plan->get(), kGrain, /*record_positions=*/true,
-                      &registry);
-  for (size_t t = 0; t < (*plan)->query.tables.size(); ++t) {
-    ASSERT_TRUE(priv.Promote(t).ok());
-    ASSERT_TRUE(shared.Promote(t).ok());
-    ParallelMorsel a, b;
-    for (size_t i = 0;; ++i) {
-      const size_t budget = schedule[std::min(i, schedule.size() - 1)];
-      const uint64_t wa = priv.scan_work_units();
-      const uint64_t wb = shared.scan_work_units();
-      const bool more_a = priv.Fill(&a, budget);
-      const bool more_b = shared.Fill(&b, budget);
-      ASSERT_EQ(more_a, more_b) << "table " << t << " fill " << i;
-      EXPECT_EQ(priv.scan_work_units() - wa, shared.scan_work_units() - wb)
-          << "table " << t << " fill " << i;
-      if (!more_a) break;
-      ASSERT_EQ(a.rids, b.rids) << "table " << t << " fill " << i;
-      ASSERT_EQ(a.positions.size(), b.positions.size());
-      for (size_t k = 0; k < a.positions.size(); ++k) {
-        EXPECT_EQ(Describe(a.positions[k]), Describe(b.positions[k]));
-      }
-      ASSERT_TRUE(priv.high_water().has_value());
-      ASSERT_TRUE(shared.high_water().has_value());
-      EXPECT_EQ(Describe(*priv.high_water()), Describe(*shared.high_water()))
-          << "table " << t << " fill " << i;
-    }
-    EXPECT_EQ(priv.dispensed_entries(t), shared.dispensed_entries(t));
-  }
-  EXPECT_EQ(priv.scan_work_units(), shared.scan_work_units());
-  EXPECT_EQ(priv.scan_morsels_produced(), shared.scan_morsels_produced());
-  EXPECT_EQ(priv.scan_morsels_consumed(), shared.scan_morsels_consumed());
 }
 
 // A lease on a fully busy pool must revoke its tasks and return without

@@ -99,14 +99,6 @@ std::optional<DrivingSwitchDecision> CheckDrivingSwitch(
   return decision;
 }
 
-double ProbeIndexHeight(const TableEntry& entry) {
-  double height = 3;
-  for (const auto& idx : entry.indexes()) {
-    height = std::max(height, static_cast<double>(idx->tree->height()));
-  }
-  return height;
-}
-
 CostInputs BuildInnerCheckInputs(const PipelinePlan& plan,
                                  const std::vector<LegView>& legs,
                                  const std::vector<EdgeMonitor>& edges,

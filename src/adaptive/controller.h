@@ -3,12 +3,10 @@
 // The executor calls these pure decision functions at the paper's strategic
 // points: CheckInnerReorder when a pipeline segment reaches its depleted
 // state (Fig 2), CheckDrivingSwitch after every batch of c driving rows
-// (Fig 3). Inputs are CostInputs assembled from the run-time monitors by
-// BuildInnerCheckInputs / BuildDrivingCheckInputs — the one place both
-// decision hosts (the serial PipelineExecutor and the parallel
-// AdaptiveCoordinator) turn their monitors into Eq 1 inputs — so the
-// decisions use measured selectivities where available and optimizer
-// estimates elsewhere.
+// (Fig 3). Inputs are CostInputs the DecisionHost (decision_host.h)
+// assembles from the run-time monitors by BuildInnerCheckInputs /
+// BuildDrivingCheckInputs, so the decisions use measured selectivities
+// where available and optimizer estimates elsewhere.
 
 #pragma once
 
@@ -143,9 +141,6 @@ struct DrivingSwitchDecision {
 std::optional<DrivingSwitchDecision> CheckDrivingSwitch(
     const CostInputs& in, const std::vector<size_t>& order,
     const std::vector<DrivingCandidate>& candidates, const AdaptiveOptions& options);
-
-/// Eq 1's probe-index height for a table: its tallest index, at least 3.
-double ProbeIndexHeight(const TableEntry& entry);
 
 /// Entries a driving scan has left: its total minus the entries it already
 /// consumed (scanned by the serial executor, dispensed by the morsel

@@ -12,7 +12,6 @@ PolicyDecision RankPolicy::Decide(const PolicySnapshot& snapshot) {
     auto tail = CheckInnerReorder(*snapshot.inputs, order, snapshot.position,
                                   options_.inner_benefit_epsilon);
     if (!tail.has_value()) return d;
-    d.action = PolicyDecision::Action::kInnerReorder;
     d.new_order.assign(order.begin(), order.begin() + snapshot.position);
     d.new_order.insert(d.new_order.end(), tail->begin(), tail->end());
     return d;
@@ -21,7 +20,6 @@ PolicyDecision RankPolicy::Decide(const PolicySnapshot& snapshot) {
   auto decision =
       CheckDrivingSwitch(*snapshot.inputs, order, *snapshot.candidates, options_);
   if (!decision.has_value()) return d;
-  d.action = PolicyDecision::Action::kDrivingSwitch;
   d.new_order = std::move(decision->new_order);
   d.est_current = decision->est_current;
   d.est_best = decision->est_best;

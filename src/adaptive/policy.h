@@ -1,24 +1,19 @@
 // AdaptationPolicy: the pluggable reordering brain of the adaptive
 // executor (DESIGN.md §12).
 //
-// The serial PipelineExecutor and the parallel AdaptiveCoordinator own all
-// run-time *mechanics* — monitors, check cadence (CheckBackoff), demotion /
-// promotion, positional predicates, the epoch/barrier protocol — and
-// delegate every *decision* to an AdaptationPolicy. At each decision point
-// (a depleted state: a segment depletion for inner reorders, a driving-row
-// boundary for driving switches) the host assembles a read-only
-// PolicySnapshot from its merged monitor statistics and receives back a
-// PolicyDecision: keep the current order, reorder the inner tail, or
-// switch the driving leg. Decisions are *adopted* by the host exactly
-// where the paper adopts them, so invariants I1–I5 and the parallel
-// epoch/barrier protocol are policy-independent.
+// A run consults its policy through one DecisionHost (decision_host.h). At
+// each decision point (a depleted state: a segment depletion for inner
+// reorders, a driving-row boundary for driving switches) the host builds a
+// read-only PolicySnapshot from the monitor statistics and receives back a
+// PolicyDecision: keep the current order, reorder the inner tail, or switch
+// the driving leg. The serial executor and the parallel coordinator keep
+// every *mechanic* and adopt decisions exactly where the paper adopts them,
+// so invariants I1–I5 and the epoch/barrier protocol are policy-independent.
 //
-// Thread-safety contract: a policy instance is owned by exactly one host.
-// In serial execution that host is the PipelineExecutor (single-threaded).
-// In morsel-parallel execution the AdaptiveCoordinator owns the single
-// fleet-wide instance and calls Decide() only under its mutex — workers
-// never see the policy, they only adopt published epochs. Policies
-// therefore need no internal locking.
+// Thread-safety contract: a policy instance is owned by exactly one
+// DecisionHost: the serial executor's (single-threaded) or the parallel
+// coordinator's, which calls it only under the coordinator mutex (workers
+// never see it). Policies therefore need no internal locking.
 //
 // RankPolicy is the engine's only policy: the paper's procedures
 // (CheckInnerReorder Fig 2, CheckDrivingSwitch Fig 3), moved not rewritten,
@@ -44,8 +39,8 @@ enum class DecisionPoint {
   /// driving leg — fixed.
   kInnerDepleted,
   /// The whole pipeline is depleted, between driving rows (Fig 3's
-  /// moment): the policy may switch the driving leg (kKeep or
-  /// kDrivingSwitch only).
+  /// moment): the policy may only keep the order or switch the driving
+  /// leg.
   kDrivingBoundary,
 };
 
@@ -70,25 +65,20 @@ struct PolicySnapshot {
 
 /// What the host should do at this depleted state.
 struct PolicyDecision {
-  enum class Action {
-    kKeep,           ///< no change
-    kInnerReorder,   ///< adopt new_order; driving leg unchanged
-    kDrivingSwitch,  ///< adopt new_order; new_order[0] != order[0]
-  };
-  Action action = Action::kKeep;
-  /// Full pipeline order to adopt (all actions except kKeep). For
-  /// kInnerReorder the prefix [0..snapshot.position) is unchanged.
+  /// Full pipeline order to adopt; empty to keep the current order. At
+  /// kInnerDepleted the prefix [0..snapshot.position) is unchanged; at
+  /// kDrivingBoundary new_order[0] is the new driving leg.
   std::vector<size_t> new_order;
   /// Estimated remaining cost of the current / chosen plan (work units);
-  /// set for kDrivingSwitch.
+  /// set for a driving switch.
   double est_current = 0;
   double est_best = 0;
 
-  bool changed() const { return action != Action::kKeep; }
+  bool changed() const { return !new_order.empty(); }
 };
 
-/// Lifetime counters a policy maintains across decisions. The hosts count
-/// adopted reorders and switches themselves (ExecStats).
+/// Lifetime counters a policy maintains across decisions. The DecisionHost
+/// counts checks, reorders and switches itself (ExecStats).
 struct PolicyStats {
   uint64_t decisions = 0;  ///< Decide() calls
 };

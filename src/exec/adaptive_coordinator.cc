@@ -1,11 +1,8 @@
 #include "exec/adaptive_coordinator.h"
 
 #include <algorithm>
-#include <cassert>
 
-#include "adaptive/policy.h"
-#include "common/string_util.h"
-#include "exec/pipeline_executor.h"
+#include "common/exec_stats.h"
 
 namespace ajr {
 
@@ -38,35 +35,20 @@ DrivingScan OpenDrivingScan(const PipelinePlan& plan, size_t table) {
   return scan;
 }
 
-void Demotion::Record(const std::optional<ScanPosition>& at, size_t col,
-                      double total, double consumed) {
-  if (at.has_value()) {
-    demoted = true;
-    ++seq;
-    prefix = *at;
-    prefix_col = col;
-  }
-  remaining_entries = EntriesLeft(total, consumed);
-  remaining_fraction =
-      total > 0 ? std::min(1.0, remaining_entries / total) : 1.0;
-}
-
 AdaptiveCoordinator::AdaptiveCoordinator(const PipelinePlan* plan,
                                          const AdaptiveOptions& options,
                                          DrivingSource* source)
-    : plan_(plan),
-      options_(options),
-      source_(source),
-      policy_(MakePolicy(options)),
+    : source_(source),
+      decider_(plan, options),
+      order_(plan->initial_order),
       ramp_(std::max<size_t>(1, options.check_frequency), options.check_backoff,
             RampFactor(std::max<size_t>(1, options.check_frequency))) {
-  const size_t n = plan_->query.tables.size();
-  order_ = plan_->initial_order;
+  const size_t n = plan->query.tables.size();
   demotions_.assign(n, Demotion());
-  inner_.assign(n, LegMonitor(options_.history_window, options_.averaging));
-  driving_.assign(n, DrivingMonitor(options_.history_window, options_.averaging));
-  edges_.assign(plan_->query.edges.size(),
-                EdgeMonitor(options_.history_window, options_.averaging));
+  inner_.assign(n, LegMonitor(options.history_window, options.averaging));
+  driving_.assign(n, DrivingMonitor(options.history_window, options.averaging));
+  edges_.assign(plan->query.edges.size(),
+                EdgeMonitor(options.history_window, options.averaging));
 }
 
 AdaptiveCoordinator::~AdaptiveCoordinator() = default;
@@ -143,7 +125,7 @@ void AdaptiveCoordinator::Fold(const WorkerMonitorDeltas& deltas) {
   // the remaining work is zero — nothing to reoptimize. A fold that cannot
   // change the order grows the ramp like one whose checks changed nothing.
   const bool can_change = state_ == State::kRunning && order_.size() > 1 &&
-                          (policy_->adapts_inners() || policy_->adapts_driving());
+                          (decider_.adapts_inners() || decider_.adapts_driving());
   if (can_change && RunChecksLocked()) {
     ramp_.OnReorder();
   } else {
@@ -151,73 +133,32 @@ void AdaptiveCoordinator::Fold(const WorkerMonitorDeltas& deltas) {
   }
 }
 
-std::vector<LegView> AdaptiveCoordinator::LegViewsLocked() const {
-  std::vector<LegView> views(inner_.size());
-  for (size_t t = 0; t < views.size(); ++t) {
-    LegView& v = views[t];
-    v.inner = &inner_[t];
-    v.driving = &driving_[t];
-    v.index_height = ProbeIndexHeight(*plan_->entries[t]);
-    v.demoted_fraction =
-        demotions_[t].demoted ? demotions_[t].remaining_fraction : 1.0;
-    // The dispenser knows what it handed out; a demoted leg's remainder
-    // was frozen at demotion time.
-    v.ever_driven = source_->ever_promoted(t);
-    v.total_entries = source_->total_entries(t);
-    v.remaining_entries = demotions_[t].remaining_entries;
-  }
-  return views;
-}
-
-uint64_t AdaptiveCoordinator::MergedDrivingRowsLocked() const {
-  uint64_t total = 0;
-  for (const DrivingMonitor& m : driving_) total += m.produced_total();
-  return total;
-}
-
 bool AdaptiveCoordinator::RunChecksLocked() {
+  // The merged monitors as the host's views; the dispenser knows which legs
+  // drove, their scans' sizes and what it handed out.
+  std::vector<LegView> views(inner_.size());
+  uint64_t driving_rows = 0;
+  for (size_t t = 0; t < views.size(); ++t) {
+    views[t] = decider_.View(t, inner_[t], driving_[t], demotions_[t],
+                             source_->ever_promoted(t), source_->total_entries(t));
+    driving_rows += driving_[t].produced_total();
+  }
   bool reordered = false;
-  if (policy_->adapts_inners() && order_.size() > 2) {
-    ++inner_checks_;
-    CostInputs in = BuildInnerCheckInputs(*plan_, LegViewsLocked(), edges_, options_);
-    PolicySnapshot snapshot;
-    snapshot.point = DecisionPoint::kInnerDepleted;
-    snapshot.position = 1;
-    snapshot.inputs = &in;
-    snapshot.order = &order_;
-    PolicyDecision decision = policy_->Decide(snapshot);
-    if (decision.action == PolicyDecision::Action::kInnerReorder) {
-      ++inner_reorders_;
-      order_ = std::move(decision.new_order);
-      std::string msg = StrCat("parallel inner reorder after ",
-                               MergedDrivingRowsLocked(), " driving rows; order");
-      for (size_t t : order_) msg += " " + plan_->query.tables[t].alias;
-      events_.push_back(std::move(msg));
+  if (decider_.adapts_inners() && order_.size() > 2) {
+    auto order = decider_.CheckInner(views, edges_, 1, driving_rows, order_);
+    if (order.has_value()) {
+      order_ = std::move(*order);
       epoch_.fetch_add(1, std::memory_order_release);
       reordered = true;
     }
   }
-  if (policy_->adapts_driving()) {
-    ++driving_checks_;
+  if (decider_.adapts_driving()) {
     const size_t current = order_[0];
-    std::vector<LegView> views = LegViewsLocked();
     views[current].remaining_entries = EntriesLeft(
         views[current].total_entries, source_->dispensed_entries(current));
-    DrivingCheckInputs check =
-        BuildDrivingCheckInputs(*plan_, views, edges_, options_, current);
-    PolicySnapshot snapshot;
-    snapshot.point = DecisionPoint::kDrivingBoundary;
-    snapshot.position = 1;
-    snapshot.inputs = &check.inputs;
-    snapshot.order = &order_;
-    snapshot.candidates = &check.candidates;
-    PolicyDecision decision = policy_->Decide(snapshot);
-    if (decision.action == PolicyDecision::Action::kDrivingSwitch) {
-      DrivingSwitchDecision sw;
-      sw.new_order = std::move(decision.new_order);
-      sw.est_current = decision.est_current;
-      sw.est_best = decision.est_best;
-      pending_switch_ = std::move(sw);
+    auto order = decider_.CheckDriving(views, edges_, order_, driving_rows);
+    if (order.has_value()) {
+      pending_switch_ = std::move(*order);
       state_ = State::kDrainingSwitch;
       reordered = true;
     }
@@ -226,9 +167,6 @@ bool AdaptiveCoordinator::RunChecksLocked() {
 }
 
 void AdaptiveCoordinator::InstallSwitchLocked() {
-  assert(pending_switch_.has_value());
-  DrivingSwitchDecision decision = std::move(*pending_switch_);
-  pending_switch_.reset();
   const size_t current = order_[0];
 
   // Demote the old driving leg at the global high-water mark: every entry
@@ -240,25 +178,12 @@ void AdaptiveCoordinator::InstallSwitchLocked() {
                              source_->total_entries(current),
                              source_->dispensed_entries(current));
 
-  Status promoted = source_->Promote(decision.new_order[0]);
+  Status promoted = source_->Promote(pending_switch_[0]);
   if (!promoted.ok()) {
     AbortLocked(std::move(promoted));
     return;
   }
-  ++driving_switches_;
-  {
-    std::string msg = StrCat(
-        "parallel driving switch after ", MergedDrivingRowsLocked(),
-        " rows: ", plan_->query.tables[current].alias, " -> ",
-        plan_->query.tables[decision.new_order[0]].alias, " (est remaining ",
-        FormatDouble(decision.est_current, 0), " -> ",
-        FormatDouble(decision.est_best, 0), " wu); order");
-    for (size_t t : decision.new_order) {
-      msg += " " + plan_->query.tables[t].alias;
-    }
-    events_.push_back(std::move(msg));
-  }
-  order_ = std::move(decision.new_order);
+  order_ = std::move(pending_switch_);
   epoch_.fetch_add(1, std::memory_order_release);
   // Folds that landed during the drain grew the ramp; the new driving leg
   // starts over at c entries.
@@ -292,14 +217,9 @@ Status AdaptiveCoordinator::abort_status() const {
 
 void AdaptiveCoordinator::FinishStats(ExecStats* stats) const {
   std::lock_guard<std::mutex> lock(mu_);
-  stats->inner_checks += inner_checks_;
-  stats->inner_reorders += inner_reorders_;
-  stats->driving_checks += driving_checks_;
-  stats->driving_switches += driving_switches_;
+  decider_.FinishStats(stats);
   stats->final_order = order_;
-  stats->events.insert(stats->events.end(), events_.begin(), events_.end());
   stats->work_units += source_->scan_work_units();
-  stats->policy_decisions += policy_->stats().decisions;
 }
 
 }  // namespace ajr

@@ -6,10 +6,9 @@
 // query's own cursors, and `dop` worker-local pipeline clones run
 // concurrently. Each worker keeps its own inner legs and sliding-window
 // monitors; after every morsel it folds its monitor *deltas* into the
-// coordinator, which merges them and runs the paper's decision procedures
-// (CheckInnerReorder / CheckDrivingSwitch) over the merged statistics —
-// the same Eq 1/3/4 machinery the serial executor uses, fed with
-// fleet-wide evidence.
+// coordinator, which merges them and checks through its DecisionHost
+// (adaptive/decision_host.h) — the one decision host serial runs use, fed
+// with fleet-wide evidence. The coordinator keeps the parallel mechanics.
 //
 // Morsel ramp: the first morsel holds c (check_frequency) driving entries,
 // so the fleet decides after about as many rows as the serial executor
@@ -29,21 +28,22 @@
 //
 // A driving switch needs more care than an inner reorder: no in-flight
 // morsel of the old driving leg may be re-emitted under the new one. The
-// coordinator therefore drains the dispenser (state kDrainingSwitch): no
-// new morsels are handed out, every worker parks at a barrier inside
-// AcquireMorsel, and the last arrival installs the switch — it demotes the
-// old leg with a positional predicate at the dispenser's global high-water
-// mark (the position of the last entry ever handed out, which every
-// processed entry is at or before), promotes the new leg's scan, bumps the
-// epoch, and releases the barrier. Workers wake, adopt, and pull morsels
-// from the new driving leg. Because the high-water mark covers every
-// dispensed entry, no emitted tuple can be regenerated, and nothing behind
-// it is lost (Sec 4.2's duplicate prevention, lifted to the fleet).
+// host counts and logs a switch when it decides it; the coordinator then
+// drains the dispenser (state kDrainingSwitch): no new morsels are handed
+// out, every worker parks at a barrier inside AcquireMorsel, and the last
+// arrival installs the switch — it demotes the old leg with a positional
+// predicate at the dispenser's global high-water mark (the position of the
+// last entry ever handed out, which every processed entry is at or
+// before), promotes the new leg's scan, bumps the epoch, and releases the
+// barrier. Workers wake, adopt, and pull morsels from the new driving leg.
+// Because the high-water mark covers every dispensed entry, no emitted
+// tuple can be regenerated, and nothing behind it is lost (Sec 4.2's
+// duplicate prevention, lifted to the fleet).
 //
 // Thread safety: everything behind one mutex except the published epoch
-// (atomic, read lock-free on the worker hot path). The DrivingSource is
-// only ever called under the coordinator mutex, so it needs no locking of
-// its own.
+// (atomic, read lock-free on the worker hot path). The DrivingSource and
+// the DecisionHost are only ever called under the coordinator mutex, so
+// they need no locking of their own.
 
 #pragma once
 
@@ -53,10 +53,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "adaptive/controller.h"
+#include "adaptive/decision_host.h"
 #include "adaptive/monitor.h"
 #include "common/status.h"
 #include "optimize/planner.h"
@@ -65,15 +65,14 @@
 
 namespace ajr {
 
-class AdaptationPolicy;
 struct ExecStats;
 
-// ---- Driving-leg state shared by both decision hosts -----------------------
+// ---- Driving-leg state shared by serial and parallel runs ------------------
 //
 // The serial PipelineExecutor and the coordinator/MorselDriver pair open
 // driving scans, demote driving legs and count what a scan has left the
-// same way: through OpenDrivingScan, one Demotion record per query table,
-// and EntriesLeft (adaptive/controller.h).
+// same way: through OpenDrivingScan, one Demotion record per query table
+// (adaptive/decision_host.h), and EntriesLeft (adaptive/controller.h).
 
 /// A driving leg's scan as the plan opens it: indexed legs scan in
 /// (key, RID) order over the plan's ranges, others in RID order.
@@ -87,28 +86,6 @@ struct DrivingScan {
 
 /// Opens query table `table`'s driving scan from its start.
 DrivingScan OpenDrivingScan(const PipelinePlan& plan, size_t table);
-
-/// A demoted driving leg (Sec 4.2): the positional predicate over its scan
-/// order and the remainder behind it, frozen at demotion (a demoted leg
-/// scans nothing until it drives again). The serial executor fills it at a
-/// driving switch, the coordinator at a switch install, and workers copy
-/// the coordinator's whole. `seq` increments at every demotion of the
-/// table, so a worker applies each demotion exactly once.
-struct Demotion {
-  bool demoted = false;
-  uint64_t seq = 0;
-  ScanPosition prefix;
-  /// Column index of the prefix's key (SIZE_MAX = RID order).
-  size_t prefix_col = SIZE_MAX;
-  double remaining_entries = 0;
-  double remaining_fraction = 1.0;
-
-  /// Demotes at `prefix` after `consumed` of the scan's `total` entries.
-  /// A nullopt prefix (the promotion consumed nothing) keeps any earlier
-  /// prefix, which is still valid, and only refreshes the remainder.
-  void Record(const std::optional<ScanPosition>& prefix, size_t prefix_col,
-              double total, double consumed);
-};
 
 /// One batch of driving-scan entries handed to a worker. `positions` is
 /// parallel to `rids` and filled only when the orchestrator asked the
@@ -211,7 +188,7 @@ class AdaptiveCoordinator {
   void GetSync(ParallelWorkerSync* sync) const;
 
   /// Merges one worker's monitor deltas (one fold per processed morsel)
-  /// and, while dispensing, runs the decision procedures over the merged
+  /// and, while dispensing, has the DecisionHost check over the merged
   /// statistics. An inner reorder publishes a new epoch immediately; a
   /// driving switch moves the coordinator into the drain state (installed
   /// at the barrier). Either resets the morsel ramp; any other fold
@@ -225,9 +202,9 @@ class AdaptiveCoordinator {
   bool aborted() const;
   Status abort_status() const;
 
-  /// Folds the coordinator-owned totals into the merged stats: check and
-  /// reorder counts, the final order, the event log, and the driving scans'
-  /// work units.
+  /// Folds the coordinator-owned totals into the merged stats: the
+  /// DecisionHost's counts and event log, the final order, and the driving
+  /// scans' work units.
   void FinishStats(ExecStats* stats) const;
 
  private:
@@ -239,24 +216,16 @@ class AdaptiveCoordinator {
     kAbort,           ///< terminal: cancelled or failed
   };
 
-  /// Per-table view of the merged monitors and the dispenser for the
-  /// shared Eq 1 input builders (adaptive/controller.h). Remaining entries
-  /// are the frozen demotion remainders; the driving check fills in the
-  /// current driving leg's.
-  std::vector<LegView> LegViewsLocked() const;
-  /// Runs the checks; true when they reordered or decided a switch.
+  /// Runs the host's checks over the merged monitors; true when they
+  /// reordered or decided a switch.
   bool RunChecksLocked();
   void InstallSwitchLocked();
   void AbortLocked(Status status);
-  uint64_t MergedDrivingRowsLocked() const;
 
-  const PipelinePlan* plan_;
-  AdaptiveOptions options_;
   DrivingSource* source_;
-  /// The fleet-wide decision policy (adaptive/policy.h): one instance for
-  /// the whole run, consulted only inside RunChecksLocked (under mu_), so
-  /// it needs no locking of its own. Workers never see it.
-  std::unique_ptr<AdaptationPolicy> policy_;
+  /// The run's one decision host, consulted only inside RunChecksLocked
+  /// (under mu_). Workers never see it.
+  DecisionHost decider_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -268,7 +237,8 @@ class AdaptiveCoordinator {
 
   std::vector<size_t> order_;
   std::vector<Demotion> demotions_;
-  std::optional<DrivingSwitchDecision> pending_switch_;
+  /// The decided driving switch's order, installed at the drain barrier.
+  std::vector<size_t> pending_switch_;
 
   // Merged monitors (coordinator side of the fold).
   std::vector<LegMonitor> inner_;
@@ -277,12 +247,6 @@ class AdaptiveCoordinator {
 
   /// The morsel ramp: interval() is the next morsel's entry budget.
   CheckBackoff ramp_;
-
-  uint64_t inner_checks_ = 0;
-  uint64_t inner_reorders_ = 0;
-  uint64_t driving_checks_ = 0;
-  uint64_t driving_switches_ = 0;
-  std::vector<std::string> events_;
   Status abort_status_;
 };
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
-#include "adaptive/policy.h"
 #include "common/check.h"
 #include "common/string_util.h"
 #include "exec/exec_observer.h"
@@ -13,13 +13,9 @@
 namespace ajr {
 
 PipelineExecutor::PipelineExecutor(const PipelinePlan* plan, AdaptiveOptions options)
-    : plan_(plan), options_(options) {}
+    : plan_(plan), options_(options), decider_(plan, options) {}
 
 PipelineExecutor::~PipelineExecutor() = default;
-
-void PipelineExecutor::set_policy(std::unique_ptr<AdaptationPolicy> policy) {
-  policy_ = std::move(policy);
-}
 
 Status PipelineExecutor::Init(const char* entry_point) {
   if (executed_) {
@@ -86,6 +82,7 @@ void PipelineExecutor::RefreshPositions(size_t from) {
       }
     }
     leg.probe_edge = ChooseProbeEdge(in, t, mask);
+    AJR_CHECK(leg.probe_edge != SIZE_MAX);  // validated queries are connected
     mask |= uint64_t{1} << t;
   }
 }
@@ -94,14 +91,8 @@ std::vector<LegView> PipelineExecutor::LegViews() const {
   std::vector<LegView> views(legs_.size());
   for (size_t t = 0; t < legs_.size(); ++t) {
     const LegRt& leg = legs_[t];
-    LegView& v = views[t];
-    v.inner = &leg.inner_monitor;
-    v.driving = &leg.driving_monitor;
-    v.index_height = ProbeIndexHeight(*leg.entry);
-    v.demoted_fraction = leg.demotion.demoted ? leg.demotion.remaining_fraction : 1.0;
-    v.ever_driven = leg.scan.cursor != nullptr;
-    v.total_entries = leg.scan.total_entries;
-    v.remaining_entries = leg.demotion.remaining_entries;
+    views[t] = decider_.View(t, leg.inner_monitor, leg.driving_monitor, leg.demotion,
+                             leg.scan.cursor != nullptr, leg.scan.total_entries);
   }
   return views;
 }
@@ -170,24 +161,22 @@ void PipelineExecutor::ProbeLeg(size_t level) {
   leg.match_pos = 0;
   leg.loaded = true;
   ++leg.incoming_since_check;
-  const IndexInfo* probe_index =
-      leg.probe_edge == SIZE_MAX ? nullptr
-                                 : plan_->access[t].probe_index_by_edge[leg.probe_edge];
+  const IndexInfo* probe_index = plan_->access[t].probe_index_by_edge[leg.probe_edge];
   const uint64_t work_before = wc_.total();
   const JoinQuery& q = plan_->query;
   const double table_card = static_cast<double>(leg.entry->table().num_rows());
 
   double fetched = 0, after_edges = 0, out = 0;
-  auto consider = [&](Rid rid, const RowView& row, bool probe_edge_known_to_match) {
-    // Residual join predicates (edges other than the probe edge).
+  auto consider = [&](Rid rid, const RowView& row) {
+    // Residual join predicates; every candidate matches the probe edge.
     for (size_t e2 : leg.applicable_edges) {
-      if (e2 == leg.probe_edge && probe_edge_known_to_match) continue;
+      if (e2 == leg.probe_edge) continue;
       const JoinEdge& edge = q.edges[e2];
       size_t other = edge.Other(t);
       ChargeWork(&wc_, WorkCounter::kPredicateEval);
       bool eq = row.CellEquals(leg.edge_col[e2], current_rows_[other],
                                legs_[other].edge_col[e2]);
-      if (e2 != leg.probe_edge) edge_monitors_[e2].Record(1, eq ? 1 : 0);
+      edge_monitors_[e2].Record(1, eq ? 1 : 0);
       if (!eq) return;
     }
     after_edges += 1;
@@ -206,46 +195,33 @@ void PipelineExecutor::ProbeLeg(size_t level) {
     leg.matches.push_back(rid);
   };
 
+  const size_t other = q.edges[leg.probe_edge].Other(t);
+  const size_t other_col = legs_[other].edge_col[leg.probe_edge];
   if (probe_index != nullptr) {
-    const JoinEdge& edge = q.edges[leg.probe_edge];
-    size_t other = edge.Other(t);
     // Probe with the other side's cell directly — no Value materialization;
     // string keys borrow bytes from the other table's pool (stable storage).
-    IndexKey key = EncodeKeyFromCell(current_rows_[other],
-                                     legs_[other].edge_col[leg.probe_edge]);
+    IndexKey key = EncodeKeyFromCell(current_rows_[other], other_col);
     probe_rids_.clear();
     probe_index->tree->Probe(key, &wc_, &probe_rids_);
     for (Rid rid : probe_rids_) {
       RowView row = leg.entry->table().Fetch(rid, &wc_);
       fetched += 1;
-      consider(rid, row, /*probe_edge_known_to_match=*/true);
+      consider(rid, row);
     }
-    edge_monitors_[leg.probe_edge].Record(table_card, fetched);
-  } else if (leg.probe_edge != SIZE_MAX) {
-    // No index on the join column: filtered full scan (never hit by the DMV
-    // workload, kept for generality).
-    const JoinEdge& edge = q.edges[leg.probe_edge];
-    size_t other = edge.Other(t);
-    const RowView& other_row = current_rows_[other];
-    size_t other_col = legs_[other].edge_col[leg.probe_edge];
-    size_t my_col = leg.edge_col[leg.probe_edge];
+  } else {
+    // No index on the join column: filtered full scan. The DMV workload
+    // indexes every join column, but the fuzz generator builds tables
+    // without some join indexes.
+    const size_t my_col = leg.edge_col[leg.probe_edge];
     for (Rid rid = 0; rid < leg.entry->table().num_rows(); ++rid) {
       RowView row = leg.entry->table().Fetch(rid, &wc_);
       ChargeWork(&wc_, WorkCounter::kPredicateEval);
-      if (!row.CellEquals(my_col, other_row, other_col)) continue;
+      if (!row.CellEquals(my_col, current_rows_[other], other_col)) continue;
       fetched += 1;
-      consider(rid, row, /*probe_edge_known_to_match=*/true);
-    }
-    edge_monitors_[leg.probe_edge].Record(table_card, fetched);
-  } else {
-    // Cartesian leg (validated queries are connected, so unreachable), but
-    // stay total: every row is a candidate.
-    for (Rid rid = 0; rid < leg.entry->table().num_rows(); ++rid) {
-      RowView row = leg.entry->table().Fetch(rid, &wc_);
-      fetched += 1;
-      consider(rid, row, false);
+      consider(rid, row);
     }
   }
+  edge_monitors_[leg.probe_edge].Record(table_card, fetched);
   leg.inner_monitor.RecordIncomingRow(after_edges, out,
                                       static_cast<double>(wc_.total() - work_before));
   if (observer_ != nullptr) {
@@ -257,7 +233,6 @@ void PipelineExecutor::ProbeLeg(size_t level) {
 
 void PipelineExecutor::DrivingCheck() {
   produced_since_check_ = 0;
-  ++stats_.driving_checks;
   // Back-off bookkeeping: assume unproductive; a switch below resets it.
   driving_backoff_.OnUnproductiveCheck();
   const size_t current = order_[0];
@@ -265,31 +240,10 @@ void PipelineExecutor::DrivingCheck() {
   const double scanned = static_cast<double>(old_leg.driving_monitor.scanned_total());
   std::vector<LegView> views = LegViews();
   views[current].remaining_entries = EntriesLeft(old_leg.scan.total_entries, scanned);
-  DrivingCheckInputs check =
-      BuildDrivingCheckInputs(*plan_, views, edge_monitors_, options_, current);
-
-  PolicySnapshot snapshot;
-  snapshot.point = DecisionPoint::kDrivingBoundary;
-  snapshot.position = 1;
-  snapshot.inputs = &check.inputs;
-  snapshot.order = &order_;
-  snapshot.candidates = &check.candidates;
-  PolicyDecision decision = policy_->Decide(snapshot);
-  if (!decision.changed()) return;
-  ++stats_.driving_switches;
+  auto new_order =
+      decider_.CheckDriving(views, edge_monitors_, order_, stats_.driving_rows_produced);
+  if (!new_order.has_value()) return;
   driving_backoff_.OnReorder();
-  std::vector<size_t> order_before = order_;
-  {
-    std::string msg = StrCat("driving switch after ", stats_.driving_rows_produced,
-                             " rows: ", plan_->query.tables[current].alias, " -> ",
-                             plan_->query.tables[decision.new_order[0]].alias,
-                             " (est remaining ", FormatDouble(decision.est_current, 0),
-                             " -> ", FormatDouble(decision.est_best, 0), " wu); order");
-    for (size_t t : decision.new_order) {
-      msg += " " + plan_->query.tables[t].alias;
-    }
-    stats_.events.push_back(std::move(msg));
-  }
 
   // Demote the old driving leg: record the processed prefix for its
   // positional predicate (Sec 4.2). The cursor is kept for re-promotion.
@@ -299,11 +253,11 @@ void PipelineExecutor::DrivingCheck() {
 
   // Promote the new driving leg; a previously demoted leg resumes its
   // original cursor (which already sits past its prefix).
-  LegRt& next = legs_[decision.new_order[0]];
+  LegRt& next = legs_[(*new_order)[0]];
   if (next.scan.cursor == nullptr) {
-    next.scan = OpenDrivingScan(*plan_, decision.new_order[0]);
+    next.scan = OpenDrivingScan(*plan_, (*new_order)[0]);
   }
-  order_ = std::move(decision.new_order);
+  std::vector<size_t> order_before = std::exchange(order_, std::move(*new_order));
   RefreshPositions(1);
 
   if (observer_ != nullptr) {
@@ -323,19 +277,11 @@ void PipelineExecutor::InnerCheck(size_t level) {
   LegRt& checking_leg = legs_[order_[level]];
   checking_leg.incoming_since_check = 0;
   checking_leg.check_backoff.OnUnproductiveCheck();
-  ++stats_.inner_checks;
-  CostInputs in = BuildInnerCheckInputs(*plan_, LegViews(), edge_monitors_, options_);
-  PolicySnapshot snapshot;
-  snapshot.point = DecisionPoint::kInnerDepleted;
-  snapshot.position = level;
-  snapshot.inputs = &in;
-  snapshot.order = &order_;
-  PolicyDecision decision = policy_->Decide(snapshot);
-  if (!decision.changed()) return;
-  ++stats_.inner_reorders;
+  auto new_order = decider_.CheckInner(LegViews(), edge_monitors_, level,
+                                       stats_.driving_rows_produced, order_);
+  if (!new_order.has_value()) return;
   checking_leg.check_backoff.OnReorder();
-  std::vector<size_t> order_before = order_;
-  order_ = std::move(decision.new_order);
+  std::vector<size_t> order_before = std::exchange(order_, std::move(*new_order));
   RefreshPositions(level);
   if (observer_ != nullptr) {
     AdaptationEvent ev;
@@ -345,26 +291,6 @@ void PipelineExecutor::InnerCheck(size_t level) {
     ev.order_after = order_;
     ev.driving_rows_produced = stats_.driving_rows_produced;
     observer_->OnAdaptation(ev);
-  }
-  {
-    std::string msg =
-        StrCat("inner reorder at position ", level, " after ",
-               stats_.driving_rows_produced, " driving rows; order");
-    uint64_t mask = 0;
-    for (size_t i = 0; i < static_cast<size_t>(level); ++i) {
-      mask |= uint64_t{1} << order_[i];
-    }
-    for (size_t i = 0; i < order_.size(); ++i) {
-      size_t t = order_[i];
-      msg += " " + plan_->query.tables[t].alias;
-      if (i >= static_cast<size_t>(level)) {
-        msg += StrCat("(jc=", FormatDouble(JcAt(in, t, mask), 3),
-                      ",rank=", FormatDouble(Rank(JcAt(in, t, mask), PcAt(in, t, mask)), 4),
-                      ")");
-        mask |= uint64_t{1} << t;
-      }
-    }
-    stats_.events.push_back(std::move(msg));
   }
 }
 
@@ -394,6 +320,9 @@ Status PipelineExecutor::Stop(Status status) {
 Status PipelineExecutor::Run(const RowSink& sink) {
   const auto start = std::chrono::steady_clock::now();
   const size_t k = order_.size();
+  // Only serial runs check; workers adopt the coordinator's decisions.
+  const bool check_driving = coordinator_ == nullptr && decider_.adapts_driving() && k > 1;
+  const bool check_inners = coordinator_ == nullptr && decider_.adapts_inners();
   int level = 0;
   while (level >= 0) {
     if (level == 0) {
@@ -403,8 +332,7 @@ Status PipelineExecutor::Run(const RowSink& sink) {
         StopReason stop = cancel_token_->Check();
         if (stop != StopReason::kNone) return Stop(CancellationToken::ToStatus(stop));
       }
-      if (adapt_driving_ && k > 1 &&
-          produced_since_check_ >= driving_backoff_.interval()) {
+      if (check_driving && produced_since_check_ >= driving_backoff_.interval()) {
         DrivingCheck();
       }
       const Pull pull = NextDrivingRow();
@@ -444,7 +372,7 @@ Status PipelineExecutor::Run(const RowSink& sink) {
                                                         : cancel_token_->CheckFlag();
         if (stop != StopReason::kNone) return Stop(CancellationToken::ToStatus(stop));
       }
-      if (adapt_inners_ && static_cast<size_t>(level) + 1 < k &&
+      if (check_inners && static_cast<size_t>(level) + 1 < k &&
           leg.incoming_since_check >= leg.check_backoff.interval()) {
         InnerCheck(static_cast<size_t>(level));
       }
@@ -460,14 +388,11 @@ Status PipelineExecutor::Run(const RowSink& sink) {
 
 StatusOr<ExecStats> PipelineExecutor::Execute(const RowSink& sink) {
   AJR_RETURN_IF_ERROR(Init("Execute()"));
-  if (policy_ == nullptr) policy_ = MakePolicy(options_);
-  adapt_inners_ = policy_->adapts_inners();
-  adapt_driving_ = policy_->adapts_driving();
   driving_backoff_ = CheckBackoff(options_.check_frequency, options_.check_backoff);
   legs_[order_[0]].scan = OpenDrivingScan(*plan_, order_[0]);
   RefreshPositions(1);
   AJR_RETURN_IF_ERROR(Run(sink));
-  stats_.policy_decisions = policy_->stats().decisions;
+  decider_.FinishStats(&stats_);
   if (metrics_ != nullptr) {
     metrics_->GetCounter("exec.policy_decisions")->Add(stats_.policy_decisions);
   }

@@ -16,21 +16,23 @@
 //
 // Serial runs (Execute) and morsel-parallel workers (ExecuteWorker) share
 // that one loop; only its driving-entry source differs. A serial run reads
-// the driving leg's own cursor and decides reorders itself. A worker reads
-// the morsels the AdaptiveCoordinator hands out, folds its monitors after
-// each morsel, and adopts the coordinator's decisions before each driving
-// entry — a full-pipeline depleted state (pipeline_executor_parallel.cc).
+// the driving leg's own cursor and checks through its DecisionHost. A
+// worker reads the morsels the AdaptiveCoordinator hands out, folds its
+// monitors after each morsel, and adopts the coordinator's decisions before
+// each driving entry, a full-pipeline depleted state (see
+// pipeline_executor_parallel.cc).
 
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "adaptive/controller.h"
+#include "adaptive/decision_host.h"
 #include "adaptive/monitor.h"
 #include "common/cancellation.h"
+#include "common/exec_stats.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/work_counter.h"
@@ -40,51 +42,8 @@
 
 namespace ajr {
 
-class AdaptationPolicy;
 class ExecObserver;
 struct FaultInjection;
-
-/// Counters reported by one execution.
-struct ExecStats {
-  uint64_t rows_out = 0;
-  uint64_t work_units = 0;
-  uint64_t driving_rows_produced = 0;
-  uint64_t inner_checks = 0;
-  uint64_t inner_reorders = 0;
-  uint64_t driving_checks = 0;
-  uint64_t driving_switches = 0;
-  /// Always 0 (there is no probe batching or per-leg memo); perfbench reads
-  /// these five.
-  uint64_t probe_cache_hits = 0;
-  uint64_t probe_cache_misses = 0;
-  uint64_t probe_batches = 0;
-  uint64_t probe_batch_keys = 0;
-  uint64_t probe_descents_saved = 0;
-  /// Morsel-parallel observability (all zero in serial runs): workers that
-  /// processed at least one morsel, morsels processed, and monitor folds
-  /// into the shared AdaptiveCoordinator (one per morsel).
-  uint64_t parallel_workers = 0;
-  uint64_t morsels = 0;
-  uint64_t monitor_folds = 0;
-  /// AdaptationPolicy Decide() calls (adaptive/policy.h). Owned by the
-  /// decision host — the serial executor or the parallel coordinator — so
-  /// workers report 0.
-  uint64_t policy_decisions = 0;
-  /// Total join-order changes (inner reorders + driving switches) — the
-  /// quantity Fig 10 plots against the history window size.
-  uint64_t order_switches() const { return inner_reorders + driving_switches; }
-  std::vector<size_t> initial_order;
-  std::vector<size_t> final_order;
-  double wall_seconds = 0;
-  /// Human-readable adaptation event log (one line per reorder/switch):
-  /// populated only when events occur, so it costs nothing on the hot path.
-  std::vector<std::string> events;
-
-  /// Accumulates a parallel worker's additive counters into this object.
-  /// Orders, events, check/reorder counts, and wall time are owned by the
-  /// coordinator/orchestrator and are NOT merged here.
-  void MergeFrom(const ExecStats& worker);
-};
 
 /// Receives each projected output row.
 using RowSink = std::function<void(const Row&)>;
@@ -131,11 +90,12 @@ class PipelineExecutor {
   /// before Execute().
   void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
-  /// Injects the AdaptationPolicy that will own this run's reorder/switch
-  /// decisions. Default (no call): Execute() instantiates MakePolicy(options).
-  /// Call before Execute(); for decorators that wrap the policy (e.g. to
-  /// time Decide()).
-  void set_policy(std::unique_ptr<AdaptationPolicy> policy);
+  /// Injects the AdaptationPolicy this run's DecisionHost decides with.
+  /// Default (no call): MakePolicy(options). Call before Execute(); for
+  /// decorators that wrap the policy (e.g. to time Decide()).
+  void set_policy(std::unique_ptr<AdaptationPolicy> policy) {
+    decider_.set_policy(std::move(policy));
+  }
 
   /// Morsel-parallel worker mode (see exec/adaptive_coordinator.h): the
   /// same get-next loop as Execute(), but driving entries come from the
@@ -191,9 +151,8 @@ class PipelineExecutor {
   /// Recomputes position-derived state (applicable edges, probe edge,
   /// loaded flags) for pipeline positions [from..k].
   void RefreshPositions(size_t from);
-  /// Per-table view of the legs for the shared Eq 1 input builders
-  /// (adaptive/controller.h). Remaining entries are the frozen demotion
-  /// remainders; DrivingCheck fills in the live current driving leg's.
+  /// The legs as the DecisionHost's views; DrivingCheck fills in the live
+  /// current driving leg's remaining entries.
   std::vector<LegView> LegViews() const;
 
   /// The get-next loop of both entry points (Sec 4.1): runs the pipeline
@@ -243,13 +202,9 @@ class PipelineExecutor {
   WorkCounter wc_;
   uint64_t produced_since_check_ = 0;
   CheckBackoff driving_backoff_;
-  /// Decision policy (serial mode only; workers adopt coordinator
-  /// decisions and never own a policy).
-  std::unique_ptr<AdaptationPolicy> policy_;
-  /// Policy capabilities, cached at Execute() entry so the get-next loop's
-  /// gates stay branch-on-bool (identical cost to the old reorder_* gates).
-  bool adapt_inners_ = false;
-  bool adapt_driving_ = false;
+  /// Decides serial runs. A worker's host only fills the LegViews that
+  /// RefreshPositions reads; its checks never run.
+  DecisionHost decider_;
   const CancellationToken* cancel_token_ = nullptr;
   ExecObserver* observer_ = nullptr;
   const FaultInjection* faults_ = nullptr;

@@ -1,9 +1,9 @@
 // PipelineExecutor worker mode: one morsel-parallel pipeline clone.
 //
 // ExecuteWorker runs Execute()'s get-next loop (pipeline_executor.cc) with
-// the driving entries taken from the coordinator's morsels and the
-// decision procedures replaced by adoption of the AdaptiveCoordinator's
-// published decisions. This file holds the worker-only pieces: set-up,
+// the driving entries taken from the coordinator's morsels and its checks
+// replaced by adoption of the decisions the AdaptiveCoordinator's
+// DecisionHost makes. This file holds the worker-only pieces: set-up,
 // adoption, and the monitor fold. Everything below the driving leg —
 // probing, monitors, observer hooks, work accounting — is the serial loop
 // itself: a worker is a complete serial pipeline over a subset of the
@@ -14,14 +14,6 @@
 #include "exec/pipeline_executor.h"
 
 namespace ajr {
-
-void ExecStats::MergeFrom(const ExecStats& worker) {
-  rows_out += worker.rows_out;
-  work_units += worker.work_units;
-  driving_rows_produced += worker.driving_rows_produced;
-  morsels += worker.morsels;
-  monitor_folds += worker.monitor_folds;
-}
 
 void PipelineExecutor::AdoptParallelSync(const ParallelWorkerSync& sync) {
   std::vector<size_t> order_before = order_;

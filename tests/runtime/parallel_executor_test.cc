@@ -185,6 +185,41 @@ TEST_F(ParallelExecutorTest, OneWorkerStaticRunIsSerial) {
   }
 }
 
+// Parallel runs decide through the same DecisionHost as serial ones, so
+// their event log uses the serial format: one line per order change, each
+// naming its decision kind the serial way, and one policy decision per
+// check. Forced one-worker runs are deterministic; the default options
+// switch driving legs on the golden mix, Strict() also reorders inners.
+TEST_F(ParallelExecutorTest, ParallelEventsUseTheSerialFormat) {
+  DmvQueryGenerator gen(catalog_, /*seed=*/20070415);
+  auto queries = gen.GenerateMix(6);
+  ASSERT_TRUE(queries.ok()) << queries.status();
+  uint64_t inner_reorders = 0, driving_switches = 0;
+  for (const AdaptiveOptions& options : {AdaptiveOptions{}, Strict()}) {
+    for (const JoinQuery& q : *queries) {
+      auto plan = Plan(q);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      ParallelExecOptions parallel;
+      parallel.dop = 1;
+      parallel.force_parallel = true;
+      ExecStats stats = RunParallel(plan->get(), options, parallel, nullptr);
+      EXPECT_EQ(stats.parallel_workers, 1u) << q.name;
+      EXPECT_EQ(stats.events.size(), stats.order_switches()) << q.name;
+      EXPECT_EQ(stats.policy_decisions, stats.inner_checks + stats.driving_checks)
+          << q.name;
+      for (const std::string& e : stats.events) {
+        EXPECT_TRUE(e.starts_with("inner reorder at position ") ||
+                    e.starts_with("driving switch after "))
+            << q.name << ": " << e;
+      }
+      inner_reorders += stats.inner_reorders;
+      driving_switches += stats.driving_switches;
+    }
+  }
+  EXPECT_GT(inner_reorders, 0u) << "no inner reorder: its format is unchecked";
+  EXPECT_GT(driving_switches, 0u) << "no driving switch: its format is unchecked";
+}
+
 // dop > 1: the row multiset equals the reference for every template, at
 // several dops and morsel sizes (Strict() has no back-off, so morsels stay
 // at the ramp base c), with adaptation fully on.

@@ -63,10 +63,11 @@ echo
 echo "== storage + decisions + fuzz under AddressSanitizer/UBSan (${BUILD_ASAN}) =="
 cmake -B "${BUILD_ASAN}" -S "${ROOT}" -DAJR_SANITIZE=address >/dev/null
 cmake --build "${BUILD_ASAN}" -j "${JOBS}" --target fuzz_smoke_test \
-  fuzz_differential bplus_tree_test cursors_test policy_test \
+  fuzz_differential bplus_tree_test cursors_test monitor_test policy_test \
   parallel_executor_test
 "${BUILD_ASAN}/tests/bplus_tree_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/cursors_test" --gtest_brief=1
+"${BUILD_ASAN}/tests/monitor_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/policy_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/parallel_executor_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/fuzz_smoke_test" --gtest_brief=1

@@ -15,15 +15,11 @@ CostInputs BuildCostInputs(const PipelinePlan& plan,
                            const std::vector<EdgeMonitor>& edges,
                            const AdaptiveOptions& options,
                            uint64_t min_leg_samples) {
-  CostInputs in;
-  in.query = &plan.query;
-  const size_t n = plan.query.tables.size();
-  assert(legs.size() == n);
-  in.tables.resize(n);
-  for (size_t t = 0; t < n; ++t) {
+  CostInputs in = BuildProbeEdgeInputs(plan, edges, options);
+  assert(legs.size() == in.tables.size());
+  for (size_t t = 0; t < in.tables.size(); ++t) {
     const LegView& leg = legs[t];
     LegParams& p = in.tables[t];
-    p.cardinality = static_cast<double>(plan.entries[t]->StatsCardinality());
     p.index_height = leg.index_height;
     p.local_sel = EffectiveLocalSel(*leg.inner, *leg.driving, plan.est_local_sel[t],
                                     plan.access[t].driving.est_slpi, min_leg_samples);
@@ -31,14 +27,26 @@ CostInputs BuildCostInputs(const PipelinePlan& plan,
     // cardinality to the unprocessed remainder.
     p.local_sel *= leg.demoted_fraction;
   }
+  return in;
+}
+
+}  // namespace
+
+CostInputs BuildProbeEdgeInputs(const PipelinePlan& plan,
+                                const std::vector<EdgeMonitor>& edges,
+                                const AdaptiveOptions& options) {
+  CostInputs in;
+  in.query = &plan.query;
+  in.tables.resize(plan.query.tables.size());
+  for (size_t t = 0; t < in.tables.size(); ++t) {
+    in.tables[t].cardinality = static_cast<double>(plan.entries[t]->StatsCardinality());
+  }
   in.edge_sel.resize(plan.query.edges.size());
   for (size_t e = 0; e < in.edge_sel.size(); ++e) {
     in.edge_sel[e] = edges[e].Selectivity(plan.est_edge_sel[e], options.min_edge_pairs);
   }
   return in;
 }
-
-}  // namespace
 
 std::optional<std::vector<size_t>> CheckInnerReorder(const CostInputs& in,
                                                      const std::vector<size_t>& order,

@@ -35,8 +35,6 @@ struct AdaptiveOptions {
   size_t check_frequency = 10;
   /// History window "w": observations kept per monitor.
   size_t history_window = 1000;
-  /// Averaging across the window (Sec 4.3.5).
-  AveragingMode averaging = AveragingMode::kSimple;
   /// A driving switch requires the current plan's remaining cost to exceed
   /// the candidate's by this factor (thrash guard; the paper relies on
   /// window smoothing alone, so 1.0 reproduces the paper's behaviour and
@@ -170,6 +168,13 @@ struct LegView {
   /// at demotion time for a demoted one.
   double remaining_entries = 0;
 };
+
+/// The inputs ChooseProbeEdge reads: each table's cardinality and each
+/// edge's monitored selectivity. Local selectivities and index heights
+/// keep their defaults.
+CostInputs BuildProbeEdgeInputs(const PipelinePlan& plan,
+                                const std::vector<EdgeMonitor>& edges,
+                                const AdaptiveOptions& options);
 
 /// Eq 1 inputs for an inner-reorder check (Fig 2): monitored selectivities
 /// over a small sample floor — inner reorders are cheap and reversible, so

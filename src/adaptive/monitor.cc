@@ -2,71 +2,20 @@
 
 namespace ajr {
 
-void RatioWindow::Flush() {
-  if (pending_count_ == 0) return;
-  const size_t ring_capacity = (capacity_ + batch_ - 1) / batch_;
-  if (ring_.size() < ring_capacity) {
-    // Still growing toward capacity: append.
-    ring_.push_back({pending_num_, pending_den_});
-    ++count_;
+template <size_t N>
+void WindowSums<N>::Store(const Values& slot) {
+  if (ring_.size() < slots_) {
+    ring_.push_back(slot);
   } else {
-    // Full: overwrite the oldest stored observation.
-    Observation& slot = ring_[head_];
-    num_sum_ -= slot.num;
-    den_sum_ -= slot.den;
-    slot = {pending_num_, pending_den_};
-    head_ = (head_ + 1) % ring_.size();
+    Values& oldest = ring_[head_];
+    for (size_t i = 0; i < N; ++i) sums_[i] -= oldest[i];
+    oldest = slot;
+    if (++head_ == slots_) head_ = 0;
   }
-  num_sum_ += pending_num_;
-  den_sum_ += pending_den_;
-  pending_num_ = 0;
-  pending_den_ = 0;
-  pending_count_ = 0;
+  for (size_t i = 0; i < N; ++i) sums_[i] += slot[i];
 }
 
-double RatioWindow::Estimate(double fallback) const {
-  const double den_total = den_sum_ + pending_den_;
-  if (den_total <= 0) return fallback;
-  if (mode_ == AveragingMode::kSimple) {
-    return (num_sum_ + pending_num_) / den_total;
-  }
-  // Weighted: exponentially weighted mean of per-batch ratios (oldest to
-  // newest) with decay alpha = 2 / (stored-capacity + 1).
-  const size_t ring_capacity = (capacity_ + batch_ - 1) / batch_;
-  const double alpha = 2.0 / (static_cast<double>(ring_capacity) + 1.0);
-  double est = 0;
-  bool seeded = false;
-  auto fold = [&](double num, double den) {
-    if (den <= 0) return;
-    double ratio = num / den;
-    if (!seeded) {
-      est = ratio;
-      seeded = true;
-    } else {
-      est = alpha * ratio + (1.0 - alpha) * est;
-    }
-  };
-  for (size_t i = 0; i < count_; ++i) {
-    // head_ is 0 while the ring is still growing, so this indexing is
-    // oldest-to-newest in both regimes.
-    const Observation& r = ring_[(head_ + i) % ring_.size()];
-    fold(r.num, r.den);
-  }
-  fold(pending_num_, pending_den_);
-  return seeded ? est : fallback;
-}
-
-void RatioWindow::Reset() {
-  ring_.clear();
-  head_ = 0;
-  count_ = 0;
-  num_sum_ = 0;
-  den_sum_ = 0;
-  pending_num_ = 0;
-  pending_den_ = 0;
-  pending_count_ = 0;
-  lifetime_num_ = 0;
-  lifetime_den_ = 0;
-}
+template class WindowSums<2>;
+template class WindowSums<4>;
 
 }  // namespace ajr

@@ -1,6 +1,6 @@
 // Run-time monitors (Sec 4.3).
 //
-// Every leg and every join edge carries counters over a sliding "history
+// Every leg and every join edge carries sums over a sliding "history
 // window" of the latest w observations (Sec 4.3.5). From them the run-time
 // derives the quantities the cost model needs:
 //
@@ -9,251 +9,194 @@
 //   JC (Eq 11)      — join cardinality = outgoing / incoming
 //   PC              — measured work units per incoming row
 //
-// Averaging is either the simple window mean or an exponentially weighted
-// mean (the paper's "simple average or weighted average", Sec 4.3.5).
+// Each estimate is the simple window average sum(num) / sum(den). The
+// paper also allows a weighted average (Sec 4.3.5); no workload uses one.
 
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/status.h"
-
 namespace ajr {
 
-/// How window observations are combined into an estimate.
-enum class AveragingMode : uint8_t {
-  kSimple,    ///< plain mean over the window
-  kWeighted,  ///< exponentially weighted toward recent observations
-};
-
-/// A sliding window over (numerator, denominator) observations whose
-/// estimate is sum(num)/sum(den) — simple mode — or the EWMA of per-record
-/// ratios weighted by denominators — weighted mode.
+/// A sliding window over observations of N summed components. Each
+/// monitor below is one window: one Record() per observation, estimates as
+/// ratios of two components' window sums.
 ///
 /// Record() sits on the executor's per-row hot path, so observations are
 /// batched: `batch` consecutive Record() calls are accumulated into plain
-/// sums and flushed into the ring as ONE stored observation. The window
-/// then holds ceil(capacity / batch) stored observations, spanning the same
-/// `capacity` raw observations the paper's "history window w" describes.
-class RatioWindow {
+/// sums and flushed into the ring as ONE slot. The ring then holds
+/// ceil(capacity / batch) slots, spanning the same `capacity` raw
+/// observations the paper's "history window w" describes.
+template <size_t N>
+class WindowSums {
  public:
-  explicit RatioWindow(size_t capacity = 1000,
-                       AveragingMode mode = AveragingMode::kSimple)
-      : capacity_(capacity == 0 ? 1 : capacity),
-        mode_(mode),
-        batch_(capacity_ <= 32 ? 1 : capacity_ / 32) {}
+  using Values = std::array<double, N>;
 
-  /// Adds one observation (e.g. numerator = rows out, denominator = rows in).
-  void Record(double numerator, double denominator) {
-    pending_num_ += numerator;
-    pending_den_ += denominator;
-    lifetime_num_ += numerator;
-    lifetime_den_ += denominator;
+  /// Observations since the previous TakeDelta(): the unit a parallel
+  /// worker folds into the coordinator's merged monitor.
+  struct Delta {
+    Values sums{};
+    uint64_t observations = 0;
+    bool empty() const { return observations == 0; }
+  };
+
+  explicit WindowSums(size_t capacity)
+      : batch_(capacity <= 32 ? 1 : capacity / 32),
+        slots_((std::max<size_t>(capacity, 1) + batch_ - 1) / batch_) {}
+
+  /// Adds one observation.
+  void Record(const Values& v) {
+    for (size_t i = 0; i < N; ++i) {
+      pending_[i] += v[i];
+      lifetime_[i] += v[i];
+    }
+    ++observations_;
     if (++pending_count_ >= batch_) Flush();
   }
 
-  /// Folds an externally accumulated batch of observations (a parallel
-  /// worker's window delta) into the window as ONE stored observation. The
-  /// ring then slides per merge instead of per raw observation — the merged
-  /// window spans the last ring-capacity folds, the parallel analogue of
-  /// the paper's history window w.
-  void RecordAggregate(double numerator, double denominator) {
-    Flush();
-    pending_num_ = numerator;
-    pending_den_ = denominator;
-    pending_count_ = batch_;  // a full batch: stored on the next Flush
-    lifetime_num_ += numerator;
-    lifetime_den_ += denominator;
-    Flush();
+  /// Component `i` summed over the window (stored slots plus the pending
+  /// partial batch).
+  double Sum(size_t i) const { return sums_[i] + pending_[i]; }
+
+  /// Component `i` summed over every observation since construction
+  /// (never evicted).
+  double lifetime(size_t i) const { return lifetime_[i]; }
+
+  /// Observations since construction, absorbed ones included.
+  uint64_t observations() const { return observations_; }
+
+  /// Window sum(num) / sum(den); `fallback` while sum(den) carries no mass.
+  double Estimate(size_t num, size_t den, double fallback) const {
+    const double den_total = Sum(den);
+    if (den_total <= 0) return fallback;
+    return Sum(num) / den_total;
   }
 
-  /// Lifetime sums over every Record()/RecordAggregate() since construction
-  /// (never evicted): the basis for worker-side window deltas.
-  double lifetime_num() const { return lifetime_num_; }
-  double lifetime_den() const { return lifetime_den_; }
+  /// Returns everything recorded since the last TakeDelta() and advances
+  /// the cursor. Lifetime sums are never evicted, so deltas are exact even
+  /// after the window forgot the observations.
+  Delta TakeDelta() {
+    Delta d;
+    for (size_t i = 0; i < N; ++i) {
+      d.sums[i] = lifetime_[i] - taken_.sums[i];
+      taken_.sums[i] += d.sums[i];
+    }
+    d.observations = observations_ - taken_.observations;
+    taken_.observations = observations_;
+    return d;
+  }
 
-  /// Number of raw observations currently represented in the window
-  /// (stored observations times batch, plus the pending partial batch).
-  size_t count() const { return count_ * batch_ + pending_count_; }
-
-  /// Total denominator mass in the window (e.g. rows observed).
-  double denominator_sum() const { return den_sum_ + pending_den_; }
-
-  /// Current estimate; `fallback` when no observation carries mass yet.
-  double Estimate(double fallback) const;
-
-  void Reset();
+  /// Folds a worker's delta into this (coordinator-side) window as ONE
+  /// slot, whatever the delta's size: the merged window slides per fold and
+  /// spans the last ring-capacity folds, the parallel analogue of the
+  /// paper's history window w. An empty delta stores nothing.
+  void Absorb(const Delta& d) {
+    if (d.empty()) return;
+    Flush();
+    Store(d.sums);
+    for (size_t i = 0; i < N; ++i) lifetime_[i] += d.sums[i];
+    observations_ += d.observations;
+  }
 
  private:
-  struct Observation {
-    double num;
-    double den;
-  };
+  /// Stores the pending batch, if any, as one slot.
+  void Flush() {
+    if (pending_count_ == 0) return;
+    Store(pending_);
+    pending_ = {};
+    pending_count_ = 0;
+  }
+  /// Appends one slot to the ring, evicting the oldest once it is full.
+  void Store(const Values& slot);
 
-  void Flush();
-
-  size_t capacity_;
-  AveragingMode mode_;
   size_t batch_;
-  double pending_num_ = 0;
-  double pending_den_ = 0;
+  size_t slots_;  ///< ring capacity: ceil(capacity / batch)
+  Values pending_{};
   size_t pending_count_ = 0;
-  double lifetime_num_ = 0;
-  double lifetime_den_ = 0;
+  Values lifetime_{};
+  uint64_t observations_ = 0;
+  Delta taken_;  ///< lifetime sums already handed out via TakeDelta
   // Fixed-size ring buffer of flushed batches: no allocation churn once the
   // buffer reaches capacity.
-  std::vector<Observation> ring_;
-  size_t head_ = 0;  ///< index of the oldest stored observation
-  size_t count_ = 0; ///< stored observations
-  double num_sum_ = 0;
-  double den_sum_ = 0;
+  std::vector<Values> ring_;
+  size_t head_ = 0;  ///< index of the oldest slot once the ring is full
+  Values sums_{};    ///< per-component sums over the ring
 };
 
-/// Per-leg monitor for the inner role: one Record* call per incoming row.
+extern template class WindowSums<2>;
+extern template class WindowSums<4>;
+
+/// Per-leg monitor for the inner role: one record per incoming row.
 class LegMonitor {
  public:
-  LegMonitor() : LegMonitor(1000, AveragingMode::kSimple) {}
-  LegMonitor(size_t window, AveragingMode mode)
-      : jc_(window, mode), s_lp_(window, mode), pc_(window, mode) {}
+  using Delta = WindowSums<4>::Delta;
+
+  explicit LegMonitor(size_t window = 1000) : window_(window) {}
 
   /// Records the outcome of probing this leg for one incoming row:
   /// `after_edges` rows survived all join predicates, `out` also survived
   /// local + positional predicates, costing `work` units.
   void RecordIncomingRow(double after_edges, double out, double work) {
-    jc_.Record(out, 1.0);
-    s_lp_.Record(out, after_edges);
-    pc_.Record(work, 1.0);
-    ++incoming_total_;
+    window_.Record({out, 1.0, after_edges, work});
   }
 
   /// JC estimate (Eq 11); `fallback` until data arrives.
-  double Jc(double fallback) const { return jc_.Estimate(fallback); }
+  double Jc(double fallback) const { return window_.Estimate(kOut, kRows, fallback); }
   /// Combined local-predicate selectivity (Eq 6 analogue), Laplace-smoothed
   /// toward `fallback` with kPseudoSamples virtual rows: a 2%-selective
   /// predicate observed over 30 rows reads 0 more often than not, and a
   /// hard zero makes whole candidate plans look free.
   double LocalSel(double fallback) const {
     constexpr double kPseudoSamples = 8.0;
-    double den = s_lp_.denominator_sum();
-    double num = s_lp_.Estimate(fallback) * den;
+    double den = window_.Sum(kAfterEdges);
+    double num = window_.Estimate(kOut, kAfterEdges, fallback) * den;
     return (num + fallback * kPseudoSamples) / (den + kPseudoSamples);
   }
   /// Measured probe cost per incoming row.
-  double Pc(double fallback) const { return pc_.Estimate(fallback); }
+  double Pc(double fallback) const { return window_.Estimate(kWork, kRows, fallback); }
 
-  bool has_data() const { return incoming_total_ > 0; }
-  uint64_t incoming_total() const { return incoming_total_; }
+  uint64_t incoming_total() const { return window_.observations(); }
 
-  /// Observations accumulated since the previous TakeDelta(): the unit a
-  /// parallel worker folds into the shared coordinator's merged monitor.
-  struct Delta {
-    double jc_num = 0, jc_den = 0;
-    double lp_num = 0, lp_den = 0;
-    double pc_num = 0, pc_den = 0;
-    uint64_t incoming = 0;
-    bool empty() const { return incoming == 0; }
-  };
-
-  /// Returns everything recorded since the last TakeDelta() and advances
-  /// the cursor (lifetime sums are never evicted, so deltas are exact even
-  /// after the sliding window forgot the observations).
-  Delta TakeDelta() {
-    Delta d;
-    d.jc_num = jc_.lifetime_num() - taken_.jc_num;
-    d.jc_den = jc_.lifetime_den() - taken_.jc_den;
-    d.lp_num = s_lp_.lifetime_num() - taken_.lp_num;
-    d.lp_den = s_lp_.lifetime_den() - taken_.lp_den;
-    d.pc_num = pc_.lifetime_num() - taken_.pc_num;
-    d.pc_den = pc_.lifetime_den() - taken_.pc_den;
-    d.incoming = incoming_total_ - taken_.incoming;
-    taken_.jc_num += d.jc_num;
-    taken_.jc_den += d.jc_den;
-    taken_.lp_num += d.lp_num;
-    taken_.lp_den += d.lp_den;
-    taken_.pc_num += d.pc_num;
-    taken_.pc_den += d.pc_den;
-    taken_.incoming += d.incoming;
-    return d;
-  }
-
-  /// Folds a worker's delta into this (coordinator-side) monitor: each
-  /// component lands as one aggregated window observation.
-  void Absorb(const Delta& d) {
-    if (d.empty()) return;
-    jc_.RecordAggregate(d.jc_num, d.jc_den);
-    s_lp_.RecordAggregate(d.lp_num, d.lp_den);
-    pc_.RecordAggregate(d.pc_num, d.pc_den);
-    incoming_total_ += d.incoming;
-  }
-
-  void Reset() {
-    jc_.Reset();
-    s_lp_.Reset();
-    pc_.Reset();
-    incoming_total_ = 0;
-    taken_ = Delta();
-  }
+  Delta TakeDelta() { return window_.TakeDelta(); }
+  void Absorb(const Delta& d) { window_.Absorb(d); }
 
  private:
-  RatioWindow jc_;
-  RatioWindow s_lp_;
-  RatioWindow pc_;
-  uint64_t incoming_total_ = 0;
-  Delta taken_;  ///< lifetime sums already handed out via TakeDelta
+  enum : size_t { kOut, kRows, kAfterEdges, kWork };
+  WindowSums<4> window_;
 };
 
 /// Per-leg monitor for the driving role: residual selectivity of the scan.
 class DrivingMonitor {
  public:
-  DrivingMonitor() : DrivingMonitor(1000, AveragingMode::kSimple) {}
-  DrivingMonitor(size_t window, AveragingMode mode) : s_lpr_(window, mode) {}
+  using Delta = WindowSums<2>::Delta;
+
+  explicit DrivingMonitor(size_t window = 1000) : window_(window) {}
 
   /// One scanned entry, which did or did not survive residual predicates.
   void RecordScannedEntry(bool produced) {
-    s_lpr_.Record(produced ? 1.0 : 0.0, 1.0);
-    ++scanned_total_;
-    produced_total_ += produced ? 1 : 0;
+    window_.Record({produced ? 1.0 : 0.0, 1.0});
   }
 
   /// S_LPR (Eq 6 for the driving leg): produced / scanned.
-  double ResidualSel(double fallback) const { return s_lpr_.Estimate(fallback); }
-
-  uint64_t scanned_total() const { return scanned_total_; }
-  uint64_t produced_total() const { return produced_total_; }
-
-  /// See LegMonitor::Delta.
-  struct Delta {
-    double num = 0, den = 0;
-    uint64_t scanned = 0, produced = 0;
-    bool empty() const { return scanned == 0; }
-  };
-
-  Delta TakeDelta() {
-    Delta d;
-    d.num = s_lpr_.lifetime_num() - taken_.num;
-    d.den = s_lpr_.lifetime_den() - taken_.den;
-    d.scanned = scanned_total_ - taken_.scanned;
-    d.produced = produced_total_ - taken_.produced;
-    taken_.num += d.num;
-    taken_.den += d.den;
-    taken_.scanned += d.scanned;
-    taken_.produced += d.produced;
-    return d;
+  double ResidualSel(double fallback) const {
+    return window_.Estimate(kProduced, kScanned, fallback);
   }
 
-  void Absorb(const Delta& d) {
-    if (d.empty()) return;
-    s_lpr_.RecordAggregate(d.num, d.den);
-    scanned_total_ += d.scanned;
-    produced_total_ += d.produced;
+  uint64_t scanned_total() const { return window_.observations(); }
+  uint64_t produced_total() const {
+    return static_cast<uint64_t>(window_.lifetime(kProduced));
   }
+
+  Delta TakeDelta() { return window_.TakeDelta(); }
+  void Absorb(const Delta& d) { window_.Absorb(d); }
 
  private:
-  RatioWindow s_lpr_;
-  uint64_t scanned_total_ = 0;
-  uint64_t produced_total_ = 0;
-  Delta taken_;
+  enum : size_t { kProduced, kScanned };
+  WindowSums<2> window_;
 };
 
 /// Sec 4.3.3 estimate selection for one leg's combined local selectivity
@@ -279,62 +222,38 @@ inline double EffectiveLocalSel(const LegMonitor& inner,
   return optimizer_est;
 }
 
-/// Per-edge monitor: S_JP as matching pairs over candidate pairs (Eq 7/8).
+/// Per-edge monitor: S_JP as matching pairs over candidate pairs (Eq 7/8),
+/// plus the lifetime probe count (the window's observations).
 class EdgeMonitor {
  public:
-  EdgeMonitor() : EdgeMonitor(1000, AveragingMode::kSimple) {}
-  EdgeMonitor(size_t window, AveragingMode mode) : sel_(window, mode) {}
+  using Delta = WindowSums<2>::Delta;
+
+  explicit EdgeMonitor(size_t window = 1000) : window_(window) {}
 
   /// For a probe through this edge: `pairs` = incoming rows * C(T)
   /// (Eq 7's I1 * C(T)); `matches` = entries fetched. For a residual check:
   /// pairs = rows checked, matches = rows passing (Eq 8).
-  void Record(double pairs, double matches) {
-    sel_.Record(matches, pairs);
-    ++probes_;
-  }
+  void Record(double pairs, double matches) { window_.Record({matches, pairs}); }
 
   /// S_JP estimate; `fallback` (the optimizer's estimate) until enough
   /// observations accumulated. Laplace-smoothed with two pseudo-probes at
   /// the fallback rate: one zero-match probe must not read as an exact-zero
   /// join selectivity (which would make downstream legs look free).
   double Selectivity(double fallback, double min_pairs = 1.0) const {
-    double den = sel_.denominator_sum();
+    double den = window_.Sum(kPairs);
     if (den < min_pairs) return fallback;
-    double num = sel_.Estimate(fallback) * den;
-    double pseudo_den = 2.0 * den / static_cast<double>(probes_ == 0 ? 1 : probes_);
+    double num = window_.Estimate(kMatches, kPairs, fallback) * den;
+    const uint64_t probes = window_.observations();
+    double pseudo_den = 2.0 * den / static_cast<double>(probes == 0 ? 1 : probes);
     return (num + fallback * pseudo_den) / (den + pseudo_den);
   }
 
-  bool has_data() const { return sel_.denominator_sum() > 0; }
-
-  /// See LegMonitor::Delta.
-  struct Delta {
-    double matches = 0, pairs = 0;
-    uint64_t probes = 0;
-    bool empty() const { return probes == 0; }
-  };
-
-  Delta TakeDelta() {
-    Delta d;
-    d.matches = sel_.lifetime_num() - taken_.matches;
-    d.pairs = sel_.lifetime_den() - taken_.pairs;
-    d.probes = probes_ - taken_.probes;
-    taken_.matches += d.matches;
-    taken_.pairs += d.pairs;
-    taken_.probes += d.probes;
-    return d;
-  }
-
-  void Absorb(const Delta& d) {
-    if (d.empty()) return;
-    sel_.RecordAggregate(d.matches, d.pairs);
-    probes_ += d.probes;
-  }
+  Delta TakeDelta() { return window_.TakeDelta(); }
+  void Absorb(const Delta& d) { window_.Absorb(d); }
 
  private:
-  RatioWindow sel_;
-  uint64_t probes_ = 0;
-  Delta taken_;
+  enum : size_t { kMatches, kPairs };
+  WindowSums<2> window_;
 };
 
 }  // namespace ajr

@@ -45,10 +45,9 @@ AdaptiveCoordinator::AdaptiveCoordinator(const PipelinePlan* plan,
             RampFactor(std::max<size_t>(1, options.check_frequency))) {
   const size_t n = plan->query.tables.size();
   demotions_.assign(n, Demotion());
-  inner_.assign(n, LegMonitor(options.history_window, options.averaging));
-  driving_.assign(n, DrivingMonitor(options.history_window, options.averaging));
-  edges_.assign(plan->query.edges.size(),
-                EdgeMonitor(options.history_window, options.averaging));
+  inner_.assign(n, LegMonitor(options.history_window));
+  driving_.assign(n, DrivingMonitor(options.history_window));
+  edges_.assign(plan->query.edges.size(), EdgeMonitor(options.history_window));
 }
 
 AdaptiveCoordinator::~AdaptiveCoordinator() = default;

@@ -29,14 +29,13 @@ Status PipelineExecutor::Init(const char* entry_point) {
   legs_.resize(n);
   current_rows_.assign(n, RowView());
   current_rids_.assign(n, 0);
-  edge_monitors_.assign(q.edges.size(),
-                        EdgeMonitor(options_.history_window, options_.averaging));
+  edge_monitors_.assign(q.edges.size(), EdgeMonitor(options_.history_window));
   for (size_t t = 0; t < n; ++t) {
     LegRt& leg = legs_[t];
     leg.entry = plan_->entries[t];
     leg.check_backoff = CheckBackoff(options_.check_frequency, options_.check_backoff);
-    leg.inner_monitor = LegMonitor(options_.history_window, options_.averaging);
-    leg.driving_monitor = DrivingMonitor(options_.history_window, options_.averaging);
+    leg.inner_monitor = LegMonitor(options_.history_window);
+    leg.driving_monitor = DrivingMonitor(options_.history_window);
     // Bind against the table's string pool so string-equality constants
     // lower to interned-id compares.
     const StringPool* pool = &leg.entry->table().pool();
@@ -66,7 +65,7 @@ Status PipelineExecutor::Init(const char* entry_point) {
 }
 
 void PipelineExecutor::RefreshPositions(size_t from) {
-  CostInputs in = BuildInnerCheckInputs(*plan_, LegViews(), edge_monitors_, options_);
+  const CostInputs in = BuildProbeEdgeInputs(*plan_, edge_monitors_, options_);
   uint64_t mask = 0;
   for (size_t i = 0; i < from; ++i) mask |= uint64_t{1} << order_[i];
   for (size_t i = from; i < order_.size(); ++i) {

@@ -151,8 +151,9 @@ class PipelineExecutor {
   /// Recomputes position-derived state (applicable edges, probe edge,
   /// loaded flags) for pipeline positions [from..k].
   void RefreshPositions(size_t from);
-  /// The legs as the DecisionHost's views; DrivingCheck fills in the live
-  /// current driving leg's remaining entries.
+  /// The legs as the DecisionHost's views for the serial checks;
+  /// DrivingCheck fills in the live current driving leg's remaining
+  /// entries.
   std::vector<LegView> LegViews() const;
 
   /// The get-next loop of both entry points (Sec 4.1): runs the pipeline
@@ -202,8 +203,8 @@ class PipelineExecutor {
   WorkCounter wc_;
   uint64_t produced_since_check_ = 0;
   CheckBackoff driving_backoff_;
-  /// Decides serial runs. A worker's host only fills the LegViews that
-  /// RefreshPositions reads; its checks never run.
+  /// Decides serial runs. A worker never consults its host: it adopts the
+  /// coordinator's decisions.
   DecisionHost decider_;
   const CancellationToken* cancel_token_ = nullptr;
   ExecObserver* observer_ = nullptr;

@@ -15,6 +15,7 @@
 #include "exec/pipeline_executor.h"
 #include "exec/reference_executor.h"
 #include "optimize/planner.h"
+#include "testing/oracle.h"
 
 namespace ajr {
 namespace {
@@ -136,14 +137,7 @@ TEST_P(RandomQuerySweep, AllConfigurationsMatchReference) {
     AdaptiveOptions off;
     off.reorder_inners = false;
     off.reorder_driving = false;
-    AdaptiveOptions aggressive;
-    aggressive.check_frequency = 1;
-    aggressive.switch_benefit_threshold = 1.0;
-    aggressive.inner_benefit_epsilon = 0.0;
-    aggressive.history_window = 4;
-    aggressive.min_edge_pairs = 1;
-    aggressive.min_leg_samples = 1;
-    aggressive.check_backoff = false;
+    const AdaptiveOptions aggressive = testing::AggressiveAdaptiveOptions();
 
     for (const AdaptiveOptions& options : {off, AdaptiveOptions{}, aggressive}) {
       PipelineExecutor exec(plan->get(), options);

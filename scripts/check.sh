@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-command verification: tier-1 build + full ctest, then the `stress`
 # labeled suite rebuilt under ThreadSanitizer, then the index and cursor
-# tests, the golden decision trace, the parallel executor tests, the fuzz
-# smoke suite and a short differential-fuzz burst rebuilt under
+# tests, the golden decision trace, the serial and parallel executor tests,
+# the fuzz smoke suite and a short differential-fuzz burst rebuilt under
 # AddressSanitizer + UBSan (see ROADMAP.md).
 #
 #   scripts/check.sh            # full: tier-1 ctest + TSan stress + ASan fuzz
@@ -60,16 +60,17 @@ cmake --build "${BUILD_TSAN}" -j "${JOBS}" --target engine_stress_test \
 ctest --test-dir "${BUILD_TSAN}" -L stress --output-on-failure
 
 echo
-echo "== storage + decisions + fuzz under AddressSanitizer/UBSan (${BUILD_ASAN}) =="
+echo "== storage + decisions + executors + fuzz under AddressSanitizer/UBSan (${BUILD_ASAN}) =="
 cmake -B "${BUILD_ASAN}" -S "${ROOT}" -DAJR_SANITIZE=address >/dev/null
 cmake --build "${BUILD_ASAN}" -j "${JOBS}" --target fuzz_smoke_test \
   fuzz_differential bplus_tree_test cursors_test monitor_test policy_test \
-  parallel_executor_test
+  parallel_executor_test pipeline_executor_test
 "${BUILD_ASAN}/tests/bplus_tree_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/cursors_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/monitor_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/policy_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/parallel_executor_test" --gtest_brief=1
+"${BUILD_ASAN}/tests/pipeline_executor_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/fuzz_smoke_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/fuzz_differential" --count 100 --jobs "${JOBS}"
 "${BUILD_ASAN}/tests/fuzz_differential" --count 40 --wide --jobs "${JOBS}"

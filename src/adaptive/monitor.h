@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -93,10 +94,11 @@ class WindowSums {
   /// Folds a worker's delta into this (coordinator-side) window as ONE
   /// slot, whatever the delta's size: the merged window slides per fold and
   /// spans the last ring-capacity folds, the parallel analogue of the
-  /// paper's history window w. An empty delta stores nothing.
+  /// paper's history window w. An empty delta stores nothing. A window
+  /// either records or absorbs, never both, so no partial batch is pending.
   void Absorb(const Delta& d) {
     if (d.empty()) return;
-    Flush();
+    assert(pending_count_ == 0);
     Store(d.sums);
     for (size_t i = 0; i < N; ++i) lifetime_[i] += d.sums[i];
     observations_ += d.observations;

@@ -1,6 +1,8 @@
 #include "exec/adaptive_coordinator.h"
 
 #include <algorithm>
+#include <cassert>
+#include <optional>
 
 #include "common/exec_stats.h"
 
@@ -18,27 +20,69 @@ uint64_t RampFactor(uint64_t base) {
 
 }  // namespace
 
-DrivingScan OpenDrivingScan(const PipelinePlan& plan, size_t table) {
-  const DrivingAccess& access = plan.access[table].driving;
-  const HeapTable& heap = plan.entries[table]->table();
-  DrivingScan scan;
+DrivingScans::DrivingScans(const PipelinePlan* plan, bool record_positions)
+    : plan_(plan),
+      record_positions_(record_positions),
+      legs_(plan->query.tables.size()) {}
+
+void DrivingScans::OpenDrivingScan(size_t table) {
+  const DrivingAccess& access = plan_->access[table].driving;
+  const HeapTable& heap = plan_->entries[table]->table();
+  Leg& leg = legs_[table];
   if (access.index != nullptr) {
-    scan.cursor = std::make_unique<IndexScanCursor>(access.index->tree.get(),
-                                                    access.ranges);
-    scan.total_entries = static_cast<double>(
+    leg.cursor = std::make_unique<IndexScanCursor>(access.index->tree.get(),
+                                                   access.ranges);
+    leg.total_entries = static_cast<double>(
         CountRangeEntries(*access.index->tree, access.ranges));
-    scan.prefix_col = access.index->column_idx;
+    leg.prefix_col = access.index->column_idx;
   } else {
-    scan.cursor = std::make_unique<TableScanCursor>(&heap);
-    scan.total_entries = static_cast<double>(heap.num_rows());
+    leg.cursor = std::make_unique<TableScanCursor>(&heap);
+    leg.total_entries = static_cast<double>(heap.num_rows());
   }
-  return scan;
+}
+
+void DrivingScans::Promote(size_t table) {
+  if (legs_[table].cursor == nullptr) OpenDrivingScan(table);
+  current_ = table;
+  dispensed_this_promotion_ = 0;
+}
+
+bool DrivingScans::Next(WorkCounter* wc, Rid* rid) {
+  assert(current_ != SIZE_MAX && "Next before the first Promote");
+  Leg& leg = legs_[current_];
+  if (leg.exhausted) return false;
+  if (!leg.cursor->Next(wc, rid)) {
+    leg.exhausted = true;
+    return false;
+  }
+  ++leg.dispensed;
+  ++dispensed_this_promotion_;
+  return true;
+}
+
+bool DrivingScans::Fill(ParallelMorsel* morsel, size_t max_entries, WorkCounter* wc) {
+  morsel->rids.clear();
+  morsel->positions.clear();
+  Rid rid;
+  while (morsel->rids.size() < max_entries && Next(wc, &rid)) {
+    morsel->rids.push_back(rid);
+    if (record_positions_) morsel->positions.push_back(position());
+  }
+  return !morsel->rids.empty();
+}
+
+void DrivingScans::Demote(Demotion* demotion) const {
+  const Leg& leg = legs_[current_];
+  std::optional<ScanPosition> prefix;
+  if (dispensed_this_promotion_ > 0) prefix = position();
+  demotion->Record(prefix, leg.prefix_col, leg.total_entries,
+                   static_cast<double>(leg.dispensed));
 }
 
 AdaptiveCoordinator::AdaptiveCoordinator(const PipelinePlan* plan,
                                          const AdaptiveOptions& options,
-                                         DrivingSource* source)
-    : source_(source),
+                                         bool record_positions)
+    : scans_(plan, record_positions),
       decider_(plan, options),
       order_(plan->initial_order),
       ramp_(std::max<size_t>(1, options.check_frequency), options.check_backoff,
@@ -48,14 +92,10 @@ AdaptiveCoordinator::AdaptiveCoordinator(const PipelinePlan* plan,
   inner_.assign(n, LegMonitor(options.history_window));
   driving_.assign(n, DrivingMonitor(options.history_window));
   edges_.assign(plan->query.edges.size(), EdgeMonitor(options.history_window));
+  scans_.Promote(order_[0]);
 }
 
 AdaptiveCoordinator::~AdaptiveCoordinator() = default;
-
-Status AdaptiveCoordinator::Init() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return source_->Promote(order_[0]);
-}
 
 bool AdaptiveCoordinator::RegisterWorker(ParallelWorkerSync* sync) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -74,7 +114,7 @@ AdaptiveCoordinator::Acquire AdaptiveCoordinator::AcquireMorsel(
     if (state_ == State::kAbort) return Acquire::kAborted;
     if (state_ == State::kDone) return Acquire::kFinished;
     if (state_ == State::kRunning) {
-      if (source_->Fill(morsel, ramp_.interval())) return Acquire::kMorsel;
+      if (scans_.Fill(morsel, ramp_.interval(), &scan_wc_)) return Acquire::kMorsel;
       // The promoted scan ran dry with no switch pending: drain to finish.
       state_ = State::kDrainingEnd;
     }
@@ -87,7 +127,7 @@ AdaptiveCoordinator::Acquire AdaptiveCoordinator::AcquireMorsel(
       waiting_ = 0;
       ++generation_;
       if (state_ == State::kDrainingSwitch) {
-        InstallSwitchLocked();  // may abort; loop re-checks state
+        InstallSwitchLocked();
       } else if (state_ == State::kDrainingEnd) {
         state_ = State::kDone;
       }
@@ -99,7 +139,7 @@ AdaptiveCoordinator::Acquire AdaptiveCoordinator::AcquireMorsel(
       return generation_ != arrival_generation || state_ == State::kAbort;
     });
     // The leader reset `waiting_`; do not decrement. Loop re-checks state:
-    // after a switch install the source dispenses from the new leg, after
+    // after a switch install the scans dispense from the new leg, after
     // a finish/abort the terminal state is returned.
   }
 }
@@ -109,6 +149,11 @@ void AdaptiveCoordinator::GetSync(ParallelWorkerSync* sync) const {
   sync->epoch = epoch_.load(std::memory_order_relaxed);
   sync->order = order_;
   sync->demotions = demotions_;
+}
+
+uint64_t AdaptiveCoordinator::morsel_budget() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ramp_.interval();
 }
 
 void AdaptiveCoordinator::Fold(const WorkerMonitorDeltas& deltas) {
@@ -133,13 +178,13 @@ void AdaptiveCoordinator::Fold(const WorkerMonitorDeltas& deltas) {
 }
 
 bool AdaptiveCoordinator::RunChecksLocked() {
-  // The merged monitors as the host's views; the dispenser knows which legs
-  // drove, their scans' sizes and what it handed out.
+  // The merged monitors as the host's views; the scans know which legs
+  // drove, their sizes and what they handed out.
   std::vector<LegView> views(inner_.size());
   uint64_t driving_rows = 0;
   for (size_t t = 0; t < views.size(); ++t) {
     views[t] = decider_.View(t, inner_[t], driving_[t], demotions_[t],
-                             source_->ever_promoted(t), source_->total_entries(t));
+                             scans_.ever_promoted(t), scans_.total_entries(t));
     driving_rows += driving_[t].produced_total();
   }
   bool reordered = false;
@@ -153,8 +198,8 @@ bool AdaptiveCoordinator::RunChecksLocked() {
   }
   if (decider_.adapts_driving()) {
     const size_t current = order_[0];
-    views[current].remaining_entries = EntriesLeft(
-        views[current].total_entries, source_->dispensed_entries(current));
+    views[current].remaining_entries =
+        EntriesLeft(views[current].total_entries, scans_.dispensed(current));
     auto order = decider_.CheckDriving(views, edges_, order_, driving_rows);
     if (order.has_value()) {
       pending_switch_ = std::move(*order);
@@ -168,20 +213,13 @@ bool AdaptiveCoordinator::RunChecksLocked() {
 void AdaptiveCoordinator::InstallSwitchLocked() {
   const size_t current = order_[0];
 
-  // Demote the old driving leg at the global high-water mark: every entry
-  // any worker processed was dispensed, and everything dispensed is at or
-  // before the high-water position — so the positional predicate excludes
-  // every emitted combination and loses nothing behind it. When this
-  // promotion dispensed nothing, any earlier prefix stays valid unchanged.
-  demotions_[current].Record(source_->high_water(), source_->prefix_col(current),
-                             source_->total_entries(current),
-                             source_->dispensed_entries(current));
-
-  Status promoted = source_->Promote(pending_switch_[0]);
-  if (!promoted.ok()) {
-    AbortLocked(std::move(promoted));
-    return;
-  }
+  // Demote the old driving leg at the scan position: every entry any
+  // worker processed was dispensed, and everything dispensed is at or
+  // before that position — so the positional predicate excludes every
+  // emitted combination and loses nothing behind it. When this promotion
+  // dispensed nothing, any earlier prefix stays valid unchanged.
+  scans_.Demote(&demotions_[current]);
+  scans_.Promote(pending_switch_[0]);
   order_ = std::move(pending_switch_);
   epoch_.fetch_add(1, std::memory_order_release);
   // Folds that landed during the drain grew the ramp; the new driving leg
@@ -218,7 +256,7 @@ void AdaptiveCoordinator::FinishStats(ExecStats* stats) const {
   std::lock_guard<std::mutex> lock(mu_);
   decider_.FinishStats(stats);
   stats->final_order = order_;
-  stats->work_units += source_->scan_work_units();
+  stats->work_units += scan_wc_.total();
 }
 
 }  // namespace ajr

@@ -2,8 +2,8 @@
 // parallel execution.
 //
 // In parallel mode the driving leg's scan is split into morsels handed out
-// by the query's one dispenser (the DrivingSource), which scans through the
-// query's own cursors, and `dop` worker-local pipeline clones run
+// by the coordinator's DrivingScans, the dispenser a serial run pulls one
+// entry at a time, and `dop` worker-local pipeline clones run
 // concurrently. Each worker keeps its own inner legs and sliding-window
 // monitors; after every morsel it folds its monitor *deltas* into the
 // coordinator, which merges them and checks through its DecisionHost
@@ -32,16 +32,16 @@
 // drains the dispenser (state kDrainingSwitch): no new morsels are handed
 // out, every worker parks at a barrier inside AcquireMorsel, and the last
 // arrival installs the switch — it demotes the old leg with a positional
-// predicate at the dispenser's global high-water mark (the position of the
-// last entry ever handed out, which every processed entry is at or
-// before), promotes the new leg's scan, bumps the epoch, and releases the
-// barrier. Workers wake, adopt, and pull morsels from the new driving leg.
+// predicate at the dispenser's scan position (the position of the last
+// entry handed out, which every processed entry is at or before), promotes
+// the new leg's scan, bumps the epoch, and releases the barrier. Workers
+// wake, adopt, and pull morsels from the new driving leg.
 // Because the high-water mark covers every dispensed entry, no emitted
 // tuple can be regenerated, and nothing behind it is lost (Sec 4.2's
 // duplicate prevention, lifted to the fleet).
 //
 // Thread safety: everything behind one mutex except the published epoch
-// (atomic, read lock-free on the worker hot path). The DrivingSource and
+// (atomic, read lock-free on the worker hot path). The DrivingScans and
 // the DecisionHost are only ever called under the coordinator mutex, so
 // they need no locking of their own.
 
@@ -52,13 +52,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "adaptive/controller.h"
 #include "adaptive/decision_host.h"
 #include "adaptive/monitor.h"
 #include "common/status.h"
+#include "common/work_counter.h"
 #include "optimize/planner.h"
 #include "storage/cursors.h"
 #include "storage/scan_position.h"
@@ -69,68 +69,81 @@ struct ExecStats;
 
 // ---- Driving-leg state shared by serial and parallel runs ------------------
 //
-// The serial PipelineExecutor and the coordinator/MorselDriver pair open
-// driving scans, demote driving legs and count what a scan has left the
-// same way: through OpenDrivingScan, one Demotion record per query table
-// (adaptive/decision_host.h), and EntriesLeft (adaptive/controller.h).
-
-/// A driving leg's scan as the plan opens it: indexed legs scan in
-/// (key, RID) order over the plan's ranges, others in RID order.
-struct DrivingScan {
-  std::unique_ptr<ScanCursor> cursor;
-  /// Entries the full scan covers.
-  double total_entries = 0;
-  /// Column index of the scan-order key (SIZE_MAX = RID order).
-  size_t prefix_col = SIZE_MAX;
-};
-
-/// Opens query table `table`'s driving scan from its start.
-DrivingScan OpenDrivingScan(const PipelinePlan& plan, size_t table);
+// A query's driving scans live in one DrivingScans. The serial
+// PipelineExecutor pulls it one entry at a time (Next), the coordinator in
+// morsels (Fill); both demote through it into one Demotion record per query
+// table (adaptive/decision_host.h), so the prefix and the count behind
+// EntriesLeft (adaptive/controller.h) are the same in either run.
 
 /// One batch of driving-scan entries handed to a worker. `positions` is
-/// parallel to `rids` and filled only when the orchestrator asked the
-/// source to record positions (observer-instrumented runs).
+/// parallel to `rids` and filled only when the scans record positions
+/// (observer-instrumented runs).
 struct ParallelMorsel {
   std::vector<Rid> rids;
   std::vector<ScanPosition> positions;
 };
 
-/// The coordinator's view of the query's driving scans: one resumable scan
-/// cursor per query table, created lazily at first promotion. Implemented
-/// by runtime::MorselDriver; abstract here so exec/ does not depend on
-/// runtime/. Every method is called under the coordinator mutex.
-class DrivingSource {
+/// The query's driving scans: one resumable scan per query table, opened at
+/// the table's first promotion (indexed legs scan in (key, RID) order over
+/// the plan's ranges, others in RID order) and kept across demotions, so a
+/// re-promotion resumes past every entry dispensed before (Sec 4.2's kept
+/// cursor). One table is promoted at a time. No locking of its own: the
+/// coordinator calls it under its mutex.
+class DrivingScans {
  public:
-  virtual ~DrivingSource() = default;
+  /// `plan` must outlive the scans. `record_positions` makes Fill record
+  /// each entry's scan position alongside its RID (one ScanPosition per
+  /// entry, so only observer-instrumented runs ask for it).
+  DrivingScans(const PipelinePlan* plan, bool record_positions);
 
-  /// Makes `table` the dispensing scan (creating its cursor on first
-  /// promotion; a re-promotion resumes the original cursor, which already
-  /// sits past every dispensed entry).
-  virtual Status Promote(size_t table) = 0;
+  /// Makes `table` the dispensing scan: opens it on the first promotion,
+  /// resumes it after that.
+  void Promote(size_t table);
 
-  /// Fills `morsel` with up to `max_entries` next entries of the promoted
-  /// scan (the coordinator's ramp size). False when the scan is exhausted
-  /// (morsels are never empty).
-  virtual bool Fill(ParallelMorsel* morsel, size_t max_entries) = 0;
+  /// The promoted scan's next entry, its work charged to `wc`; false once
+  /// the scan is exhausted. The scan is pulled past its last entry once.
+  bool Next(WorkCounter* wc, Rid* rid);
 
-  /// Position of the last entry handed out since the current promotion;
-  /// nullopt when this promotion has dispensed nothing yet.
-  virtual std::optional<ScanPosition> high_water() const = 0;
+  /// Fills `morsel` with up to `max_entries` Next entries; false when the
+  /// scan is exhausted (morsels are never empty).
+  bool Fill(ParallelMorsel* morsel, size_t max_entries, WorkCounter* wc);
 
-  /// Entries the table's full driving scan covers (exact once promoted,
-  /// 0 before — callers must check ever_promoted()).
-  virtual double total_entries(size_t table) const = 0;
+  /// Demotes the promoted table into `demotion`: the prefix is the last
+  /// entry dispensed since its promotion (none when it dispensed nothing),
+  /// the consumed count every entry it ever dispensed.
+  void Demote(Demotion* demotion) const;
 
-  /// Entries ever dispensed for `table`, cumulative across promotions.
-  virtual double dispensed_entries(size_t table) const = 0;
+  /// Scan position of the last entry dispensed; valid after Next or Fill
+  /// dispensed one.
+  ScanPosition position() const { return legs_[current_].cursor->CurrentPosition(); }
 
-  virtual bool ever_promoted(size_t table) const = 0;
+  bool ever_promoted(size_t table) const { return legs_[table].cursor != nullptr; }
+  /// Entries the table's full scan covers (0 before its first promotion).
+  double total_entries(size_t table) const { return legs_[table].total_entries; }
+  /// Entries dispensed from the table, over all its promotions.
+  double dispensed(size_t table) const {
+    return static_cast<double>(legs_[table].dispensed);
+  }
 
-  /// Column index of the table's scan-order key (SIZE_MAX = RID order).
-  virtual size_t prefix_col(size_t table) const = 0;
+ private:
+  struct Leg {
+    std::unique_ptr<ScanCursor> cursor;  ///< null until the first promotion
+    double total_entries = 0;
+    /// Column index of the scan-order key (SIZE_MAX = RID order).
+    size_t prefix_col = SIZE_MAX;
+    uint64_t dispensed = 0;
+    bool exhausted = false;  ///< the cursor has run past its last entry
+  };
 
-  /// Work units charged by the driving scans (merged into the final stats).
-  virtual uint64_t scan_work_units() const = 0;
+  /// Opens query table `table`'s scan from its start.
+  void OpenDrivingScan(size_t table);
+
+  const PipelinePlan* plan_;
+  bool record_positions_;
+  std::vector<Leg> legs_;  ///< per query table
+  size_t current_ = SIZE_MAX;
+  /// Entries dispensed since the current promotion.
+  uint64_t dispensed_this_promotion_ = 0;
 };
 
 /// Epoch-tagged decision snapshot a worker adopts at a depleted state.
@@ -153,13 +166,11 @@ class AdaptiveCoordinator {
   /// Morsel ramp ceiling (driving entries per morsel).
   static constexpr size_t kMaxMorselEntries = 1024;
 
-  /// `plan` and `source` must outlive the coordinator.
+  /// `plan` must outlive the coordinator. Promotes the plan's initial
+  /// driving leg; `record_positions` is the DrivingScans option.
   AdaptiveCoordinator(const PipelinePlan* plan, const AdaptiveOptions& options,
-                      DrivingSource* source);
+                      bool record_positions);
   ~AdaptiveCoordinator();
-
-  /// Promotes the plan's initial driving leg. Call once before workers run.
-  Status Init();
 
   /// Registers a worker into the barrier group and snapshots the current
   /// decision state. False when execution already finished or aborted (the
@@ -186,6 +197,10 @@ class AdaptiveCoordinator {
 
   /// Snapshots the current decision state for adoption.
   void GetSync(ParallelWorkerSync* sync) const;
+
+  /// The morsel ramp's current entry budget: the size the next morsel is
+  /// filled up to.
+  uint64_t morsel_budget() const;
 
   /// Merges one worker's monitor deltas (one fold per processed morsel)
   /// and, while dispensing, has the DecisionHost check over the merged
@@ -222,7 +237,9 @@ class AdaptiveCoordinator {
   void InstallSwitchLocked();
   void AbortLocked(Status status);
 
-  DrivingSource* source_;
+  DrivingScans scans_;
+  /// Work units charged by the driving scans.
+  WorkCounter scan_wc_;
   /// The run's one decision host, consulted only inside RunChecksLocked
   /// (under mu_). Workers never see it.
   DecisionHost decider_;

@@ -13,7 +13,10 @@
 namespace ajr {
 
 PipelineExecutor::PipelineExecutor(const PipelinePlan* plan, AdaptiveOptions options)
-    : plan_(plan), options_(options), decider_(plan, options) {}
+    : plan_(plan),
+      options_(options),
+      scans_(plan, /*record_positions=*/false),
+      decider_(plan, options) {}
 
 PipelineExecutor::~PipelineExecutor() = default;
 
@@ -91,14 +94,14 @@ std::vector<LegView> PipelineExecutor::LegViews() const {
   for (size_t t = 0; t < legs_.size(); ++t) {
     const LegRt& leg = legs_[t];
     views[t] = decider_.View(t, leg.inner_monitor, leg.driving_monitor, leg.demotion,
-                             leg.scan.cursor != nullptr, leg.scan.total_entries);
+                             scans_.ever_promoted(t), scans_.total_entries(t));
   }
   return views;
 }
 
 PipelineExecutor::Pull PipelineExecutor::NextDrivingEntry(Rid* rid) {
   if (coordinator_ == nullptr) {
-    return legs_[order_[0]].scan.cursor->Next(&wc_, rid) ? Pull::kRow : Pull::kEnd;
+    return scans_.Next(&wc_, rid) ? Pull::kRow : Pull::kEnd;
   }
   while (morsel_pos_ == morsel_.rids.size()) {
     // Every row of the current morsel is through the pipeline: fold it
@@ -146,7 +149,7 @@ PipelineExecutor::Pull PipelineExecutor::NextDrivingRow() {
       // for observed runs.
       observer_->OnDrivingRow(t, rid,
                               coordinator_ == nullptr
-                                  ? leg.scan.cursor->CurrentPosition()
+                                  ? scans_.position()
                                   : morsel_.positions[morsel_pos_ - 1]);
     }
     return Pull::kRow;
@@ -235,27 +238,18 @@ void PipelineExecutor::DrivingCheck() {
   // Back-off bookkeeping: assume unproductive; a switch below resets it.
   driving_backoff_.OnUnproductiveCheck();
   const size_t current = order_[0];
-  LegRt& old_leg = legs_[current];
-  const double scanned = static_cast<double>(old_leg.driving_monitor.scanned_total());
   std::vector<LegView> views = LegViews();
-  views[current].remaining_entries = EntriesLeft(old_leg.scan.total_entries, scanned);
+  views[current].remaining_entries =
+      EntriesLeft(scans_.total_entries(current), scans_.dispensed(current));
   auto new_order =
       decider_.CheckDriving(views, edge_monitors_, order_, stats_.driving_rows_produced);
   if (!new_order.has_value()) return;
   driving_backoff_.OnReorder();
 
-  // Demote the old driving leg: record the processed prefix for its
-  // positional predicate (Sec 4.2). The cursor is kept for re-promotion.
-  old_leg.demotion.Record(old_leg.scan.cursor->CurrentPosition(),
-                          old_leg.scan.prefix_col, old_leg.scan.total_entries,
-                          scanned);
-
-  // Promote the new driving leg; a previously demoted leg resumes its
-  // original cursor (which already sits past its prefix).
-  LegRt& next = legs_[(*new_order)[0]];
-  if (next.scan.cursor == nullptr) {
-    next.scan = OpenDrivingScan(*plan_, (*new_order)[0]);
-  }
+  // Demote the old driving leg: its processed prefix becomes its positional
+  // predicate (Sec 4.2). The scan is kept, so a re-promotion resumes it.
+  scans_.Demote(&legs_[current].demotion);
+  scans_.Promote((*new_order)[0]);
   std::vector<size_t> order_before = std::exchange(order_, std::move(*new_order));
   RefreshPositions(1);
 
@@ -267,7 +261,7 @@ void PipelineExecutor::DrivingCheck() {
     ev.order_after = order_;
     ev.driving_rows_produced = stats_.driving_rows_produced;
     ev.demoted_table = current;
-    ev.demoted_prefix = old_leg.demotion.prefix;
+    ev.demoted_prefix = legs_[current].demotion.prefix;
     observer_->OnAdaptation(ev);
   }
 }
@@ -388,7 +382,7 @@ Status PipelineExecutor::Run(const RowSink& sink) {
 StatusOr<ExecStats> PipelineExecutor::Execute(const RowSink& sink) {
   AJR_RETURN_IF_ERROR(Init("Execute()"));
   driving_backoff_ = CheckBackoff(options_.check_frequency, options_.check_backoff);
-  legs_[order_[0]].scan = OpenDrivingScan(*plan_, order_[0]);
+  scans_.Promote(order_[0]);
   RefreshPositions(1);
   AJR_RETURN_IF_ERROR(Run(sink));
   decider_.FinishStats(&stats_);

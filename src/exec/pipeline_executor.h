@@ -15,12 +15,12 @@
 // cursor is kept so a re-promotion resumes the original scan.
 //
 // Serial runs (Execute) and morsel-parallel workers (ExecuteWorker) share
-// that one loop; only its driving-entry source differs. A serial run reads
-// the driving leg's own cursor and checks through its DecisionHost. A
-// worker reads the morsels the AdaptiveCoordinator hands out, folds its
-// monitors after each morsel, and adopts the coordinator's decisions before
-// each driving entry, a full-pipeline depleted state (see
-// pipeline_executor_parallel.cc).
+// that one loop; only its driving-entry source differs. A serial run pulls
+// its DrivingScans one entry at a time and checks through its DecisionHost.
+// A worker reads the morsels the AdaptiveCoordinator fills from its own
+// DrivingScans, folds its monitors after each morsel, and adopts the
+// coordinator's decisions before each driving entry, a full-pipeline
+// depleted state (see pipeline_executor_parallel.cc).
 
 #pragma once
 
@@ -123,10 +123,6 @@ class PipelineExecutor {
     /// does not touch this table).
     std::vector<size_t> edge_col;
 
-    // Driving-leg state. Serial mode opens `scan` at the leg's first
-    // promotion and keeps it across demotions, so a re-promotion resumes
-    // it; workers never open one (the morsel driver owns the scans).
-    DrivingScan scan;
     /// Positional predicate and frozen remainder once demoted.
     Demotion demotion;
 
@@ -165,10 +161,10 @@ class PipelineExecutor {
   Status Stop(Status status);
 
   enum class Pull { kRow, kEnd, kAborted };
-  /// Next driving-scan entry: from the driving leg's cursor in serial mode,
-  /// from the current morsel in worker mode. A worker first folds a
-  /// finished morsel and acquires the next one, then adopts any newer
-  /// coordinator decision; kAborted when the coordinator aborted.
+  /// Next driving-scan entry: from scans_ in serial mode, from the current
+  /// morsel in worker mode. A worker first folds a finished morsel and
+  /// acquires the next one, then adopts any newer coordinator decision;
+  /// kAborted when the coordinator aborted.
   Pull NextDrivingEntry(Rid* rid);
   /// Next driving row that survives the driving residual, made current.
   Pull NextDrivingRow();
@@ -203,6 +199,9 @@ class PipelineExecutor {
   WorkCounter wc_;
   uint64_t produced_since_check_ = 0;
   CheckBackoff driving_backoff_;
+  /// Serial runs' driving scans, their work charged to wc_. A worker's
+  /// stay unpromoted: its entries come from the coordinator's scans.
+  DrivingScans scans_;
   /// Decides serial runs. A worker never consults its host: it adopts the
   /// coordinator's decisions.
   DecisionHost decider_;

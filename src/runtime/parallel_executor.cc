@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "exec/adaptive_coordinator.h"
-#include "runtime/morsel.h"
 #include "runtime/worker_lease.h"
 
 namespace ajr {
@@ -42,9 +41,7 @@ StatusOr<ExecStats> ParallelPipelineExecutor::Execute(const RowSink& sink) {
   const bool record_positions =
       std::any_of(observers_.begin(), observers_.end(),
                   [](ExecObserver* o) { return o != nullptr; });
-  MorselDriver driver(plan_, record_positions);
-  AdaptiveCoordinator coordinator(plan_, options_, &driver);
-  AJR_RETURN_IF_ERROR(coordinator.Init());
+  AdaptiveCoordinator coordinator(plan_, options_, record_positions);
 
   std::vector<std::unique_ptr<PipelineExecutor>> workers;
   workers.reserve(dop);

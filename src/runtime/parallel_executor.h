@@ -1,17 +1,17 @@
 // ParallelPipelineExecutor: morsel-parallel adaptive execution of one
 // PipelinePlan (the orchestrator over exec/'s worker mode).
 //
-// The driving leg's scan is split into morsels by the query's own
-// MorselDriver, which opens every driving cursor through OpenDrivingScan
-// exactly as the serial executor does; `dop` worker-local PipelineExecutor
-// clones pull morsels and run the ordinary serial pipeline over them,
-// folding their monitor deltas after every morsel into an
-// AdaptiveCoordinator that runs the paper's reorder checks over the
-// merged, fleet-wide statistics (see exec/adaptive_coordinator.h for the
-// decision-publication and driving-switch drain protocol). Morsel size is not a knob: the coordinator's
-// ramp starts at c (check_frequency) entries, so the fleet decides as
-// early as the serial executor, and doubles after every fold that
-// changes nothing.
+// The driving leg's scan is split into morsels by the AdaptiveCoordinator's
+// DrivingScans, the class a serial run pulls one entry at a time, so
+// cursors, scan totals and demotions are the serial ones. `dop`
+// worker-local PipelineExecutor clones pull morsels and run the ordinary
+// serial pipeline over them, folding their monitor deltas after every
+// morsel into the coordinator, which runs the paper's reorder checks over
+// the merged, fleet-wide statistics (see exec/adaptive_coordinator.h for
+// the decision-publication and driving-switch drain protocol). Morsel size
+// is not a knob: the coordinator's ramp starts at c (check_frequency)
+// entries, so the fleet decides as early as the serial executor, and
+// doubles after every fold that changes nothing.
 //
 // dop <= 1 delegates to the serial PipelineExecutor unchanged — same code
 // path, same work units, bit-identical results and stats.
@@ -65,8 +65,8 @@ class ParallelPipelineExecutor {
   void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
   void set_fault_injection(const FaultInjection* faults) { faults_ = faults; }
   /// Per-worker observers (worker w gets observers[w]; missing or null
-  /// entries mean unobserved). Installing any observer makes the dispenser
-  /// record scan positions for OnDrivingRow. The serial path (dop <= 1)
+  /// entries mean unobserved). Installing any observer makes the driving
+  /// scans record positions for OnDrivingRow. The serial path (dop <= 1)
   /// uses observers[0].
   void set_worker_observers(std::vector<ExecObserver*> observers) {
     observers_ = std::move(observers);

@@ -38,8 +38,9 @@ struct QuerySpec {
   JoinQuery query;
   /// Run-time adaptation knobs for this query.
   AdaptiveOptions adaptive;
-  /// Intra-query degree of parallelism: worker pipelines over the query's
-  /// one morsel dispenser (see runtime/parallel_executor.h). <= 1 runs the
+  /// Intra-query degree of parallelism: worker pipelines over morsels of
+  /// the query's driving scans, the DrivingScans a serial run pulls one
+  /// entry at a time (see runtime/parallel_executor.h). <= 1 runs the
   /// serial executor unchanged; larger values are capped at the engine's
   /// worker-pool size.
   size_t dop = 1;

@@ -1,6 +1,6 @@
 // Morsel-parallel executor tests (ctest label: stress; run under TSan).
 //
-// The contract under test, per ISSUE 5:
+// The contract under test:
 //   * dop <= 1 is the untouched serial path — bit-identical rows, work
 //     units, stats, and event log to a plain PipelineExecutor run;
 //   * dop > 1 preserves the row MULTISET (interleaving is free), and the
@@ -8,8 +8,9 @@
 //   * adaptation still happens: the shared coordinator's merged-statistics
 //     checks produce driving switches on the paper's misestimated
 //     templates, and switched runs stay exact;
-//   * the MorselDriver dispenses the driving scan exactly once regardless
-//     of morsel size;
+//   * one DrivingScans dispenses each driving scan exactly once, pulled one
+//     entry at a time (serial) or in morsels of any size (parallel), with
+//     the same RIDs, positions, work units and demotions either way;
 //   * the coordinator's morsel ramp starts at c, doubles per unproductive
 //     fold up to its cap, and resets at every reorder and driving switch;
 //   * WorkerLease degrades dop on a busy pool instead of deadlocking.
@@ -19,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <string>
@@ -28,7 +30,6 @@
 #include "exec/exec_observer.h"
 #include "exec/pipeline_executor.h"
 #include "exec/reference_executor.h"
-#include "runtime/morsel.h"
 #include "runtime/parallel_executor.h"
 #include "runtime/thread_pool.h"
 #include "runtime/worker_lease.h"
@@ -343,98 +344,187 @@ TEST_F(ParallelExecutorTest, DrivingSwitchesOccurUnderMergedStatistics) {
          "checks are vacuous";
 }
 
-// The MorselDriver must dispense the promoted scan exactly once: the
-// concatenation of small morsels equals one giant morsel, in order.
-TEST_F(ParallelExecutorTest, MorselDriverDispensesScanExactlyOnce) {
+// ---- driving scans ---------------------------------------------------------
+
+/// One way of pulling a driving scan and what it yielded.
+struct ScanPulls {
+  std::vector<Rid> rids;
+  std::vector<ScanPosition> positions;
+  uint64_t work_units = 0;
+  Demotion mid_scan;  ///< demoted after the first `demote_after` entries
+  Demotion resumed;   ///< demoted again right after a re-promotion
+};
+
+/// Pulls query table `table`'s whole driving scan: one entry at a time with
+/// Next when `morsel` is 0, else in Fills of up to `morsel` entries. After
+/// `demote_after` entries it demotes the table, drives `other` for one
+/// entry, re-promotes the table, demotes it again (that promotion dispensed
+/// nothing) and resumes the scan to its end.
+ScanPulls PullScan(const PipelinePlan* plan, size_t table, size_t other,
+                   size_t morsel, size_t demote_after) {
+  DrivingScans scans(plan, /*record_positions=*/true);
+  WorkCounter wc;
+  ScanPulls out;
+  // Pulls up to `limit` more entries of the promoted scan; false at its end.
+  auto pull = [&](size_t limit) {
+    for (size_t got = 0; got < limit;) {
+      if (morsel == 0) {
+        Rid rid;
+        if (!scans.Next(&wc, &rid)) return false;
+        out.rids.push_back(rid);
+        out.positions.push_back(scans.position());
+        ++got;
+        continue;
+      }
+      ParallelMorsel m;
+      if (!scans.Fill(&m, std::min(morsel, limit - got), &wc)) return false;
+      EXPECT_EQ(m.positions.size(), m.rids.size());
+      out.rids.insert(out.rids.end(), m.rids.begin(), m.rids.end());
+      out.positions.insert(out.positions.end(), m.positions.begin(),
+                           m.positions.end());
+      got += m.rids.size();
+    }
+    return true;
+  };
+  scans.Promote(table);
+  EXPECT_TRUE(pull(demote_after));
+  scans.Demote(&out.mid_scan);
+  scans.Promote(other);
+  Rid unused;
+  EXPECT_TRUE(scans.Next(&wc, &unused));
+  scans.Promote(table);
+  out.resumed = out.mid_scan;
+  scans.Demote(&out.resumed);
+  while (pull(SIZE_MAX)) {
+  }
+  EXPECT_EQ(scans.dispensed(table), static_cast<double>(out.rids.size()));
+  out.work_units = wc.total();
+  return out;
+}
+
+void ExpectSamePosition(const ScanPosition& a, const ScanPosition& b,
+                        const std::string& where) {
+  EXPECT_EQ(a.order, b.order) << where;
+  EXPECT_EQ(a.key_type, b.key_type) << where;
+  EXPECT_EQ(a.key_enc, b.key_enc) << where;
+  EXPECT_EQ(a.key_str, b.key_str) << where;
+  EXPECT_EQ(a.rid, b.rid) << where;
+}
+
+void ExpectSameDemotion(const Demotion& a, const Demotion& b,
+                        const std::string& where) {
+  EXPECT_EQ(a.demoted, b.demoted) << where;
+  EXPECT_EQ(a.seq, b.seq) << where;
+  ExpectSamePosition(a.prefix, b.prefix, where);
+  EXPECT_EQ(a.prefix_col, b.prefix_col) << where;
+  EXPECT_EQ(a.remaining_entries, b.remaining_entries) << where;
+  EXPECT_EQ(a.remaining_fraction, b.remaining_fraction) << where;
+}
+
+// One DrivingScans serves both hosts: the serial pull (Next, one entry at a
+// time) and the coordinator's (Fill, any morsel size) dispense the same
+// RIDs at the same positions for the same work, exactly once each, and a
+// mid-scan demotion records the same Demotion either way. Covers an
+// index-scan leg and a table-scan leg.
+TEST_F(ParallelExecutorTest, DrivingScansDispenseTheSameByNextAndFill) {
   DmvQueryGenerator gen(catalog_);
-  auto q = gen.Generate(2, 0);
+  auto q = gen.Generate(1, 0);
   ASSERT_TRUE(q.ok()) << q.status();
   auto plan = Plan(*q);
   ASSERT_TRUE(plan.ok()) << plan.status();
-  const size_t t0 = (*plan)->initial_order[0];
+  size_t index_leg = SIZE_MAX, table_leg = SIZE_MAX;
+  for (size_t t = 0; t < (*plan)->access.size(); ++t) {
+    size_t& leg = (*plan)->access[t].driving.index != nullptr ? index_leg : table_leg;
+    if (leg == SIZE_MAX) leg = t;
+  }
+  ASSERT_NE(index_leg, SIZE_MAX);
+  ASSERT_NE(table_leg, SIZE_MAX);
 
-  auto drain = [&](size_t size) {
-    MorselDriver driver(plan->get(), /*record_positions=*/false);
-    EXPECT_TRUE(driver.Promote(t0).ok());
-    std::vector<Rid> rids;
-    ParallelMorsel m;
-    while (driver.Fill(&m, size)) {
-      EXPECT_LE(m.rids.size(), size);
-      rids.insert(rids.end(), m.rids.begin(), m.rids.end());
-      EXPECT_TRUE(driver.high_water().has_value());
+  for (size_t table : {index_leg, table_leg}) {
+    const size_t other = table == index_leg ? table_leg : index_leg;
+    constexpr size_t kDemoteAfter = 7;
+    const ScanPulls serial = PullScan(plan->get(), table, other, 0, kDemoteAfter);
+    ASSERT_GT(serial.rids.size(), kDemoteAfter);
+    std::set<Rid> unique(serial.rids.begin(), serial.rids.end());
+    EXPECT_EQ(unique.size(), serial.rids.size()) << "dispenser duplicated an entry";
+
+    // The mid-scan demotion sits at the last entry dispensed and leaves the
+    // rest; the resumed promotion dispensed nothing, so it keeps the prefix.
+    DrivingScans scans(plan->get(), /*record_positions=*/false);
+    scans.Promote(table);
+    EXPECT_EQ(scans.total_entries(table), static_cast<double>(serial.rids.size()));
+    EXPECT_TRUE(serial.mid_scan.demoted);
+    EXPECT_EQ(serial.mid_scan.seq, 1u);
+    ExpectSamePosition(serial.mid_scan.prefix, serial.positions[kDemoteAfter - 1],
+                       "mid-scan prefix");
+    EXPECT_EQ(serial.mid_scan.remaining_entries,
+              static_cast<double>(serial.rids.size() - kDemoteAfter));
+    EXPECT_EQ(serial.resumed.seq, 1u);
+    ExpectSamePosition(serial.resumed.prefix, serial.mid_scan.prefix, "resumed prefix");
+
+    for (size_t morsel : {size_t{1}, size_t{3}, size_t{1} << 20}) {
+      const std::string where =
+          "table " + std::to_string(table) + " morsel " + std::to_string(morsel);
+      const ScanPulls filled = PullScan(plan->get(), table, other, morsel, kDemoteAfter);
+      EXPECT_EQ(filled.rids, serial.rids) << where;
+      ASSERT_EQ(filled.positions.size(), serial.positions.size()) << where;
+      for (size_t i = 0; i < serial.positions.size(); ++i) {
+        ExpectSamePosition(filled.positions[i], serial.positions[i], where);
+      }
+      EXPECT_EQ(filled.work_units, serial.work_units) << where;
+      ExpectSameDemotion(filled.mid_scan, serial.mid_scan, where + " mid-scan");
+      ExpectSameDemotion(filled.resumed, serial.resumed, where + " resumed");
     }
-    EXPECT_EQ(driver.dispensed_entries(t0),
-              static_cast<double>(rids.size()));
-    return rids;
-  };
-
-  std::vector<Rid> small = drain(3);
-  std::vector<Rid> large = drain(1u << 20);
-  EXPECT_EQ(small, large);
-  EXPECT_FALSE(small.empty());
-  std::set<Rid> unique(small.begin(), small.end());
-  EXPECT_EQ(unique.size(), small.size()) << "dispenser duplicated an entry";
+  }
 }
 
 // ---- morsel ramp -----------------------------------------------------------
 
-/// A DrivingSource over an in-memory entry counter that records every
-/// Fill budget the coordinator asks for.
-class CountingSource : public DrivingSource {
- public:
-  explicit CountingSource(size_t total) : total_(total) {}
+/// owner JOIN car with no local predicate: whichever leg drives scans all
+/// its rows (3000 owners or about 3350 cars in this fixture), long enough
+/// for the ramp to reach its cap and stay there.
+JoinQuery OwnerCar() {
+  JoinQuery q;
+  q.name = "owner_car";
+  q.tables = {{"o", "owner"}, {"c", "car"}};
+  q.edges = {{1, "ownerid", 0, "id", 0}};
+  q.local_predicates.assign(2, nullptr);
+  q.output = {{0, "id"}, {1, "id"}};
+  return q;
+}
 
-  Status Promote(size_t table) override {
-    current_ = table;
-    return Status::OK();
-  }
-  bool Fill(ParallelMorsel* morsel, size_t max_entries) override {
-    budgets.push_back(max_entries);
-    morsel->rids.clear();
-    morsel->positions.clear();
-    while (morsel->rids.size() < max_entries && next_ < total_) {
-      morsel->rids.push_back(next_++);
-    }
-    return !morsel->rids.empty();
-  }
-  std::optional<ScanPosition> high_water() const override {
-    return std::nullopt;
-  }
-  double total_entries(size_t) const override {
-    return static_cast<double>(total_);
-  }
-  double dispensed_entries(size_t) const override {
-    return static_cast<double>(next_);
-  }
-  bool ever_promoted(size_t table) const override { return table == current_; }
-  size_t prefix_col(size_t) const override { return SIZE_MAX; }
-  uint64_t scan_work_units() const override { return 0; }
-
-  std::vector<size_t> budgets;
-
- private:
-  size_t total_;
-  size_t next_ = 0;
-  size_t current_ = SIZE_MAX;
-};
-
-/// Drains `source` through a one-worker coordinator, folding an empty
-/// delta after every morsel (what ExecuteWorker does, minus the pipeline).
-void DrainThroughCoordinator(const PipelinePlan* plan,
-                             const AdaptiveOptions& options,
-                             CountingSource* source) {
-  AdaptiveCoordinator coordinator(plan, options, source);
-  ASSERT_TRUE(coordinator.Init().ok());
+/// Drains a one-worker coordinator over `plan`'s driving scan, folding an
+/// empty delta after every morsel (what ExecuteWorker does, minus the
+/// pipeline), and returns the acquired morsels' sizes.
+std::vector<size_t> DrainThroughCoordinator(const PipelinePlan* plan,
+                                            const AdaptiveOptions& options) {
+  AdaptiveCoordinator coordinator(plan, options, /*record_positions=*/false);
   ParallelWorkerSync sync;
-  ASSERT_TRUE(coordinator.RegisterWorker(&sync));
+  EXPECT_TRUE(coordinator.RegisterWorker(&sync));
   WorkerMonitorDeltas empty;
   empty.inner.resize(plan->query.tables.size());
   empty.driving.resize(plan->query.tables.size());
   empty.edges.resize(plan->query.edges.size());
+  std::vector<size_t> sizes;
   ParallelMorsel m;
   while (coordinator.AcquireMorsel(&m) ==
          AdaptiveCoordinator::Acquire::kMorsel) {
+    sizes.push_back(m.rids.size());
     coordinator.Fold(empty);
+  }
+  return sizes;
+}
+
+/// Every morsel but the last holds exactly its budget; the last, where the
+/// scan ran out, at most that.
+void ExpectMorselSizes(const std::vector<size_t>& sizes,
+                       const std::function<size_t(size_t)>& budget) {
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    if (i + 1 < sizes.size()) {
+      EXPECT_EQ(sizes[i], budget(i)) << "morsel " << i;
+    } else {
+      EXPECT_LE(sizes[i], budget(i)) << "last morsel " << i;
+    }
   }
 }
 
@@ -449,108 +539,68 @@ AdaptiveOptions StaticOptions() {
 // "changed nothing": the ramp starts at c and doubles per fold up to the
 // largest c * 2^k within kMaxMorselEntries, then stays there.
 TEST_F(ParallelExecutorTest, StaticRunRampsFromCToTheCap) {
-  DmvQueryGenerator gen(catalog_);
-  auto q = gen.Generate(1, 0);
-  ASSERT_TRUE(q.ok()) << q.status();
-  auto plan = Plan(*q);
+  auto plan = Plan(OwnerCar());
   ASSERT_TRUE(plan.ok()) << plan.status();
 
-  CountingSource source(5000);
-  DrainThroughCoordinator(plan->get(), StaticOptions(), &source);
   const std::vector<size_t> ramp = {10, 20, 40, 80, 160, 320, 640};
-  ASSERT_GT(source.budgets.size(), ramp.size() + 2);
-  for (size_t i = 0; i < source.budgets.size(); ++i) {
-    const size_t expect = i < ramp.size() ? ramp[i] : 640;
-    EXPECT_EQ(source.budgets[i], expect) << "fill " << i;
-  }
+  const std::vector<size_t> sizes = DrainThroughCoordinator(plan->get(), StaticOptions());
+  ASSERT_GT(sizes.size(), ramp.size() + 2);
+  ExpectMorselSizes(sizes, [&](size_t i) { return i < ramp.size() ? ramp[i] : 640; });
 
   // A base that divides the ceiling ramps all the way to it.
   AdaptiveOptions c1 = StaticOptions();
   c1.check_frequency = 1;
-  CountingSource unit(5000);
-  DrainThroughCoordinator(plan->get(), c1, &unit);
-  ASSERT_GE(unit.budgets.size(), 12u);
-  EXPECT_EQ(unit.budgets[0], 1u);
-  EXPECT_EQ(unit.budgets[10], AdaptiveCoordinator::kMaxMorselEntries);
-  EXPECT_EQ(unit.budgets[11], AdaptiveCoordinator::kMaxMorselEntries);
+  const std::vector<size_t> unit = DrainThroughCoordinator(plan->get(), c1);
+  ASSERT_GE(unit.size(), 12u);
+  EXPECT_EQ(unit[0], 1u);
+  EXPECT_EQ(unit[10], AdaptiveCoordinator::kMaxMorselEntries);
+  ExpectMorselSizes(unit, [](size_t i) {
+    return std::min<size_t>(size_t{1} << i, AdaptiveCoordinator::kMaxMorselEntries);
+  });
 }
 
 // With check_backoff off the ramp mirrors CheckBackoff and stays at c.
 TEST_F(ParallelExecutorTest, RampStaysAtCWithoutBackoff) {
-  DmvQueryGenerator gen(catalog_);
-  auto q = gen.Generate(1, 0);
-  ASSERT_TRUE(q.ok()) << q.status();
-  auto plan = Plan(*q);
+  auto plan = Plan(OwnerCar());
   ASSERT_TRUE(plan.ok()) << plan.status();
 
   AdaptiveOptions options = StaticOptions();
   options.check_frequency = 7;
   options.check_backoff = false;
-  CountingSource source(500);
-  DrainThroughCoordinator(plan->get(), options, &source);
-  ASSERT_GT(source.budgets.size(), 10u);
-  for (size_t b : source.budgets) EXPECT_EQ(b, 7u);
+  const std::vector<size_t> sizes = DrainThroughCoordinator(plan->get(), options);
+  ASSERT_GT(sizes.size(), 10u);
+  ExpectMorselSizes(sizes, [](size_t) { return 7; });
 }
 
-/// Forwards to a MorselDriver and records every Fill budget.
-class RecordingSource : public DrivingSource {
- public:
-  explicit RecordingSource(const PipelinePlan* plan)
-      : driver_(plan, /*record_positions=*/true) {}
-
-  Status Promote(size_t table) override { return driver_.Promote(table); }
-  bool Fill(ParallelMorsel* morsel, size_t max_entries) override {
-    budgets.push_back(max_entries);
-    return driver_.Fill(morsel, max_entries);
-  }
-  std::optional<ScanPosition> high_water() const override {
-    return driver_.high_water();
-  }
-  double total_entries(size_t t) const override {
-    return driver_.total_entries(t);
-  }
-  double dispensed_entries(size_t t) const override {
-    return driver_.dispensed_entries(t);
-  }
-  bool ever_promoted(size_t t) const override { return driver_.ever_promoted(t); }
-  size_t prefix_col(size_t t) const override { return driver_.prefix_col(t); }
-  uint64_t scan_work_units() const override { return driver_.scan_work_units(); }
-
-  static constexpr size_t kBase = 10;
-  std::vector<size_t> budgets;
-
- private:
-  MorselDriver driver_;
-};
-
-/// Records, for every adaptation a worker adopts, the index of the morsel
-/// it adopted it in (adoption happens at the morsel's first driving row).
+/// Records the morsel budget every adaptation a worker adopts was adopted
+/// under. A one-worker run adopts right after AcquireMorsel, before any
+/// fold, so the coordinator's current budget is the adopting morsel's.
 class AdaptationLog : public ExecObserver {
  public:
-  explicit AdaptationLog(const RecordingSource* source) : source_(source) {}
+  explicit AdaptationLog(const AdaptiveCoordinator* coordinator)
+      : coordinator_(coordinator) {}
   void OnAdaptation(const AdaptationEvent& event) override {
-    fills.push_back(source_->budgets.size() - 1);
+    budgets.push_back(coordinator_->morsel_budget());
     switches += event.kind == AdaptationEvent::Kind::kDrivingSwitch ? 1 : 0;
   }
-  std::vector<size_t> fills;
+  std::vector<uint64_t> budgets;
   uint64_t switches = 0;
 
  private:
-  const RecordingSource* source_;
+  const AdaptiveCoordinator* coordinator_;
 };
 
-// Adaptive one-worker runs: the first morsel is c entries; each later one
-// either doubles the previous (up to the cap) or resets to c; and the
-// morsel after every inner reorder and every driving switch is c entries.
+// Adaptive one-worker runs: every inner reorder and every driving switch is
+// adopted in a c-entry morsel, and between them the ramp grows. (The
+// doubling and reset schedule itself is CheckBackoffTest's.)
 TEST_F(ParallelExecutorTest, RampResetsToCAfterReordersAndSwitches) {
-  constexpr size_t kC = RecordingSource::kBase;
+  constexpr size_t kC = 10;
   AdaptiveOptions options = Strict();
   options.check_frequency = kC;
   options.check_backoff = true;
-  const size_t cap = 640;  // largest 10 * 2^k <= kMaxMorselEntries
 
   DmvQueryGenerator gen(catalog_);
-  uint64_t inner_reorders = 0, switches = 0, doublings = 0;
+  uint64_t inner_reorders = 0, switches = 0, grown = 0;
   for (int t = 1; t <= kNumFourTableTemplates; ++t) {
     for (size_t v = 0; v < 4; ++v) {
       auto q = gen.Generate(t, v);
@@ -558,10 +608,10 @@ TEST_F(ParallelExecutorTest, RampResetsToCAfterReordersAndSwitches) {
       auto plan = Plan(*q);
       ASSERT_TRUE(plan.ok()) << plan.status();
 
-      RecordingSource source(plan->get());
-      AdaptiveCoordinator coordinator(plan->get(), options, &source);
-      ASSERT_TRUE(coordinator.Init().ok());
-      AdaptationLog log(&source);
+      // The observed worker reads positions for OnDrivingRow.
+      AdaptiveCoordinator coordinator(plan->get(), options,
+                                      /*record_positions=*/true);
+      AdaptationLog log(&coordinator);
       PipelineExecutor worker(plan->get(), options);
       worker.set_observer(&log);
       auto stats = worker.ExecuteWorker(&coordinator, nullptr);
@@ -569,30 +619,24 @@ TEST_F(ParallelExecutorTest, RampResetsToCAfterReordersAndSwitches) {
       ExecStats merged = *stats;
       coordinator.FinishStats(&merged);
 
-      const std::vector<size_t>& b = source.budgets;
-      ASSERT_FALSE(b.empty());
-      EXPECT_EQ(b[0], kC) << "T" << t << " v" << v;
-      for (size_t i = 1; i < b.size(); ++i) {
-        const size_t doubled = std::min(2 * b[i - 1], cap);
-        EXPECT_TRUE(b[i] == doubled || b[i] == kC)
-            << "T" << t << " v" << v << " fill " << i << ": " << b[i - 1]
-            << " -> " << b[i];
-        doublings += b[i] == doubled && doubled != kC ? 1 : 0;
-      }
-      for (size_t fill : log.fills) {
-        EXPECT_EQ(b[fill], kC) << "T" << t << " v" << v
-                               << ": adaptation adopted in a grown morsel";
+      ASSERT_GT(stats->morsels, 0u);
+      for (uint64_t budget : log.budgets) {
+        EXPECT_EQ(budget, kC) << "T" << t << " v" << v
+                              << ": adaptation adopted in a grown morsel";
       }
       // A change the scan ends before any worker adopts is not logged.
-      EXPECT_LE(log.fills.size(),
+      EXPECT_LE(log.budgets.size(),
                 merged.inner_reorders + merged.driving_switches);
+      // Every driving row came from some morsel; more rows than c per
+      // morsel means some morsel was larger than c.
+      grown += stats->driving_rows_produced > stats->morsels * kC ? 1 : 0;
       switches += log.switches;
-      inner_reorders += log.fills.size() - log.switches;
+      inner_reorders += log.budgets.size() - log.switches;
     }
   }
   EXPECT_GT(inner_reorders, 0u) << "no inner reorder: reset is untested";
   EXPECT_GT(switches, 0u) << "no driving switch: reset is untested";
-  EXPECT_GT(doublings, 0u) << "the ramp never grew";
+  EXPECT_GT(grown, 0u) << "the ramp never grew";
 }
 
 // A lease on a fully busy pool must revoke its tasks and return without

@@ -60,13 +60,16 @@ cmake --build "${BUILD_TSAN}" -j "${JOBS}" --target engine_stress_test \
 ctest --test-dir "${BUILD_TSAN}" -L stress --output-on-failure
 
 echo
-echo "== storage + decisions + executors + fuzz under AddressSanitizer/UBSan (${BUILD_ASAN}) =="
+echo "== storage + catalog + decisions + executors + fuzz under AddressSanitizer/UBSan (${BUILD_ASAN}) =="
 cmake -B "${BUILD_ASAN}" -S "${ROOT}" -DAJR_SANITIZE=address >/dev/null
 cmake --build "${BUILD_ASAN}" -j "${JOBS}" --target fuzz_smoke_test \
-  fuzz_differential bplus_tree_test cursors_test monitor_test policy_test \
-  parallel_executor_test pipeline_executor_test
+  fuzz_differential bplus_tree_test cursors_test catalog_test \
+  setup_equivalence_test monitor_test policy_test parallel_executor_test \
+  pipeline_executor_test
 "${BUILD_ASAN}/tests/bplus_tree_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/cursors_test" --gtest_brief=1
+"${BUILD_ASAN}/tests/catalog_test" --gtest_brief=1
+"${BUILD_ASAN}/tests/setup_equivalence_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/monitor_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/policy_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/parallel_executor_test" --gtest_brief=1

@@ -1,6 +1,7 @@
 #include "adaptive/decision_host.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/exec_stats.h"
 #include "common/string_util.h"
@@ -20,8 +21,11 @@ void Demotion::Record(const std::optional<ScanPosition>& at, size_t col,
       total > 0 ? std::min(1.0, remaining_entries / total) : 1.0;
 }
 
-DecisionHost::DecisionHost(const PipelinePlan* plan, const AdaptiveOptions& options)
-    : plan_(plan), options_(options), policy_(MakePolicy(options)) {
+DecisionHost::DecisionHost(const PipelinePlan* plan, const AdaptiveOptions& options,
+                           std::unique_ptr<AdaptationPolicy> policy)
+    : plan_(plan),
+      options_(options),
+      policy_(policy != nullptr ? std::move(policy) : MakePolicy(options)) {
   // Eq 1's probe-index height: the table's tallest index, at least 3.
   // Indexes are immutable after BulkLoad, so one pass serves the run.
   for (const TableEntry* entry : plan_->entries) {

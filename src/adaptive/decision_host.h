@@ -49,11 +49,10 @@ struct Demotion {
 
 class DecisionHost {
  public:
-  /// `plan` must outlive the host. The policy is MakePolicy(options).
-  DecisionHost(const PipelinePlan* plan, const AdaptiveOptions& options);
-
-  /// Replaces the policy (e.g. with a decorator that times Decide()).
-  void set_policy(std::unique_ptr<AdaptationPolicy> policy) { policy_ = std::move(policy); }
+  /// `plan` must outlive the host. The policy is `policy` when given (e.g.
+  /// a decorator that times Decide()), else MakePolicy(options).
+  DecisionHost(const PipelinePlan* plan, const AdaptiveOptions& options,
+               std::unique_ptr<AdaptationPolicy> policy = nullptr);
 
   /// The policy's capability gates, checked before paying for a check.
   bool adapts_inners() const { return policy_->adapts_inners(); }

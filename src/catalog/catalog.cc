@@ -1,7 +1,10 @@
 #include "catalog/catalog.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <array>
+#include <bit>
+#include <type_traits>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -52,6 +55,118 @@ StatusOr<const TableEntry*> Catalog::GetTable(const std::string& name) const {
   return static_cast<const TableEntry*>(it->second.get());
 }
 
+namespace {
+
+using EncodedEntry = BPlusTree::EncodedEntry;
+
+// Set-up sorts one of two entry kinds: ANALYZE a bare key per row, an index
+// build a (key, RID) entry per row. Both are sorted by key alone.
+uint64_t& KeyOf(uint64_t& key) { return key; }
+uint64_t& KeyOf(EncodedEntry& e) { return e.key; }
+
+/// Stable LSD radix sort of data[0, n) by the key bytes set in `varying`,
+/// ping-ponging through `buffer` (n entries).
+template <typename Entry>
+void LsdSort(Entry* data, Entry* buffer, size_t n, uint64_t varying) {
+  Entry* from = data;
+  Entry* to = buffer;
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xff) == 0) continue;
+    std::array<size_t, 256> offsets{};
+    for (size_t i = 0; i < n; ++i) ++offsets[(KeyOf(from[i]) >> shift) & 0xff];
+    size_t start = 0;
+    for (size_t& offset : offsets) start += std::exchange(offset, start);
+    for (size_t i = 0; i < n; ++i) to[offsets[(KeyOf(from[i]) >> shift) & 0xff]++] = from[i];
+    std::swap(from, to);
+  }
+  if (from != data) std::copy(from, from + n, data);
+}
+
+/// The column's cells sorted by (key, RID), keys in the form a BPlusTree
+/// stores: numeric and bool cells order-encoded, string cells as pool ids.
+/// Strings sort by each id's rank in byte order, ranked once over the
+/// column's distinct ids, so the sort compares integers only.
+///
+/// The sort is a stable radix sort that skips key bits equal in every key.
+/// A first pass copies the column in RID order, which is the result when
+/// the keys are already in order. Otherwise a counting pass on the top eight
+/// varying bits scatters the rows, in RID order, from the table into their
+/// buckets of the result, and an LSD sort on the lower varying bytes orders
+/// each bucket. Scratch space is one bucket, not the column.
+template <typename Entry>
+std::vector<Entry> SortedColumn(const HeapTable& table, size_t col_idx) {
+  const DataType type = table.layout().type(col_idx);
+  const size_t n = table.num_rows();
+  std::vector<uint32_t> rank;  // string columns: by pool id
+  std::vector<uint32_t> ids;   // string columns: by rank, once sorted
+  if (type == DataType::kString) {
+    const StringPool& pool = table.pool();
+    constexpr uint32_t kUnseen = UINT32_MAX;
+    rank.assign(pool.size(), kUnseen);
+    for (Rid rid = 0; rid < n; ++rid) {
+      const uint32_t id = table.View(rid).GetStringId(col_idx);
+      if (rank[id] == kUnseen) {
+        rank[id] = 0;
+        ids.push_back(id);
+      }
+    }
+    std::sort(ids.begin(), ids.end(),
+              [&pool](uint32_t a, uint32_t b) { return pool.Get(a) < pool.Get(b); });
+    for (uint32_t r = 0; r < ids.size(); ++r) rank[ids[r]] = r;
+  }
+  auto key_at = [&](Rid rid) -> uint64_t {
+    const uint64_t cell = table.View(rid).raw(col_idx);
+    return type == DataType::kString ? rank[CellToStringId(cell)] : OrderEncodeCell(cell, type);
+  };
+
+  auto entry = [](uint64_t key, Rid rid) {
+    if constexpr (std::is_same_v<Entry, EncodedEntry>) {
+      return EncodedEntry{key, rid};
+    } else {
+      return key;
+    }
+  };
+
+  std::vector<Entry> sorted(n);
+  uint64_t varying = 0;
+  bool in_order = true;
+  for (Rid rid = 0; rid < n; ++rid) {
+    const uint64_t key = key_at(rid);
+    sorted[rid] = entry(key, rid);
+    varying |= key ^ KeyOf(sorted[0]);
+    in_order &= rid == 0 || KeyOf(sorted[rid - 1]) <= key;
+  }
+  if (!in_order) {
+    // The bucket digit is key bits [low, low + 8).
+    const int low = std::max(0, 63 - std::countl_zero(varying) - 7);
+    std::array<size_t, 257> bucket{};  // bucket d is [bucket[d], bucket[d + 1])
+    for (Entry& e : sorted) ++bucket[((KeyOf(e) >> low) & 0xff) + 1];
+    for (size_t d = 1; d < bucket.size(); ++d) bucket[d] += bucket[d - 1];
+    std::array<size_t, 256> next;
+    std::copy(bucket.begin(), bucket.end() - 1, next.begin());
+    // Scatter from the table again, overwriting the RID-order copy.
+    for (Rid rid = 0; rid < n; ++rid) {
+      const uint64_t key = key_at(rid);
+      sorted[next[(key >> low) & 0xff]++] = entry(key, rid);
+    }
+    const uint64_t below = varying & ((uint64_t{1} << low) - 1);
+    if (below != 0) {
+      size_t largest = 0;
+      for (size_t d = 0; d < 256; ++d) largest = std::max(largest, bucket[d + 1] - bucket[d]);
+      std::vector<Entry> buffer(largest);
+      for (size_t d = 0; d < 256; ++d) {
+        LsdSort(sorted.data() + bucket[d], buffer.data(), bucket[d + 1] - bucket[d], below);
+      }
+    }
+  }
+  if (type == DataType::kString) {
+    for (Entry& e : sorted) KeyOf(e) = ids[KeyOf(e)];
+  }
+  return sorted;
+}
+
+}  // namespace
+
 Status Catalog::BuildIndex(const std::string& table_name, const std::string& column,
                            const std::string& index_name, size_t fanout) {
   AJR_ASSIGN_OR_RETURN(TableEntry * entry, GetTable(table_name));
@@ -62,89 +177,71 @@ Status Catalog::BuildIndex(const std::string& table_name, const std::string& col
 
   const HeapTable& table = entry->table();
   DataType key_type = entry->schema().column(col_idx).type;
-
-  // Build entries straight from page cells: numeric keys order-encode, and
-  // string keys reuse the table pool's ids (the tree shares the pool), so
-  // no Value is materialized per row.
-  std::vector<BPlusTree::EncodedEntry> entries;
-  entries.reserve(table.num_rows());
-  if (key_type == DataType::kString) {
-    for (Rid rid = 0; rid < table.num_rows(); ++rid) {
-      entries.push_back({table.View(rid).GetStringId(col_idx), rid});
-    }
-    const StringPool& pool = table.pool();
-    std::sort(entries.begin(), entries.end(),
-              [&pool](const BPlusTree::EncodedEntry& a, const BPlusTree::EncodedEntry& b) {
-                int c = pool.Compare(static_cast<uint32_t>(a.key),
-                                     static_cast<uint32_t>(b.key));
-                if (c != 0) return c < 0;
-                return a.rid < b.rid;
-              });
-  } else {
-    for (Rid rid = 0; rid < table.num_rows(); ++rid) {
-      entries.push_back({OrderEncodeCell(table.View(rid).raw(col_idx), key_type), rid});
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const BPlusTree::EncodedEntry& a, const BPlusTree::EncodedEntry& b) {
-                if (a.key != b.key) return a.key < b.key;
-                return a.rid < b.rid;
-              });
-  }
-
   auto info = std::make_unique<IndexInfo>();
   info->name = index_name;
   info->column = column;
   info->column_idx = col_idx;
+  // String keys are the table pool's ids: the tree shares the pool.
   info->tree = std::make_unique<BPlusTree>(
       key_type, fanout, key_type == DataType::kString ? &table.pool() : nullptr);
-  AJR_RETURN_IF_ERROR(info->tree->BulkLoadEncoded(std::move(entries)));
+  AJR_RETURN_IF_ERROR(info->tree->BulkLoadEncoded(SortedColumn<EncodedEntry>(table, col_idx)));
   entry->indexes_.push_back(std::move(info));
   return Status::OK();
 }
 
 namespace {
 
+/// Statistics read off the column's sorted keys: min and max are the ends,
+/// and each run of equal keys is one distinct value. A Value is built only
+/// for the outputs.
 ColumnStats ComputeColumnStats(const HeapTable& table, size_t col_idx,
                                const AnalyzeOptions& options) {
   ColumnStats stats;
-  std::unordered_map<Value, size_t, ValueHash> counts;
-  for (Rid rid = 0; rid < table.num_rows(); ++rid) {
-    Value v = table.View(rid).GetValue(col_idx);
-    if (!stats.min.has_value() || v < *stats.min) stats.min = v;
-    if (!stats.max.has_value() || v > *stats.max) stats.max = v;
-    counts[std::move(v)]++;
-  }
-  stats.ndv = counts.size();
-  if (!options.rich || counts.empty()) return stats;
+  const std::vector<uint64_t> keys = SortedColumn<uint64_t>(table, col_idx);
+  const size_t n = keys.size();
+  if (n == 0) return stats;
+  const DataType type = table.layout().type(col_idx);
+  auto value_at = [&](size_t pos) { return DecodeKeySlot(keys[pos], type, &table.pool()); };
+  stats.min = value_at(0);
+  stats.max = value_at(n - 1);
 
-  // Frequent values: top-k by count.
-  std::vector<FrequentValue> freq;
-  freq.reserve(counts.size());
-  for (const auto& [v, c] : counts) freq.push_back({v, c});
-  std::sort(freq.begin(), freq.end(), [](const FrequentValue& a, const FrequentValue& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.value < b.value;  // deterministic tie-break
-  });
-  if (freq.size() > options.top_k) freq.resize(options.top_k);
-  stats.frequent = std::move(freq);
-
-  // Equi-depth histogram over the sorted multiset of values.
-  std::vector<Value> sorted;
-  sorted.reserve(table.num_rows());
-  for (Rid rid = 0; rid < table.num_rows(); ++rid) {
-    sorted.push_back(table.View(rid).GetValue(col_idx));
+  // Frequent values are the top-k longest runs, equal counts in value
+  // order. `top` is a heap whose front is the weakest run kept.
+  struct Run {
+    size_t begin;
+    size_t count;
+  };
+  auto stronger = [](const Run& a, const Run& b) {
+    return a.count != b.count ? a.count > b.count : a.begin < b.begin;
+  };
+  const size_t top_k = options.rich ? options.top_k : 0;
+  std::vector<Run> top;
+  for (size_t i = 0; i < n;) {
+    size_t j = i + 1;
+    while (j < n && keys[j] == keys[i]) ++j;
+    ++stats.ndv;
+    const Run run{i, j - i};
+    if (top.size() < top_k) {
+      top.push_back(run);
+      std::push_heap(top.begin(), top.end(), stronger);
+    } else if (top_k > 0 && stronger(run, top.front())) {
+      std::pop_heap(top.begin(), top.end(), stronger);
+      top.back() = run;
+      std::push_heap(top.begin(), top.end(), stronger);
+    }
+    i = j;
   }
-  std::sort(sorted.begin(), sorted.end());
-  size_t buckets = std::min(options.histogram_buckets, sorted.size());
+  if (!options.rich) return stats;
+  std::sort_heap(top.begin(), top.end(), stronger);
+  for (const Run& run : top) stats.frequent.push_back({value_at(run.begin), run.count});
+
+  // Equi-depth histogram: the keys at positions b * n / buckets.
+  const size_t buckets = std::min(options.histogram_buckets, n);
   if (buckets > 0) {
     EquiDepthHistogram hist;
-    hist.rows = sorted.size();
-    hist.bounds.push_back(sorted.front());
-    for (size_t b = 1; b < buckets; ++b) {
-      size_t pos = b * sorted.size() / buckets;
-      hist.bounds.push_back(sorted[pos]);
-    }
-    hist.bounds.push_back(sorted.back());
+    hist.rows = n;
+    for (size_t b = 0; b < buckets; ++b) hist.bounds.push_back(value_at(b * n / buckets));
+    hist.bounds.push_back(value_at(n - 1));
     stats.histogram = std::move(hist);
   }
   return stats;

@@ -3,7 +3,9 @@
 // The catalog owns all storage objects. Indexes are built with BulkLoad
 // after table population (BuildIndex), matching the paper's setting where
 // "proper indexes are built on join columns" (Sec 3.1). ANALYZE computes
-// per-column statistics in two tiers (see column_stats.h).
+// per-column statistics in two tiers (see column_stats.h). Both read a
+// column as order-preserving uint64 keys radix-sorted by (key, RID), so
+// set-up builds a Value only for the statistics it outputs.
 //
 // Thread safety: the catalog follows a build-then-serve lifecycle. During
 // the build phase (CreateTable / Append / BuildIndex / Analyze) it must be

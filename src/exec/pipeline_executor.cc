@@ -15,8 +15,7 @@ namespace ajr {
 PipelineExecutor::PipelineExecutor(const PipelinePlan* plan, AdaptiveOptions options)
     : plan_(plan),
       options_(options),
-      scans_(plan, /*record_positions=*/false),
-      decider_(plan, options) {}
+      scans_(plan, /*record_positions=*/false) {}
 
 PipelineExecutor::~PipelineExecutor() = default;
 
@@ -93,8 +92,8 @@ std::vector<LegView> PipelineExecutor::LegViews() const {
   std::vector<LegView> views(legs_.size());
   for (size_t t = 0; t < legs_.size(); ++t) {
     const LegRt& leg = legs_[t];
-    views[t] = decider_.View(t, leg.inner_monitor, leg.driving_monitor, leg.demotion,
-                             scans_.ever_promoted(t), scans_.total_entries(t));
+    views[t] = decider_->View(t, leg.inner_monitor, leg.driving_monitor, leg.demotion,
+                              scans_.ever_promoted(t), scans_.total_entries(t));
   }
   return views;
 }
@@ -242,7 +241,7 @@ void PipelineExecutor::DrivingCheck() {
   views[current].remaining_entries =
       EntriesLeft(scans_.total_entries(current), scans_.dispensed(current));
   auto new_order =
-      decider_.CheckDriving(views, edge_monitors_, order_, stats_.driving_rows_produced);
+      decider_->CheckDriving(views, edge_monitors_, order_, stats_.driving_rows_produced);
   if (!new_order.has_value()) return;
   driving_backoff_.OnReorder();
 
@@ -270,8 +269,8 @@ void PipelineExecutor::InnerCheck(size_t level) {
   LegRt& checking_leg = legs_[order_[level]];
   checking_leg.incoming_since_check = 0;
   checking_leg.check_backoff.OnUnproductiveCheck();
-  auto new_order = decider_.CheckInner(LegViews(), edge_monitors_, level,
-                                       stats_.driving_rows_produced, order_);
+  auto new_order = decider_->CheckInner(LegViews(), edge_monitors_, level,
+                                        stats_.driving_rows_produced, order_);
   if (!new_order.has_value()) return;
   checking_leg.check_backoff.OnReorder();
   std::vector<size_t> order_before = std::exchange(order_, std::move(*new_order));
@@ -314,8 +313,8 @@ Status PipelineExecutor::Run(const RowSink& sink) {
   const auto start = std::chrono::steady_clock::now();
   const size_t k = order_.size();
   // Only serial runs check; workers adopt the coordinator's decisions.
-  const bool check_driving = coordinator_ == nullptr && decider_.adapts_driving() && k > 1;
-  const bool check_inners = coordinator_ == nullptr && decider_.adapts_inners();
+  const bool check_driving = decider_.has_value() && decider_->adapts_driving() && k > 1;
+  const bool check_inners = decider_.has_value() && decider_->adapts_inners();
   int level = 0;
   while (level >= 0) {
     if (level == 0) {
@@ -381,11 +380,12 @@ Status PipelineExecutor::Run(const RowSink& sink) {
 
 StatusOr<ExecStats> PipelineExecutor::Execute(const RowSink& sink) {
   AJR_RETURN_IF_ERROR(Init("Execute()"));
+  decider_.emplace(plan_, options_, std::move(policy_));
   driving_backoff_ = CheckBackoff(options_.check_frequency, options_.check_backoff);
   scans_.Promote(order_[0]);
   RefreshPositions(1);
   AJR_RETURN_IF_ERROR(Run(sink));
-  decider_.FinishStats(&stats_);
+  decider_->FinishStats(&stats_);
   if (metrics_ != nullptr) {
     metrics_->GetCounter("exec.policy_decisions")->Add(stats_.policy_decisions);
   }

@@ -26,6 +26,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "adaptive/controller.h"
@@ -92,9 +93,10 @@ class PipelineExecutor {
 
   /// Injects the AdaptationPolicy this run's DecisionHost decides with.
   /// Default (no call): MakePolicy(options). Call before Execute(); for
-  /// decorators that wrap the policy (e.g. to time Decide()).
+  /// decorators that wrap the policy (e.g. to time Decide()). A worker
+  /// ignores it: it adopts the coordinator's decisions.
   void set_policy(std::unique_ptr<AdaptationPolicy> policy) {
-    decider_.set_policy(std::move(policy));
+    policy_ = std::move(policy);
   }
 
   /// Morsel-parallel worker mode (see exec/adaptive_coordinator.h): the
@@ -202,9 +204,11 @@ class PipelineExecutor {
   /// Serial runs' driving scans, their work charged to wc_. A worker's
   /// stay unpromoted: its entries come from the coordinator's scans.
   DrivingScans scans_;
-  /// Decides serial runs. A worker never consults its host: it adopts the
-  /// coordinator's decisions.
-  DecisionHost decider_;
+  /// The policy set_policy injected, until Execute() hands it to decider_.
+  std::unique_ptr<AdaptationPolicy> policy_;
+  /// Decides serial runs; built by Execute() only. A worker has none: it
+  /// adopts the coordinator's decisions.
+  std::optional<DecisionHost> decider_;
   const CancellationToken* cancel_token_ = nullptr;
   ExecObserver* observer_ = nullptr;
   const FaultInjection* faults_ = nullptr;

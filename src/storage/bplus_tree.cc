@@ -76,17 +76,7 @@ uint64_t BPlusTree::EncodeForStore(const Value& key) {
 }
 
 Value BPlusTree::DecodeKey(uint64_t stored) const {
-  switch (key_type_) {
-    case DataType::kBool:
-      return Value(stored != 0);
-    case DataType::kInt64:
-      return Value(OrderDecodeInt64(stored));
-    case DataType::kDouble:
-      return Value(OrderDecodeDouble(stored));
-    case DataType::kString:
-      return Value(std::string(pool_->Get(static_cast<uint32_t>(stored))));
-  }
-  CheckFailed("unreachable DataType in DecodeKey", __FILE__, __LINE__);
+  return DecodeKeySlot(stored, key_type_, pool_);
 }
 
 Status BPlusTree::BulkLoad(std::vector<IndexEntry> sorted_entries) {

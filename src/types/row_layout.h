@@ -98,6 +98,21 @@ inline uint64_t OrderEncodeCell(uint64_t cell, DataType t) {
   CheckFailed("OrderEncodeCell on string cell", __FILE__, __LINE__);
 }
 
+/// Inverse of OrderEncodeCell: the RAW cell of non-string type `t`.
+inline uint64_t OrderDecodeCell(uint64_t enc, DataType t) {
+  switch (t) {
+    case DataType::kBool:
+      return enc;
+    case DataType::kInt64:
+      return CellFromInt64(OrderDecodeInt64(enc));
+    case DataType::kDouble:
+      return CellFromDouble(OrderDecodeDouble(enc));
+    case DataType::kString:
+      break;
+  }
+  CheckFailed("OrderDecodeCell on string cell", __FILE__, __LINE__);
+}
+
 // --- RowLayout ------------------------------------------------------------
 
 /// Per-table slot layout derived from a Schema: the column types in slot
@@ -156,6 +171,12 @@ inline Value DecodeCell(uint64_t cell, DataType t, const StringPool* pool) {
       return Value(std::string(pool->Get(CellToStringId(cell))));
   }
   CheckFailed("unreachable DataType in DecodeCell", __FILE__, __LINE__);
+}
+
+/// Decodes an index key slot (order-encoded numeric, or a `pool` string
+/// id) into an owned Value.
+inline Value DecodeKeySlot(uint64_t slot, DataType t, const StringPool* pool) {
+  return DecodeCell(t == DataType::kString ? slot : OrderDecodeCell(slot, t), t, pool);
 }
 
 }  // namespace ajr

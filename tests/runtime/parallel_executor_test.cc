@@ -24,6 +24,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/adaptive_coordinator.h"
@@ -493,6 +494,16 @@ JoinQuery OwnerCar() {
   return q;
 }
 
+/// Empty deltas for every table and edge of `plan`: a worker's fold of a
+/// morsel that recorded nothing.
+WorkerMonitorDeltas NoEvidence(const PipelinePlan* plan) {
+  WorkerMonitorDeltas deltas;
+  deltas.inner.resize(plan->query.tables.size());
+  deltas.driving.resize(plan->query.tables.size());
+  deltas.edges.resize(plan->query.edges.size());
+  return deltas;
+}
+
 /// Drains a one-worker coordinator over `plan`'s driving scan, folding an
 /// empty delta after every morsel (what ExecuteWorker does, minus the
 /// pipeline), and returns the acquired morsels' sizes.
@@ -501,10 +512,7 @@ std::vector<size_t> DrainThroughCoordinator(const PipelinePlan* plan,
   AdaptiveCoordinator coordinator(plan, options, /*record_positions=*/false);
   ParallelWorkerSync sync;
   EXPECT_TRUE(coordinator.RegisterWorker(&sync));
-  WorkerMonitorDeltas empty;
-  empty.inner.resize(plan->query.tables.size());
-  empty.driving.resize(plan->query.tables.size());
-  empty.edges.resize(plan->query.edges.size());
+  const WorkerMonitorDeltas empty = NoEvidence(plan);
   std::vector<size_t> sizes;
   ParallelMorsel m;
   while (coordinator.AcquireMorsel(&m) ==
@@ -637,6 +645,68 @@ TEST_F(ParallelExecutorTest, RampResetsToCAfterReordersAndSwitches) {
   EXPECT_GT(inner_reorders, 0u) << "no inner reorder: reset is untested";
   EXPECT_GT(switches, 0u) << "no driving switch: reset is untested";
   EXPECT_GT(grown, 0u) << "the ramp never grew";
+}
+
+// A fold that lands while a driving switch drains cannot change anything,
+// so it grows the ramp; installing the switch must reset it, so the new
+// driving leg's first morsels hold c entries. Driven directly: two
+// registered workers, one fold that decides the switch, one that lands in
+// the drain, then both arrive at the barrier.
+TEST_F(ParallelExecutorTest, SwitchInstallResetsARampGrownDuringTheDrain) {
+  auto plan = Plan(OwnerCar());
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const PipelinePlan* p = plan->get();
+  const size_t driving = p->initial_order[0];
+  const size_t inner = p->initial_order[1];
+  AdaptiveOptions options = Strict();
+  options.check_backoff = true;
+  const size_t c = options.check_frequency;
+
+  AdaptiveCoordinator coordinator(p, options, /*record_positions=*/false);
+  ParallelWorkerSync sync_a, sync_b;
+  ASSERT_TRUE(coordinator.RegisterWorker(&sync_a));
+  ASSERT_TRUE(coordinator.RegisterWorker(&sync_b));
+  ParallelMorsel morsel_a, morsel_b;
+  ASSERT_EQ(coordinator.AcquireMorsel(&morsel_a), AdaptiveCoordinator::Acquire::kMorsel);
+  ASSERT_EQ(coordinator.AcquireMorsel(&morsel_b), AdaptiveCoordinator::Acquire::kMorsel);
+
+  // Worker A's morsel: every driving entry passed, one probe edge pair per
+  // probe, and the inner leg kept almost none of its matches. Driving from
+  // the inner leg is far cheaper, so the check decides a switch.
+  WorkerMonitorDeltas evidence = NoEvidence(p);
+  LegMonitor inner_monitor(options.history_window);
+  DrivingMonitor driving_monitor(options.history_window);
+  EdgeMonitor edge_monitor(options.history_window);
+  for (size_t i = 0; i < morsel_a.rids.size(); ++i) {
+    driving_monitor.RecordScannedEntry(true);
+    inner_monitor.RecordIncomingRow(/*after_edges=*/1, /*out=*/0, /*work=*/4);
+    edge_monitor.Record(static_cast<double>(p->entries[inner]->StatsCardinality()), 1);
+  }
+  evidence.inner[inner] = inner_monitor.TakeDelta();
+  evidence.driving[driving] = driving_monitor.TakeDelta();
+  evidence.edges[0] = edge_monitor.TakeDelta();
+  coordinator.Fold(evidence);
+  EXPECT_EQ(coordinator.morsel_budget(), c);
+
+  // Worker B's fold lands during the drain and doubles the ramp.
+  coordinator.Fold(NoEvidence(p));
+  EXPECT_EQ(coordinator.morsel_budget(), 2 * c);
+
+  // Both arrive at the barrier; whichever is last installs the switch.
+  AdaptiveCoordinator::Acquire acquired_a = AdaptiveCoordinator::Acquire::kAborted;
+  std::thread worker_a([&] { acquired_a = coordinator.AcquireMorsel(&morsel_a); });
+  const AdaptiveCoordinator::Acquire acquired_b = coordinator.AcquireMorsel(&morsel_b);
+  worker_a.join();
+  ASSERT_EQ(acquired_a, AdaptiveCoordinator::Acquire::kMorsel);
+  ASSERT_EQ(acquired_b, AdaptiveCoordinator::Acquire::kMorsel);
+  EXPECT_EQ(morsel_a.rids.size(), c);
+  EXPECT_EQ(morsel_b.rids.size(), c);
+  EXPECT_EQ(coordinator.morsel_budget(), c);
+
+  ExecStats stats;
+  coordinator.FinishStats(&stats);
+  EXPECT_EQ(stats.driving_switches, 1u);
+  EXPECT_EQ(stats.final_order[0], inner);
 }
 
 // A lease on a fully busy pool must revoke its tasks and return without

@@ -1,6 +1,6 @@
 // Google-benchmark micro-benchmarks for the storage and execution
-// substrates: B+-tree bulk load/probe/count, scan cursors, and end-to-end
-// pipeline execution with and without adaptation.
+// substrates: B+-tree bulk load/probe/count and end-to-end pipeline
+// execution with and without adaptation.
 
 #include <benchmark/benchmark.h>
 
@@ -10,7 +10,6 @@
 #include "common/random.h"
 #include "exec/pipeline_executor.h"
 #include "storage/bplus_tree.h"
-#include "storage/cursors.h"
 #include "workload/dmv.h"
 #include "workload/templates.h"
 
@@ -42,13 +41,12 @@ void BM_BPlusTreeProbe(benchmark::State& state) {
   BPlusTree tree(DataType::kInt64);
   if (!tree.BulkLoad(std::move(entries)).ok()) std::abort();
   Rng probe_rng(13);
+  std::vector<Rid> rids;
   for (auto _ : state) {
-    IndexProbe probe(&tree);
-    probe.Seek(Value(probe_rng.NextInt64(0, n / 4)), nullptr);
-    Rid rid;
-    int matches = 0;
-    while (probe.Next(nullptr, &rid)) ++matches;
-    benchmark::DoNotOptimize(matches);
+    rids.clear();
+    tree.Probe(IndexKey::Int64(probe_rng.NextInt64(0, n / 4)), nullptr, &rids);
+    benchmark::DoNotOptimize(rids.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
 }

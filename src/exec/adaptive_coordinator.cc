@@ -27,18 +27,15 @@ DrivingScans::DrivingScans(const PipelinePlan* plan, bool record_positions)
 
 void DrivingScans::OpenDrivingScan(size_t table) {
   const DrivingAccess& access = plan_->access[table].driving;
-  const HeapTable& heap = plan_->entries[table]->table();
   Leg& leg = legs_[table];
   if (access.index != nullptr) {
     leg.cursor = std::make_unique<IndexScanCursor>(access.index->tree.get(),
                                                    access.ranges);
-    leg.total_entries = static_cast<double>(
-        CountRangeEntries(*access.index->tree, access.ranges));
     leg.prefix_col = access.index->column_idx;
   } else {
-    leg.cursor = std::make_unique<TableScanCursor>(&heap);
-    leg.total_entries = static_cast<double>(heap.num_rows());
+    leg.cursor = std::make_unique<TableScanCursor>(&plan_->entries[table]->table());
   }
+  leg.total_entries = static_cast<double>(leg.cursor->total_entries());
 }
 
 void DrivingScans::Promote(size_t table) {

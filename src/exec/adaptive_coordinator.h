@@ -83,12 +83,12 @@ struct ParallelMorsel {
   std::vector<ScanPosition> positions;
 };
 
-/// The query's driving scans: one resumable scan per query table, opened at
-/// the table's first promotion (indexed legs scan in (key, RID) order over
-/// the plan's ranges, others in RID order) and kept across demotions, so a
-/// re-promotion resumes past every entry dispensed before (Sec 4.2's kept
-/// cursor). One table is promoted at a time. No locking of its own: the
-/// coordinator calls it under its mutex.
+/// The query's driving scans: one forward-only cursor per query table,
+/// opened at the table's first promotion (indexed legs scan in (key, RID)
+/// order over the plan's ranges, others in RID order) and kept across
+/// demotions, so a re-promotion continues past every entry dispensed before
+/// (Sec 4.2's kept cursor). One table is promoted at a time. No locking of
+/// its own: the coordinator calls it under its mutex.
 class DrivingScans {
  public:
   /// `plan` must outlive the scans. `record_positions` makes Fill record
@@ -97,7 +97,7 @@ class DrivingScans {
   DrivingScans(const PipelinePlan* plan, bool record_positions);
 
   /// Makes `table` the dispensing scan: opens it on the first promotion,
-  /// resumes it after that.
+  /// continues its kept cursor after that.
   void Promote(size_t table);
 
   /// The promoted scan's next entry, its work charged to `wc`; false once

@@ -13,9 +13,7 @@
 namespace ajr {
 
 PipelineExecutor::PipelineExecutor(const PipelinePlan* plan, AdaptiveOptions options)
-    : plan_(plan),
-      options_(options),
-      scans_(plan, /*record_positions=*/false) {}
+    : plan_(plan), options_(options) {}
 
 PipelineExecutor::~PipelineExecutor() = default;
 
@@ -93,14 +91,14 @@ std::vector<LegView> PipelineExecutor::LegViews() const {
   for (size_t t = 0; t < legs_.size(); ++t) {
     const LegRt& leg = legs_[t];
     views[t] = decider_->View(t, leg.inner_monitor, leg.driving_monitor, leg.demotion,
-                              scans_.ever_promoted(t), scans_.total_entries(t));
+                              scans_->ever_promoted(t), scans_->total_entries(t));
   }
   return views;
 }
 
 PipelineExecutor::Pull PipelineExecutor::NextDrivingEntry(Rid* rid) {
   if (coordinator_ == nullptr) {
-    return scans_.Next(&wc_, rid) ? Pull::kRow : Pull::kEnd;
+    return scans_->Next(&wc_, rid) ? Pull::kRow : Pull::kEnd;
   }
   while (morsel_pos_ == morsel_.rids.size()) {
     // Every row of the current morsel is through the pipeline: fold it
@@ -148,7 +146,7 @@ PipelineExecutor::Pull PipelineExecutor::NextDrivingRow() {
       // for observed runs.
       observer_->OnDrivingRow(t, rid,
                               coordinator_ == nullptr
-                                  ? scans_.position()
+                                  ? scans_->position()
                                   : morsel_.positions[morsel_pos_ - 1]);
     }
     return Pull::kRow;
@@ -239,30 +237,19 @@ void PipelineExecutor::DrivingCheck() {
   const size_t current = order_[0];
   std::vector<LegView> views = LegViews();
   views[current].remaining_entries =
-      EntriesLeft(scans_.total_entries(current), scans_.dispensed(current));
+      EntriesLeft(scans_->total_entries(current), scans_->dispensed(current));
   auto new_order =
       decider_->CheckDriving(views, edge_monitors_, order_, stats_.driving_rows_produced);
   if (!new_order.has_value()) return;
   driving_backoff_.OnReorder();
 
   // Demote the old driving leg: its processed prefix becomes its positional
-  // predicate (Sec 4.2). The scan is kept, so a re-promotion resumes it.
-  scans_.Demote(&legs_[current].demotion);
-  scans_.Promote((*new_order)[0]);
+  // predicate (Sec 4.2). The cursor is kept, so a re-promotion continues it.
+  scans_->Demote(&legs_[current].demotion);
+  scans_->Promote((*new_order)[0]);
   std::vector<size_t> order_before = std::exchange(order_, std::move(*new_order));
   RefreshPositions(1);
-
-  if (observer_ != nullptr) {
-    AdaptationEvent ev;
-    ev.kind = AdaptationEvent::Kind::kDrivingSwitch;
-    ev.position = 0;
-    ev.order_before = std::move(order_before);
-    ev.order_after = order_;
-    ev.driving_rows_produced = stats_.driving_rows_produced;
-    ev.demoted_table = current;
-    ev.demoted_prefix = legs_[current].demotion.prefix;
-    observer_->OnAdaptation(ev);
-  }
+  ReportAdaptation(0, std::move(order_before), current);
 }
 
 void PipelineExecutor::InnerCheck(size_t level) {
@@ -275,15 +262,25 @@ void PipelineExecutor::InnerCheck(size_t level) {
   checking_leg.check_backoff.OnReorder();
   std::vector<size_t> order_before = std::exchange(order_, std::move(*new_order));
   RefreshPositions(level);
-  if (observer_ != nullptr) {
-    AdaptationEvent ev;
-    ev.kind = AdaptationEvent::Kind::kInnerReorder;
-    ev.position = level;
-    ev.order_before = std::move(order_before);
-    ev.order_after = order_;
-    ev.driving_rows_produced = stats_.driving_rows_produced;
-    observer_->OnAdaptation(ev);
+  ReportAdaptation(level, std::move(order_before), SIZE_MAX);
+}
+
+void PipelineExecutor::ReportAdaptation(size_t position,
+                                        std::vector<size_t> order_before,
+                                        size_t demoted_table) {
+  if (observer_ == nullptr) return;
+  AdaptationEvent ev;
+  ev.kind = position == 0 ? AdaptationEvent::Kind::kDrivingSwitch
+                          : AdaptationEvent::Kind::kInnerReorder;
+  ev.position = position;
+  ev.order_before = std::move(order_before);
+  ev.order_after = order_;
+  ev.driving_rows_produced = stats_.driving_rows_produced;
+  if (demoted_table != SIZE_MAX) {
+    ev.demoted_table = demoted_table;
+    ev.demoted_prefix = legs_[demoted_table].demotion.prefix;
   }
+  observer_->OnAdaptation(ev);
 }
 
 void PipelineExecutor::EmitOnce(const RowSink& sink) {
@@ -382,7 +379,8 @@ StatusOr<ExecStats> PipelineExecutor::Execute(const RowSink& sink) {
   AJR_RETURN_IF_ERROR(Init("Execute()"));
   decider_.emplace(plan_, options_, std::move(policy_));
   driving_backoff_ = CheckBackoff(options_.check_frequency, options_.check_backoff);
-  scans_.Promote(order_[0]);
+  scans_.emplace(plan_, /*record_positions=*/false);
+  scans_->Promote(order_[0]);
   RefreshPositions(1);
   AJR_RETURN_IF_ERROR(Run(sink));
   decider_->FinishStats(&stats_);

@@ -12,7 +12,7 @@
 // Duplicate prevention is by construction (Sec 4.2): a demoted driving leg
 // carries a positional predicate on its scan order — "key > k* OR (key = k*
 // AND rid > r*)" for an index scan, "rid > r*" for a table scan — and its
-// cursor is kept so a re-promotion resumes the original scan.
+// cursor is kept so a re-promotion continues the original scan.
 //
 // Serial runs (Execute) and morsel-parallel workers (ExecuteWorker) share
 // that one loop; only its driving-entry source differs. A serial run pulls
@@ -101,7 +101,7 @@ class PipelineExecutor {
 
   /// Morsel-parallel worker mode (see exec/adaptive_coordinator.h): the
   /// same get-next loop as Execute(), but driving entries come from the
-  /// coordinator's morsels instead of the leg's own cursor,
+  /// coordinator's morsels (a worker opens no driving scan of its own),
   /// reorder decisions come from the coordinator's merged monitors (adopted
   /// before each driving entry is handed out — a full-pipeline depleted
   /// state), and worker-local monitor deltas are folded back after every
@@ -176,6 +176,12 @@ class PipelineExecutor {
   void ProbeLeg(size_t level);
   void DrivingCheck();
   void InnerCheck(size_t level);
+  /// Reports the order change that just took effect from pipeline
+  /// `position` (0 = a driving switch, else an inner reorder) to the
+  /// observer, if any. `demoted_table` (SIZE_MAX = none) names a switch's
+  /// demoted leg, whose recorded prefix the event carries.
+  void ReportAdaptation(size_t position, std::vector<size_t> order_before,
+                        size_t demoted_table);
   void Emit(const RowSink& sink);
   void EmitOnce(const RowSink& sink);
   /// Worker mode: applies a coordinator decision snapshot (new demotions,
@@ -201,9 +207,10 @@ class PipelineExecutor {
   WorkCounter wc_;
   uint64_t produced_since_check_ = 0;
   CheckBackoff driving_backoff_;
-  /// Serial runs' driving scans, their work charged to wc_. A worker's
-  /// stay unpromoted: its entries come from the coordinator's scans.
-  DrivingScans scans_;
+  /// Serial runs' driving scans, their work charged to wc_; built by
+  /// Execute() only. A worker has none: its entries come from the
+  /// coordinator's scans.
+  std::optional<DrivingScans> scans_;
   /// The policy set_policy injected, until Execute() hands it to decider_.
   std::unique_ptr<AdaptationPolicy> policy_;
   /// Decides serial runs; built by Execute() only. A worker has none: it

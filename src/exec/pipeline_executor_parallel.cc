@@ -35,21 +35,10 @@ void PipelineExecutor::AdoptParallelSync(const ParallelWorkerSync& sync) {
   // installed while every worker is parked at the drain barrier, so by the
   // time this worker runs again it is between morsels.
   RefreshPositions(1);
-  if (observer_ != nullptr && stats_.driving_rows_produced > 0) {
-    AdaptationEvent ev;
-    const bool switched = order_before[0] != order_[0];
-    ev.kind = switched ? AdaptationEvent::Kind::kDrivingSwitch
-                       : AdaptationEvent::Kind::kInnerReorder;
-    ev.position = switched ? 0 : 1;
-    ev.order_before = std::move(order_before);
-    ev.order_after = order_;
-    ev.driving_rows_produced = stats_.driving_rows_produced;
-    if (switched && demoted_table != SIZE_MAX) {
-      ev.demoted_table = demoted_table;
-      ev.demoted_prefix = legs_[demoted_table].demotion.prefix;
-    }
-    observer_->OnAdaptation(ev);
-  }
+  if (stats_.driving_rows_produced == 0) return;
+  const bool switched = order_before[0] != order_[0];
+  ReportAdaptation(switched ? 0 : 1, std::move(order_before),
+                   switched ? demoted_table : SIZE_MAX);
 }
 
 void PipelineExecutor::FoldMonitors() {

@@ -178,8 +178,8 @@ BPlusTree::Iterator BPlusTree::SeekEntry(const IndexKey& key, Rid rid,
 void BPlusTree::Probe(const IndexKey& key, WorkCounter* wc,
                       std::vector<Rid>* out) const {
   AJR_CHECK(key.type == key_type_);
-  // Identical charge sequence to IndexProbe: one seek, then one charged
-  // Next per returned match (the failing match test charges nothing).
+  // One seek, then one charged Next per returned match (the failing match
+  // test charges nothing).
   Iterator it = SeekEntry(key, /*rid=*/0, wc);
   while (it.Valid() && ProbeEquals(key, it.key_slot())) {
     out->push_back(it.rid());
@@ -204,18 +204,6 @@ BPlusTree::Iterator BPlusTree::Seek(const IndexKey& key, bool inclusive,
 BPlusTree::Iterator BPlusTree::Seek(const Value& key, bool inclusive,
                                     WorkCounter* wc) const {
   return Seek(EncodeKey(key), inclusive, wc);
-}
-
-BPlusTree::Iterator BPlusTree::SeekAfter(const IndexKey& key, Rid rid,
-                                         WorkCounter* wc) const {
-  AJR_CHECK(key.type == key_type_);
-  if (rid == UINT64_MAX) return Seek(key, /*inclusive=*/false, wc);
-  return SeekEntry(key, rid + 1, wc);
-}
-
-BPlusTree::Iterator BPlusTree::SeekAfter(const Value& key, Rid rid,
-                                         WorkCounter* wc) const {
-  return SeekAfter(EncodeKey(key), rid, wc);
 }
 
 size_t BPlusTree::CountKeyLess(const IndexKey& key) const {

@@ -127,12 +127,6 @@ class BPlusTree {
   /// Value materialization.
   Status BulkLoadEncoded(std::vector<EncodedEntry> sorted_entries);
 
-  /// True if a probe key equals a stored key slot.
-  bool ProbeEquals(const IndexKey& key, uint64_t stored) const {
-    if (key_type_ != DataType::kString) return key.enc == stored;
-    return key.str == pool_->Get(static_cast<uint32_t>(stored));
-  }
-
   /// Materializes a stored key slot as an owned Value.
   Value DecodeKey(uint64_t stored) const;
 
@@ -147,7 +141,7 @@ class BPlusTree {
     /// Index of the current entry in (key, RID) order; counts and range
     /// positions (CountKeyLess, ...) are in the same coordinates.
     size_t position() const { return pos_; }
-    /// Stored key slot (match via the owning tree's ProbeEquals).
+    /// Stored key slot (materialize via the owning tree's DecodeKey).
     uint64_t key_slot() const {
       assert(Valid());
       return tree_->entries_[pos_].key;
@@ -184,10 +178,6 @@ class BPlusTree {
   Iterator Seek(const IndexKey& key, bool inclusive, WorkCounter* wc) const;
   Iterator Seek(const Value& key, bool inclusive, WorkCounter* wc) const;
 
-  /// First entry strictly after (key, rid) — used to resume a saved cursor.
-  Iterator SeekAfter(const IndexKey& key, Rid rid, WorkCounter* wc) const;
-  Iterator SeekAfter(const Value& key, Rid rid, WorkCounter* wc) const;
-
   /// Number of entries with key strictly less than `key`: the position of
   /// its lower bound (the "key range cardinality" statistic commercial
   /// indexes expose; used to size driving scans).
@@ -218,6 +208,12 @@ class BPlusTree {
   size_t KeyLowerBound(uint64_t key) const;
 
   Iterator SeekEntry(const IndexKey& key, Rid rid, WorkCounter* wc) const;
+
+  /// True if a probe key equals a stored key slot.
+  bool ProbeEquals(const IndexKey& key, uint64_t stored) const {
+    if (key_type_ != DataType::kString) return key.enc == stored;
+    return key.str == pool_->Get(static_cast<uint32_t>(stored));
+  }
 
   DataType key_type_;
   size_t leaf_size_;  ///< L: entries per leaf

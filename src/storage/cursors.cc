@@ -1,6 +1,5 @@
 #include "storage/cursors.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace ajr {
@@ -15,14 +14,6 @@ bool TableScanCursor::Next(WorkCounter* wc, Rid* rid) {
 ScanPosition TableScanCursor::CurrentPosition() const {
   assert(next_rid_ > 0 && "CurrentPosition before first Next");
   return ScanPosition::AtRid(next_rid_ - 1);
-}
-
-Status TableScanCursor::ResumeFrom(const ScanPosition& pos) {
-  if (pos.order != ScanOrder::kRidOrder) {
-    return Status::InvalidArgument("TableScanCursor resume needs a RID-order position");
-  }
-  next_rid_ = pos.rid + 1;
-  return Status::OK();
 }
 
 namespace {
@@ -53,13 +44,10 @@ IndexScanCursor::IndexScanCursor(const BPlusTree* tree, std::vector<KeyRange> ra
   }
 }
 
-void IndexScanCursor::Reset() {
-  started_ = false;
-  range_idx_ = 0;
-  pending_.reset();
-  has_last_ = false;
-  resumed_.reset();
-  iter_ = BPlusTree::Iterator();
+size_t IndexScanCursor::total_entries() const {
+  size_t total = 0;
+  for (auto [begin, end] : span_) total += end > begin ? end - begin : 0;
+  return total;
 }
 
 void IndexScanCursor::AlignToRanges(WorkCounter* wc) {
@@ -79,10 +67,7 @@ void IndexScanCursor::AlignToRanges(WorkCounter* wc) {
 }
 
 bool IndexScanCursor::Next(WorkCounter* wc, Rid* rid) {
-  if (pending_.has_value()) {
-    iter_ = *pending_;
-    pending_.reset();
-  } else if (!started_) {
+  if (!started_) {
     started_ = true;
     if (ranges_.empty()) return false;
     const Bound& b = lo_.front();
@@ -96,62 +81,12 @@ bool IndexScanCursor::Next(WorkCounter* wc, Rid* rid) {
   *rid = iter_.rid();
   last_key_ = iter_.key_slot();
   last_rid_ = iter_.rid();
-  has_last_ = true;
   return true;
 }
 
 ScanPosition IndexScanCursor::CurrentPosition() const {
-  if (has_last_) {
-    return ScanPosition::AtKeyRid(tree_->DecodeKey(last_key_), last_rid_);
-  }
-  // No row produced since ResumeFrom: report the resumed-from point.
-  assert(resumed_.has_value() && "CurrentPosition before first Next");
-  return *resumed_;
-}
-
-Status IndexScanCursor::ResumeFrom(const ScanPosition& pos) {
-  if (pos.order != ScanOrder::kKeyRidOrder) {
-    return Status::InvalidArgument(
-        "IndexScanCursor resume needs a (key,RID)-order position");
-  }
-  started_ = true;
-  range_idx_ = 0;
-  pending_ = tree_->SeekAfter(pos.AsIndexKey(), pos.rid, nullptr);
-  resumed_ = pos;
-  has_last_ = false;
-  return Status::OK();
-}
-
-void IndexProbe::Seek(const IndexKey& key, WorkCounter* wc) {
-  key_ = key;
-  iter_ = tree_->Seek(key_, /*inclusive=*/true, wc);
-}
-
-void IndexProbe::Seek(const Value& key, WorkCounter* wc) {
-  if (key.type() == DataType::kString) {
-    owned_str_ = key.AsString();
-    key_ = IndexKey::String(owned_str_);
-  } else {
-    key_ = EncodeKey(key);
-  }
-  iter_ = tree_->Seek(key_, /*inclusive=*/true, wc);
-}
-
-bool IndexProbe::Next(WorkCounter* wc, Rid* rid) {
-  if (!iter_.Valid()) return false;
-  if (!tree_->ProbeEquals(key_, iter_.key_slot())) return false;
-  *rid = iter_.rid();
-  iter_.Next(wc);
-  return true;
-}
-
-size_t CountRangeEntries(const BPlusTree& tree, const std::vector<KeyRange>& ranges) {
-  size_t total = 0;
-  for (const KeyRange& r : ranges) {
-    auto [begin, end] = RangeSpan(tree, r);
-    total += end > begin ? end - begin : 0;
-  }
-  return total;
+  assert(started_ && "CurrentPosition before first Next");
+  return ScanPosition::AtKeyRid(tree_->DecodeKey(last_key_), last_rid_);
 }
 
 }  // namespace ajr

@@ -1,30 +1,28 @@
 // Scan cursors: the access paths of driving legs.
 //
-// A ScanCursor yields the RIDs of one table in a deterministic scan order,
-// remembers the position of the last row it returned (so a demoted driving
-// leg can build its positional predicate), and can be resumed from a saved
-// position (so a re-promoted driving leg continues its original scan —
-// Sec 4.2's "the original cursor is also needed").
+// A ScanCursor yields the RIDs of one table in a deterministic scan order
+// and remembers the position of the last row it returned, so a demoted
+// driving leg can build its positional predicate. Cursors only move
+// forward: a demoted leg keeps its cursor object, and a re-promotion
+// continues that same scan (Sec 4.2's "the original cursor is also
+// needed").
 //
 // Each range becomes a [begin, end) pair of entry positions once at
 // construction, so per-row range checks are position compares (no key
-// compare, even on string keys); the remembered position is a key slot,
-// materialized only when asked for.
+// compare, even on string keys), and the scan's size is known before its
+// first row; the remembered position is a key slot, materialized only when
+// asked for.
 //
-// Thread safety: cursors and probes are stateful per-query objects — one
-// owner thread each, never shared. They only *read* the underlying
-// HeapTable/BPlusTree (const pointers), so any number of cursors on any
-// number of threads may scan the same storage concurrently.
+// Thread safety: cursors are stateful per-query objects — one owner thread
+// each, never shared. They only *read* the underlying HeapTable/BPlusTree
+// (const pointers), so any number of cursors on any number of threads may
+// scan the same storage concurrently.
 
 #pragma once
 
-#include <memory>
-#include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/status.h"
 #include "common/work_counter.h"
 #include "expr/range_extraction.h"
 #include "storage/bplus_tree.h"
@@ -33,11 +31,6 @@
 #include "storage/scan_position.h"
 
 namespace ajr {
-
-/// Entries of `tree` within `ranges` (bounds in Value form, as produced by
-/// ExtractRanges): the entries a driving index scan over them covers when
-/// the ranges are disjoint.
-size_t CountRangeEntries(const BPlusTree& tree, const std::vector<KeyRange>& ranges);
 
 /// Iterates the RIDs of a table in a well-defined scan order.
 class ScanCursor {
@@ -51,14 +44,8 @@ class ScanCursor {
   /// Next(); callers must not ask for it then.
   virtual ScanPosition CurrentPosition() const = 0;
 
-  /// Restarts the scan from the beginning.
-  virtual void Reset() = 0;
-
-  /// Continues the scan strictly after `pos` (which must match order()).
-  virtual Status ResumeFrom(const ScanPosition& pos) = 0;
-
-  /// The scan order this cursor produces.
-  virtual ScanOrder order() const = 0;
+  /// Entries the whole scan yields, known before the first Next().
+  virtual size_t total_entries() const = 0;
 };
 
 /// Full scan in RID order.
@@ -68,9 +55,7 @@ class TableScanCursor final : public ScanCursor {
 
   bool Next(WorkCounter* wc, Rid* rid) override;
   ScanPosition CurrentPosition() const override;
-  void Reset() override { next_rid_ = 0; }
-  Status ResumeFrom(const ScanPosition& pos) override;
-  ScanOrder order() const override { return ScanOrder::kRidOrder; }
+  size_t total_entries() const override { return table_->num_rows(); }
 
  private:
   const HeapTable* table_;
@@ -85,9 +70,7 @@ class IndexScanCursor final : public ScanCursor {
 
   bool Next(WorkCounter* wc, Rid* rid) override;
   ScanPosition CurrentPosition() const override;
-  void Reset() override;
-  Status ResumeFrom(const ScanPosition& pos) override;
-  ScanOrder order() const override { return ScanOrder::kKeyRidOrder; }
+  size_t total_entries() const override;
 
  private:
   /// One range lower bound in probe form; str views point into ranges_
@@ -113,38 +96,9 @@ class IndexScanCursor final : public ScanCursor {
   BPlusTree::Iterator iter_;
   size_t range_idx_ = 0;
   bool started_ = false;
-  // Set by ResumeFrom: the next Next() consumes this iterator rather than
-  // advancing.
-  std::optional<BPlusTree::Iterator> pending_;
   // Last-returned entry (cheap slot form; materialized by CurrentPosition).
   uint64_t last_key_ = 0;
   Rid last_rid_ = 0;
-  bool has_last_ = false;
-  // Position handed to ResumeFrom, reported until the next row is produced.
-  std::optional<ScanPosition> resumed_;
-};
-
-/// Point-probe helper for inner legs: for one join-key value, yields all
-/// matching RIDs in RID order.
-class IndexProbe {
- public:
-  explicit IndexProbe(const BPlusTree* tree) : tree_(tree) {}
-
-  /// Starts a probe for `key` (charges the traversal). The caller keeps the
-  /// key's string bytes alive until the probe is re-seeked or destroyed.
-  void Seek(const IndexKey& key, WorkCounter* wc);
-
-  /// Value-form Seek (tests / cold paths): copies string bytes locally.
-  void Seek(const Value& key, WorkCounter* wc);
-
-  /// Yields the next RID whose entry key equals the probed key.
-  bool Next(WorkCounter* wc, Rid* rid);
-
- private:
-  const BPlusTree* tree_;
-  BPlusTree::Iterator iter_;
-  IndexKey key_;
-  std::string owned_str_;  ///< backing for Value-form string seeks
 };
 
 }  // namespace ajr

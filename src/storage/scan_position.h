@@ -73,12 +73,6 @@ struct ScanPosition {
     CheckFailed("unreachable DataType in ScanPosition::key", __FILE__, __LINE__);
   }
 
-  /// The key in probe form (borrows key_str; valid while *this is alive).
-  IndexKey AsIndexKey() const {
-    if (key_type == DataType::kString) return IndexKey::String(key_str);
-    return IndexKey{key_type, key_enc, {}};
-  }
-
   /// True if a row at (row_key, row_rid) lies strictly after this position
   /// in (key, RID) order, where row_key is `row`'s cell at `slot`. Only
   /// valid for kKeyRidOrder. This is the positional-predicate hot path.

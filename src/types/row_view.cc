@@ -2,12 +2,6 @@
 
 namespace ajr {
 
-namespace {
-
-inline int Sign(int c) { return c < 0 ? -1 : (c > 0 ? 1 : 0); }
-
-}  // namespace
-
 bool RowView::CellEquals(size_t slot, const RowView& other, size_t other_slot) const {
   DataType lt = type(slot);
   DataType rt = other.type(other_slot);
@@ -21,37 +15,6 @@ bool RowView::CellEquals(size_t slot, const RowView& other, size_t other_slot) c
   AJR_CHECK(lt != DataType::kString && lt != DataType::kBool);
   AJR_CHECK(rt != DataType::kString && rt != DataType::kBool);
   return GetNumeric(slot) == other.GetNumeric(other_slot);
-}
-
-int RowView::CompareCell(size_t slot, const RowView& other, size_t other_slot) const {
-  DataType lt = type(slot);
-  DataType rt = other.type(other_slot);
-  if (lt == rt) {
-    switch (lt) {
-      case DataType::kBool: {
-        int a = GetBool(slot) ? 1 : 0;
-        int b = other.GetBool(other_slot) ? 1 : 0;
-        return a - b;
-      }
-      case DataType::kInt64: {
-        int64_t a = GetInt64(slot);
-        int64_t b = other.GetInt64(other_slot);
-        return a < b ? -1 : (a > b ? 1 : 0);
-      }
-      case DataType::kDouble: {
-        double a = GetDouble(slot);
-        double b = other.GetDouble(other_slot);
-        return a < b ? -1 : (a > b ? 1 : 0);
-      }
-      case DataType::kString:
-        return Sign(GetString(slot).compare(other.GetString(other_slot)));
-    }
-  }
-  AJR_CHECK(lt != DataType::kString && lt != DataType::kBool);
-  AJR_CHECK(rt != DataType::kString && rt != DataType::kBool);
-  double a = GetNumeric(slot);
-  double b = other.GetNumeric(other_slot);
-  return a < b ? -1 : (a > b ? 1 : 0);
 }
 
 RowBuffer::RowBuffer(const Schema& schema, const Row& row) : layout_(schema) {

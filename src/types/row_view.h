@@ -65,9 +65,6 @@ class RowView {
   /// compare by id; cross-pool strings compare bytes.
   bool CellEquals(size_t slot, const RowView& other, size_t other_slot) const;
 
-  /// Three-way compare with the same semantics as CellEquals.
-  int CompareCell(size_t slot, const RowView& other, size_t other_slot) const;
-
  private:
   const uint64_t* cells_ = nullptr;
   const RowLayout* layout_ = nullptr;

@@ -311,18 +311,6 @@ StatusOr<JoinQuery> DmvQueryGenerator::GenerateWide(int template_id,
   return q;
 }
 
-StatusOr<std::vector<JoinQuery>> DmvQueryGenerator::GenerateWideMix(
-    size_t num_tables, size_t count) const {
-  std::vector<JoinQuery> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    AJR_ASSIGN_OR_RETURN(
-        JoinQuery q, GenerateWide(1 + static_cast<int>(i % 2), num_tables, i / 2));
-    out.push_back(std::move(q));
-  }
-  return out;
-}
-
 StatusOr<std::vector<JoinQuery>> DmvQueryGenerator::GenerateSixTableMix(
     size_t count) const {
   std::vector<JoinQuery> out;

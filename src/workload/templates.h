@@ -86,10 +86,6 @@ class DmvQueryGenerator {
   StatusOr<JoinQuery> GenerateWide(int template_id, size_t num_tables,
                                    size_t variant) const;
 
-  /// `count` wide queries at `num_tables` tables, alternating W1/W2.
-  StatusOr<std::vector<JoinQuery>> GenerateWideMix(size_t num_tables,
-                                                   size_t count) const;
-
   /// The paper's literal Example 1 query.
   static JoinQuery Example1();
   /// The paper's literal Example 2 query (2-table).

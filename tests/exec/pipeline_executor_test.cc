@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "exec/adaptive_coordinator.h"
+#include "exec/exec_observer.h"
 #include "exec/reference_executor.h"
 #include "workload/dmv.h"
 #include "workload/templates.h"
@@ -229,6 +234,93 @@ TEST_F(PipelineExecutorTest, ExecutorIsSingleUse) {
   PipelineExecutor exec(plan->get(), Static());
   ASSERT_TRUE(exec.Execute(nullptr).ok());
   EXPECT_FALSE(exec.Execute(nullptr).ok());
+}
+
+/// Checks each adaptation event against the driving rows reported before
+/// it: the fields the observer-side oracle relies on must be filled in.
+class EventChecker : public ExecObserver {
+ public:
+  void OnDrivingRow(size_t t, Rid /*rid*/, const ScanPosition& pos) override {
+    last_pos_[t] = pos;
+    ++driving_rows_;
+  }
+
+  void OnAdaptation(const AdaptationEvent& event) override {
+    const std::vector<size_t>& before = event.order_before;
+    const std::vector<size_t>& after = event.order_after;
+    EXPECT_EQ(event.driving_rows_produced, driving_rows_);
+    ASSERT_EQ(before.size(), after.size());
+    EXPECT_NE(before, after);
+    EXPECT_TRUE(std::is_permutation(before.begin(), before.end(), after.begin()));
+    ASSERT_LT(event.position, before.size());
+    EXPECT_TRUE(std::equal(before.begin(), before.begin() + event.position, after.begin()));
+    if (event.kind == AdaptationEvent::Kind::kInnerReorder) {
+      ++inner_reorders;
+      EXPECT_GT(event.position, 0u);
+      EXPECT_EQ(event.demoted_table, SIZE_MAX);
+      EXPECT_FALSE(event.demoted_prefix.has_value());
+      return;
+    }
+    ++switches;
+    EXPECT_EQ(event.position, 0u);
+    EXPECT_NE(before[0], after[0]);
+    // The demoted leg is the old driving leg, and its prefix covers every
+    // driving row it reported.
+    EXPECT_EQ(event.demoted_table, before[0]);
+    ASSERT_TRUE(event.demoted_prefix.has_value());
+    auto last = last_pos_.find(before[0]);
+    if (last == last_pos_.end()) return;
+    const ScanPosition& prefix = *event.demoted_prefix;
+    ASSERT_EQ(prefix.order, last->second.order);
+    EXPECT_FALSE(prefix.order == ScanOrder::kRidOrder
+                     ? prefix.StrictlyBeforeRid(last->second.rid)
+                     : prefix.StrictlyBefore(last->second.key(), last->second.rid))
+        << prefix.ToString() << " before " << last->second.ToString();
+  }
+
+  uint64_t inner_reorders = 0;
+  uint64_t switches = 0;
+
+ private:
+  std::map<size_t, ScanPosition> last_pos_;
+  uint64_t driving_rows_ = 0;
+};
+
+// Serial checks and a one-worker run's adoptions report their changes
+// through the same observer events.
+TEST_F(PipelineExecutorTest, AdaptationEventsDescribeEachChange) {
+  DmvQueryGenerator gen(catalog_);
+  uint64_t inner_reorders = 0, switches = 0, worker_switches = 0;
+  for (int t = 1; t <= kNumFourTableTemplates; ++t) {
+    for (size_t variant = 0; variant < 6; ++variant) {
+      auto q = gen.Generate(t, variant);
+      ASSERT_TRUE(q.ok()) << q.status();
+      auto plan = planner_->Plan(*q);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+
+      EventChecker serial;
+      PipelineExecutor exec(plan->get(), Aggressive());
+      exec.set_observer(&serial);
+      auto stats = exec.Execute(nullptr);
+      ASSERT_TRUE(stats.ok()) << stats.status();
+      EXPECT_EQ(serial.inner_reorders, stats->inner_reorders) << q->name;
+      EXPECT_EQ(serial.switches, stats->driving_switches) << q->name;
+      inner_reorders += serial.inner_reorders;
+      switches += serial.switches;
+
+      // The observed worker reads positions for OnDrivingRow.
+      AdaptiveCoordinator coordinator(plan->get(), Aggressive(),
+                                      /*record_positions=*/true);
+      EventChecker adopted;
+      PipelineExecutor worker(plan->get(), Aggressive());
+      worker.set_observer(&adopted);
+      ASSERT_TRUE(worker.ExecuteWorker(&coordinator, nullptr).ok()) << q->name;
+      worker_switches += adopted.switches;
+    }
+  }
+  EXPECT_GT(inner_reorders, 0u);
+  EXPECT_GT(switches, 0u);
+  EXPECT_GT(worker_switches, 0u);
 }
 
 // Window-size sweep at aggressive checking: correctness must hold for any w.

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "common/random.h"
+#include "types/string_pool.h"
 
 namespace ajr {
 namespace {
@@ -102,18 +103,76 @@ TEST(BPlusTreeTest, SeekInclusiveExclusive) {
   EXPECT_EQ(before.key().AsInt64(), 10);
 }
 
-TEST(BPlusTreeTest, SeekAfterSkipsExactEntry) {
-  BPlusTree tree =
-      Load(DataType::kInt64, 4, {{Value(20), 5}, {Value(20), 6}, {Value(21), 0}});
-  auto it = tree.SeekAfter(Value(20), 5, nullptr);
-  ASSERT_TRUE(it.Valid());
-  EXPECT_EQ(it.key().AsInt64(), 20);
-  EXPECT_EQ(it.rid(), 6u);
-  it = tree.SeekAfter(Value(20), 6, nullptr);
-  ASSERT_TRUE(it.Valid());
-  EXPECT_EQ(it.key().AsInt64(), 21);
-  it = tree.SeekAfter(Value(21), 0, nullptr);
-  EXPECT_FALSE(it.Valid());
+// BPlusTree::Probe, the executor's one point-probe path: all matches in RID
+// order, charged one seek (the descent, plus a hop when the lower bound
+// runs off the descent's leaf), one entry scan per match and one node
+// visit per leaf end crossed.
+TEST(BPlusTreeProbeTest, YieldsAllMatchesInRidOrder) {
+  std::vector<IndexEntry> entries;  // keys 0..9, RIDs 4k..4k+3
+  for (Rid rid = 0; rid < 40; ++rid) entries.push_back({Value(int64_t(rid / 4)), rid});
+  BPlusTree tree = Load(DataType::kInt64, 8, entries);  // leaves of 5
+  WorkCounter wc;
+  std::vector<Rid> rids;
+  tree.Probe(IndexKey::Int64(3), &wc, &rids);
+  EXPECT_EQ(rids, (std::vector<Rid>{12, 13, 14, 15}));
+  // (3, 12) sits mid-leaf [10, 15): no hop. The step onto 15 ends a leaf.
+  EXPECT_EQ(wc.total(), (tree.height() + 1) * WorkCounter::kIndexNodeVisit +
+                            4 * WorkCounter::kIndexEntryScan);
+
+  // Key 5's run (20..23) opens the leaf [20, 25), but the target is (5, 0),
+  // not (5, 20): the descent picks the leaf before and hops. No leaf end
+  // is crossed.
+  wc.Reset();
+  rids.clear();
+  tree.Probe(IndexKey::Int64(5), &wc, &rids);
+  EXPECT_EQ(rids, (std::vector<Rid>{20, 21, 22, 23}));
+  EXPECT_EQ(wc.total(), (tree.height() + 1) * WorkCounter::kIndexNodeVisit +
+                            4 * WorkCounter::kIndexEntryScan);
+}
+
+TEST(BPlusTreeProbeTest, MissingKeyYieldsNothing) {
+  std::vector<IndexEntry> entries;  // even keys 0..18
+  for (Rid rid = 0; rid < 10; ++rid) entries.push_back({Value(int64_t(2 * rid)), rid});
+  BPlusTree tree = Load(DataType::kInt64, 8, entries);  // leaves of 5
+  WorkCounter wc;
+  std::vector<Rid> rids;
+  // Between entries, mid-leaf: the descent only; the failed match is free.
+  tree.Probe(IndexKey::Int64(5), &wc, &rids);
+  EXPECT_TRUE(rids.empty());
+  EXPECT_EQ(wc.total(), tree.height() * WorkCounter::kIndexNodeVisit);
+  // Past the last entry: the descent plus the hop off the last leaf.
+  wc.Reset();
+  tree.Probe(IndexKey::Int64(99), &wc, &rids);
+  EXPECT_TRUE(rids.empty());
+  EXPECT_EQ(wc.total(), (tree.height() + 1) * WorkCounter::kIndexNodeVisit);
+}
+
+TEST(BPlusTreeProbeTest, StringKeyFromAnotherPool) {
+  // The probe keys' bytes live in another pool, interned in another order
+  // than the tree's private pool, so a match must compare bytes, not ids.
+  const char* makes[] = {"Mercedes", "Audi", "Chevrolet", "BMW", "Mazda", "Audi"};
+  std::vector<IndexEntry> entries;
+  for (Rid i = 0; i < 6; ++i) entries.push_back({Value(makes[i]), i});
+  BPlusTree tree = Load(DataType::kString, 5, entries);  // leaves of 3
+  StringPool other;
+  const uint32_t mazda = other.Intern("Mazda");
+  const uint32_t audi = other.Intern("Audi");
+  const uint32_t opel = other.Intern("Opel");
+
+  WorkCounter wc;
+  std::vector<Rid> rids;
+  tree.Probe(IndexKey::String(other.Get(mazda)), &wc, &rids);
+  EXPECT_EQ(rids, (std::vector<Rid>{4}));
+  rids.clear();
+  tree.Probe(IndexKey::String(other.Get(audi)), nullptr, &rids);
+  EXPECT_EQ(rids, (std::vector<Rid>{1, 5}));
+  rids.clear();
+  tree.Probe(IndexKey::String(other.Get(opel)), nullptr, &rids);
+  EXPECT_TRUE(rids.empty());
+  // Order: Audi Audi BMW | Chevrolet Mazda Mercedes (leaves of 3). (Mazda,
+  // 0) sits mid-leaf; its one Next steps onto Mercedes: no leaf end.
+  EXPECT_EQ(wc.total(), tree.height() * WorkCounter::kIndexNodeVisit +
+                            WorkCounter::kIndexEntryScan);
 }
 
 TEST(BPlusTreeTest, BulkLoadMatchesInserts) {
@@ -199,12 +258,17 @@ size_t ModelHeight(size_t n, size_t leaf) {
 TEST(BPlusTreeTest, SeekChargesAndPositionsMatchLeafModel) {
   using Entry = std::pair<int64_t, Rid>;
   constexpr uint64_t kVisit = WorkCounter::kIndexNodeVisit;
+  // Seeks that land on a leaf's first entry and find their exact target
+  // there: the model charges them no hop.
+  size_t exact_leaf_start_hits = 0;
   for (size_t fanout : {4, 5, 7, 64}) {
     const size_t leaf = ModelLeafSize(fanout);
     for (size_t n : {size_t{0}, size_t{1}, leaf - 1, leaf, leaf + 1, 2 * leaf,
                      size_t{5000}}) {
       SCOPED_TRACE("fanout " + std::to_string(fanout) + " n " + std::to_string(n));
-      // Even keys with heavy duplication; rids 3i+1 leave gaps on both sides.
+      // Even keys with heavy duplication; rids 3i+1 leave gaps on both
+      // sides, except that each run of a key divisible by 4 starts at RID 0,
+      // so an inclusive seek on that key hits its exact target (k, 0).
       Rng rng(fanout * 7919 + n);
       std::vector<Entry> sorted;
       const int64_t distinct = std::max<int64_t>(1, static_cast<int64_t>(n) / 16);
@@ -212,6 +276,10 @@ TEST(BPlusTreeTest, SeekChargesAndPositionsMatchLeafModel) {
         sorted.emplace_back(2 * rng.NextInt64(0, distinct), static_cast<Rid>(3 * i + 1));
       }
       std::sort(sorted.begin(), sorted.end());
+      for (size_t i = 0; i < n; ++i) {
+        bool run_start = i == 0 || sorted[i - 1].first != sorted[i].first;
+        if (run_start && sorted[i].first % 4 == 0) sorted[i].second = 0;
+      }
       std::vector<IndexEntry> entries;
       for (const Entry& e : sorted) entries.push_back({Value(e.first), e.second});
       BPlusTree tree(DataType::kInt64, fanout);
@@ -220,32 +288,52 @@ TEST(BPlusTreeTest, SeekChargesAndPositionsMatchLeafModel) {
       ASSERT_EQ(tree.height(), ModelHeight(n, leaf));
       const uint64_t descent = tree.height() * kVisit;
 
-      // Lands on the brute-force lower bound of (key, rid) and charges the
-      // descent plus the model's hop.
-      auto expect_seek = [&](const BPlusTree::Iterator& it, const WorkCounter& wc,
-                             int64_t key, Rid rid, const char* op) {
-        SCOPED_TRACE(std::string(op) + " key " + std::to_string(key) + " rid " +
-                     std::to_string(rid));
-        Entry target{key, rid};
-        size_t p = std::lower_bound(sorted.begin(), sorted.end(), target) - sorted.begin();
-        bool hop = p == n || (p > 0 && p % leaf == 0 && sorted[p] != target);
-        EXPECT_EQ(wc.total(), descent + (hop ? kVisit : 0));
+      // The brute-force lower bound of `target` and the model's charge for
+      // seeking it: the descent, plus a hop unless the bound lies in the
+      // descent's leaf or is the target itself.
+      auto lower_bound = [&](Entry target) -> size_t {
+        return std::lower_bound(sorted.begin(), sorted.end(), target) - sorted.begin();
+      };
+      auto seek_charge = [&](Entry target, size_t p) -> uint64_t {
+        const bool leaf_start = p > 0 && p < n && p % leaf == 0;
+        if (leaf_start && sorted[p] == target) ++exact_leaf_start_hits;
+        const bool hop = p == n || (leaf_start && sorted[p] != target);
+        return descent + (hop ? kVisit : 0);
+      };
+      auto seek = [&](int64_t key, bool inclusive) {
+        SCOPED_TRACE(std::string(inclusive ? "Seek inclusive" : "Seek exclusive") +
+                     " key " + std::to_string(key));
+        WorkCounter wc;
+        auto it = tree.Seek(Value(key), inclusive, &wc);
+        const Entry target{key, inclusive ? 0 : UINT64_MAX};
+        const size_t p = lower_bound(target);
+        EXPECT_EQ(wc.total(), seek_charge(target, p));
         ASSERT_EQ(it.Valid(), p < n);
         if (p < n) {
           EXPECT_EQ(it.key().AsInt64(), sorted[p].first);
           EXPECT_EQ(it.rid(), sorted[p].second);
         }
       };
-      auto seek = [&](int64_t key, bool inclusive) {
+
+      // A point probe is that inclusive seek, then one charged Next per
+      // match: an entry scan each, plus a visit at each leaf end crossed.
+      auto probe = [&](int64_t key) {
+        SCOPED_TRACE("Probe key " + std::to_string(key));
         WorkCounter wc;
-        auto it = tree.Seek(Value(key), inclusive, &wc);
-        expect_seek(it, wc, key, inclusive ? 0 : UINT64_MAX,
-                    inclusive ? "Seek inclusive" : "Seek exclusive");
-      };
-      auto seek_after = [&](int64_t key, Rid rid) {
-        WorkCounter wc;
-        auto it = tree.SeekAfter(Value(key), rid, &wc);
-        expect_seek(it, wc, key, rid == UINT64_MAX ? UINT64_MAX : rid + 1, "SeekAfter");
+        std::vector<Rid> got;
+        tree.Probe(IndexKey::Int64(key), &wc, &got);
+        const Entry target{key, 0};
+        const size_t p = lower_bound(target);
+        std::vector<Rid> want;
+        uint64_t leaf_ends = 0;
+        for (size_t q = p; q < n && sorted[q].first == key; ++q) {
+          want.push_back(sorted[q].second);
+          if ((q + 1) % leaf == 0 || q + 1 == n) ++leaf_ends;
+        }
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(wc.total(), seek_charge(target, p) +
+                                  want.size() * WorkCounter::kIndexEntryScan +
+                                  leaf_ends * kVisit);
       };
 
       // Every key from below the minimum to above the maximum: present
@@ -254,17 +342,8 @@ TEST(BPlusTreeTest, SeekChargesAndPositionsMatchLeafModel) {
       for (int64_t k = -1; k <= max_key + 1; ++k) {
         seek(k, true);
         seek(k, false);
+        probe(k);
       }
-      // Each entry exactly (rid - 1 resumes onto it), just after it, and
-      // between it and the next rid; leaf-first entries are among these.
-      for (const Entry& e : sorted) {
-        seek_after(e.first, e.second - 1);
-        seek_after(e.first, e.second);
-        seek_after(e.first, e.second + 1);
-      }
-      seek_after(-1, 5);
-      seek_after(max_key, UINT64_MAX);
-      seek_after(max_key + 1, 0);
 
       // SeekFirst charges the descent only; a full scan adds one entry
       // scan per entry and one visit per leaf end.
@@ -282,6 +361,7 @@ TEST(BPlusTreeTest, SeekChargesAndPositionsMatchLeafModel) {
                                 (n + leaf - 1) / leaf * kVisit);
     }
   }
+  EXPECT_GT(exact_leaf_start_hits, 0u);
 }
 
 TEST(BPlusTreeTest, CountFunctionsMatchBruteForce) {

@@ -32,6 +32,7 @@ TEST(TableScanCursorTest, ScansAllRidsInOrder) {
   HeapTable t("t", Schema({{"x", DataType::kInt64}}));
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(t.Append({Value(i)}).ok());
   TableScanCursor c(&t);
+  EXPECT_EQ(c.total_entries(), 10u);
   auto rids = DrainCursor(&c);
   ASSERT_EQ(rids.size(), 10u);
   for (size_t i = 0; i < rids.size(); ++i) EXPECT_EQ(rids[i], i);
@@ -49,29 +50,11 @@ TEST(TableScanCursorTest, PositionAndResume) {
   EXPECT_EQ(pos.order, ScanOrder::kRidOrder);
   EXPECT_EQ(pos.rid, 1u);
 
-  TableScanCursor c2(&t);
-  ASSERT_TRUE(c2.ResumeFrom(pos).ok());
-  auto rest = DrainCursor(&c2);
+  // A kept cursor continues strictly after the position it reported.
+  auto rest = DrainCursor(&c);
   ASSERT_EQ(rest.size(), 8u);
   EXPECT_EQ(rest.front(), 2u);
   EXPECT_EQ(rest.back(), 9u);
-}
-
-TEST(TableScanCursorTest, ResumeRejectsWrongOrder) {
-  HeapTable t("t", Schema({{"x", DataType::kInt64}}));
-  TableScanCursor c(&t);
-  EXPECT_FALSE(c.ResumeFrom(ScanPosition::AtKeyRid(Value(1), 0)).ok());
-}
-
-TEST(TableScanCursorTest, ResetRestarts) {
-  HeapTable t("t", Schema({{"x", DataType::kInt64}}));
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(t.Append({Value(i)}).ok());
-  TableScanCursor c(&t);
-  Rid rid;
-  ASSERT_TRUE(c.Next(nullptr, &rid));
-  c.Reset();
-  auto all = DrainCursor(&c);
-  EXPECT_EQ(all.size(), 3u);
 }
 
 TEST(IndexScanCursorTest, FullScan) {
@@ -120,9 +103,11 @@ TEST(IndexScanCursorTest, MultiRangeScansInKeyOrder) {
 TEST(IndexScanCursorTest, EmptyRangesYieldNothing) {
   auto tree = MakeTree(10);
   IndexScanCursor c(&tree, {});
+  EXPECT_EQ(c.total_entries(), 0u);
   Rid rid;
   EXPECT_FALSE(c.Next(nullptr, &rid));
   IndexScanCursor c2(&tree, {KeyRange::Point(Value(99))});
+  EXPECT_EQ(c2.total_entries(), 0u);
   EXPECT_FALSE(c2.Next(nullptr, &rid));
 }
 
@@ -137,85 +122,15 @@ TEST(IndexScanCursorTest, PositionAndResumeWithinRange) {
   EXPECT_EQ(pos.key().AsInt64(), 1);
   EXPECT_EQ(pos.rid, 4u);
 
-  IndexScanCursor c2(&tree, {KeyRange::All()});
-  ASSERT_TRUE(c2.ResumeFrom(pos).ok());
-  auto rest = DrainCursor(&c2);
+  // A kept cursor continues strictly after the position it reported.
+  auto rest = DrainCursor(&c);
   ASSERT_EQ(rest.size(), 25u);
   EXPECT_EQ(rest.front(), 5u);
 }
 
-TEST(IndexScanCursorTest, ResumeAcrossRangeBoundary) {
-  auto tree = MakeTree(30, /*stride=*/3);
-  std::vector<KeyRange> ranges = {KeyRange::Point(Value(2)), KeyRange::Point(Value(7))};
-  IndexScanCursor c(&tree, ranges);
-  Rid rid;
-  // Consume all of range 1 (rids 6,7,8).
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(c.Next(nullptr, &rid));
-  ScanPosition pos = c.CurrentPosition();
-
-  IndexScanCursor c2(&tree, ranges);
-  ASSERT_TRUE(c2.ResumeFrom(pos).ok());
-  auto rest = DrainCursor(&c2);
-  ASSERT_EQ(rest.size(), 3u);
-  EXPECT_EQ(rest.front(), 21u);
-}
-
-TEST(IndexScanCursorTest, ResumeRejectsWrongOrder) {
-  auto tree = MakeTree(5);
-  IndexScanCursor c(&tree, {KeyRange::All()});
-  EXPECT_FALSE(c.ResumeFrom(ScanPosition::AtRid(3)).ok());
-}
-
-TEST(IndexProbeTest, YieldsAllMatches) {
-  auto tree = MakeTree(40, /*stride=*/4);  // keys 0..9, 4 rids each
-  IndexProbe probe(&tree);
-  probe.Seek(Value(3), nullptr);
-  std::vector<Rid> rids;
-  Rid rid;
-  while (probe.Next(nullptr, &rid)) rids.push_back(rid);
-  ASSERT_EQ(rids.size(), 4u);
-  EXPECT_EQ(rids.front(), 12u);
-  EXPECT_EQ(rids.back(), 15u);
-}
-
-TEST(IndexProbeTest, MissingKeyYieldsNothing) {
-  auto tree = MakeTree(10);
-  IndexProbe probe(&tree);
-  probe.Seek(Value(99), nullptr);
-  Rid rid;
-  EXPECT_FALSE(probe.Next(nullptr, &rid));
-}
-
-TEST(IndexProbeTest, ReusableAcrossSeeks) {
-  auto tree = MakeTree(20, /*stride=*/2);
-  IndexProbe probe(&tree);
-  Rid rid;
-  probe.Seek(Value(4), nullptr);
-  int n1 = 0;
-  while (probe.Next(nullptr, &rid)) ++n1;
-  probe.Seek(Value(9), nullptr);
-  int n2 = 0;
-  while (probe.Next(nullptr, &rid)) ++n2;
-  EXPECT_EQ(n1, 2);
-  EXPECT_EQ(n2, 2);
-}
-
-TEST(IndexProbeTest, ChargesWork) {
-  auto tree = MakeTree(1000);
-  WorkCounter wc;
-  IndexProbe probe(&tree);
-  probe.Seek(Value(500), &wc);
-  uint64_t after_seek = wc.total();
-  EXPECT_GE(after_seek, WorkCounter::kIndexNodeVisit);
-  Rid rid;
-  while (probe.Next(&wc, &rid)) {
-  }
-  EXPECT_GT(wc.total(), after_seek);
-}
-
 // String keys compare through the pool; the cursor's range checks are
 // entry positions, so bounds absent from the pool ("b~", "e") and
-// exclusive bounds must still land exactly, across a resume too.
+// exclusive bounds must still land exactly.
 TEST(IndexScanCursorTest, StringKeyRangesMatchBruteForce) {
   std::vector<IndexEntry> entries;
   for (int rid = 0; rid < 200; ++rid) {
@@ -249,18 +164,8 @@ TEST(IndexScanCursorTest, StringKeyRangesMatchBruteForce) {
   }
   ASSERT_FALSE(expected.empty());
   IndexScanCursor c(&tree, ranges);
+  EXPECT_EQ(c.total_entries(), expected.size());
   EXPECT_EQ(DrainCursor(&c), expected);
-  EXPECT_EQ(CountRangeEntries(tree, ranges), expected.size());
-
-  // Stop after a few rows, resume a fresh cursor from there.
-  IndexScanCursor first(&tree, ranges);
-  std::vector<Rid> got;
-  Rid rid;
-  for (int i = 0; i < 5 && first.Next(nullptr, &rid); ++i) got.push_back(rid);
-  IndexScanCursor rest(&tree, ranges);
-  ASSERT_TRUE(rest.ResumeFrom(first.CurrentPosition()).ok());
-  for (Rid r : DrainCursor(&rest)) got.push_back(r);
-  EXPECT_EQ(got, expected);
 }
 
 // Property test: cursor over random ranges equals brute-force filter.
@@ -295,6 +200,7 @@ TEST_P(IndexScanRangeSweep, MatchesBruteForce) {
   ranges = NormalizeRanges(std::move(ranges));
 
   IndexScanCursor c(&tree, ranges);
+  const size_t total = c.total_entries();
   auto got = DrainCursor(&c);
 
   // Brute force: all (key, rid) sorted, filtered by range membership.
@@ -313,7 +219,7 @@ TEST_P(IndexScanRangeSweep, MatchesBruteForce) {
   EXPECT_EQ(got, expected);
   // The scan's size is known up front: with disjoint ranges over duplicate
   // keys, total - scanned is exactly the entries a driving scan has left.
-  EXPECT_EQ(CountRangeEntries(tree, ranges), got.size());
+  EXPECT_EQ(total, got.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexScanRangeSweep,

@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
               "actual CLEG", "est S_LPI", "driving access");
   for (size_t t = 0; t < p.query.tables.size(); ++t) {
     const TableEntry& entry = *p.entries[t];
-    auto bound = BindPredicate(p.query.local_predicates[t], entry.schema());
+    auto bound = BindPredicate(p.query.local_predicates[t], entry.schema(),
+                               entry.table().pool());
     size_t actual = 0;
     for (Rid r = 0; r < entry.table().num_rows(); ++r) {
       if ((*bound)->Eval(entry.table().View(r))) ++actual;

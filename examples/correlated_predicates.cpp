@@ -29,7 +29,7 @@ namespace {
 
 // Actual fraction of rows of `entry` satisfying `predicate`.
 double ActualSelectivity(const TableEntry& entry, const ExprPtr& predicate) {
-  auto bound = BindPredicate(predicate, entry.schema());
+  auto bound = BindPredicate(predicate, entry.schema(), entry.table().pool());
   if (!bound.ok()) return 0;
   size_t hits = 0;
   for (Rid r = 0; r < entry.table().num_rows(); ++r) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command verification: tier-1 build + full ctest, then the `stress`
-# labeled suite rebuilt under ThreadSanitizer, then the storage tests
-# (index, cursor, heap table, key codec), the catalog tests, the golden
+# labeled suite rebuilt under ThreadSanitizer, then the string pool and
+# evaluator tests, the storage tests (index, cursor, heap table, key
+# codec), the catalog tests, the golden
 # decision trace, the serial and parallel executor tests, the fuzz smoke
 # suite and a short differential-fuzz burst rebuilt under AddressSanitizer +
 # UBSan (see ROADMAP.md).
@@ -61,12 +62,15 @@ cmake --build "${BUILD_TSAN}" -j "${JOBS}" --target engine_stress_test \
 ctest --test-dir "${BUILD_TSAN}" -L stress --output-on-failure
 
 echo
-echo "== storage + catalog + decisions + executors + fuzz under AddressSanitizer/UBSan (${BUILD_ASAN}) =="
+echo "== string pool + evaluator + storage + catalog + decisions + executors + fuzz under AddressSanitizer/UBSan (${BUILD_ASAN}) =="
 cmake -B "${BUILD_ASAN}" -S "${ROOT}" -DAJR_SANITIZE=address >/dev/null
 cmake --build "${BUILD_ASAN}" -j "${JOBS}" --target fuzz_smoke_test \
-  fuzz_differential bplus_tree_test cursors_test heap_table_test \
-  key_codec_property_test catalog_test setup_equivalence_test monitor_test \
-  policy_test parallel_executor_test pipeline_executor_test
+  fuzz_differential string_pool_test evaluator_test bplus_tree_test \
+  cursors_test heap_table_test key_codec_property_test catalog_test \
+  setup_equivalence_test monitor_test policy_test parallel_executor_test \
+  pipeline_executor_test
+"${BUILD_ASAN}/tests/string_pool_test" --gtest_brief=1
+"${BUILD_ASAN}/tests/evaluator_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/bplus_tree_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/cursors_test" --gtest_brief=1
 "${BUILD_ASAN}/tests/heap_table_test" --gtest_brief=1

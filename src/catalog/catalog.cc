@@ -33,7 +33,7 @@ StatusOr<TableEntry*> Catalog::CreateTable(const std::string& name, Schema schem
   if (tables_.count(name) > 0) {
     return Status::AlreadyExists(StrCat("table '", name, "' already exists"));
   }
-  auto entry = std::make_unique<TableEntry>(name, std::move(schema));
+  auto entry = std::make_unique<TableEntry>(name, std::move(schema), pool_.get());
   TableEntry* raw = entry.get();
   tables_.emplace(name, std::move(entry));
   return raw;
@@ -82,10 +82,8 @@ void LsdSort(Entry* data, Entry* buffer, size_t n, uint64_t varying) {
   if (from != data) std::copy(from, from + n, data);
 }
 
-/// The column's cells sorted by (key, RID), keys in the form a BPlusTree
-/// stores: numeric and bool cells order-encoded, string cells as pool ids.
-/// Strings sort by each id's rank in byte order, ranked once over the
-/// column's distinct ids, so the sort compares integers only.
+/// The column's cells sorted by (key, RID), keys in the order encoding a
+/// BPlusTree stores (string ids are byte-ordered once the pool is sealed).
 ///
 /// The sort is a stable radix sort that skips key bits equal in every key.
 /// A first pass copies the column in RID order, which is the result when
@@ -97,27 +95,7 @@ template <typename Entry>
 std::vector<Entry> SortedColumn(const HeapTable& table, size_t col_idx) {
   const DataType type = table.layout().type(col_idx);
   const size_t n = table.num_rows();
-  std::vector<uint32_t> rank;  // string columns: by pool id
-  std::vector<uint32_t> ids;   // string columns: by rank, once sorted
-  if (type == DataType::kString) {
-    const StringPool& pool = table.pool();
-    constexpr uint32_t kUnseen = UINT32_MAX;
-    rank.assign(pool.size(), kUnseen);
-    for (Rid rid = 0; rid < n; ++rid) {
-      const uint32_t id = table.View(rid).GetStringId(col_idx);
-      if (rank[id] == kUnseen) {
-        rank[id] = 0;
-        ids.push_back(id);
-      }
-    }
-    std::sort(ids.begin(), ids.end(),
-              [&pool](uint32_t a, uint32_t b) { return pool.Get(a) < pool.Get(b); });
-    for (uint32_t r = 0; r < ids.size(); ++r) rank[ids[r]] = r;
-  }
-  auto key_at = [&](Rid rid) -> uint64_t {
-    const uint64_t cell = table.View(rid).raw(col_idx);
-    return type == DataType::kString ? rank[CellToStringId(cell)] : OrderEncodeCell(cell, type);
-  };
+  auto key_at = [&](Rid rid) { return OrderEncodeCell(table.View(rid).raw(col_idx), type); };
 
   auto entry = [](uint64_t key, Rid rid) {
     if constexpr (std::is_same_v<Entry, EncodedEntry>) {
@@ -159,9 +137,6 @@ std::vector<Entry> SortedColumn(const HeapTable& table, size_t col_idx) {
       }
     }
   }
-  if (type == DataType::kString) {
-    for (Entry& e : sorted) KeyOf(e) = ids[KeyOf(e)];
-  }
   return sorted;
 }
 
@@ -170,6 +145,7 @@ std::vector<Entry> SortedColumn(const HeapTable& table, size_t col_idx) {
 Status Catalog::BuildIndex(const std::string& table_name, const std::string& column,
                            const std::string& index_name, size_t fanout) {
   AJR_ASSIGN_OR_RETURN(TableEntry * entry, GetTable(table_name));
+  SealStrings();
   if (entry->FindIndexByName(index_name) != nullptr) {
     return Status::AlreadyExists(StrCat("index '", index_name, "' already exists"));
   }
@@ -181,9 +157,8 @@ Status Catalog::BuildIndex(const std::string& table_name, const std::string& col
   info->name = index_name;
   info->column = column;
   info->column_idx = col_idx;
-  // String keys are the table pool's ids: the tree shares the pool.
   info->tree = std::make_unique<BPlusTree>(
-      key_type, fanout, key_type == DataType::kString ? &table.pool() : nullptr);
+      key_type, fanout, key_type == DataType::kString ? pool_.get() : nullptr);
   AJR_RETURN_IF_ERROR(info->tree->BulkLoadEncoded(SortedColumn<EncodedEntry>(table, col_idx)));
   entry->indexes_.push_back(std::move(info));
   return Status::OK();
@@ -201,7 +176,9 @@ ColumnStats ComputeColumnStats(const HeapTable& table, size_t col_idx,
   const size_t n = keys.size();
   if (n == 0) return stats;
   const DataType type = table.layout().type(col_idx);
-  auto value_at = [&](size_t pos) { return DecodeKeySlot(keys[pos], type, &table.pool()); };
+  auto value_at = [&](size_t pos) {
+    return DecodeCell(OrderDecodeCell(keys[pos], type), type, &table.pool());
+  };
   stats.min = value_at(0);
   stats.max = value_at(n - 1);
 
@@ -251,6 +228,7 @@ ColumnStats ComputeColumnStats(const HeapTable& table, size_t col_idx,
 
 Status Catalog::Analyze(const std::string& table_name, const AnalyzeOptions& options) {
   AJR_ASSIGN_OR_RETURN(TableEntry * entry, GetTable(table_name));
+  SealStrings();
   entry->column_stats_.clear();
   const Schema& schema = entry->schema();
   for (size_t i = 0; i < schema.num_columns(); ++i) {
@@ -265,6 +243,12 @@ Status Catalog::AnalyzeAll(const AnalyzeOptions& options) {
     AJR_RETURN_IF_ERROR(Analyze(name, options));
   }
   return Status::OK();
+}
+
+void Catalog::SealStrings() {
+  if (pool_->sealed()) return;
+  const std::vector<uint32_t> new_id = pool_->Seal();
+  for (const auto& [name, entry] : tables_) entry->table_.RenumberStrings(new_id);
 }
 
 std::vector<std::string> Catalog::TableNames() const {

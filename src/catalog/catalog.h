@@ -7,6 +7,13 @@
 // column as order-preserving uint64 keys radix-sorted by (key, RID), so
 // set-up builds a Value only for the statistics it outputs.
 //
+// Every table interns its strings into the catalog's one StringPool. The
+// first BuildIndex or Analyze ends loading: it seals the pool, so string
+// ids follow byte order, and rewrites every table's string cells once.
+// From then on a string cell is a key like any other, and equal strings
+// are equal ids in every table. Loading a string the pool lacks after the
+// seal fails a check; the engine only bulk-loads.
+//
 // Thread safety: the catalog follows a build-then-serve lifecycle. During
 // the build phase (CreateTable / Append / BuildIndex / Analyze) it must be
 // confined to one thread. Once built, the entire read surface — const
@@ -45,8 +52,8 @@ struct IndexInfo {
 /// A table plus its indexes and statistics.
 class TableEntry {
  public:
-  TableEntry(std::string name, Schema schema)
-      : table_(std::move(name), std::move(schema)) {}
+  TableEntry(std::string name, Schema schema, StringPool* pool)
+      : table_(std::move(name), std::move(schema), pool) {}
 
   HeapTable& table() { return table_; }
   const HeapTable& table() const { return table_; }
@@ -108,7 +115,16 @@ class Catalog {
 
   std::vector<std::string> TableNames() const;
 
+  /// The string pool every table shares (sealed once loading ends).
+  const StringPool& pool() const { return *pool_; }
+
  private:
+  /// Seals the pool and renumbers every table's string cells; a no-op once
+  /// sealed.
+  void SealStrings();
+
+  // Heap-allocated so tables keep their pool pointer when the catalog moves.
+  std::unique_ptr<StringPool> pool_ = std::make_unique<StringPool>();
   std::unordered_map<std::string, std::unique_ptr<TableEntry>> tables_;
 };
 

@@ -36,9 +36,7 @@ Status PipelineExecutor::Init(const char* entry_point) {
     leg.check_backoff = CheckBackoff(options_.check_frequency, options_.check_backoff);
     leg.inner_monitor = LegMonitor(options_.history_window);
     leg.driving_monitor = DrivingMonitor(options_.history_window);
-    // Bind against the table's string pool so string-equality constants
-    // lower to interned-id compares.
-    const StringPool* pool = &leg.entry->table().pool();
+    const StringPool& pool = leg.entry->table().pool();
     AJR_ASSIGN_OR_RETURN(
         leg.local_bound,
         BindPredicate(q.local_predicates[t], leg.entry->schema(), pool));
@@ -198,7 +196,7 @@ void PipelineExecutor::ProbeLeg(size_t level) {
   const size_t other_col = legs_[other].edge_col[leg.probe_edge];
   if (probe_index != nullptr) {
     // Probe with the other side's cell directly — no Value materialization;
-    // string keys borrow bytes from the other table's pool (stable storage).
+    // both tables' string ids come from the catalog's one sealed pool.
     IndexKey key = EncodeKeyFromCell(current_rows_[other], other_col);
     probe_rids_.clear();
     probe_index->tree->Probe(key, &wc_, &probe_rids_);

@@ -18,14 +18,12 @@ namespace ajr {
 void PipelineExecutor::AdoptParallelSync(const ParallelWorkerSync& sync) {
   std::vector<size_t> order_before = order_;
   bool demoted_any = false;
-  size_t demoted_table = SIZE_MAX;
   for (size_t t = 0; t < sync.demotions.size(); ++t) {
     const Demotion& dem = sync.demotions[t];
     // Never demoted (seq 0) or already applied.
     if (dem.seq <= legs_[t].demotion.seq) continue;
     legs_[t].demotion = dem;
     demoted_any = true;
-    demoted_table = t;
   }
   const bool order_changed = order_ != sync.order;
   order_ = sync.order;
@@ -36,9 +34,12 @@ void PipelineExecutor::AdoptParallelSync(const ParallelWorkerSync& sync) {
   // time this worker runs again it is between morsels.
   RefreshPositions(1);
   if (stats_.driving_rows_produced == 0) return;
-  const bool switched = order_before[0] != order_[0];
+  // A worker that sat out a switch adopts several demotions at once; the
+  // leg it saw demoted is the one that drove it before.
+  const size_t old_driving = order_before[0];
+  const bool switched = old_driving != order_[0];
   ReportAdaptation(switched ? 0 : 1, std::move(order_before),
-                   switched ? demoted_table : SIZE_MAX);
+                   switched ? old_driving : SIZE_MAX);
 }
 
 void PipelineExecutor::FoldMonitors() {

@@ -58,7 +58,7 @@ Status ExecuteReference(const Catalog& catalog, const JoinQuery& query,
     entries[t] = entry;
     AJR_ASSIGN_OR_RETURN(local[t],
                          BindPredicate(query.local_predicates[t], entry->schema(),
-                                       &entry->table().pool()));
+                                       entry->table().pool()));
     edge_col[t].assign(query.edges.size(), SIZE_MAX);
     for (const auto& e : query.edges) {
       if (!e.Touches(t)) continue;

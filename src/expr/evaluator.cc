@@ -33,8 +33,6 @@ inline int ThreeWay(T a, T b) {
   return a < b ? -1 : (a > b ? 1 : 0);
 }
 
-inline int SignOf(int c) { return c < 0 ? -1 : (c > 0 ? 1 : 0); }
-
 inline bool IsNumeric(DataType t) {
   return t == DataType::kInt64 || t == DataType::kDouble;
 }
@@ -59,8 +57,9 @@ bool BoundPredicate::EvalLeaf(const Instr& ins, const RowView& row) const {
       bool eq = row.GetStringId(ins.slot) == ins.imm.sid;
       return ins.cmp == CompareOp::kEq ? eq : !eq;
     }
-    case Op::kCmpStr:
-      return CmpHolds(SignOf(row.GetString(ins.slot).compare(str_imms_[ins.aux])),
+    case Op::kCmpStrKey:
+      return CmpHolds(ThreeWay(OrderEncodeCell(row.raw(ins.slot), DataType::kString),
+                               ins.imm.key),
                       ins.cmp);
     case Op::kCmpColI64:
       return CmpHolds(ThreeWay(row.GetInt64(ins.slot), row.GetInt64(ins.slot2)),
@@ -74,15 +73,9 @@ bool BoundPredicate::EvalLeaf(const Instr& ins, const RowView& row) const {
     case Op::kCmpColNum:
       return CmpHolds(ThreeWay(row.GetNumeric(ins.slot), row.GetNumeric(ins.slot2)),
                       ins.cmp);
-    case Op::kCmpColStr: {
-      // Same table, same pool: equality is id equality; order needs bytes.
-      if (ins.cmp == CompareOp::kEq || ins.cmp == CompareOp::kNe) {
-        bool eq = row.GetStringId(ins.slot) == row.GetStringId(ins.slot2);
-        return ins.cmp == CompareOp::kEq ? eq : !eq;
-      }
-      return CmpHolds(SignOf(row.GetString(ins.slot).compare(row.GetString(ins.slot2))),
+    case Op::kCmpColStr:
+      return CmpHolds(ThreeWay(row.GetStringId(ins.slot), row.GetStringId(ins.slot2)),
                       ins.cmp);
-    }
     case Op::kInI64: {
       const auto& set = i64_sets_[ins.aux];
       return std::binary_search(set.begin(), set.end(), row.GetInt64(ins.slot));
@@ -92,13 +85,8 @@ bool BoundPredicate::EvalLeaf(const Instr& ins, const RowView& row) const {
       return std::binary_search(set.begin(), set.end(), row.GetNumeric(ins.slot));
     }
     case Op::kInStr: {
-      const StrSet& set = str_sets_[ins.aux];
-      if (set.ids_resolved) {
-        return std::binary_search(set.ids.begin(), set.ids.end(),
-                                  row.GetStringId(ins.slot));
-      }
-      std::string_view s = row.GetString(ins.slot);
-      return std::binary_search(set.strs.begin(), set.strs.end(), s);
+      const auto& set = str_sets_[ins.aux];
+      return std::binary_search(set.begin(), set.end(), row.GetStringId(ins.slot));
     }
     case Op::kInBool: {
       int bit = row.GetBool(ins.slot) ? 2 : 1;
@@ -149,7 +137,7 @@ bool BoundPredicate::Eval(const RowView& row) const {
 /// Lowers expression trees into BoundPredicate programs.
 class PredicateCompiler {
  public:
-  PredicateCompiler(const Schema& schema, const StringPool* pool, BoundPredicate* out)
+  PredicateCompiler(const Schema& schema, const StringPool& pool, BoundPredicate* out)
       : schema_(schema), pool_(pool), out_(out) {}
 
   using Op = BoundPredicate::Op;
@@ -311,15 +299,15 @@ class PredicateCompiler {
         case DataType::kString: {
           // Equality against an interned string is one id compare. A
           // constant the pool has never seen can't equal any stored row.
-          if (pool_ != nullptr && (op == CompareOp::kEq || op == CompareOp::kNe)) {
-            auto id = pool_->Find(v.AsString());
+          if (op == CompareOp::kEq || op == CompareOp::kNe) {
+            auto id = pool_.Find(v.AsString());
             if (!id.has_value()) return EmitConstBool(op == CompareOp::kNe);
             ins.op = Op::kCmpStrId;
             ins.imm.sid = *id;
             break;
           }
-          ins.op = Op::kCmpStr;
-          ins.aux = AddStrImm(v.AsString());
+          ins.op = Op::kCmpStrKey;
+          ins.imm.key = OrderEncodeString(v.AsString(), pool_);
           break;
         }
       }
@@ -413,20 +401,14 @@ class PredicateCompiler {
       }
       case DataType::kString: {
         if (all_str) {
-          BoundPredicate::StrSet set;
-          set.strs.reserve(in.values().size());
-          for (const Value& v : in.values()) set.strs.push_back(v.AsString());
-          std::sort(set.strs.begin(), set.strs.end());
-          if (pool_ != nullptr) {
-            // Resolve to ids; strings the pool has never seen match nothing
-            // and are simply dropped from the id set.
-            set.ids_resolved = true;
-            for (const std::string& s : set.strs) {
-              auto id = pool_->Find(s);
-              if (id.has_value()) set.ids.push_back(*id);
-            }
-            std::sort(set.ids.begin(), set.ids.end());
+          // Strings the pool has never seen match nothing and are simply
+          // dropped from the id set.
+          std::vector<uint32_t> set;
+          for (const Value& v : in.values()) {
+            auto id = pool_.Find(v.AsString());
+            if (id.has_value()) set.push_back(*id);
           }
+          std::sort(set.begin(), set.end());
           ins.op = Op::kInStr;
           ins.aux = static_cast<uint32_t>(out_->str_sets_.size());
           out_->str_sets_.push_back(std::move(set));
@@ -471,11 +453,6 @@ class PredicateCompiler {
     return Status::OK();
   }
 
-  uint32_t AddStrImm(const std::string& s) {
-    out_->str_imms_.push_back(s);
-    return static_cast<uint32_t>(out_->str_imms_.size() - 1);
-  }
-
   void Emit(const Instr& ins) { out_->program_.push_back(ins); }
 
   /// Simulates the postfix stack; rejects programs deeper than kMaxStack.
@@ -504,12 +481,12 @@ class PredicateCompiler {
   }
 
   const Schema& schema_;
-  const StringPool* pool_;
+  const StringPool& pool_;
   BoundPredicate* out_;
 };
 
 StatusOr<BoundPredicatePtr> BindPredicate(const ExprPtr& expr, const Schema& schema,
-                                          const StringPool* pool) {
+                                          const StringPool& pool) {
   auto bound = std::make_unique<BoundPredicate>();
   if (expr == nullptr) {
     // Empty program in flat mode: the always-true predicate.

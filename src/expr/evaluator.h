@@ -10,8 +10,9 @@
 //
 // Programs evaluate RowViews (zero-copy views into a table's typed pages);
 // loose Value rows are evaluated by viewing their table row instead (see
-// HeapTable::View). String constants are resolved against the bound table's StringPool when one is supplied, so an
-// equality against an interned string is a single id compare.
+// HeapTable::View). String constants are resolved against the catalog's
+// sealed StringPool: equality and IN become id compares, ordered compares
+// key compares (see the key codec in types/row_layout.h).
 //
 // Evaluation optionally charges work units so the adaptive layer can
 // measure probe cost deterministically.
@@ -63,15 +64,15 @@ class BoundPredicate {
     kCmpBool,     // row[slot] <cmp> imm.b
     kCmpNum,      // numeric row[slot] <cmp> imm.f64 (cross-type constant)
     kCmpStrId,    // row[slot] ==/!= imm.sid (pool-resolved)
-    kCmpStr,      // row[slot] <cmp> str_imms_[aux] (byte compare)
+    kCmpStrKey,   // order key of row[slot] <cmp> imm.key
     kCmpColI64,   // row[slot] <cmp> row[slot2]
     kCmpColF64,
     kCmpColBool,
     kCmpColNum,   // mixed numeric column pair
-    kCmpColStr,
+    kCmpColStr,   // byte-ordered ids of one pool
     kInI64,       // row[slot] in i64_sets_[aux]
     kInF64,       // numeric row[slot] in f64_sets_[aux]
-    kInStr,       // row[slot] in str_sets_[aux]
+    kInStr,       // row[slot]'s id in str_sets_[aux]
     kInBool,      // imm.i64 bitmask: bit0 = false in set, bit1 = true
     kAnd2,        // postfix: pop b, a; push a && b
     kOr2,         // postfix: pop b, a; push a || b
@@ -83,6 +84,7 @@ class BoundPredicate {
     int64_t i64;
     double f64;
     uint32_t sid;
+    uint64_t key;
   };
 
   struct Instr {
@@ -94,35 +96,28 @@ class BoundPredicate {
     Imm imm;
   };
 
-  /// IN-set over strings: sorted bytes always; sorted pool ids as well
-  /// when the predicate was bound with a pool (one id search per row).
-  struct StrSet {
-    std::vector<std::string> strs;  ///< sorted
-    std::vector<uint32_t> ids;      ///< sorted; only if ids_resolved
-    bool ids_resolved = false;
-  };
-
   bool EvalLeaf(const Instr& ins, const RowView& row) const;
 
   std::vector<Instr> program_;
   bool flat_ = true;  ///< program is a conjunction of leaves (early-out loop)
-  std::vector<std::string> str_imms_;
   std::vector<std::vector<int64_t>> i64_sets_;
   std::vector<std::vector<double>> f64_sets_;
-  std::vector<StrSet> str_sets_;
+  std::vector<std::vector<uint32_t>> str_sets_;  ///< sorted pool ids
 };
 
 using BoundPredicatePtr = std::unique_ptr<const BoundPredicate>;
 
-/// Compiles `expr` (boolean-valued) against `schema`. When `pool` is given
-/// (the table's string pool), string equality constants lower to interned-id
-/// compares; constants absent from the pool fold to constant false/true.
+/// Compiles `expr` (boolean-valued) against `schema`, resolving string
+/// constants against `pool`, the catalog's sealed pool. String equality and
+/// IN lower to id compares, with constants absent from the pool folding to
+/// false (true for <>); ordered compares lower to key compares, which place
+/// absent constants between their neighbours.
 ///
 /// Returns InvalidArgument for non-boolean shapes (e.g. a bare literal of
 /// non-bool type) or type-mismatched comparisons, NotFound for unknown
 /// columns, NotSupported for comparison shapes the engine doesn't evaluate.
 /// A null `expr` is the always-true predicate.
 StatusOr<BoundPredicatePtr> BindPredicate(const ExprPtr& expr, const Schema& schema,
-                                          const StringPool* pool = nullptr);
+                                          const StringPool& pool);
 
 }  // namespace ajr

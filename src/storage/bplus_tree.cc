@@ -27,56 +27,21 @@ size_t BranchFreeLowerBound(size_t n, uint64_t key, KeyAt key_at) {
   return base + (key_at(base) < key ? 1 : 0);
 }
 
-}  // namespace
-
-int BPlusTree::CompareEntries(const EncodedEntry& a, const EncodedEntry& b) const {
-  int c;
-  if (key_type_ != DataType::kString) {
-    c = a.key < b.key ? -1 : (a.key > b.key ? 1 : 0);
-  } else {
-    c = pool_->Compare(static_cast<uint32_t>(a.key), static_cast<uint32_t>(b.key));
-  }
-  if (c != 0) return c;
-  return a.rid < b.rid ? -1 : (a.rid > b.rid ? 1 : 0);
+bool EntryLess(const BPlusTree::EncodedEntry& a, const BPlusTree::EncodedEntry& b) {
+  return a.key != b.key ? a.key < b.key : a.rid < b.rid;
 }
+
+}  // namespace
 
 BPlusTree::BPlusTree(DataType key_type, size_t fanout, const StringPool* pool)
     : key_type_(key_type),
       leaf_size_(std::max<size_t>(std::max<size_t>(fanout, 4) * 2 / 3, 2)),
       pool_(pool) {
-  if (key_type_ == DataType::kString && pool_ == nullptr) {
-    owned_pool_ = std::make_unique<StringPool>();
-    pool_ = owned_pool_.get();
-  }
-}
-
-BPlusTree::~BPlusTree() = default;
-BPlusTree::BPlusTree(BPlusTree&&) noexcept = default;
-BPlusTree& BPlusTree::operator=(BPlusTree&&) noexcept = default;
-
-uint64_t BPlusTree::EncodeForStore(const Value& key) {
-  AJR_CHECK(key.type() == key_type_);
-  switch (key_type_) {
-    case DataType::kBool:
-      return OrderEncodeBool(key.AsBool());
-    case DataType::kInt64:
-      return OrderEncodeInt64(key.AsInt64());
-    case DataType::kDouble:
-      return OrderEncodeDouble(key.AsDouble());
-    case DataType::kString: {
-      if (owned_pool_ != nullptr) return owned_pool_->Intern(key.AsString());
-      // Shared-pool trees are built from table cells; every key must
-      // already be interned.
-      auto id = pool_->Find(key.AsString());
-      AJR_CHECK(id.has_value());
-      return *id;
-    }
-  }
-  CheckFailed("unreachable DataType in EncodeForStore", __FILE__, __LINE__);
+  AJR_CHECK(key_type_ != DataType::kString || (pool_ != nullptr && pool_->sealed()));
 }
 
 Value BPlusTree::DecodeKey(uint64_t stored) const {
-  return DecodeKeySlot(stored, key_type_, pool_);
+  return DecodeCell(OrderDecodeCell(stored, key_type_), key_type_, pool_);
 }
 
 Status BPlusTree::BulkLoad(std::vector<IndexEntry> sorted_entries) {
@@ -88,14 +53,19 @@ Status BPlusTree::BulkLoad(std::vector<IndexEntry> sorted_entries) {
           StrCat("BulkLoad key type ", DataTypeName(e.key.type()), " != index type ",
                  DataTypeName(key_type_)));
     }
-    encoded.push_back({EncodeForStore(e.key), e.rid});
+    const uint64_t key = EncodeKey(e.key, pool_).enc;
+    if (key_type_ == DataType::kString && key % 2 == 0) {
+      return Status::InvalidArgument(
+          StrCat("BulkLoad key ", e.key.ToString(), " is not in the tree's pool"));
+    }
+    encoded.push_back({key, e.rid});
   }
   return BulkLoadEncoded(std::move(encoded));
 }
 
 Status BPlusTree::BulkLoadEncoded(std::vector<EncodedEntry> sorted_entries) {
   for (size_t i = 1; i < sorted_entries.size(); ++i) {
-    if (CompareEntries(sorted_entries[i], sorted_entries[i - 1]) < 0) {
+    if (EntryLess(sorted_entries[i], sorted_entries[i - 1])) {
       return Status::InvalidArgument("BulkLoad input not sorted by (key, rid)");
     }
   }
@@ -138,35 +108,25 @@ size_t BPlusTree::KeyLowerBound(uint64_t key) const {
                                       [first](size_t i) { return first[i].key; });
 }
 
-size_t BPlusTree::LowerBound(const IndexKey& key, Rid rid) const {
-  if (key_type_ == DataType::kString) {
-    auto it = std::partition_point(
-        entries_.begin(), entries_.end(), [this, &key, rid](const EncodedEntry& e) {
-          int c = key.str.compare(pool_->Get(static_cast<uint32_t>(e.key)));
-          return c > 0 || (c == 0 && e.rid < rid);
-        });
-    return static_cast<size_t>(it - entries_.begin());
-  }
-  size_t pos = KeyLowerBound(key.enc);
+size_t BPlusTree::LowerBound(uint64_t key, Rid rid) const {
+  size_t pos = KeyLowerBound(key);
   if (rid == 0) return pos;
   // RIDs only matter inside the equal-key run that starts at `pos`.
   auto it = std::partition_point(
       entries_.begin() + static_cast<ptrdiff_t>(pos), entries_.end(),
-      [&key, rid](const EncodedEntry& e) { return e.key == key.enc && e.rid < rid; });
+      [key, rid](const EncodedEntry& e) { return e.key == key && e.rid < rid; });
   return static_cast<size_t>(it - entries_.begin());
 }
 
-BPlusTree::Iterator BPlusTree::SeekEntry(const IndexKey& key, Rid rid,
-                                         WorkCounter* wc) const {
+BPlusTree::Iterator BPlusTree::SeekEntry(uint64_t key, Rid rid, WorkCounter* wc) const {
   const size_t n = entries_.size();
   const size_t pos = LowerBound(key, rid);
   const size_t leaf_begin = pos - pos % leaf_size_;
   // The node tree descends to the last leaf whose first entry is <= the
   // target. A lower bound past the end, or on the first entry of a later
   // leaf that is not the target itself, ran off that leaf: one more visit.
-  const bool hop =
-      pos == n || (pos == leaf_begin && pos > 0 &&
-                   !(entries_[pos].rid == rid && ProbeEquals(key, entries_[pos].key)));
+  const bool hop = pos == n || (pos == leaf_begin && pos > 0 &&
+                                !(entries_[pos].rid == rid && entries_[pos].key == key));
   ChargeWork(wc, (height_ + (hop ? 1 : 0)) * WorkCounter::kIndexNodeVisit);
   Iterator it;
   it.tree_ = this;
@@ -180,8 +140,8 @@ void BPlusTree::Probe(const IndexKey& key, WorkCounter* wc,
   AJR_CHECK(key.type == key_type_);
   // One seek, then one charged Next per returned match (the failing match
   // test charges nothing).
-  Iterator it = SeekEntry(key, /*rid=*/0, wc);
-  while (it.Valid() && ProbeEquals(key, it.key_slot())) {
+  Iterator it = SeekEntry(key.enc, /*rid=*/0, wc);
+  while (it.Valid() && it.key_slot() == key.enc) {
     out->push_back(it.rid());
     it.Next(wc);
   }
@@ -198,27 +158,22 @@ BPlusTree::Iterator BPlusTree::SeekFirst(WorkCounter* wc) const {
 BPlusTree::Iterator BPlusTree::Seek(const IndexKey& key, bool inclusive,
                                     WorkCounter* wc) const {
   AJR_CHECK(key.type == key_type_);
-  return SeekEntry(key, inclusive ? 0 : UINT64_MAX, wc);
-}
-
-BPlusTree::Iterator BPlusTree::Seek(const Value& key, bool inclusive,
-                                    WorkCounter* wc) const {
-  return Seek(EncodeKey(key), inclusive, wc);
+  return SeekEntry(key.enc, inclusive ? 0 : UINT64_MAX, wc);
 }
 
 size_t BPlusTree::CountKeyLess(const IndexKey& key) const {
   AJR_CHECK(key.type == key_type_);
-  return LowerBound(key, 0);
+  return LowerBound(key.enc, 0);
 }
 
 size_t BPlusTree::CountKeyLessEqual(const IndexKey& key) const {
   AJR_CHECK(key.type == key_type_);
-  return LowerBound(key, UINT64_MAX);
+  return LowerBound(key.enc, UINT64_MAX);
 }
 
 Status BPlusTree::CheckInvariants() const {
   for (size_t i = 1; i < entries_.size(); ++i) {
-    if (CompareEntries(entries_[i], entries_[i - 1]) < 0) {
+    if (EntryLess(entries_[i], entries_[i - 1])) {
       return Status::Internal(StrCat("entries out of order at ", i));
     }
   }

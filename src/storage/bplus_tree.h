@@ -8,19 +8,17 @@
 // Layout: flat. BulkLoad moves the sorted entries into one array. Leaf i is
 // the entries [i·L, min((i+1)·L, n)), with L = max(fanout·2/3, 2), the leaf
 // fill of a classic bulk load. One key-only array holds each leaf's first
-// key. A numeric lookup is a branch-free lower bound over those leaf-first
+// key. A lookup is a branch-free lower bound over those leaf-first
 // keys, a prefetch of every cache line of the chosen leaf, and a branch-free
 // lower bound inside it; RIDs are compared only inside an equal-key run.
-// String lookups are a binary search through the pool. There is no Insert:
-// the tree never changes after BulkLoad.
+// There is no Insert: the tree never changes after BulkLoad.
 //
-// Key representation: every stored key is one uint64 slot. Numeric keys use
-// the order-preserving encodings from types/row_layout.h, so comparisons on
-// the probe path are single integer compares — no Value is constructed.
-// String keys store a StringPool id (ids are unordered) and compare through
-// the pool; catalog indexes share the indexed table's pool, standalone trees
-// own a private one. Probes come in as IndexKey (see key_codec.h), which
-// carries string bytes so cross-pool probes and un-interned literals work.
+// Key representation: every stored key is one uint64 slot, the
+// order-preserving encoding of its cell from types/row_layout.h, so every
+// comparison on the probe path is a single integer compare, for string keys
+// too, and no Value is constructed. A string tree keeps the sealed string
+// pool its keys' ids come from, only to key Value literals and to decode
+// keys. Probes come in as IndexKey (see key_codec.h).
 //
 // Charges: traversals charge work units to an optional WorkCounter as the
 // node tree a bulk load builds would, so probe costs are deterministic and
@@ -44,8 +42,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -85,18 +81,15 @@ class BPlusTree {
   };
 
   /// Creates an empty tree. `fanout` (minimum 4) sets the leaf size L and
-  /// the modeled internal fan-in (see file comment). String trees resolve
-  /// ids through `pool` when given (catalog indexes share the table pool)
-  /// and own a private pool otherwise (standalone trees interning on
-  /// BulkLoad).
+  /// the modeled internal fan-in (see file comment). String trees need the
+  /// sealed `pool` their keys come from; it must outlive the tree.
   explicit BPlusTree(DataType key_type, size_t fanout = 64,
                      const StringPool* pool = nullptr);
-  ~BPlusTree();
 
   BPlusTree(const BPlusTree&) = delete;
   BPlusTree& operator=(const BPlusTree&) = delete;
-  BPlusTree(BPlusTree&&) noexcept;
-  BPlusTree& operator=(BPlusTree&&) noexcept;
+  BPlusTree(BPlusTree&&) noexcept = default;
+  BPlusTree& operator=(BPlusTree&&) noexcept = default;
 
   DataType key_type() const { return key_type_; }
   size_t size() const { return entries_.size(); }
@@ -105,26 +98,21 @@ class BPlusTree {
 
   /// Point probe: appends all RIDs whose key equals `key` to `out` in
   /// ascending RID order and charges one seek plus one Next per match to
-  /// `wc` (null = no charging). String keys borrow the caller's bytes for
-  /// the duration of the call.
+  /// `wc` (null = no charging).
   void Probe(const IndexKey& key, WorkCounter* wc, std::vector<Rid>* out) const;
 
-  /// The pool string key slots resolve through (null for non-string trees).
-  /// Shared-pool trees point at the table pool; standalone string trees
-  /// return their private pool.
+  /// The pool string keys come from (null for non-string trees).
   const StringPool* pool() const { return pool_; }
 
   /// Replaces the tree contents from entries sorted by (key, rid).
-  /// InvalidArgument if the entries are not sorted. String keys intern
-  /// into the private pool; on shared-pool trees they must already be
-  /// interned.
+  /// InvalidArgument if the entries are not sorted, or a string key is not
+  /// in the tree's pool.
   Status BulkLoad(std::vector<IndexEntry> sorted_entries);
 
-  /// BulkLoad in stored form: `sorted_entries` must already be encoded for
-  /// this tree (order encoding / shared-pool ids) and sorted by the tree's
-  /// (key, rid) order; the tree takes the array over. The catalog's index
-  /// build uses this to go straight from page cells to the tree with no
-  /// Value materialization.
+  /// BulkLoad in stored form: `sorted_entries` must already be order
+  /// encoded and sorted by (key, rid); the tree takes the array over. The
+  /// catalog's index build uses this to go straight from page cells to the
+  /// tree with no Value materialization.
   Status BulkLoadEncoded(std::vector<EncodedEntry> sorted_entries);
 
   /// Materializes a stored key slot as an owned Value.
@@ -176,18 +164,22 @@ class BPlusTree {
 
   /// First entry with key >= `key` (inclusive) or key > `key` (exclusive).
   Iterator Seek(const IndexKey& key, bool inclusive, WorkCounter* wc) const;
-  Iterator Seek(const Value& key, bool inclusive, WorkCounter* wc) const;
+  Iterator Seek(const Value& key, bool inclusive, WorkCounter* wc) const {
+    return Seek(EncodeKey(key, pool_), inclusive, wc);
+  }
 
   /// Number of entries with key strictly less than `key`: the position of
   /// its lower bound (the "key range cardinality" statistic commercial
   /// indexes expose; used to size driving scans).
   size_t CountKeyLess(const IndexKey& key) const;
-  size_t CountKeyLess(const Value& key) const { return CountKeyLess(EncodeKey(key)); }
+  size_t CountKeyLess(const Value& key) const {
+    return CountKeyLess(EncodeKey(key, pool_));
+  }
 
   /// Number of entries with key <= `key`.
   size_t CountKeyLessEqual(const IndexKey& key) const;
   size_t CountKeyLessEqual(const Value& key) const {
-    return CountKeyLessEqual(EncodeKey(key));
+    return CountKeyLessEqual(EncodeKey(key, pool_));
   }
 
   /// Validates structural invariants (test hook): sorted entries and one
@@ -195,33 +187,19 @@ class BPlusTree {
   Status CheckInvariants() const;
 
  private:
-  /// Three-way compare of two stored entries.
-  int CompareEntries(const EncodedEntry& a, const EncodedEntry& b) const;
-
-  /// Encodes a Value key for storage (BulkLoad path; interns into the
-  /// private pool when owned).
-  uint64_t EncodeForStore(const Value& key);
-
   /// Position of the first entry >= (key, rid).
-  size_t LowerBound(const IndexKey& key, Rid rid) const;
-  /// Position of the first entry whose key slot is >= `key` (numeric trees).
+  size_t LowerBound(uint64_t key, Rid rid) const;
+  /// Position of the first entry whose key slot is >= `key`.
   size_t KeyLowerBound(uint64_t key) const;
 
-  Iterator SeekEntry(const IndexKey& key, Rid rid, WorkCounter* wc) const;
-
-  /// True if a probe key equals a stored key slot.
-  bool ProbeEquals(const IndexKey& key, uint64_t stored) const {
-    if (key_type_ != DataType::kString) return key.enc == stored;
-    return key.str == pool_->Get(static_cast<uint32_t>(stored));
-  }
+  Iterator SeekEntry(uint64_t key, Rid rid, WorkCounter* wc) const;
 
   DataType key_type_;
   size_t leaf_size_;  ///< L: entries per leaf
   size_t height_ = 1;
   std::vector<EncodedEntry> entries_;  ///< sorted by (key, rid)
   std::vector<uint64_t> leaf_keys_;    ///< key of each leaf's first entry
-  const StringPool* pool_ = nullptr;        ///< id resolver (string trees)
-  std::unique_ptr<StringPool> owned_pool_;  ///< backing for standalone trees
+  const StringPool* pool_ = nullptr;  ///< string trees: the keys' sealed pool
 };
 
 /// The point-probe index type; perfbench still names it `Index`.

@@ -38,7 +38,7 @@ IndexScanCursor::IndexScanCursor(const BPlusTree* tree, std::vector<KeyRange> ra
   span_.reserve(ranges_.size());
   for (const KeyRange& r : ranges_) {
     Bound lo;
-    if (r.lo.has_value()) lo = {true, EncodeKey(*r.lo), r.lo_inclusive};
+    if (r.lo.has_value()) lo = {true, EncodeKey(*r.lo, tree_->pool()), r.lo_inclusive};
     lo_.push_back(lo);
     span_.push_back(RangeSpan(*tree_, r));
   }
@@ -86,7 +86,7 @@ bool IndexScanCursor::Next(WorkCounter* wc, Rid* rid) {
 
 ScanPosition IndexScanCursor::CurrentPosition() const {
   assert(started_ && "CurrentPosition before first Next");
-  return ScanPosition::AtKeyRid(tree_->DecodeKey(last_key_), last_rid_);
+  return ScanPosition::AtKeyRid(tree_->key_type(), last_key_, last_rid_);
 }
 
 }  // namespace ajr

@@ -9,9 +9,9 @@
 //
 // Each range becomes a [begin, end) pair of entry positions once at
 // construction, so per-row range checks are position compares (no key
-// compare, even on string keys), and the scan's size is known before its
-// first row; the remembered position is a key slot, materialized only when
-// asked for.
+// compare), and the scan's size is known before its first row; the
+// remembered position is the stored key slot, which is already the
+// positional predicate's order encoding.
 //
 // Thread safety: cursors are stateful per-query objects — one owner thread
 // each, never shared. They only *read* the underlying HeapTable/BPlusTree
@@ -73,8 +73,7 @@ class IndexScanCursor final : public ScanCursor {
   size_t total_entries() const override;
 
  private:
-  /// One range lower bound in probe form; str views point into ranges_
-  /// (owned by this cursor), so they are stable for the cursor's lifetime.
+  /// One range lower bound in probe form.
   struct Bound {
     bool present = false;
     IndexKey key;
@@ -96,7 +95,7 @@ class IndexScanCursor final : public ScanCursor {
   BPlusTree::Iterator iter_;
   size_t range_idx_ = 0;
   bool started_ = false;
-  // Last-returned entry (cheap slot form; materialized by CurrentPosition).
+  // Last-returned entry (stored key slot and RID).
   uint64_t last_key_ = 0;
   Rid last_rid_ = 0;
 };

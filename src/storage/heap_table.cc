@@ -10,7 +10,17 @@ uint64_t* HeapTable::AllocRow() {
     size_t cells = kPageRows * layout_.num_slots();
     pages_.push_back(std::make_unique<uint64_t[]>(cells == 0 ? 1 : cells));
   }
-  return pages_[page].get() + (num_rows_ & kPageMask) * layout_.num_slots();
+  return CellsFor(num_rows_);
+}
+
+void HeapTable::RenumberStrings(const std::vector<uint32_t>& new_id) {
+  for (Rid rid = 0; rid < num_rows_; ++rid) {
+    uint64_t* cells = CellsFor(rid);
+    for (size_t slot = 0; slot < layout_.num_slots(); ++slot) {
+      if (layout_.type(slot) != DataType::kString) continue;
+      cells[slot] = CellFromStringId(new_id[CellToStringId(cells[slot])]);
+    }
+  }
 }
 
 StatusOr<Rid> HeapTable::Append(const Row& row) {
@@ -22,7 +32,7 @@ StatusOr<Rid> HeapTable::Append(const Row& row) {
   }
   uint64_t* cells = AllocRow();
   for (size_t i = 0; i < row.size(); ++i) {
-    cells[i] = EncodeCell(row[i], layout_.type(i), &pool_);
+    cells[i] = EncodeCell(row[i], layout_.type(i), pool_);
   }
   return static_cast<Rid>(num_rows_++);
 }

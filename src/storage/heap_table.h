@@ -7,8 +7,10 @@
 //
 // Storage format: rows live in fixed-stride typed pages, not vectors of
 // Values. Each row is schema.num_columns() contiguous 8-byte cells (see
-// types/row_layout.h for the cell codec); strings are interned once in a
-// per-table StringPool and stored as 32-bit ids. Pages hold kPageRows rows
+// types/row_layout.h for the cell codec); strings are interned once in the
+// catalog's StringPool, which every table shares, and stored as 32-bit
+// ids. When loading ends the catalog seals the pool and RenumberStrings
+// rewrites each string cell to its byte-ordered id. Pages hold kPageRows rows
 // each and are never reallocated, so a RowView stays valid for the table's
 // lifetime. The hot read path hands out zero-copy RowViews; owned Rows are
 // materialized only by the compat accessor Get().
@@ -46,13 +48,14 @@ class HeapTable {
   /// Rows per page; power of two so rid -> (page, offset) is shift + mask.
   static constexpr size_t kPageRows = 4096;
 
-  HeapTable(std::string name, Schema schema)
-      : name_(std::move(name)), schema_(std::move(schema)), layout_(schema_) {}
+  /// Strings intern into `pool`, which must outlive the table.
+  HeapTable(std::string name, Schema schema, StringPool* pool)
+      : name_(std::move(name)), schema_(std::move(schema)), layout_(schema_), pool_(pool) {}
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
   const RowLayout& layout() const { return layout_; }
-  const StringPool& pool() const { return pool_; }
+  const StringPool& pool() const { return *pool_; }
   size_t num_rows() const { return num_rows_; }
 
   /// Appends a row of Values; returns its RID. InvalidArgument if the row
@@ -70,7 +73,7 @@ class HeapTable {
     RowWriter& F64(double v) { return Put(DataType::kDouble, CellFromDouble(v)); }
     RowWriter& Bool(bool v) { return Put(DataType::kBool, CellFromBool(v)); }
     RowWriter& Str(std::string_view v) {
-      return Put(DataType::kString, CellFromStringId(table_->pool_.Intern(v)));
+      return Put(DataType::kString, CellFromStringId(table_->pool_->Intern(v)));
     }
     Rid Finish();
 
@@ -89,14 +92,14 @@ class HeapTable {
   /// abort, not read garbage — the check is one predictable branch).
   RowView View(Rid rid) const {
     AJR_CHECK(rid < num_rows_);
-    return RowView(CellsFor(rid), &layout_, &pool_);
+    return RowView(CellsFor(rid), &layout_, pool_);
   }
 
   /// View access that charges kRowFetch work units (the executor hot path).
   RowView Fetch(Rid rid, WorkCounter* wc) const {
     ChargeWork(wc, WorkCounter::kRowFetch);
     AJR_CHECK(rid < num_rows_);
-    return RowView(CellsFor(rid), &layout_, &pool_);
+    return RowView(CellsFor(rid), &layout_, pool_);
   }
 
   /// Materializes a row as owned Values (compat / cold paths; bounds-checked).
@@ -105,12 +108,16 @@ class HeapTable {
   /// Reserves page capacity for bulk loading.
   void Reserve(size_t n) { pages_.reserve((n + kPageRows - 1) / kPageRows); }
 
+  /// Rewrites every string cell from id `old` to `new_id[old]`: the map
+  /// StringPool::Seal returns (a writer, like Append).
+  void RenumberStrings(const std::vector<uint32_t>& new_id);
+
  private:
   static constexpr size_t kPageShift = 12;  // log2(kPageRows)
   static_assert(kPageRows == size_t{1} << kPageShift);
   static constexpr size_t kPageMask = kPageRows - 1;
 
-  const uint64_t* CellsFor(Rid rid) const {
+  uint64_t* CellsFor(Rid rid) const {
     return pages_[rid >> kPageShift].get() + (rid & kPageMask) * layout_.num_slots();
   }
   /// Cell span for the next row, growing pages as needed (write path).
@@ -119,7 +126,7 @@ class HeapTable {
   std::string name_;
   Schema schema_;
   RowLayout layout_;
-  StringPool pool_;
+  StringPool* pool_;
   std::vector<std::unique_ptr<uint64_t[]>> pages_;
   size_t num_rows_ = 0;
   bool writer_open_ = false;

@@ -1,21 +1,17 @@
 // IndexKey: a typed probe key for B+-tree traversals.
 //
-// The tree stores every key as one uint64 slot — order-encoded bits for
-// numeric types (compare as plain integers), a StringPool id for strings
-// (compare through the pool, ids carry no order). An IndexKey is the
-// external form a probe hands to the tree: the numeric encoding plus, for
-// strings, a view of the key bytes. String probes compare bytes against the
-// tree's pool, so a probe built from one table's row can search another
-// table's index (the join hot path) and literals need not be interned.
-//
-// The string_view is borrowed; the caller keeps the bytes alive for the
-// duration of the tree call (probe keys from RowViews point into a table
-// pool and are stable, keys from Values borrow the Value's buffer).
+// The tree stores every key as one uint64 slot: the order-preserving
+// encoding of the key's cell (types/row_layout.h), so every key type —
+// strings included — compares as a plain integer. An IndexKey is the
+// external form a probe hands to the tree: the key's type and encoding.
+// Keys from cells need nothing else; every table shares the catalog's
+// sealed string pool, so a probe built from one table's row searches
+// another table's index directly (the join hot path). String literals are
+// keyed against that pool and need not be interned in it.
 
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "types/row_layout.h"
 #include "types/row_view.h"
@@ -23,42 +19,30 @@
 
 namespace ajr {
 
-/// A typed key in probe form (see file comment for lifetime rules).
+/// A typed key in probe form.
 struct IndexKey {
   DataType type = DataType::kInt64;
-  uint64_t enc = 0;       ///< order encoding (non-string types)
-  std::string_view str;   ///< key bytes (string type)
+  uint64_t enc = 0;  ///< order encoding
 
-  static IndexKey Int64(int64_t v) {
-    return {DataType::kInt64, OrderEncodeInt64(v), {}};
-  }
-  static IndexKey Double(double v) {
-    return {DataType::kDouble, OrderEncodeDouble(v), {}};
-  }
-  static IndexKey Bool(bool v) { return {DataType::kBool, OrderEncodeBool(v), {}}; }
-  static IndexKey String(std::string_view s) { return {DataType::kString, 0, s}; }
+  static IndexKey Int64(int64_t v) { return {DataType::kInt64, OrderEncodeInt64(v)}; }
+  static IndexKey Double(double v) { return {DataType::kDouble, OrderEncodeDouble(v)}; }
+  static IndexKey Bool(bool v) { return {DataType::kBool, OrderEncodeBool(v)}; }
 };
 
-/// Probe key for `v`; borrows the string buffer for string Values.
-inline IndexKey EncodeKey(const Value& v) {
-  switch (v.type()) {
-    case DataType::kBool:
-      return IndexKey::Bool(v.AsBool());
-    case DataType::kInt64:
-      return IndexKey::Int64(v.AsInt64());
-    case DataType::kDouble:
-      return IndexKey::Double(v.AsDouble());
-    case DataType::kString:
-      return IndexKey::String(v.AsString());
+/// Probe key for `v`. String Values are keyed against `pool` (the sealed
+/// pool of the tree they probe), which other types ignore.
+inline IndexKey EncodeKey(const Value& v, const StringPool* pool) {
+  if (v.type() == DataType::kString) {
+    AJR_CHECK(pool != nullptr);
+    return {DataType::kString, OrderEncodeString(v.AsString(), *pool)};
   }
-  CheckFailed("unreachable DataType in EncodeKey", __FILE__, __LINE__);
+  return {v.type(), OrderEncodeCell(EncodeCell(v, v.type(), nullptr), v.type())};
 }
 
-/// Probe key for one cell of `row`; string bytes point into the row's pool.
+/// Probe key for one cell of `row`.
 inline IndexKey EncodeKeyFromCell(const RowView& row, size_t slot) {
   DataType t = row.type(slot);
-  if (t == DataType::kString) return IndexKey::String(row.GetString(slot));
-  return {t, OrderEncodeCell(row.raw(slot), t), {}};
+  return {t, OrderEncodeCell(row.raw(slot), t)};
 }
 
 }  // namespace ajr

@@ -7,21 +7,18 @@
 //   - a (key, RID) pair in index order (index scan):
 //       "age > 35 OR (age = 35 AND RID > cur_RID)"
 //
-// Keys are held in encoded form (the order-preserving uint64 from
-// types/row_layout.h, plus owned bytes for string keys), so the positional
-// predicate on the probe hot path is an integer compare — or one byte
-// compare for strings — against the candidate row's cell, with no Value in
-// sight.
+// Keys are held in their order encoding (types/row_layout.h), strings
+// included, so the positional predicate on the probe hot path is one
+// integer compare against the candidate row's encoded cell, with no Value
+// in sight.
 
 #pragma once
 
 #include <string>
 
 #include "storage/heap_table.h"
-#include "storage/key_codec.h"
 #include "types/row_layout.h"
 #include "types/row_view.h"
-#include "types/value.h"
 
 namespace ajr {
 
@@ -35,8 +32,7 @@ enum class ScanOrder : uint8_t {
 struct ScanPosition {
   ScanOrder order = ScanOrder::kRidOrder;
   DataType key_type = DataType::kInt64;  ///< meaningful only for kKeyRidOrder
-  uint64_t key_enc = 0;                  ///< order encoding (non-string keys)
-  std::string key_str;                   ///< owned bytes (string keys)
+  uint64_t key_enc = 0;                  ///< order encoding of the key
   Rid rid = 0;
 
   static ScanPosition AtRid(Rid rid) {
@@ -45,52 +41,21 @@ struct ScanPosition {
     p.rid = rid;
     return p;
   }
-  static ScanPosition AtKeyRid(const Value& key, Rid rid) {
+  static ScanPosition AtKeyRid(DataType key_type, uint64_t key_enc, Rid rid) {
     ScanPosition p;
     p.order = ScanOrder::kKeyRidOrder;
-    p.key_type = key.type();
-    if (key.type() == DataType::kString) {
-      p.key_str = key.AsString();
-    } else {
-      p.key_enc = EncodeKey(key).enc;
-    }
+    p.key_type = key_type;
+    p.key_enc = key_enc;
     p.rid = rid;
     return p;
-  }
-
-  /// The key as an owned Value (tests / diagnostics).
-  Value key() const {
-    switch (key_type) {
-      case DataType::kBool:
-        return Value(key_enc != 0);
-      case DataType::kInt64:
-        return Value(OrderDecodeInt64(key_enc));
-      case DataType::kDouble:
-        return Value(OrderDecodeDouble(key_enc));
-      case DataType::kString:
-        return Value(key_str);
-    }
-    CheckFailed("unreachable DataType in ScanPosition::key", __FILE__, __LINE__);
   }
 
   /// True if a row at (row_key, row_rid) lies strictly after this position
   /// in (key, RID) order, where row_key is `row`'s cell at `slot`. Only
   /// valid for kKeyRidOrder. This is the positional-predicate hot path.
   bool StrictlyBefore(const RowView& row, size_t slot, Rid row_rid) const {
-    if (key_type != DataType::kString) {
-      uint64_t row_enc = OrderEncodeCell(row.raw(slot), key_type);
-      if (key_enc != row_enc) return key_enc < row_enc;
-      return rid < row_rid;
-    }
-    int c = std::string_view(key_str).compare(row.GetString(slot));
-    if (c != 0) return c < 0;
-    return rid < row_rid;
-  }
-
-  /// Value-form variant (tests / reference paths).
-  bool StrictlyBefore(const Value& row_key, Rid row_rid) const {
-    int c = key().Compare(row_key);
-    if (c != 0) return c < 0;
+    uint64_t row_enc = OrderEncodeCell(row.raw(slot), key_type);
+    if (key_enc != row_enc) return key_enc < row_enc;
     return rid < row_rid;
   }
 
@@ -98,11 +63,16 @@ struct ScanPosition {
   /// order. Only valid for kRidOrder.
   bool StrictlyBeforeRid(Rid row_rid) const { return rid < row_rid; }
 
+  /// Numeric keys print their value, string keys their pool id.
   std::string ToString() const {
     if (order == ScanOrder::kRidOrder) {
       return "rid>" + std::to_string(rid);
     }
-    return "(key,rid)>(" + key().ToString() + "," + std::to_string(rid) + ")";
+    const uint64_t cell = OrderDecodeCell(key_enc, key_type);
+    std::string key = key_type == DataType::kString
+                          ? "string#" + std::to_string(CellToStringId(cell))
+                          : DecodeCell(cell, key_type, nullptr).ToString();
+    return "(key,rid)>(" + key + "," + std::to_string(rid) + ")";
   }
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <tuple>
 
 #include "common/string_util.h"
 #include "exec/reference_executor.h"
@@ -32,10 +33,10 @@ std::string RidsKey(const std::vector<Rid>& rids) {
   return key;
 }
 
-// True when `pos` lies strictly after `prev` in their shared scan order.
+// True when `pos` lies strictly after `prev` in their shared scan order
+// (RID-order positions all carry key 0).
 bool StrictlyAfter(const ScanPosition& prev, const ScanPosition& pos) {
-  if (prev.order == ScanOrder::kRidOrder) return prev.StrictlyBeforeRid(pos.rid);
-  return prev.StrictlyBefore(pos.key(), pos.rid);
+  return std::tie(prev.key_enc, prev.rid) < std::tie(pos.key_enc, pos.rid);
 }
 
 // Detail string for a result-multiset mismatch, or nullopt when `rows`
@@ -188,15 +189,23 @@ void InvariantChecker::OnAdaptation(const AdaptationEvent& event) {
   if (last_depleted_level_ != size_t{1}) {
     Violation("I4: driving switch outside the between-driving-rows state");
   }
-  if (event.demoted_table < last_driving_pos_.size() &&
-      event.demoted_prefix.has_value()) {
-    const std::optional<ScanPosition>& last = last_driving_pos_[event.demoted_table];
-    if (last.has_value() && StrictlyAfter(*event.demoted_prefix, *last)) {
-      Violation(StrCat("I2: demoted table ", event.demoted_table, " prefix ",
-                       event.demoted_prefix->ToString(),
-                       " does not cover its last driving row at ",
-                       last->ToString()));
-    }
+  // I2 fails closed: the switch must name the old driving leg, and once
+  // that leg has driven a row here, carry a prefix that covers the row.
+  if (event.order_before.empty() || event.demoted_table != event.order_before[0] ||
+      event.demoted_table >= last_driving_pos_.size()) {
+    Violation(StrCat("I2: driving switch demotes table ", event.demoted_table,
+                     ", not the old driving leg"));
+    return;
+  }
+  const std::optional<ScanPosition>& last = last_driving_pos_[event.demoted_table];
+  if (!last.has_value()) return;
+  if (!event.demoted_prefix.has_value()) {
+    Violation(StrCat("I2: demoted table ", event.demoted_table,
+                     " carries no prefix though it drove rows up to ", last->ToString()));
+  } else if (StrictlyAfter(*event.demoted_prefix, *last)) {
+    Violation(StrCat("I2: demoted table ", event.demoted_table, " prefix ",
+                     event.demoted_prefix->ToString(),
+                     " does not cover its last driving row at ", last->ToString()));
   }
 }
 

@@ -12,8 +12,9 @@
 //       I1  no join combination (RID tuple) is emitted twice, under any
 //           switching schedule (Sec 4.2's duplicate prevention);
 //       I2  a leg's driving-scan position never regresses — across
-//           demotion and re-promotion the cursor moves strictly forward,
-//           and a demoted leg's recorded prefix covers its last row;
+//           demotion and re-promotion the cursor moves strictly forward;
+//           a driving switch demotes the old driving leg and, once that
+//           leg has driven a row, records a prefix covering its last row;
 //       I3  probe counters are consistent: out <= after_edges <= fetched
 //           <= C(T) for every incoming row (the monitors' "outgoing <=
 //           incoming x fan-out" mass balance);

@@ -145,12 +145,15 @@ double EstimateTreeJoinSize(const std::vector<TableSpec>& tables,
 
 StatusOr<std::unique_ptr<Catalog>> WorkloadSpec::Materialize() const {
   auto catalog = std::make_unique<Catalog>();
+  // Every table loads before the first index build seals the string pool.
   for (const TableSpec& t : tables) {
     AJR_ASSIGN_OR_RETURN(TableEntry * entry,
                          catalog->CreateTable(t.name, Schema(t.columns)));
     for (const Row& row : t.rows) {
       AJR_RETURN_IF_ERROR(entry->table().Append(row).status());
     }
+  }
+  for (const TableSpec& t : tables) {
     for (const std::string& col : t.indexed_columns) {
       AJR_RETURN_IF_ERROR(catalog->BuildIndex(t.name, col, t.name + "_" + col));
     }

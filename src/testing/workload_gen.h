@@ -16,7 +16,7 @@
 //   * join keys of all joinable Value types — int64, interned strings, and
 //     doubles (including +/-0.0) — with Zipf-skewed, correlated data;
 //   * local predicates over every type: comparisons, IN lists, AND/OR/NOT,
-//     bool columns, string constants absent from the table's pool;
+//     bool columns, string constants absent from the catalog's pool;
 //   * partial index coverage, so probe fallbacks and table-scan driving
 //     legs are exercised.
 //

@@ -9,16 +9,20 @@
 //   BOOL   -> 0 or 1
 //   STRING -> the 32-bit StringPool id, zero-extended
 //
-// Cells store RAW values. The index layer additionally needs an
-// order-preserving encoding so (key, RID) entries compare as plain integers;
-// OrderEncode* below map int64/double/bool into uint64 such that
-// a < b  <=>  OrderEncode(a) < OrderEncode(b). Strings have no such map
-// (pool ids are first-seen order), so string keys compare through the pool.
+// Cells store RAW values. The index layer, the positional predicate and
+// ordered predicates additionally need an order-preserving encoding so
+// keys compare as plain integers; OrderEncode* below map every type into
+// uint64 such that a < b  <=>  OrderEncode(a) < OrderEncode(b). A string
+// cell's key is 2·id+1: the catalog seals its pool into byte order before
+// any key is built, so ids order like their bytes. A string the pool lacks
+// (a literal) keys as 2·r, r being the number of pool strings below it: it
+// equals no stored key and sorts between its neighbours.
 
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
@@ -56,7 +60,7 @@ inline double CellToNumeric(uint64_t c, DataType t) {
                                : CellToDouble(c);
 }
 
-// --- Order-preserving key encodings (non-string types) --------------------
+// --- Order-preserving key encodings ----------------------------------------
 
 inline constexpr uint64_t kSignBit = 1ull << 63;
 
@@ -83,7 +87,14 @@ inline double OrderDecodeDouble(uint64_t e) {
 
 inline uint64_t OrderEncodeBool(bool v) { return v ? 1u : 0u; }
 
-/// Order-encodes a RAW cell of non-string type `t`.
+/// Key of string `s` against the sealed `pool` (see file comment).
+inline uint64_t OrderEncodeString(std::string_view s, const StringPool& pool) {
+  const size_t below = pool.LowerBound(s);
+  const bool present = below < pool.size() && pool.Get(static_cast<uint32_t>(below)) == s;
+  return 2 * uint64_t{below} + (present ? 1 : 0);
+}
+
+/// Order-encodes a RAW cell of type `t`.
 inline uint64_t OrderEncodeCell(uint64_t cell, DataType t) {
   switch (t) {
     case DataType::kBool:
@@ -93,12 +104,12 @@ inline uint64_t OrderEncodeCell(uint64_t cell, DataType t) {
     case DataType::kDouble:
       return OrderEncodeDouble(CellToDouble(cell));
     case DataType::kString:
-      break;
+      return 2 * uint64_t{CellToStringId(cell)} + 1;
   }
-  CheckFailed("OrderEncodeCell on string cell", __FILE__, __LINE__);
+  CheckFailed("unreachable DataType in OrderEncodeCell", __FILE__, __LINE__);
 }
 
-/// Inverse of OrderEncodeCell: the RAW cell of non-string type `t`.
+/// Inverse of OrderEncodeCell: the RAW cell of type `t`.
 inline uint64_t OrderDecodeCell(uint64_t enc, DataType t) {
   switch (t) {
     case DataType::kBool:
@@ -108,9 +119,9 @@ inline uint64_t OrderDecodeCell(uint64_t enc, DataType t) {
     case DataType::kDouble:
       return CellFromDouble(OrderDecodeDouble(enc));
     case DataType::kString:
-      break;
+      return CellFromStringId(static_cast<uint32_t>(enc >> 1));
   }
-  CheckFailed("OrderDecodeCell on string cell", __FILE__, __LINE__);
+  CheckFailed("unreachable DataType in OrderDecodeCell", __FILE__, __LINE__);
 }
 
 // --- RowLayout ------------------------------------------------------------
@@ -171,12 +182,6 @@ inline Value DecodeCell(uint64_t cell, DataType t, const StringPool* pool) {
       return Value(std::string(pool->Get(CellToStringId(cell))));
   }
   CheckFailed("unreachable DataType in DecodeCell", __FILE__, __LINE__);
-}
-
-/// Decodes an index key slot (order-encoded numeric, or a `pool` string
-/// id) into an owned Value.
-inline Value DecodeKeySlot(uint64_t slot, DataType t, const StringPool* pool) {
-  return DecodeCell(t == DataType::kString ? slot : OrderDecodeCell(slot, t), t, pool);
 }
 
 }  // namespace ajr

@@ -1,17 +1,16 @@
 // RowView: a zero-copy view of one typed-page row.
 //
 // A RowView is three pointers — the row's cell span, the table's RowLayout,
-// and the table's StringPool. Typed accessors (GetInt64, GetString, ...)
+// and the catalog's StringPool. Typed accessors (GetInt64, GetString, ...)
 // decode cells in place; nothing is allocated and no Value is constructed
 // until a caller explicitly materializes one (GetValue / ToRow) at a
-// projection boundary. Views are valid as long as the owning table (or
-// RowBuffer) is alive and unmodified.
+// projection boundary. Views are valid as long as the owning table is
+// alive and unmodified.
 
 #pragma once
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "types/row_layout.h"
 #include "types/schema.h"
@@ -61,33 +60,22 @@ class RowView {
   }
 
   /// Equality of this row's `slot` against `other`'s `other_slot`, with the
-  /// same cross-type numeric semantics as Value::Compare. Same-pool strings
-  /// compare by id; cross-pool strings compare bytes.
-  bool CellEquals(size_t slot, const RowView& other, size_t other_slot) const;
+  /// same cross-type numeric semantics as Value::Compare. Strings share the
+  /// catalog's pool, so equal strings are equal ids.
+  bool CellEquals(size_t slot, const RowView& other, size_t other_slot) const {
+    DataType lt = type(slot);
+    DataType rt = other.type(other_slot);
+    if (lt == rt) return cells_[slot] == other.cells_[other_slot];
+    // Mirrors Value::Compare: numeric cross-compare is the only legal mix.
+    AJR_CHECK(lt != DataType::kString && lt != DataType::kBool);
+    AJR_CHECK(rt != DataType::kString && rt != DataType::kBool);
+    return GetNumeric(slot) == other.GetNumeric(other_slot);
+  }
 
  private:
   const uint64_t* cells_ = nullptr;
   const RowLayout* layout_ = nullptr;
   const StringPool* pool_ = nullptr;
-};
-
-/// Owns one row encoded into cells (its own layout + pool): adapts loose
-/// Rows to the RowView interface for tests and tools. Not movable — views
-/// point into the buffer's members.
-class RowBuffer {
- public:
-  /// Encodes `row` against `schema`; the row must match the schema.
-  RowBuffer(const Schema& schema, const Row& row);
-
-  RowBuffer(const RowBuffer&) = delete;
-  RowBuffer& operator=(const RowBuffer&) = delete;
-
-  RowView view() const { return RowView(cells_.data(), &layout_, &pool_); }
-
- private:
-  RowLayout layout_;
-  StringPool pool_;
-  std::vector<uint64_t> cells_;
 };
 
 }  // namespace ajr

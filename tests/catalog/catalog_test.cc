@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/random.h"
 
 namespace ajr {
@@ -127,6 +131,47 @@ TEST_F(CatalogTest, TableNamesSorted) {
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "accidents");
   EXPECT_EQ(names[1], "car");
+}
+
+// Set-up seals the catalog's one pool: each table's string cells are
+// rewritten to byte-ordered ids that still decode to the appended Values,
+// and equal strings in two tables are one id.
+TEST(CatalogSealTest, StringCellsSurviveTheSealAndShareIds) {
+  Catalog catalog;
+  const Schema schema({{"k", DataType::kInt64}, {"s", DataType::kString}});
+  HeapTable& a = (*catalog.CreateTable("a", schema))->table();
+  HeapTable& b = (*catalog.CreateTable("b", schema))->table();
+  Rng rng(5);
+  std::vector<Row> rows_a, rows_b;
+  for (int i = 0; i < 300; ++i) {
+    // Interleaved first sight: ids start far from byte order, and about
+    // half the strings of each table also occur in the other.
+    std::string s = "s" + std::to_string(rng.NextUint64(60));
+    Row row = {Value(i), Value(std::move(s))};
+    ASSERT_TRUE(((i % 2 == 0) ? a : b).Append(row).ok());
+    ((i % 2 == 0) ? rows_a : rows_b).push_back(std::move(row));
+  }
+  ASSERT_TRUE(catalog.BuildIndex("a", "s", "a_s").ok());
+  ASSERT_TRUE(catalog.pool().sealed());
+
+  for (const auto& [table, rows] : {std::pair{&a, &rows_a}, std::pair{&b, &rows_b}}) {
+    for (Rid rid = 0; rid < rows->size(); ++rid) {
+      EXPECT_EQ(table->View(rid).GetValue(1), (*rows)[rid][1]) << table->name() << rid;
+    }
+  }
+  for (Rid ra = 0; ra < a.num_rows(); ++ra) {
+    for (Rid rb = 0; rb < b.num_rows(); ++rb) {
+      const RowView va = a.View(ra), vb = b.View(rb);
+      EXPECT_EQ(va.GetStringId(1) == vb.GetStringId(1), va.GetString(1) == vb.GetString(1));
+      EXPECT_EQ(va.GetStringId(1) < vb.GetStringId(1), va.GetString(1) < vb.GetString(1));
+      EXPECT_EQ(va.CellEquals(1, vb, 1), va.GetString(1) == vb.GetString(1));
+    }
+  }
+  // A later index build or ANALYZE leaves the sealed ids as they are.
+  const uint32_t id = a.View(0).GetStringId(1);
+  ASSERT_TRUE(catalog.BuildIndex("b", "s", "b_s").ok());
+  ASSERT_TRUE(catalog.AnalyzeAll().ok());
+  EXPECT_EQ(a.View(0).GetStringId(1), id);
 }
 
 TEST(HistogramTest, EquiDepthFractionEstimates) {

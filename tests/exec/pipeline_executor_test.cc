@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <tuple>
 
 #include "exec/adaptive_coordinator.h"
 #include "exec/exec_observer.h"
@@ -272,9 +273,9 @@ class EventChecker : public ExecObserver {
     if (last == last_pos_.end()) return;
     const ScanPosition& prefix = *event.demoted_prefix;
     ASSERT_EQ(prefix.order, last->second.order);
-    EXPECT_FALSE(prefix.order == ScanOrder::kRidOrder
-                     ? prefix.StrictlyBeforeRid(last->second.rid)
-                     : prefix.StrictlyBefore(last->second.key(), last->second.rid))
+    // (key, RID) order on encoded keys; RID-order positions carry key 0.
+    EXPECT_FALSE(std::tie(prefix.key_enc, prefix.rid) <
+                 std::tie(last->second.key_enc, last->second.rid))
         << prefix.ToString() << " before " << last->second.ToString();
   }
 

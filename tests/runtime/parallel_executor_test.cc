@@ -408,7 +408,6 @@ void ExpectSamePosition(const ScanPosition& a, const ScanPosition& b,
   EXPECT_EQ(a.order, b.order) << where;
   EXPECT_EQ(a.key_type, b.key_type) << where;
   EXPECT_EQ(a.key_enc, b.key_enc) << where;
-  EXPECT_EQ(a.key_str, b.key_str) << where;
   EXPECT_EQ(a.rid, b.rid) << where;
 }
 

@@ -11,10 +11,11 @@ namespace ajr {
 namespace {
 
 // Sorts `entries` by (key, rid) and bulk-loads them: the only way a tree is
-// built.
-BPlusTree Load(DataType type, size_t fanout, std::vector<IndexEntry> entries) {
+// built. String trees take the sealed pool holding their keys.
+BPlusTree Load(DataType type, size_t fanout, std::vector<IndexEntry> entries,
+               const StringPool* pool = nullptr) {
   std::sort(entries.begin(), entries.end());
-  BPlusTree tree(type, fanout);
+  BPlusTree tree(type, fanout, pool);
   EXPECT_TRUE(tree.BulkLoad(std::move(entries)).ok());
   return tree;
 }
@@ -66,9 +67,14 @@ TEST(BPlusTreeTest, InsertsComeOutSorted) {
 
 TEST(BPlusTreeTest, StringKeys) {
   const char* makes[] = {"Mercedes", "Audi", "Chevrolet", "BMW", "Mazda"};
+  StringPool pool;
   std::vector<IndexEntry> entries;
-  for (Rid i = 0; i < 5; ++i) entries.push_back({Value(makes[i]), i});
-  BPlusTree tree = Load(DataType::kString, 4, entries);
+  for (Rid i = 0; i < 5; ++i) {
+    pool.Intern(makes[i]);
+    entries.push_back({Value(makes[i]), i});
+  }
+  pool.Seal();
+  BPlusTree tree = Load(DataType::kString, 4, entries, &pool);
   auto got = Drain(tree);
   ASSERT_EQ(got.size(), 5u);
   EXPECT_EQ(got[0].key.AsString(), "Audi");
@@ -147,32 +153,50 @@ TEST(BPlusTreeProbeTest, MissingKeyYieldsNothing) {
   EXPECT_EQ(wc.total(), (tree.height() + 1) * WorkCounter::kIndexNodeVisit);
 }
 
-TEST(BPlusTreeProbeTest, StringKeyFromAnotherPool) {
-  // The probe keys' bytes live in another pool, interned in another order
-  // than the tree's private pool, so a match must compare bytes, not ids.
+TEST(BPlusTreeProbeTest, StringLiteralsKeyThroughTheTreePool) {
+  // Literals are keyed against the tree's sealed pool: a present one finds
+  // its id's run; an absent one keys between its neighbours, matches
+  // nothing, and charges the descent its lower bound takes.
   const char* makes[] = {"Mercedes", "Audi", "Chevrolet", "BMW", "Mazda", "Audi"};
+  StringPool pool;
   std::vector<IndexEntry> entries;
-  for (Rid i = 0; i < 6; ++i) entries.push_back({Value(makes[i]), i});
-  BPlusTree tree = Load(DataType::kString, 5, entries);  // leaves of 3
-  StringPool other;
-  const uint32_t mazda = other.Intern("Mazda");
-  const uint32_t audi = other.Intern("Audi");
-  const uint32_t opel = other.Intern("Opel");
+  for (Rid i = 0; i < 6; ++i) {
+    pool.Intern(makes[i]);
+    entries.push_back({Value(makes[i]), i});
+  }
+  pool.Seal();
+  BPlusTree tree = Load(DataType::kString, 5, entries, &pool);  // leaves of 3
+  auto key = [&tree](const char* s) { return EncodeKey(Value(s), tree.pool()); };
 
-  WorkCounter wc;
-  std::vector<Rid> rids;
-  tree.Probe(IndexKey::String(other.Get(mazda)), &wc, &rids);
-  EXPECT_EQ(rids, (std::vector<Rid>{4}));
-  rids.clear();
-  tree.Probe(IndexKey::String(other.Get(audi)), nullptr, &rids);
-  EXPECT_EQ(rids, (std::vector<Rid>{1, 5}));
-  rids.clear();
-  tree.Probe(IndexKey::String(other.Get(opel)), nullptr, &rids);
-  EXPECT_TRUE(rids.empty());
   // Order: Audi Audi BMW | Chevrolet Mazda Mercedes (leaves of 3). (Mazda,
   // 0) sits mid-leaf; its one Next steps onto Mercedes: no leaf end.
+  WorkCounter wc;
+  std::vector<Rid> rids;
+  tree.Probe(key("Mazda"), &wc, &rids);
+  EXPECT_EQ(rids, (std::vector<Rid>{4}));
   EXPECT_EQ(wc.total(), tree.height() * WorkCounter::kIndexNodeVisit +
                             WorkCounter::kIndexEntryScan);
+  rids.clear();
+  tree.Probe(key("Audi"), nullptr, &rids);
+  EXPECT_EQ(rids, (std::vector<Rid>{1, 5}));
+
+  // Absent below all: the lower bound is the first entry, no hop.
+  rids.clear();
+  wc.Reset();
+  tree.Probe(key("Aaa"), &wc, &rids);
+  EXPECT_TRUE(rids.empty());
+  EXPECT_EQ(wc.total(), tree.height() * WorkCounter::kIndexNodeVisit);
+  // Absent between BMW and Chevrolet: the lower bound opens the second
+  // leaf and is not the target, so the descent hops.
+  wc.Reset();
+  tree.Probe(key("Bentley"), &wc, &rids);
+  EXPECT_TRUE(rids.empty());
+  EXPECT_EQ(wc.total(), (tree.height() + 1) * WorkCounter::kIndexNodeVisit);
+  // Absent above all: the descent plus the hop off the last leaf.
+  wc.Reset();
+  tree.Probe(key("Opel"), &wc, &rids);
+  EXPECT_TRUE(rids.empty());
+  EXPECT_EQ(wc.total(), (tree.height() + 1) * WorkCounter::kIndexNodeVisit);
 }
 
 TEST(BPlusTreeTest, BulkLoadMatchesInserts) {
@@ -426,7 +450,7 @@ TEST_P(BPlusTreeFanoutSweep, RandomWorkloadKeepsInvariants) {
     }
     // A point probe returns exactly the key's rids, in rid order.
     std::vector<Rid> got_rids, want_rids;
-    tree.Probe(EncodeKey(Value(k)), nullptr, &got_rids);
+    tree.Probe(IndexKey::Int64(k), nullptr, &got_rids);
     for (const IndexEntry& e : expected) {
       if (e.key == Value(k)) want_rids.push_back(e.rid);
     }

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "common/random.h"
+#include "types/string_pool.h"
 
 namespace ajr {
 namespace {
@@ -29,7 +30,8 @@ std::vector<Rid> DrainCursor(ScanCursor* cursor) {
 }
 
 TEST(TableScanCursorTest, ScansAllRidsInOrder) {
-  HeapTable t("t", Schema({{"x", DataType::kInt64}}));
+  StringPool pool;
+  HeapTable t("t", Schema({{"x", DataType::kInt64}}), &pool);
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(t.Append({Value(i)}).ok());
   TableScanCursor c(&t);
   EXPECT_EQ(c.total_entries(), 10u);
@@ -39,7 +41,8 @@ TEST(TableScanCursorTest, ScansAllRidsInOrder) {
 }
 
 TEST(TableScanCursorTest, PositionAndResume) {
-  HeapTable t("t", Schema({{"x", DataType::kInt64}}));
+  StringPool pool;
+  HeapTable t("t", Schema({{"x", DataType::kInt64}}), &pool);
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(t.Append({Value(i)}).ok());
   TableScanCursor c(&t);
   Rid rid;
@@ -119,7 +122,7 @@ TEST(IndexScanCursorTest, PositionAndResumeWithinRange) {
   EXPECT_EQ(rid, 4u);  // key 1, second rid
   ScanPosition pos = c.CurrentPosition();
   EXPECT_EQ(pos.order, ScanOrder::kKeyRidOrder);
-  EXPECT_EQ(pos.key().AsInt64(), 1);
+  EXPECT_EQ(pos.key_enc, OrderEncodeInt64(1));
   EXPECT_EQ(pos.rid, 4u);
 
   // A kept cursor continues strictly after the position it reported.
@@ -128,18 +131,21 @@ TEST(IndexScanCursorTest, PositionAndResumeWithinRange) {
   EXPECT_EQ(rest.front(), 5u);
 }
 
-// String keys compare through the pool; the cursor's range checks are
-// entry positions, so bounds absent from the pool ("b~", "e") and
-// exclusive bounds must still land exactly.
+// String keys are keyed against the tree's sealed pool; the cursor's range
+// checks are entry positions, so bounds absent from the pool ("b~", "e")
+// and exclusive bounds must still land exactly.
 TEST(IndexScanCursorTest, StringKeyRangesMatchBruteForce) {
+  StringPool pool;
   std::vector<IndexEntry> entries;
   for (int rid = 0; rid < 200; ++rid) {
     std::string key = std::string(1, static_cast<char>('a' + rid % 8)) +
                       std::to_string(rid % 3);
+    pool.Intern(key);
     entries.push_back({Value(key), static_cast<Rid>(rid)});
   }
+  pool.Seal();
   std::sort(entries.begin(), entries.end());
-  BPlusTree tree(DataType::kString, 8);
+  BPlusTree tree(DataType::kString, 8, &pool);
   ASSERT_TRUE(tree.BulkLoad(entries).ok());
 
   KeyRange r1, r2;

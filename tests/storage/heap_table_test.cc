@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "types/string_pool.h"
 
 namespace ajr {
 namespace {
@@ -22,7 +23,8 @@ Schema AllTypesSchema() {
 }
 
 TEST(HeapTableTest, AppendAssignsDenseRids) {
-  HeapTable t("t", TwoColSchema());
+  StringPool pool;
+  HeapTable t("t", TwoColSchema(), &pool);
   for (int i = 0; i < 100; ++i) {
     auto rid = t.Append({Value(i), Value("row")});
     ASSERT_TRUE(rid.ok());
@@ -32,7 +34,8 @@ TEST(HeapTableTest, AppendAssignsDenseRids) {
 }
 
 TEST(HeapTableTest, GetReturnsAppendedRow) {
-  HeapTable t("t", TwoColSchema());
+  StringPool pool;
+  HeapTable t("t", TwoColSchema(), &pool);
   ASSERT_TRUE(t.Append({Value(7), Value("seven")}).ok());
   const Row& r = t.Get(0);
   EXPECT_EQ(r[0].AsInt64(), 7);
@@ -40,14 +43,16 @@ TEST(HeapTableTest, GetReturnsAppendedRow) {
 }
 
 TEST(HeapTableTest, SchemaMismatchRejected) {
-  HeapTable t("t", TwoColSchema());
+  StringPool pool;
+  HeapTable t("t", TwoColSchema(), &pool);
   EXPECT_FALSE(t.Append({Value(1)}).ok());
   EXPECT_FALSE(t.Append({Value("x"), Value("y")}).ok());
   EXPECT_EQ(t.num_rows(), 0u);
 }
 
 TEST(HeapTableTest, FetchChargesWork) {
-  HeapTable t("t", TwoColSchema());
+  StringPool pool;
+  HeapTable t("t", TwoColSchema(), &pool);
   ASSERT_TRUE(t.Append({Value(1), Value("a")}).ok());
   WorkCounter wc;
   t.Fetch(0, &wc);
@@ -57,7 +62,8 @@ TEST(HeapTableTest, FetchChargesWork) {
 }
 
 TEST(HeapTableTest, RowWriterAndViewAccessors) {
-  HeapTable t("t", AllTypesSchema());
+  StringPool pool;
+  HeapTable t("t", AllTypesSchema(), &pool);
   Rid rid = t.NewRow().I64(-42).F64(2.75).Bool(true).Str("hello").Finish();
   EXPECT_EQ(rid, 0u);
   RowView v = t.View(rid);
@@ -77,7 +83,8 @@ TEST(HeapTableTest, RowWriterAndViewAccessors) {
 }
 
 TEST(HeapTableTest, StringInterningDeduplicates) {
-  HeapTable t("t", TwoColSchema());
+  StringPool pool;
+  HeapTable t("t", TwoColSchema(), &pool);
   for (int i = 0; i < 50; ++i) {
     t.NewRow().I64(i).Str(i % 2 == 0 ? "even" : "odd").Finish();
   }
@@ -89,7 +96,8 @@ TEST(HeapTableTest, StringInterningDeduplicates) {
 }
 
 TEST(HeapTableDeathTest, OutOfRangeRidAborts) {
-  HeapTable t("t", TwoColSchema());
+  StringPool pool;
+  HeapTable t("t", TwoColSchema(), &pool);
   EXPECT_DEATH(t.Get(0), "AJR_CHECK failed");  // empty table
   ASSERT_TRUE(t.Append({Value(1), Value("a")}).ok());
   EXPECT_DEATH(t.Get(1), "AJR_CHECK failed");
@@ -102,7 +110,8 @@ TEST(HeapTableDeathTest, OutOfRangeRidAborts) {
 // pages bit-for-bit. Row count deliberately crosses the 4096-row page
 // boundary so stitching across pages is exercised.
 TEST(HeapTableTest, RandomRowsRoundTripThroughTypedPages) {
-  HeapTable t("t", AllTypesSchema());
+  StringPool pool;
+  HeapTable t("t", AllTypesSchema(), &pool);
   std::vector<Row> expected;
   Rng rng(20070415);
   const size_t kRows = 2 * 4096 + 37;
@@ -117,21 +126,33 @@ TEST(HeapTableTest, RandomRowsRoundTripThroughTypedPages) {
     expected.push_back({Value(iv), Value(dv), Value(bv), Value(std::move(sv))});
   }
   ASSERT_EQ(t.num_rows(), kRows);
-  for (size_t i = 0; i < kRows; ++i) {
-    RowView v = t.View(i);
-    const Row& want = expected[i];
-    // Typed accessors...
-    ASSERT_EQ(v.GetInt64(0), want[0].AsInt64()) << "row " << i;
-    ASSERT_EQ(v.GetDouble(1), want[1].AsDouble()) << "row " << i;
-    ASSERT_EQ(v.GetBool(2), want[2].AsBool()) << "row " << i;
-    ASSERT_EQ(v.GetString(3), want[3].AsString()) << "row " << i;
-    // ...and the materialized row: same types, same values.
-    Row got = v.ToRow();
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t c = 0; c < want.size(); ++c) {
-      ASSERT_EQ(got[c].type(), want[c].type()) << "row " << i << " col " << c;
-      ASSERT_EQ(got[c], want[c]) << "row " << i << " col " << c;
+  auto check_rows = [&]() {
+    for (size_t i = 0; i < kRows; ++i) {
+      RowView v = t.View(i);
+      const Row& want = expected[i];
+      // Typed accessors...
+      ASSERT_EQ(v.GetInt64(0), want[0].AsInt64()) << "row " << i;
+      ASSERT_EQ(v.GetDouble(1), want[1].AsDouble()) << "row " << i;
+      ASSERT_EQ(v.GetBool(2), want[2].AsBool()) << "row " << i;
+      ASSERT_EQ(v.GetString(3), want[3].AsString()) << "row " << i;
+      // ...and the materialized row: same types, same values.
+      Row got = v.ToRow();
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t c = 0; c < want.size(); ++c) {
+        ASSERT_EQ(got[c].type(), want[c].type()) << "row " << i << " col " << c;
+        ASSERT_EQ(got[c], want[c]) << "row " << i << " col " << c;
+      }
     }
+  };
+  check_rows();
+  // Sealing renumbers the ids; rewriting the cells in place, across every
+  // page, keeps each row's strings, now with byte-ordered ids.
+  t.RenumberStrings(pool.Seal());
+  check_rows();
+  for (size_t i = 1; i < kRows; ++i) {
+    ASSERT_EQ(t.View(i - 1).GetStringId(3) < t.View(i).GetStringId(3),
+              t.View(i - 1).GetString(3) < t.View(i).GetString(3))
+        << "row " << i;
   }
 }
 

@@ -138,7 +138,7 @@ TEST_F(DmvTest, AmericanMakesRareInEurope) {
   size_t german_cars = 0, german_chevy = 0, us_cars = 0, us_chevy = 0;
   for (Rid r = 0; r < car.num_rows(); ++r) {
     const Row& row = car.Get(r);
-    // View's string_view points into the owner table's pool (stable); a
+    // View's string_view points into the catalog's pool (stable); a
     // reference into Get()'s temporary Row would dangle.
     std::string_view country =
         owner.View(static_cast<Rid>(row[1].AsInt64())).GetString(3);

@@ -52,13 +52,18 @@ struct AdaptiveOptions {
   /// to cost at least this fraction less than the current tail (suppresses
   /// lateral flip-flops between near-equal orders).
   double inner_benefit_epsilon = 0.05;
-  /// Exponential back-off on unproductive checks: after a check that
-  /// decides "no change", the next check happens after 2x the interval (up
-  /// to kMaxBackoff * check_frequency); any reorder resets the interval to
-  /// check_frequency. The paper uses a fixed c throughout — set false for
-  /// strict paper behaviour — but on a memory-speed engine fixed-c checking
-  /// costs far more (relatively) than on the paper's I/O-bound system, and
-  /// back-off restores the paper's sub-1% overhead regime (Sec 5.4).
+  /// Exponential back-off of the check intervals: after a check the next
+  /// one happens after 2x the interval (up to kMaxBackoff *
+  /// check_frequency). An inner reorder resets its leg's interval to
+  /// check_frequency. A driving switch does not reset the driving interval,
+  /// so serial driving checks fall at 10, 30, 70, 150, 310 produced rows
+  /// (c = 10), then every 160, whatever they decide: a newly promoted leg is
+  /// judged on more than its first c rows. The parallel coordinator's morsel
+  /// ramp still resets on both kinds of change (exec/adaptive_coordinator.h).
+  /// The paper uses a fixed c throughout — set false for strict paper
+  /// behaviour — but on a memory-speed engine fixed-c checking costs far
+  /// more (relatively) than on the paper's I/O-bound system, and back-off
+  /// restores the paper's sub-1% overhead regime (Sec 5.4).
   bool check_backoff = true;
   /// Unused by the engine (the B+-tree is the only index); perfbench reads it.
   IndexBackend index_backend = IndexBackend::kBTree;
@@ -71,9 +76,11 @@ struct AdaptiveOptions {
 ///
 /// The interval starts at `base` (the check frequency c). Every
 /// unproductive check doubles it, capped at base * max_factor (kMaxBackoff
-/// by default); any reorder resets it to base. With back-off disabled the
-/// interval is constant. The parallel coordinator reuses it as its morsel
-/// ramp (exec/adaptive_coordinator.h).
+/// by default); OnReorder resets it to base. The executor resets an inner
+/// leg's interval after that leg's reorder but never the driving interval,
+/// so a driving switch counts as an ordinary check. With back-off disabled
+/// the interval is constant. The parallel coordinator reuses it as its
+/// morsel ramp, reset by any reorder or switch (exec/adaptive_coordinator.h).
 class CheckBackoff {
  public:
   CheckBackoff() : CheckBackoff(10, true) {}

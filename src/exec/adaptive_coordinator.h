@@ -20,6 +20,13 @@
 // check_backoff off the morsels stay at c entries. Once the order settles
 // the morsels are large and folds are rare.
 //
+// Unlike the serial driving check, which keeps backing off through a
+// switch, the ramp resets at a switch decision and again at its install,
+// so a promoted leg starts at c-entry morsels. Dropping the reset cut
+// dop-2 work on the six-table mix but left dop 4's high-work mode (about
+// 1.3x the serial work, in a varying share of runs) in place, so the reset
+// stays until that mode is understood.
+//
 // Decisions are published as epoch-tagged snapshots. A worker's driving-
 // entry source polls the epoch (one atomic load) before it hands out each
 // driving entry — a full-pipeline depleted state, the paper's moment of

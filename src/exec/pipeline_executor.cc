@@ -230,7 +230,8 @@ void PipelineExecutor::ProbeLeg(size_t level) {
 
 void PipelineExecutor::DrivingCheck() {
   produced_since_check_ = 0;
-  // Back-off bookkeeping: assume unproductive; a switch below resets it.
+  // Every driving check backs off, a switch too: a freshly promoted leg
+  // is judged after the next interval, not on its first c rows.
   driving_backoff_.OnUnproductiveCheck();
   const size_t current = order_[0];
   std::vector<LegView> views = LegViews();
@@ -239,7 +240,6 @@ void PipelineExecutor::DrivingCheck() {
   auto new_order =
       decider_->CheckDriving(views, edge_monitors_, order_, stats_.driving_rows_produced);
   if (!new_order.has_value()) return;
-  driving_backoff_.OnReorder();
 
   // Demote the old driving leg: its processed prefix becomes its positional
   // predicate (Sec 4.2). The cursor is kept, so a re-promotion continues it.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <vector>
 
 #include "adaptive/controller.h"
 #include "common/cancellation.h"
@@ -111,8 +112,9 @@ TEST_F(ExecutorContractTest, NullTokenRunsToCompletion) {
 // --------------------------------------------------- back-off integration
 
 // Mirror of the executor's level-0 check cadence: a check fires when
-// `interval()` rows were produced since the last check, and one trailing
-// opportunity exists between the final row and scan depletion.
+// `interval()` rows were produced since the last check, every check backs
+// off (a switch included), and one trailing opportunity exists between the
+// final row and scan depletion.
 uint64_t SimulateDrivingChecks(uint64_t rows_produced, uint64_t c, bool backoff) {
   CheckBackoff b(c, backoff);
   uint64_t produced = 0;
@@ -152,6 +154,35 @@ TEST_F(ExecutorContractTest, DrivingCheckCadenceMatchesBackoffSchedule) {
               SimulateDrivingChecks(stats->driving_rows_produced, 10, backoff))
         << "backoff=" << backoff;
   }
+
+  // A driving switch counts as an ordinary check: at the default threshold,
+  // over runs that do switch, the cadence is still the pure schedule.
+  DmvQueryGenerator gen(catalog_, /*seed=*/20070415);
+  auto fig7 = gen.GenerateMix(20);
+  auto six = gen.GenerateSixTableMix(100);
+  ASSERT_TRUE(fig7.ok()) << fig7.status();
+  ASSERT_TRUE(six.ok()) << six.status();
+  std::vector<JoinQuery> queries = std::move(*fig7);
+  queries.insert(queries.end(), six->begin(), six->end());
+  size_t switched = 0;
+  for (bool backoff : {false, true}) {
+    AdaptiveOptions options;
+    options.check_backoff = backoff;
+    for (const JoinQuery& q : queries) {
+      auto plan = Plan(q);
+      ASSERT_NE(plan, nullptr);
+      PipelineExecutor exec(plan.get(), options);
+      auto stats = exec.Execute(nullptr);
+      ASSERT_TRUE(stats.ok()) << q.name << ": " << stats.status();
+      if (stats->driving_switches > 0) ++switched;
+      EXPECT_EQ(stats->driving_checks,
+                SimulateDrivingChecks(stats->driving_rows_produced,
+                                      options.check_frequency, backoff))
+          << q.name << " backoff=" << backoff
+          << " switches=" << stats->driving_switches;
+    }
+  }
+  EXPECT_GT(switched, 0u) << "no run switched; the case tests nothing";
 }
 
 TEST_F(ExecutorContractTest, BackoffReducesCheckCountOnStableRuns) {
